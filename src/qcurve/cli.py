@@ -26,8 +26,8 @@ from .glv import (
     PRIME_ORDER,
     ceil_log2,
     cofactor_basis,
+    coset_minimum,
     decompose,
-    infnorm,
     multiexp2,
     reduced_lattice_basis,
 )
@@ -251,24 +251,15 @@ def cmd_decompose(args) -> int:
         ok = multiexp2(dec.a, dec.b, P, endo(P), fam.curve) == fam.curve.mul(m, P)
         record["multiexp_check"] = "ok" if ok else "FAIL"
         if args.exhaustive:
-            record["exhaustive_minimal"] = _exhaustive_minimality(basis, n_sub, lam)
+            record["exhaustive_minimal"] = _exhaustive_minimality(basis)
     _emit_status(record, args.json)
     return 0 if record.get("multiexp_check", "ok") == "ok" else 1
 
 
-def _exhaustive_minimality(basis, n, lam) -> str:
-    radius = infnorm(basis.b2)
+def _exhaustive_minimality(basis) -> str:
+    n = basis.order
     for m in range(n):
-        dec = decompose(m, basis)
-        best = None
-        for b in range(-radius, radius + 1):
-            a0 = (m - b * lam) % n
-            for a in (a0, a0 - n):
-                if abs(a) <= radius:
-                    cand = max(abs(a), abs(b))
-                    if best is None or cand < best:
-                        best = cand
-        if dec.norm != best:
+        if decompose(m, basis).norm != coset_minimum(m, basis):
             return f"FAIL at m={m}"
     return f"all {n} scalars minimal"
 

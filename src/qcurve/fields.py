@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, NotInertError, NotPrimeError
 
@@ -106,16 +106,10 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """The field F_{p^2} = F_p(sqrt(delta)): prime modulus plus nonresidue.
-
-    ``fast_reduce`` enables a fold-high-bits reduction when p is a Mersenne
-    prime; disabling it routes everything through generic remainders, which
-    must give identical results.
-    """
+    """The field F_{p^2} = F_p(sqrt(delta)): prime modulus plus nonresidue."""
 
     p: int
     delta: int
-    fast_reduce: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         p = self.p
@@ -128,19 +122,7 @@ class FieldCtx:
         object.__setattr__(self, "delta", self.delta % p)
         if legendre(self.delta, p) != -1:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
-        bits = p.bit_length()
-        mersenne = bits if (self.fast_reduce and p == (1 << bits) - 1) else 0
-        object.__setattr__(self, "_mersenne_bits", mersenne)
         object.__setattr__(self, "_nonsquare_cache", None)
-
-    def reduce(self, x: int) -> int:
-        k = self._mersenne_bits
-        if k and x >= 0:
-            p = self.p
-            while x > p:
-                x = (x >> k) + (x & p)
-            return x if x < p else 0
-        return x % self.p
 
     def elem(self, a: int | Fp2, b: int = 0) -> "Fp2":
         if isinstance(a, Fp2):
@@ -179,7 +161,11 @@ class FieldCtx:
 
 
 class Fp2:
-    """An element a + b*sqrt(delta) of F_{p^2}, with 0 <= a, b < p."""
+    """An element a + b*sqrt(delta) of F_{p^2}, with 0 <= a, b < p.
+
+    Every operation builds its result from plain integer expressions and
+    reduces each output coordinate exactly once, here in the constructor.
+    """
 
     __slots__ = ("a", "b", "ctx")
 
@@ -190,18 +176,18 @@ class Fp2:
 
     def _pair(self, other) -> tuple[int, int]:
         if isinstance(other, Fp2):
-            o = self.ctx.coerce(other)
-            return o.a, o.b
+            if other.ctx is not self.ctx:
+                self.ctx.coerce(other)
+            return other.a, other.b
         if isinstance(other, int):
-            return other % self.ctx.p, 0
+            return other, 0
         return NotImplemented, None
 
     def __add__(self, other):
         oa, ob = self._pair(other)
         if oa is NotImplemented:
             return NotImplemented
-        r = self.ctx.reduce
-        return Fp2(self.ctx, r(self.a + oa), r(self.b + ob))
+        return Fp2(self.ctx, self.a + oa, self.b + ob)
 
     __radd__ = __add__
 
@@ -209,40 +195,32 @@ class Fp2:
         oa, ob = self._pair(other)
         if oa is NotImplemented:
             return NotImplemented
-        p = self.ctx.p
-        return Fp2(self.ctx, self.a - oa + p, self.b - ob + p)
+        return Fp2(self.ctx, self.a - oa, self.b - ob)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        p = self.ctx.p
-        return Fp2(self.ctx, p - self.a if self.a else 0, p - self.b if self.b else 0)
+        return Fp2(self.ctx, -self.a, -self.b)
 
     def __mul__(self, other):
         oa, ob = self._pair(other)
         if oa is NotImplemented:
             return NotImplemented
-        ctx = self.ctx
-        r = ctx.reduce
         a1, b1 = self.a, self.b
         t1 = a1 * oa
         t2 = b1 * ob
-        na = r(t1 + ctx.delta * r(t2))
-        nb = r((a1 + b1) * (oa + ob) - t1 - t2)
-        return Fp2(ctx, na, nb)
+        return Fp2(self.ctx, t1 + self.ctx.delta * t2, (a1 + b1) * (oa + ob) - t1 - t2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Fp2":
         ctx = self.ctx
-        p = ctx.p
-        r = ctx.reduce
-        n = r(self.a * self.a + (p - ctx.delta) * r(self.b * self.b))
+        n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero in F_{p^2}")
-        ni = pow(n, -1, p)
-        return Fp2(ctx, r(self.a * ni), r((p - self.b) * ni) if self.b else 0)
+        ni = pow(n, -1, ctx.p)
+        return Fp2(ctx, self.a * ni, -self.b * ni)
 
     def __truediv__(self, other):
         oa, ob = self._pair(other)
@@ -288,14 +266,12 @@ class Fp2:
 
     def conjugate(self) -> "Fp2":
         """The p-power map a + b*sqrt(D) -> a - b*sqrt(D); equals x**p."""
-        p = self.ctx.p
-        return Fp2(self.ctx, self.a, p - self.b if self.b else 0)
+        return Fp2(self.ctx, self.a, -self.b)
 
     def norm(self) -> int:
         """a^2 - D*b^2 in F_p, the norm down to the base field."""
-        ctx = self.ctx
-        r = ctx.reduce
-        return r(self.a * self.a + (ctx.p - ctx.delta) * r(self.b * self.b))
+        a, b = self.a, self.b
+        return (a * a - self.ctx.delta * b * b) % self.ctx.p
 
     def is_square(self) -> bool:
         """True iff the element has a square root in F_{p^2}.

@@ -1,7 +1,7 @@
 """Scalar decomposition machinery: reduced bases for the decomposition
 lattice, exact two-dimensional decomposition, and interleaved double-and-add.
 
-All arithmetic here is exact integer/rational arithmetic.  The lattice of
+All arithmetic here is exact integer arithmetic.  The lattice of
 decompositions of zero is L = <(N, 0), (-lambda, 1)>; a decomposition of m
 is any (a, b) with a + b*lambda = m (mod N), i.e. an element of the coset
 (m, 0) + L.  A basis is reduced when, under the infinity norm,
@@ -11,8 +11,6 @@ is any (a, b) with a + b*lambda = m (mod N), i.e. an element of the coset
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor
 
 from .errors import DomainError, StructureError
 from .weierstrass import INFINITY, Curve, Point
@@ -43,13 +41,15 @@ def _neg(v: Vec) -> Vec:
     return (-v[0], -v[1])
 
 
-def _scale(v: Vec, k: Fraction | int) -> Vec:
-    x, y = v[0] * k, v[1] * k
-    if isinstance(k, Fraction):
-        if x.denominator != 1 or y.denominator != 1:
-            raise StructureError("basis combination is not integral")
-        return (int(x), int(y))
-    return (x, y)
+def _scale(v: Vec, k: int) -> Vec:
+    return (v[0] * k, v[1] * k)
+
+
+def _divide(v: Vec, k: int) -> Vec:
+    """v / k, which must be an integer vector."""
+    if v[0] % k or v[1] % k:
+        raise StructureError("basis combination is not integral")
+    return (v[0] // k, v[1] // k)
 
 
 def det2(u: Vec, v: Vec) -> int:
@@ -108,17 +108,17 @@ def _reduction_candidates(u: Vec, v: Vec):
     ||v|| <= ||v - u|| and ||v|| <= ||v + u||."""
     cands = {-1, 1}
 
-    def around(x: Fraction):
-        f = floor(x)
+    def around(num: int, den: int):
+        f = num // den
         cands.update((f - 1, f, f + 1, f + 2))
 
     for i in (0, 1):
         if u[i]:
-            around(Fraction(v[i], u[i]))
+            around(v[i], u[i])
     for sgn in (1, -1):
         du = u[0] + sgn * u[1]
         if du:
-            around(Fraction(v[0] + sgn * v[1], du))
+            around(v[0] + sgn * v[1], du)
     return cands
 
 
@@ -173,8 +173,6 @@ def cofactor_basis(
     that case it is Gauss-reduced, which preserves the lattice.
     """
     e1, e2 = sublattice_basis(p, eps, d, r)
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
     if variant == PRIME_ORDER:
         if eps == -1:
             b1, b2 = e1, e2
@@ -187,7 +185,7 @@ def cofactor_basis(
             raise StructureError("cofactor-2 basis applies to the degree-2 family")
         if order % 2 == 0 or r % 2 == 0:
             raise StructureError("group structure inconsistent with variant: need N and r odd")
-        h = _scale(e2, half)
+        h = _divide(e2, 2)
         b1 = _neg(h)
         b2 = _add(e1, h) if eps * r >= 0 else _sub(e1, h)
     elif variant == COFACTOR4_D2:
@@ -196,11 +194,11 @@ def cofactor_basis(
         if order % 2 == 0 or r % 2:
             raise StructureError("group structure inconsistent with variant: need N odd, r even")
         if eps == 1:
-            b1 = _scale(_add(e1, e2) if r >= 0 else _sub(e1, e2), half)
-            b2 = _scale(e2 if r >= 0 else _neg(e2), half)
+            b1 = _divide(_add(e1, e2) if r >= 0 else _sub(e1, e2), 2)
+            b2 = _divide(e2 if r >= 0 else _neg(e2), 2)
         else:
-            b1 = _scale(e1, half)
-            b2 = _scale(e2 if r >= 0 else _neg(e2), half)
+            b1 = _divide(e1, 2)
+            b2 = _divide(e2 if r >= 0 else _neg(e2), 2)
     elif variant == COFACTOR3_D3:
         if d != 3:
             raise StructureError("cofactor-3 basis applies to the degree-3 family")
@@ -208,8 +206,8 @@ def cofactor_basis(
             raise StructureError(
                 "group structure inconsistent with variant: need 3 | p+eps, 3 coprime to N and r"
             )
-        b1 = _scale(e2, third)
-        t = _scale(e2, Fraction(2, 3))
+        b1 = _divide(e2, 3)
+        t = _scale(b1, 2)
         b2 = _add(e1, t) if eps * r >= 0 else _sub(e1, t)
     else:
         raise DomainError(f"unknown basis variant {variant!r}")
@@ -250,11 +248,10 @@ def decompose(m: int, basis: GlvBasis) -> Decomposition:
     if not is_reduced(b1, b2):
         raise StructureError("decompose requires a reduced basis")
     det = det2(b1, b2)
-    alpha = Fraction(m * b2[1], det)
-    beta = Fraction(-m * b1[1], det)
+    na, nb = m * b2[1], -m * b1[1]
     best = None
-    for qa in (floor(alpha), ceil(alpha)):
-        for qb in (floor(beta), ceil(beta)):
+    for qa in (na // det, -(-na // det)):
+        for qb in (nb // det, -(-nb // det)):
             c = (qa * b1[0] + qb * b2[0], qa * b1[1] + qb * b2[1])
             cand = (m - c[0], -c[1])
             if best is None or infnorm(cand) < infnorm(best):
@@ -263,6 +260,24 @@ def decompose(m: int, basis: GlvBasis) -> Decomposition:
     if (a + b * basis.eigenvalue - m) % basis.order:
         raise StructureError("decomposition failed its defining congruence")
     return Decomposition(a, b)
+
+
+def coset_minimum(m: int, basis: GlvBasis) -> int | None:
+    """Brute-force reference for decompose: the least norm over every
+    decomposition of m with both coordinates inside the ||b2|| box, or None
+    if the box holds none.  Costs O(||b2||), so it is for small orders."""
+    n, lam = basis.order, basis.eigenvalue
+    radius = infnorm(basis.b2)
+    return min(
+        (
+            max(abs(a), abs(b))
+            for b in range(-radius, radius + 1)
+            for a0 in [(m - b * lam) % n]
+            for a in (a0, a0 - n)
+            if abs(a) <= radius
+        ),
+        default=None,
+    )
 
 
 def multiexp2(a: int, b: int, P: Point, psiP: Point, curve: Curve) -> Point:

@@ -13,14 +13,14 @@ settings.load_profile("default")
 MERSENNE_127 = 2**127 - 1
 
 
-def ctx_for(p: int, fast_reduce: bool = True) -> FieldCtx:
+def ctx_for(p: int) -> FieldCtx:
     """F_{p^2} with delta = -1 when p = 3 (mod 4), else the smallest nonsquare."""
     if p % 4 == 3:
-        return FieldCtx(p, p - 1, fast_reduce=fast_reduce)
+        return FieldCtx(p, p - 1)
     d = 2
     while legendre(d, p) != -1:
         d += 1
-    return FieldCtx(p, d, fast_reduce=fast_reduce)
+    return FieldCtx(p, d)
 
 
 @pytest.fixture(scope="session")

@@ -152,17 +152,24 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             ctx_for(5).one() + ctx_for(7).one()
 
-    @given(element_pairs())
-    def test_mersenne_reduction_agrees_with_generic(self, pair):
+    @given(element_pairs(), st.data())
+    def test_exact_outputs_match_int_formulas(self, pair, data):
+        # The pool holds the Mersenne primes 7, 2^31 - 1 and 2^127 - 1 next
+        # to generic ones; every output pair must be the reduced int formula.
         x, y = pair
-        p = x.ctx.p
-        slow = FieldCtx(p, x.ctx.delta, fast_reduce=False)
-        xs, ys = Fp2(slow, x.a, x.b), Fp2(slow, y.a, y.b)
-        for fast, generic in [(x * y, xs * ys), (x + y, xs + ys), (x - y, xs - ys)]:
-            assert (fast.a, fast.b) == (generic.a, generic.b)
+        p, delta = x.ctx.p, x.ctx.delta
+        a, b, c, d = x.a, x.b, y.a, y.b
+        k = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=p + 1)))
+        assert ((x * y).a, (x * y).b) == ((a * c + delta * b * d) % p, (a * d + b * c) % p)
+        assert ((x + y).a, (x + y).b) == ((a + c) % p, (b + d) % p)
+        assert ((x - y).a, (x - y).b) == ((a - c) % p, (b - d) % p)
+        for kx in (k * x, x * k):
+            assert (kx.a, kx.b) == (k * a % p, k * b % p)
         if x:
-            inv_fast, inv_slow = x.inverse(), xs.inverse()
-            assert (inv_fast.a, inv_fast.b) == (inv_slow.a, inv_slow.b)
+            inv = x.inverse()
+            u, v = inv.a, inv.b
+            assert 0 <= u < p and 0 <= v < p
+            assert ((a * u + delta * b * v) % p, (a * v + b * u) % p) == (1, 0)
 
 
 class TestFrobenius:

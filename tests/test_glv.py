@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,11 @@ from qcurve.glv import (
 )
 from qcurve.weierstrass import oracle_trace, random_point
 
+from qcurve.fields import FieldCtx
+
 from conftest import MERSENNE_127, ctx_for
+
+TRACE_D2 = -272082382382015736940757543628153813996
 
 
 def endo_data(d, p, s):
@@ -46,6 +51,22 @@ def brute_minimum(m, n, lam, radius):
                 cand = max(abs(a), abs(b))
                 if best is None or cand < best:
                     best = cand
+    return best
+
+
+def four_corner_reference(m, basis):
+    """Nearest lattice vector by rational floor/ceiling, in decompose's loop
+    order with the same strict <, so ties break identically."""
+    b1, b2 = basis.b1, basis.b2
+    det = det2(b1, b2)
+    alpha = Fraction(m * b2[1], det)
+    beta = Fraction(-m * b1[1], det)
+    best = None
+    for qa in (math.floor(alpha), math.ceil(alpha)):
+        for qb in (math.floor(beta), math.ceil(beta)):
+            cand = (m - (qa * b1[0] + qb * b2[0]), -(qa * b1[1] + qb * b2[1]))
+            if best is None or infnorm(cand) < infnorm(best):
+                best = cand
     return best
 
 
@@ -204,6 +225,19 @@ class TestDecompose:
             assert (dec.a + dec.b * lam - m) % n == 0
             assert dec.norm <= radius
             assert dec.norm == brute_minimum(m, n, lam, radius)
+            assert (dec.a, dec.b) == four_corner_reference(m, basis)
+
+    def test_matches_fraction_reference_on_paper_basis(self):
+        fam = build_family_curve(2, FieldCtx(MERSENNE_127, -1), 28106)
+        endo = Endo(fam)
+        r = determine_r(endo, TRACE_D2)
+        n = group_orders(endo, r)[0] // 2
+        basis = cofactor_basis(COFACTOR2_D2, MERSENNE_127, endo.eps, 2, r, n, eigenvalue(endo, r, n))
+        rng = random.Random(2014)
+        for _ in range(200):
+            m = rng.randrange(1 << 252, n)
+            dec = decompose(m, basis)
+            assert (dec.a, dec.b) == four_corner_reference(m, basis)
 
     def test_rounding_variant_loses_at_most_one_bit(self):
         # Nearest-integer rounding instead of the four-corner minimum costs
