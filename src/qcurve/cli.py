@@ -13,6 +13,7 @@ import os
 import json
 import shlex
 import sys
+import time
 
 from . import selftest as _selftest_mod
 from .cmtables import FIBERS, TABLE1, TABLE2, detect_cm
@@ -103,17 +104,12 @@ def _field_ctx(args) -> FieldCtx:
 
 
 def _resolve_trace(fam, supplied: int | None) -> int | None:
-    """Trace from the flag, the oracle, or both (cross-checked)."""
-    oracle_t = None
-    if fam.ctx.p <= ORACLE_MAX_P:
-        oracle_t = oracle_trace(fam.curve)
+    """Trace from the flag, else from the oracle at small p (determine_r checks it)."""
     if supplied is not None:
-        if oracle_t is not None and oracle_t != supplied:
-            raise DomainError(
-                f"supplied trace {supplied} contradicts the oracle trace {oracle_t}"
-            )
         return supplied
-    return oracle_t
+    if fam.ctx.p <= ORACLE_MAX_P:
+        return oracle_trace(fam.curve)
+    return None
 
 
 def choose_subgroup(fam, endo, r: int, order: int):
@@ -351,6 +347,7 @@ def cmd_tables(args) -> int:
 def cmd_selftest(args) -> int:
     failures = 0
     for name, fn in _selftest_mod.all_checks():
+        t0 = time.perf_counter()
         try:
             detail = fn()
             record = {"command": "selftest", "check": name, "status": "pass"}
@@ -365,6 +362,7 @@ def cmd_selftest(args) -> int:
                 "error": _error_code(exc),
                 "message": str(exc),
             }
+        record["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
         _emit(record, args.json)
     _emit(
         {"command": "selftest", "failures": failures, "status": "ok" if not failures else "error"},

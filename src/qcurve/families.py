@@ -29,7 +29,7 @@ from .isogeny import (
     post_twist,
     velu_quotient,
 )
-from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, curve_points, random_point
+from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, curve_points, oracle_trace, random_point
 
 FAMILY_DEGREES = (2, 3, 5, 7)
 
@@ -240,14 +240,19 @@ class Endo:
 
 def determine_r(endo: Endo, trace: int) -> int:
     """The integer r with d*r^2 = 2p + eps*trace and [r]psi = [p] + eps*pi
-    (minus eps*pi on the twist); the sign is fixed by evaluating on points.
+    (minus eps*pi on the twist), i.e. [r]psi(Q) = [target]Q on rational
+    points, target = p + eps (p - eps twisted).
 
-    The p^2-power Frobenius pi is the identity on rational points, so the
-    verification reduces to [r]psi(P) = [p + eps]P (or [p - eps]P twisted).
+    The trace fixes |r|. The sign is read off one witness Q, one with
+    [target]Q != -[target]Q: both signs holding would give [2*target]Q = O.
+    At p <= ORACLE_MAX_P the trace is first checked against the oracle.
     """
     p = endo.family.ctx.p
-    d = endo.d
-    eps = endo.eps
+    d, eps = endo.d, endo.eps
+    if p <= ORACLE_MAX_P:
+        oracle_t = oracle_trace(endo.family.curve)
+        if trace != oracle_t:
+            raise TraceError(f"supplied trace {trace} contradicts the oracle trace {oracle_t}")
     if abs(trace) > 2 * p:
         raise TraceError("trace violates the Hasse bound")
     v = 2 * p + eps * trace
@@ -259,26 +264,23 @@ def determine_r(endo: Endo, trace: int) -> int:
     target = p + eps if not endo.twisted else p - eps
     curve = endo.curve
 
-    # The wrong sign still holds on a proper subgroup (the rational part of
-    # ker [2r]psi), so tiny groups are decided exhaustively; at large p the
-    # chance that several hash-derived points all lie in that subgroup is
-    # negligible.
-    if p <= ORACLE_MAX_P:
-        points = curve_points(curve)
-    else:
-        points = [random_point(curve, seed) for seed in range(8)]
+    def witnesses():
+        yield from (random_point(curve, seed) for seed in range(8))
+        if p <= ORACLE_MAX_P:
+            yield from curve_points(curve)
 
-    def holds(r: int) -> bool:
-        return all(curve.mul(r, endo(P)) == curve.mul(target, P) for P in points)
-
-    if q == 0:
-        if holds(0):
-            return 0
-        raise TraceError("r = 0 but the curve is not supersingular")
-    for r in (q, -q):
-        if holds(r):
-            return r
-    raise TraceError("neither sign of r satisfies the endomorphism relation")
+    for Q in witnesses():
+        T = curve.mul(target, Q)
+        minus_T = curve.neg(T)
+        if T == minus_T:
+            continue
+        S = curve.mul(q, endo(Q))
+        if S == T:
+            return q
+        if S == minus_T:
+            return -q
+        raise TraceError("neither sign of r satisfies the endomorphism relation")
+    return q
 
 
 def _isqrt_exact(n: int) -> tuple[int, int]:

@@ -204,6 +204,8 @@ class Fp2:
         return Fp2(self.ctx, -self.a, -self.b)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return Fp2(self.ctx, self.a * other, self.b * other)
         oa, ob = self._pair(other)
         if oa is NotImplemented:
             return NotImplemented

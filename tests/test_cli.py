@@ -223,6 +223,15 @@ class TestSelftest:
         failed = [parse_plain(line) for line in lines if "status=fail" in line]
         assert any(rec["check"] in ("cm_tables", "cm_detection") for rec in failed)
 
+    def test_every_check_is_timed(self, capsys, monkeypatch):
+        monkeypatch.setitem(cmtables.TABLE1, (8, 1), 20**3 + 1)
+        rc, lines = run(capsys, ["selftest", "--json"])
+        assert rc == 1
+        checks = [json.loads(line) for line in lines if '"check"' in line]
+        assert len(checks) == 14
+        assert {rec["status"] for rec in checks} == {"pass", "fail"}
+        assert all(rec["elapsed_ms"] >= 0 for rec in checks)
+
 
 class TestFactoring:
     def test_trial_factor(self):

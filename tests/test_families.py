@@ -220,6 +220,108 @@ class TestTraceData:
             eigenvalue(endo, r, abs(r) * 5)
 
 
+TRACE_D2 = -272082382382015736940757543628153813996
+TRACE_D5 = 160084314926568661653252069280514036151
+
+
+def reference_r(endo, trace):
+    """The exhaustive sign rule for a correct trace: |r| from the trace,
+    then each sign tested on every point of the curve (small primes only)."""
+    p = endo.family.ctx.p
+    q = math.isqrt((2 * p + endo.eps * trace) // endo.d)
+    target = p + endo.eps if not endo.twisted else p - endo.eps
+    curve = endo.curve
+    points = curve_points(curve)
+    for r in (q, -q) if q else (0,):
+        if all(curve.mul(r, endo(P)) == curve.mul(target, P) for P in points):
+            return r
+    raise TraceError("neither sign of r satisfies the endomorphism relation")
+
+
+def small_endos(p):
+    """(endo, trace) for every family member at p, untwisted and twisted."""
+    ctx = ctx_for(p)
+    for d in (2, 3, 5, 7):
+        for s in range(p):
+            try:
+                fam = build_family_curve(d, ctx, s)
+            except DomainError:
+                continue
+            t = oracle_trace(fam.curve)
+            for twisted in (False, True):
+                yield Endo(fam, twisted=twisted), t
+
+
+def paper_endos():
+    ctx = FieldCtx(MERSENNE_127, -1)
+    yield Endo(build_family_curve(2, ctx, 28106)), TRACE_D2
+    yield Endo(build_family_curve(5, ctx, 7930)), TRACE_D5
+
+
+class TestSignRule:
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_matches_exhaustive_rule(self, p):
+        for endo, t in small_endos(p):
+            assert determine_r(endo, t) == reference_r(endo, t)
+
+    def test_matches_exhaustive_rule_gls(self):
+        p = 11
+        ctx = ctx_for(p)
+        for a0, b0 in ((a0, b0) for a0 in (0, 1, 3) for b0 in range(p)):
+            if (4 * a0**3 + 27 * b0**2) % p == 0:
+                continue
+            t = oracle_trace(gls_endo(ctx, a0, b0).curve)
+            for twisted in (False, True):
+                endo = gls_endo(ctx, a0, b0, twisted=twisted)
+                assert determine_r(endo, t) == reference_r(endo, t)
+
+    @pytest.mark.parametrize("p,s", [(5, 2), (5, 3), (7, 0)])
+    def test_member_without_witness(self, p, s):
+        # [2*target]Q = O on every point, so both signs hold and the rule
+        # keeps the positive root.
+        endo = Endo(build_family_curve(3, ctx_for(p), s))
+        curve = endo.curve
+        target = p + endo.eps
+        assert all(curve.mul(2 * target, Q).is_infinity for Q in curve_points(curve))
+        t = oracle_trace(curve)
+        assert determine_r(endo, t) == reference_r(endo, t) == 2
+
+    def test_every_wrong_trace_rejected(self):
+        p = 11
+        for endo, t in small_endos(p):
+            for wrong in range(-2 * p, 2 * p + 1):
+                if wrong != t:
+                    with pytest.raises(TraceError, match="contradicts"):
+                        determine_r(endo, wrong)
+            # The oracle check precedes the Hasse bound.
+            with pytest.raises(TraceError, match="contradicts"):
+                determine_r(endo, 10**40)
+
+    def test_wrong_square_traces_rejected_at_127_bits(self):
+        for endo, t in paper_endos():
+            p, d, eps = MERSENNE_127, endo.d, endo.eps
+            r0 = determine_r(endo, t)
+            for r in (abs(r0) - 1, abs(r0) + 1, abs(r0) + 2):
+                wrong = eps * (d * r * r - 2 * p)
+                assert abs(wrong) <= 2 * p
+                with pytest.raises(TraceError, match="neither sign"):
+                    determine_r(endo, wrong)
+
+    def test_one_psi_evaluation_per_paper_instance(self, monkeypatch):
+        calls = []
+        original = Endo.__call__
+
+        def counted(self, P):
+            calls.append(P)
+            return original(self, P)
+
+        monkeypatch.setattr(Endo, "__call__", counted)
+        for endo, t in paper_endos():
+            calls.clear()
+            determine_r(endo, t)
+            assert len(calls) == 1
+
+
 def _prime_factors(n):
     out = set()
     d = 2

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurve.errors import OffCurveError, OracleGuardError
+from qcurve.errors import DomainError, OffCurveError, OracleGuardError
 from qcurve.fields import Fp2, is_probable_prime
 from qcurve.weierstrass import (
     INFINITY,
@@ -148,7 +148,7 @@ class TestRandomPoint:
                 for b in range(p):
                     try:
                         curve = Curve(ctx.elem(a), ctx.elem(b, 1))
-                    except Exception:
+                    except DomainError:
                         continue
                     n = oracle_order(curve)
                     if is_probable_prime(n):
