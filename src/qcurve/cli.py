@@ -32,7 +32,7 @@ from .glv import (
     multiexp2,
     reduced_lattice_basis,
 )
-from .weierstrass import ORACLE_MAX_P, oracle_trace, random_point
+from .weierstrass import ORACLE_MAX_P, random_point
 
 TRIAL_DIVISION_BOUND = 1 << 20
 
@@ -103,15 +103,6 @@ def _field_ctx(args) -> FieldCtx:
     return FieldCtx(args.p, args.delta)
 
 
-def _resolve_trace(fam, supplied: int | None) -> int | None:
-    """Trace from the flag, else from the oracle at small p (determine_r checks it)."""
-    if supplied is not None:
-        return supplied
-    if fam.ctx.p <= ORACLE_MAX_P:
-        return oracle_trace(fam.curve)
-    return None
-
-
 def choose_subgroup(fam, endo, r: int, order: int):
     """(variant, N): the basis variant matching the group structure, or
     (None, N) for the generic reduced-lattice fallback."""
@@ -178,13 +169,13 @@ def _analyze(args):
     }
     disc = detect_cm(fam)
     record["cm_fiber"] = f"-{disc[0]}*{disc[1]}^2" if disc else "none"
-    trace = _resolve_trace(fam, args.trace)
-    if trace is None:
+    try:
+        r = determine_r(endo, args.trace)
+    except OracleGuardError:  # no --trace, and p is too large for the oracle
         return fam, endo, record, None
-    r = determine_r(endo, trace)
     n_curve, n_twist = group_orders(endo, r)
     record.update(
-        trace=trace,
+        trace=ctx.p**2 + 1 - n_curve,
         r=r,
         order=n_curve,
         twist_order=n_twist,
@@ -278,8 +269,7 @@ def cmd_search(args) -> int:
         except DomainError:
             continue
         endo = Endo(fam)
-        trace = oracle_trace(fam.curve)
-        r = determine_r(endo, trace)
+        r = determine_r(endo)
         n_curve, n_twist = group_orders(endo, r)
         if not _cofactor_ok(n_curve, args.cofactor):
             continue
@@ -290,7 +280,7 @@ def cmd_search(args) -> int:
             "p": p,
             "d": args.d,
             "s": s,
-            "trace": trace,
+            "trace": p * p + 1 - n_curve,
             "r": r,
             "eps": endo.eps,
             "order": n_curve,

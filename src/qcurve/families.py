@@ -238,21 +238,25 @@ class Endo:
         return f"Endo({kind}, d={self.d}, eps={self.eps})"
 
 
-def determine_r(endo: Endo, trace: int) -> int:
+def determine_r(endo: Endo, trace: int | None = None) -> int:
     """The integer r with d*r^2 = 2p + eps*trace and [r]psi = [p] + eps*pi
     (minus eps*pi on the twist), i.e. [r]psi(Q) = [target]Q on rational
     points, target = p + eps (p - eps twisted).
 
-    The trace fixes |r|. The sign is read off one witness Q, one with
-    [target]Q != -[target]Q: both signs holding would give [2*target]Q = O.
-    At p <= ORACLE_MAX_P the trace is first checked against the oracle.
+    At p <= ORACLE_MAX_P the trace defaults to the oracle trace and a
+    supplied one is checked against it; above, it must be supplied
+    (OracleGuardError otherwise). The trace fixes |r|. The first witness Q,
+    one with [target]Q != -[target]Q, fixes the sign: both signs holding
+    would give [2*target]Q = O. Above ORACLE_MAX_P, where no oracle proves
+    the trace, the points tried before it must satisfy [|r|]psi(Q) = [target]Q.
     """
     p = endo.family.ctx.p
     d, eps = endo.d, endo.eps
-    if p <= ORACLE_MAX_P:
+    if trace is None or p <= ORACLE_MAX_P:
         oracle_t = oracle_trace(endo.family.curve)
-        if trace != oracle_t:
+        if trace is not None and trace != oracle_t:
             raise TraceError(f"supplied trace {trace} contradicts the oracle trace {oracle_t}")
+        trace = oracle_t
     if abs(trace) > 2 * p:
         raise TraceError("trace violates the Hasse bound")
     v = 2 * p + eps * trace
@@ -272,14 +276,13 @@ def determine_r(endo: Endo, trace: int) -> int:
     for Q in witnesses():
         T = curve.mul(target, Q)
         minus_T = curve.neg(T)
-        if T == minus_T:
-            continue
+        if T == minus_T and p <= ORACLE_MAX_P:
+            continue  # the oracle has proven the trace; Q cannot tell the signs apart
         S = curve.mul(q, endo(Q))
-        if S == T:
-            return q
-        if S == minus_T:
-            return -q
-        raise TraceError("neither sign of r satisfies the endomorphism relation")
+        if S != T and S != minus_T:
+            raise TraceError("neither sign of r satisfies the endomorphism relation")
+        if T != minus_T:
+            return q if S == T else -q
     return q
 
 

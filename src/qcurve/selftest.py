@@ -138,8 +138,7 @@ def check_family_identities():
                 continue
             endo = Endo(fam)
             eps = endo.eps
-            t = oracle_trace(fam.curve)
-            r = determine_r(endo, t)
+            r = determine_r(endo)
             n_curve, n_twist = group_orders(endo, r)
             _assert(n_curve == oracle_order(fam.curve), f"order formula d={d} s={s}")
             _assert(n_curve + n_twist == 2 * (p**2 + 1), "order sum")
@@ -199,7 +198,7 @@ def check_decompose_minimality():
     ctx = _ctx(13)
     fam = build_family_curve(2, ctx, 1)
     endo = Endo(fam)
-    r = determine_r(endo, oracle_trace(fam.curve))
+    r = determine_r(endo)
     n_curve, _ = group_orders(endo, r)
     n = n_curve >> 2
     _assert(n_curve == 4 * n and n % 2, "unexpected structure for the fixture curve")

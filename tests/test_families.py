@@ -5,6 +5,7 @@ import pytest
 from qcurve.errors import (
     DegenerateParameterError,
     DomainError,
+    OracleGuardError,
     ResidueClassError,
     SupersingularError,
     TraceError,
@@ -306,6 +307,24 @@ class TestSignRule:
                 assert abs(wrong) <= 2 * p
                 with pytest.raises(TraceError, match="neither sign"):
                     determine_r(endo, wrong)
+
+    @pytest.mark.parametrize("p", [71, MERSENNE_127])
+    def test_wrong_trace_rejected_without_witness(self, p):
+        # d = 2, s = 0 has j = 8000 and is supersingular for p = 5, 7 (mod 8):
+        # t = -2p, E(F_{p^2}) = E[p + 1] = ker [target], so no point is a
+        # witness and every point tried must still satisfy the relation.
+        endo = Endo(build_family_curve(2, ctx_for(p), 0))
+        assert endo.eps == 1
+        assert determine_r(endo, -2 * p) == 0
+        with pytest.raises(TraceError, match="neither sign"):
+            determine_r(endo, 2 - 2 * p)
+
+    def test_trace_defaults_to_oracle(self):
+        for endo, t in small_endos(7):
+            assert determine_r(endo) == determine_r(endo, t)
+        endo = Endo(build_family_curve(2, ctx_for(71), 1))
+        with pytest.raises(OracleGuardError):
+            determine_r(endo)
 
     def test_one_psi_evaluation_per_paper_instance(self, monkeypatch):
         calls = []
