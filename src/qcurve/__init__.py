@@ -16,7 +16,7 @@ from .errors import (
     SupersingularError,
     TraceError,
 )
-from .fields import FieldCtx, Fp2, format_fp2, frobenius, is_probable_prime, legendre, parse_fp2
+from .fields import FieldCtx, Fp2, format_fp2, is_probable_prime, legendre, parse_fp2
 from .weierstrass import (
     INFINITY,
     Curve,

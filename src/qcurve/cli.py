@@ -64,15 +64,15 @@ def _error_code(exc: Exception) -> str:
     return "".join(out)
 
 
-def trial_factor(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple[list[tuple[int, int]], int]:
-    """Trial division up to the bound; returns (factors, remainder).
+def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
+    """Trial division up to TRIAL_DIVISION_BOUND; returns (factors, remainder).
 
     The remainder is 1 when n splits completely; a remainder whose least
     factor provably exceeds the bound is left for Miller-Rabin.
     """
     factors = []
     q = 2
-    while q <= bound and q * q <= n:
+    while q <= TRIAL_DIVISION_BOUND and q * q <= n:
         if n % q == 0:
             e = 0
             while n % q == 0:
@@ -97,10 +97,6 @@ def factor_string(n: int) -> str:
         tag = "probable_prime" if is_probable_prime(rest) else "composite"
         parts.append(f"{rest}({tag})")
     return "*".join(parts)
-
-
-def _field_ctx(args) -> FieldCtx:
-    return FieldCtx(args.p, args.delta)
 
 
 def choose_subgroup(fam, endo, r: int, order: int):
@@ -133,12 +129,6 @@ def choose_subgroup(fam, endo, r: int, order: int):
     return None, n
 
 
-def _basis_for(variant, p, eps, d, r, n, lam):
-    if variant is None:
-        return reduced_lattice_basis(n, lam)
-    return cofactor_basis(variant, p, eps, d, r, n, lam)
-
-
 def _variant_bound_bits(variant, p, eps, r, basis) -> int:
     if variant == PRIME_ORDER:
         return ceil_log2(p + eps)
@@ -153,7 +143,7 @@ def _variant_bound_bits(variant, p, eps, r, basis) -> int:
 
 def _analyze(args):
     """Shared construction pipeline for info/decompose."""
-    ctx = _field_ctx(args)
+    ctx = FieldCtx(args.p, args.delta)
     fam = build_family_curve(args.d, ctx, args.s)
     endo = Endo(fam)
     record = {
@@ -188,7 +178,10 @@ def _analyze(args):
         record["supersingular"] = "true"
         return fam, endo, record, None
     lam = eigenvalue(endo, r, n_sub)
-    basis = _basis_for(variant, ctx.p, endo.eps, fam.d, r, n_sub, lam)
+    if variant is None:
+        basis = reduced_lattice_basis(n_sub, lam)
+    else:
+        basis = cofactor_basis(variant, ctx.p, endo.eps, fam.d, r, n_sub, lam)
     record.update(
         subgroup_order=n_sub,
         **{"lambda": lam},
@@ -198,7 +191,7 @@ def _analyze(args):
         basis_bitlength=basis.bitlength,
         bound_bitlength=_variant_bound_bits(variant, ctx.p, endo.eps, r, basis),
     )
-    return fam, endo, record, (r, n_sub, lam, basis, variant)
+    return fam, endo, record, basis
 
 
 def cmd_info(args) -> int:
@@ -221,12 +214,12 @@ def _subgroup_point(fam, endo, n_curve, n_sub, seed):
 def cmd_decompose(args) -> int:
     if args.m is None:
         raise DomainError("decompose requires --m")
-    fam, endo, record, data = _analyze(args)
-    if data is None:
+    fam, endo, record, basis = _analyze(args)
+    if basis is None:
         if record.get("supersingular"):
             raise SupersingularError("supersingular curve: no scalar decomposition")
         raise DomainError("decompose requires a trace (supply --trace or use p <= 64)")
-    r, n_sub, lam, basis, variant = data
+    n_sub = basis.order
     record["command"] = "decompose"
     m = args.m % n_sub
     dec = decompose(m, basis)
@@ -258,7 +251,7 @@ def _emit_status(record, json_mode):
 
 
 def cmd_search(args) -> int:
-    ctx = _field_ctx(args)
+    ctx = FieldCtx(args.p, args.delta)
     p = ctx.p
     if p > ORACLE_MAX_P:
         raise OracleGuardError(f"search sweeps require p <= {ORACLE_MAX_P}")

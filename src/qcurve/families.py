@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateParameterError,
     DomainError,
+    OffCurveError,
     ResidueClassError,
     SupersingularError,
     TraceError,
@@ -49,9 +50,6 @@ class FamilyCurve:
     def ctx(self) -> FieldCtx:
         return self.curve.ctx
 
-    def conjugate_curve(self) -> Curve:
-        return self.phi.codomain
-
 
 def epsilon_p(d: int, p: int) -> int:
     """The sign eps with psi^2 = [eps*d] * Frobenius.
@@ -79,7 +77,7 @@ def _build_d2(ctx: FieldCtx, s: int):
     B = -8 * (C - 16)
     kernel = TwoTorsionKernel(ctx.elem(4))
     lam2 = -(ctx.one() / 2)
-    return A, B, C, kernel, (lam2,)
+    return A, B, C, kernel, lam2
 
 
 def _build_d3(ctx: FieldCtx, s: int):
@@ -88,7 +86,7 @@ def _build_d3(ctx: FieldCtx, s: int):
     B = C * C + 10 * C - 2
     kernel = OddKernel((ctx.one(), ctx.elem(-3)))
     lam2 = -(ctx.one() / 3)
-    return A, B, C, kernel, (lam2,)
+    return A, B, C, kernel, lam2
 
 
 def _build_d5(ctx: FieldCtx, s: int):
@@ -102,12 +100,9 @@ def _build_d5(ctx: FieldCtx, s: int):
     c = ctx.elem(2, -1) * (3 * s * u)
     tail = ctx.elem(1, s)
     kernel = OddKernel((f0, -2 * f0 * c, f0 * c * c + 81 * s * u * tail * tail))
-    # The twisting factor is selected by the codomain test below; the first
-    # candidate, 1/(1+2i)^2, is the one that lands on the conjugate curve.
     w = ctx.elem(1, 2)
-    five = ctx.elem(5)
-    candidates = ((w * w).inverse(), (five / w) ** 2, five / w)
-    return A, B, None, kernel, candidates
+    lam2 = (w * w).inverse()
+    return A, B, None, kernel, lam2
 
 
 def _build_d7(ctx: FieldCtx, s: int):
@@ -126,7 +121,7 @@ def _build_d7(ctx: FieldCtx, s: int):
         (ctx.one(), -3 * C, 3 * C * C - 3 * k, -(C * C * C) + 3 * k * C - 4 * k * g * h)
     )
     lam2 = -(ctx.one() / 7)
-    return A, B, C, kernel, (lam2,)
+    return A, B, C, kernel, lam2
 
 
 _BUILDERS = {2: _build_d2, 3: _build_d3, 5: _build_d5, 7: _build_d7}
@@ -148,20 +143,17 @@ def build_family_curve(d: int, ctx: FieldCtx, s: int) -> FamilyCurve:
         if ctx.delta != p - 1:
             raise ResidueClassError("degree-5 family requires delta = -1")
     s %= p
-    A, B, C, kernel, lam2s = _BUILDERS[d](ctx, s)
+    A, B, C, kernel, lam2 = _BUILDERS[d](ctx, s)
     try:
         curve = Curve(A, B)
     except DegenerateParameterError as exc:
         raise DegenerateParameterError(f"s={s} gives a singular curve") from exc
-    quotient = velu_quotient(curve, kernel)
-    conj = curve.conjugate()
-    for lam2 in lam2s:
-        phi = post_twist(quotient, lam2)
-        if phi.codomain == conj:
-            return FamilyCurve(d, s, curve, C, phi)
-    raise DegenerateParameterError(
-        f"no twisting factor lands the degree-{d} quotient on the conjugate curve"
-    )
+    phi = post_twist(velu_quotient(curve, kernel), lam2)
+    if phi.codomain != curve.conjugate():
+        raise DegenerateParameterError(
+            f"the twisting factor does not land the degree-{d} quotient on the conjugate curve"
+        )
+    return FamilyCurve(d, s, curve, C, phi)
 
 
 def gls_endo(ctx: FieldCtx, a0: int, b0: int, twisted: bool = False) -> "Endo":
@@ -184,33 +176,36 @@ class Endo:
     """The endomorphism psi = (p-power map) o phi of a family curve, or its
     twisted counterpart psi' acting on the quadratic twist.
 
-    psi' is evaluated without leaving F_{p^2}: conjugating the twist
-    isomorphism through the p-power map leaves rational functions whose
-    coefficients are the conjugates of phi's, scaled by powers of
-    nu = mu^((1-p)/2) where mu is the canonical nonsquare.
+    Both are one formula, evaluated without leaving F_{p^2}: conjugating the
+    twist isomorphism through the p-power map leaves the rational maps of
+    conj(phi), whose coefficients are the conjugates of phi's, at
+    conj(x)/conj(mu), scaled by mu and nu^3 with nu = mu^((1-p)/2), where mu
+    is the canonical nonsquare.  psi is the case mu = nu = 1, since
+    conjugation commutes with evaluating phi's rational maps.
+
+    ``target`` is p + eps (p - eps twisted): [r]psi(Q) = [target]Q on every
+    rational point Q.
     """
 
-    __slots__ = ("family", "twisted", "eps", "curve", "_conj_phi", "_mu", "_mu_conj", "_nu3")
+    __slots__ = ("family", "twisted", "eps", "target", "curve", "_conj_phi", "_mu", "_inv_mu_conj", "_nu3")
 
     def __init__(self, family: FamilyCurve, twisted: bool = False):
         self.family = family
         self.twisted = twisted
         ctx = family.ctx
         self.eps = epsilon_p(family.d, ctx.p)
-        if not twisted:
-            self.curve = family.curve
-            self._conj_phi = None
-            self._mu = self._mu_conj = self._nu3 = None
-        else:
-            mu = ctx.nonsquare()
-            base = family.curve
-            mu2 = mu * mu
-            self.curve = Curve(mu2 * base.A, mu2 * mu * base.B)
-            self._conj_phi = family.phi.conjugate()
-            self._mu = mu
-            self._mu_conj = mu.conjugate()
+        self._conj_phi = family.phi.conjugate()
+        if twisted:
+            self.curve, mu = family.curve.quadratic_twist()
             nu = mu.inverse() ** ((ctx.p - 1) // 2)
-            self._nu3 = nu * nu * nu
+            self.target = ctx.p - self.eps
+        else:
+            self.curve = family.curve
+            mu = nu = ctx.one()
+            self.target = ctx.p + self.eps
+        self._mu = mu
+        self._inv_mu_conj = mu.conjugate().inverse()
+        self._nu3 = nu * nu * nu
 
     @property
     def d(self) -> int:
@@ -219,15 +214,9 @@ class Endo:
     def __call__(self, P: Point) -> Point:
         if P.is_infinity:
             return INFINITY
-        if not self.twisted:
-            img = self.family.phi(P)
-            if img.is_infinity:
-                return INFINITY
-            return Point(img.x.conjugate(), img.y.conjugate())
         if not self.curve.is_on(P):
-            raise DomainError("point is not on the twisted curve")
-        xt = P.x.conjugate() / self._mu_conj
-        maps = self._conj_phi.raw_maps(xt)
+            raise OffCurveError("endomorphism argument is not on the curve")
+        maps = self._conj_phi.raw_maps(P.x.conjugate() * self._inv_mu_conj)
         if maps is None:
             return INFINITY
         u, du = maps
@@ -241,7 +230,7 @@ class Endo:
 def determine_r(endo: Endo, trace: int | None = None) -> int:
     """The integer r with d*r^2 = 2p + eps*trace and [r]psi = [p] + eps*pi
     (minus eps*pi on the twist), i.e. [r]psi(Q) = [target]Q on rational
-    points, target = p + eps (p - eps twisted).
+    points, target = endo.target.
 
     At p <= ORACLE_MAX_P the trace defaults to the oracle trace and a
     supplied one is checked against it; above, it must be supplied
@@ -265,7 +254,7 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     q, rem = _isqrt_exact(v // d)
     if rem:
         raise TraceError("trace inconsistent with family: (2p + eps*t)/d is not a square")
-    target = p + eps if not endo.twisted else p - eps
+    target = endo.target
     curve = endo.curve
 
     def witnesses():
@@ -303,28 +292,18 @@ def group_orders(endo: Endo, r: int) -> tuple[int, int]:
 
 def eigenvalue(endo: Endo, r: int, order: int) -> int:
     """The eigenvalue of psi (or psi') on a stable cyclic subgroup of the
-    given order: (p + eps)/r, respectively (p - eps)/r, mod order."""
+    given order: endo.target / r mod order."""
     if r == 0:
         raise SupersingularError("supersingular curve has no eigenvalue decomposition")
     if math.gcd(r, order) != 1:
         raise DomainError("gcd(r, N) != 1: eigenvalue undefined")
-    p = endo.family.ctx.p
-    num = p + endo.eps if not endo.twisted else p - endo.eps
-    return num * pow(r, -1, order) % order
+    return endo.target * pow(r, -1, order) % order
 
 
 def subfield_order(ctx: FieldCtx, a0: int, b0: int) -> int:
-    """#E(F_p) for a curve with subfield coefficients, by enumeration."""
+    """#E(F_p) = p + 1 + sum over x of legendre(x^3 + a0*x + b0, p), for a
+    curve with subfield coefficients; small primes only."""
     p = ctx.p
     if p > 512:
         raise DomainError("subfield enumeration is for small primes only")
-    a0 %= p
-    b0 %= p
-    squares: dict[int, int] = {}
-    for y in range(p):
-        squares[y * y % p] = squares.get(y * y % p, 0) + 1
-    count = 1
-    for x in range(p):
-        rhs = (x * x * x + a0 * x + b0) % p
-        count += squares.get(rhs, 0)
-    return count
+    return p + 1 + sum(legendre(x * x * x + a0 * x + b0, p) for x in range(p))

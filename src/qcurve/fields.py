@@ -24,7 +24,7 @@ _MR_SEED = 0x9E3779B97F4A7C15
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with a fixed pseudo-random base schedule."""
     if n < 2:
         return False
@@ -37,7 +37,7 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
         d //= 2
         s += 1
     rng = random.Random(_MR_SEED)
-    for _ in range(rounds):
+    for _ in range(MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -124,11 +124,7 @@ class FieldCtx:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
         object.__setattr__(self, "_nonsquare_cache", None)
 
-    def elem(self, a: int | Fp2, b: int = 0) -> "Fp2":
-        if isinstance(a, Fp2):
-            if b:
-                raise DomainError("cannot combine an element with an extra part")
-            return self.coerce(a)
+    def elem(self, a: int, b: int = 0) -> "Fp2":
         return Fp2(self, a, b)
 
     def coerce(self, x: "Fp2") -> "Fp2":
@@ -323,10 +319,6 @@ class Fp2:
 def _canonical_root(r: Fp2) -> Fp2:
     s = -r
     return r if (r.a, r.b) <= (s.a, s.b) else s
-
-
-def frobenius(x: Fp2) -> Fp2:
-    return x.conjugate()
 
 
 def format_fp2(x: Fp2) -> str:

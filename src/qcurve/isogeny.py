@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import KernelError, NotSquareError, OffCurveError
 from .fields import Fp2
-from .weierstrass import INFINITY, Curve, Point, random_point
+from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, random_point
 
 # Polynomials are tuples of Fp2 coefficients, ascending degree.
 
@@ -258,7 +258,7 @@ def velu_quotient(curve: Curve, kernel: KernelSpec) -> Isogeny:
     iso = Isogeny(curve, codomain, degree, num, den, one, one)
     if len(iso.num) - 1 != degree or iso.num[-1] != iso.den[-1]:
         raise KernelError("expanded map is not a normalized degree-d quotient")
-    if ctx.p <= 64:
+    if ctx.p <= ORACLE_MAX_P:
         _check_subgroup_samples(iso)
     return iso
 

@@ -143,35 +143,32 @@ def _require_oracle_scale(ctx: FieldCtx):
         )
 
 
-def _square_table(ctx: FieldCtx) -> dict[tuple[int, int], list[Fp2]]:
+def oracle_order(curve: Curve) -> int:
+    """#E(F_{p^2}) = p^2 + 1 + sum over x of chi(x^3 + Ax + B), with chi the
+    quadratic character of F_{p^2} (0 at zero); small primes only."""
+    ctx = curve.ctx
+    _require_oracle_scale(ctx)
+    count = ctx.p**2 + 1
+    for a in range(ctx.p):
+        for b in range(ctx.p):
+            x = Fp2(ctx, a, b)
+            rhs = x * x * x + curve.A * x + curve.B
+            if rhs:
+                count += 1 if rhs.is_square() else -1
+    return count
+
+
+def curve_points(curve: Curve) -> list[Point]:
+    """Every point of E(F_{p^2}), infinity first, with y found by brute
+    force over a table of squares; small primes only."""
+    ctx = curve.ctx
+    _require_oracle_scale(ctx)
     table: dict[tuple[int, int], list[Fp2]] = {}
     for a in range(ctx.p):
         for b in range(ctx.p):
             y = Fp2(ctx, a, b)
             sq = y * y
             table.setdefault((sq.a, sq.b), []).append(y)
-    return table
-
-
-def oracle_order(curve: Curve) -> int:
-    """#E(F_{p^2}) by brute-force enumeration of the (x, y) grid."""
-    ctx = curve.ctx
-    _require_oracle_scale(ctx)
-    table = _square_table(ctx)
-    count = 1
-    for a in range(ctx.p):
-        for b in range(ctx.p):
-            x = Fp2(ctx, a, b)
-            rhs = x * x * x + curve.A * x + curve.B
-            count += len(table.get((rhs.a, rhs.b), ()))
-    return count
-
-
-def curve_points(curve: Curve) -> list[Point]:
-    """Every point of E(F_{p^2}), infinity first; small primes only."""
-    ctx = curve.ctx
-    _require_oracle_scale(ctx)
-    table = _square_table(ctx)
     points = [INFINITY]
     for a in range(ctx.p):
         for b in range(ctx.p):

@@ -1,16 +1,20 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
 from qcurve.errors import (
     DegenerateParameterError,
     DomainError,
+    OffCurveError,
     OracleGuardError,
     ResidueClassError,
     SupersingularError,
     TraceError,
 )
 from qcurve.families import (
+    FAMILY_DEGREES,
     Endo,
     build_family_curve,
     determine_r,
@@ -20,8 +24,9 @@ from qcurve.families import (
     group_orders,
     subfield_order,
 )
-from qcurve.fields import FieldCtx, legendre
-from qcurve.weierstrass import curve_points, oracle_order, oracle_trace, random_point
+from qcurve.fields import FieldCtx, Fp2, legendre
+from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
+from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
 from conftest import MERSENNE_127, ctx_for
 
@@ -32,6 +37,15 @@ def family_sweep(d, p):
         try:
             yield build_family_curve(d, ctx, s)
         except DegenerateParameterError:
+            continue
+
+
+def _members(d, ctx):
+    """Every degree-d member over ctx; none where the family does not exist."""
+    for s in range(ctx.p):
+        try:
+            yield build_family_curve(d, ctx, s)
+        except DomainError:
             continue
 
 
@@ -157,6 +171,130 @@ class TestPsi:
                 assert twisted(img) == twisted.curve.mul(-twisted.eps * d, P)
 
 
+def reference_psi(fam, twisted):
+    """psi and psi' by two separate formulas: phi followed by conjugating
+    the image, and the twist formula conj(phi) at conj(x)/conj(mu) scaled by
+    mu and nu^3, nu = mu^((1-p)/2), mu the canonical nonsquare."""
+    if not twisted:
+        def psi(P):
+            img = fam.phi(P)
+            if img.is_infinity:
+                return INFINITY
+            return Point(img.x.conjugate(), img.y.conjugate())
+
+        return psi
+    ctx = fam.ctx
+    mu = ctx.nonsquare()
+    conj_phi = fam.phi.conjugate()
+    nu = mu.inverse() ** ((ctx.p - 1) // 2)
+
+    def psi_twisted(P):
+        if P.is_infinity:
+            return INFINITY
+        maps = conj_phi.raw_maps(P.x.conjugate() / mu.conjugate())
+        if maps is None:
+            return INFINITY
+        u, du = maps
+        return Point(mu * u, nu * nu * nu * P.y.conjugate() * du)
+
+    return psi_twisted
+
+
+class TestOneFormula:
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_matches_reference_formulas(self, p):
+        ctx = ctx_for(p)
+        endos = [Endo(fam, twisted) for d in FAMILY_DEGREES for fam in _members(d, ctx)
+                 for twisted in (False, True)]
+        endos += [gls_endo(ctx, a0, b0, twisted) for a0 in (0, 1, 3) for b0 in range(p)
+                  if (4 * a0**3 + 27 * b0**2) % p for twisted in (False, True)]
+        for endo in endos:
+            psi = reference_psi(endo.family, endo.twisted)
+            for P in curve_points(endo.curve):
+                assert endo(P) == psi(P)
+
+    def test_target(self):
+        fam = build_family_curve(2, ctx_for(13), 1)
+        assert Endo(fam).target == 13 + epsilon_p(2, 13)
+        assert Endo(fam, twisted=True).target == 13 - epsilon_p(2, 13)
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_off_curve_argument_rejected(self, twisted):
+        endo = Endo(build_family_curve(2, ctx_for(11), 1), twisted=twisted)
+        P = random_point(endo.curve, 0)
+        with pytest.raises(OffCurveError):
+            endo(Point(P.x, P.y + 1))
+
+
+def _count_fp2_ops(monkeypatch) -> Counter:
+    """Count Fp2 products (squares, products, products by an int) and
+    inversions from here on."""
+    counts = Counter()
+    mul, inverse = Fp2.__mul__, Fp2.inverse
+
+    def counted_mul(self, other):
+        kind = "mul_int" if isinstance(other, int) else "sqr" if other is self else "mul"
+        counts[kind] += 1
+        return mul(self, other)
+
+    def counted_inverse(self):
+        counts["inv"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Fp2, "__mul__", counted_mul)
+    monkeypatch.setattr(Fp2, "__rmul__", counted_mul)
+    monkeypatch.setattr(Fp2, "inverse", counted_inverse)
+    return counts
+
+
+# (d, twisted, counts) for one psi / psi' evaluation on each paper instance:
+# psi is psi' with mu = nu = 1, so both pay the same products and the one
+# inversion inside the rational maps.
+PSI_COUNTS = [
+    (2, False, {"sqr": 2, "mul": 19, "inv": 1}),
+    (2, True, {"sqr": 2, "mul": 19, "inv": 1}),
+    (5, False, {"sqr": 2, "mul": 31, "inv": 1}),
+    (5, True, {"sqr": 2, "mul": 31, "inv": 1}),
+]
+# One affine multiexp2 on a 127-bit scalar pair: one inversion per addition.
+MULTIEXP2_COUNTS = {"sqr": 223, "mul": 564, "inv": 219, "mul_int": 244}
+
+
+class TestOpCounts:
+    """Exact field-operation counts on the paper instances; a change to the
+    arithmetic shows up here as a changed count."""
+
+    def test_psi_counts(self, monkeypatch):
+        cases = []
+        for endo, _ in paper_endos():
+            for twisted in (False, True):
+                e = Endo(endo.family, twisted=twisted)
+                cases.append((e, random_point(e.curve, 1)))
+        counts = _count_fp2_ops(monkeypatch)
+        seen = []
+        for e, P in cases:
+            counts.clear()
+            e(P)
+            seen.append((e.d, e.twisted, dict(counts)))
+        assert seen == PSI_COUNTS
+
+    def test_multiexp2_counts(self, monkeypatch):
+        endo, trace = next(paper_endos())
+        curve = endo.curve
+        r = determine_r(endo, trace)
+        n = group_orders(endo, r)[0] // 2
+        basis = cofactor_basis(COFACTOR2_D2, MERSENNE_127, endo.eps, 2, r, n, eigenvalue(endo, r, n))
+        P = curve.mul(2, random_point(curve, 3))
+        m = random.Random(7).randrange(n)
+        dec = decompose(m, basis)
+        psiP = endo(P)
+        counts = _count_fp2_ops(monkeypatch)
+        R = multiexp2(dec.a, dec.b, P, psiP, curve)
+        assert dict(counts) == MULTIEXP2_COUNTS
+        monkeypatch.undo()
+        assert R == curve.mul(m, P)
+
+
 class TestTraceData:
     @pytest.mark.parametrize("d,p", [(2, 13), (3, 13), (5, 11), (7, 11)])
     def test_orders_match_oracle(self, d, p):
@@ -168,6 +306,14 @@ class TestTraceData:
             twist, _ = fam.curve.quadratic_twist()
             assert n_twist == oracle_order(twist)
             assert n_curve + n_twist == 2 * (p * p + 1)
+
+    @pytest.mark.parametrize("p", [11, 13, 19, 23])
+    def test_character_sum_matches_enumeration(self, p):
+        ctx = ctx_for(p)
+        for d in FAMILY_DEGREES:
+            for fam in _members(d, ctx):
+                for curve in (fam.curve, fam.curve.quadratic_twist()[0]):
+                    assert oracle_order(curve) == len(curve_points(curve))
 
     def test_r_sign_matters(self):
         fam = build_family_curve(2, ctx_for(13), 1)
@@ -242,12 +388,8 @@ def reference_r(endo, trace):
 def small_endos(p):
     """(endo, trace) for every family member at p, untwisted and twisted."""
     ctx = ctx_for(p)
-    for d in (2, 3, 5, 7):
-        for s in range(p):
-            try:
-                fam = build_family_curve(d, ctx, s)
-            except DomainError:
-                continue
+    for d in FAMILY_DEGREES:
+        for fam in _members(d, ctx):
             t = oracle_trace(fam.curve)
             for twisted in (False, True):
                 yield Endo(fam, twisted=twisted), t
