@@ -9,8 +9,10 @@ Output is one structured record per line, either key=value pairs or JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import json
+import math
 import shlex
 import sys
 import time
@@ -64,22 +66,36 @@ def _error_code(exc: Exception) -> str:
     return "".join(out)
 
 
+@functools.cache
+def _trial_primes() -> list[int]:
+    """The primes up to TRIAL_DIVISION_BOUND, sieved once per process."""
+    sieve = bytearray([1]) * (TRIAL_DIVISION_BOUND + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(TRIAL_DIVISION_BOUND) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, TRIAL_DIVISION_BOUND + 1, q)))
+    return [q for q, is_prime in enumerate(sieve) if is_prime]
+
+
 def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
-    """Trial division up to TRIAL_DIVISION_BOUND; returns (factors, remainder).
+    """Trial division by the primes up to TRIAL_DIVISION_BOUND; returns
+    (factors, remainder).
 
     The remainder is 1 when n splits completely; a remainder whose least
     factor provably exceeds the bound is left for Miller-Rabin.
     """
     factors = []
-    q = 2
-    while q <= TRIAL_DIVISION_BOUND and q * q <= n:
-        if n % q == 0:
+    q = TRIAL_DIVISION_BOUND + 1  # the first candidate past an exhausted list
+    for prime in _trial_primes():
+        if prime * prime > n:
+            q = prime
+            break
+        if n % prime == 0:
             e = 0
-            while n % q == 0:
-                n //= q
+            while n % prime == 0:
+                n //= prime
                 e += 1
-            factors.append((q, e))
-        q += 1 if q == 2 else 2
+            factors.append((prime, e))
     if n > 1 and q * q > n:
         factors.append((n, 1))  # proven prime by the exhausted range
         n = 1

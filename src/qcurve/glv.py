@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, StructureError
-from .weierstrass import INFINITY, Curve, Point
+from .errors import DomainError, OffCurveError, StructureError
+from .weierstrass import Curve, Point
 
 Vec = tuple[int, int]
 
@@ -281,19 +281,13 @@ def coset_minimum(m: int, basis: GlvBasis) -> int | None:
 
 
 def multiexp2(a: int, b: int, P: Point, psiP: Point, curve: Curve) -> Point:
-    """[a]P + [b]psiP by interleaved double-and-add with the joint table
-    {0, P, psiP, P + psiP}; the loop length is the bitlength of max(|a|, |b|)."""
+    """[a]P + [b]psiP by one interleaved double-and-add (``Curve._mul2``) with
+    the joint table {P, psiP, P + psiP}; the loop length is the bitlength of
+    max(|a|, |b|)."""
     if not curve.is_on(P) or not curve.is_on(psiP):
-        raise DomainError("multiexponentiation operand is not on the curve")
+        raise OffCurveError("multiexponentiation operand is not on the curve")
     if a < 0:
         a, P = -a, curve.neg(P)
     if b < 0:
         b, psiP = -b, curve.neg(psiP)
-    table = (INFINITY, P, psiP, curve._add(P, psiP))
-    acc = INFINITY
-    for i in range(max(a.bit_length(), b.bit_length()) - 1, -1, -1):
-        acc = curve._add(acc, acc)
-        idx = ((a >> i) & 1) | (((b >> i) & 1) << 1)
-        if idx:
-            acc = curve._add(acc, table[idx])
-    return acc
+    return curve._mul2(a, P, b, psiP)

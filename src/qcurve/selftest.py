@@ -34,7 +34,7 @@ from .models import (
     to_montgomery,
     to_xz,
 )
-from .weierstrass import Curve, curve_points, oracle_order, oracle_trace, random_point
+from .weierstrass import INFINITY, Curve, curve_points, oracle_order, oracle_trace, random_point
 
 MERSENNE_127 = 2**127 - 1
 
@@ -97,6 +97,10 @@ def check_group_law():
     n = oracle_order(curve)
     for P in pts:
         _assert(curve.mul(n, P).is_infinity, "[#E]P != 0")
+        chain = INFINITY
+        for k in range(n + 2):
+            _assert(curve.mul(k, P) == chain, f"[{k}]P != P + ... + P")
+            chain = curve.add(chain, P)
     return f"{len(pts)} points over F_25"
 
 

@@ -1,9 +1,11 @@
 """Short Weierstrass curves over F_{p^2}: group law, scalar multiplication,
 quadratic twists, and an exhaustive point-count oracle for small primes.
 
-Affine coordinates with an explicit point at infinity; this is the reference
-arithmetic that everything else is checked against, so clarity wins over
-speed here.
+Points are affine with an explicit point at infinity, and the affine
+``Curve._add`` is the reference group law that everything else is checked
+against.  Scalar multiplication (``Curve.mul``, and ``glv.multiexp2`` through
+``Curve._mul2``) runs instead in Jacobian coordinates on bare integer pairs,
+with the field operations inlined, and returns to affine once at the end.
 """
 
 from __future__ import annotations
@@ -99,19 +101,47 @@ class Curve:
         return self._add(P, Q)
 
     def mul(self, m: int, P: Point) -> Point:
-        """[m]P by double-and-add; negative m negates the point."""
+        """[m]P; negative m negates the point."""
         if not self.is_on(P):
             raise OffCurveError("scalar multiplication operand is not on the curve")
         if m < 0:
             m, P = -m, self.neg(P)
-        acc = INFINITY
-        addend = P
-        while m:
-            if m & 1:
-                acc = self._add(acc, addend)
-            addend = self._add(addend, addend)
-            m >>= 1
-        return acc
+        return self._mul2(m, P, 0, INFINITY)
+
+    def _mul2(self, a: int, P: Point, b: int, Q: Point) -> Point:
+        """[a]P + [b]Q for a, b >= 0 and P, Q on the curve.
+
+        One left-to-right double-and-add over the joint bits of (a, b) with
+        the affine table {P, Q, P + Q}.  The accumulator is a Jacobian point
+        (X, Y, Z) of F_{p^2} elements held as bare int pairs, or None for
+        infinity; it is converted to affine once, with one inversion.
+        """
+        ctx = self.ctx
+        p = ctx.p
+        # delta as its least absolute residue, so that -1 stays a small int.
+        d = ctx.delta - p if 2 * ctx.delta > p else ctx.delta
+        A0, A1 = self.A.a, self.A.b
+        table = (None, _affine_ints(P), _affine_ints(Q), _affine_ints(self._add(P, Q)))
+        acc = None
+        for i in range(max(a.bit_length(), b.bit_length()) - 1, -1, -1):
+            if acc is not None:
+                acc = _dbl(acc, p, d, A0, A1)
+            T = table[((a >> i) & 1) | (((b >> i) & 1) << 1)]
+            if T is not None:
+                acc = T + (1, 0) if acc is None else _madd(acc, T, p, d, A0, A1)
+        if acc is None:
+            return INFINITY
+        X0, X1, Y0, Y1, Z0, Z1 = acc
+        zi = Fp2(ctx, Z0, Z1).inverse()
+        i0, i1 = zi.a, zi.b
+        s0 = (i0 * i0 + d * i1 * i1) % p
+        s1 = 2 * i0 * i1 % p
+        c0 = (s0 * i0 + d * s1 * i1) % p
+        c1 = (s0 * i1 + s1 * i0) % p
+        return Point(
+            Fp2(ctx, X0 * s0 + d * X1 * s1, X0 * s1 + X1 * s0),
+            Fp2(ctx, Y0 * c0 + d * Y1 * c1, Y0 * c1 + Y1 * c0),
+        )
 
     def j_invariant(self) -> Fp2:
         A, B = self.A, self.B
@@ -134,6 +164,99 @@ class Curve:
         if y is None:
             return None
         return Point(x, y)
+
+
+def _affine_ints(P: Point) -> tuple[int, int, int, int] | None:
+    if P.is_infinity:
+        return None
+    return (P.x.a, P.x.b, P.y.a, P.y.b)
+
+
+# The Jacobian group law of Curve._mul2.  A point (X, Y, Z) stands for the
+# affine (X/Z^2, Y/Z^3) and is a flat tuple (X0, X1, Y0, Y1, Z0, Z1) of
+# residues, with X = X0 + X1*sqrt(delta) and so on; Z is never zero, and
+# infinity is None.  Each F_{p^2} product is written out on the int pairs,
+# (u0 + u1 s)(v0 + v1 s) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) s with s^2 = d;
+# each product is reduced once per coordinate, and the sums and small
+# multiples that only feed a product are left unreduced.
+
+
+def _dbl(P, p, d, A0, A1):
+    """2P by dbl-2007-bl (EFD, short Weierstrass, any a = A)."""
+    X0, X1, Y0, Y1, Z0, Z1 = P
+    if not (Y0 or Y1):
+        return None
+    XX0 = (X0 * X0 + d * X1 * X1) % p
+    XX1 = 2 * X0 * X1 % p
+    YY0 = (Y0 * Y0 + d * Y1 * Y1) % p
+    YY1 = 2 * Y0 * Y1 % p
+    YYYY0 = (YY0 * YY0 + d * YY1 * YY1) % p
+    YYYY1 = 2 * YY0 * YY1 % p
+    ZZ0 = (Z0 * Z0 + d * Z1 * Z1) % p
+    ZZ1 = 2 * Z0 * Z1 % p
+    u0 = X0 + YY0
+    u1 = X1 + YY1
+    S0 = 2 * (u0 * u0 + d * u1 * u1 - XX0 - YYYY0) % p
+    S1 = 2 * (2 * u0 * u1 - XX1 - YYYY1) % p
+    W0 = (ZZ0 * ZZ0 + d * ZZ1 * ZZ1) % p
+    W1 = 2 * ZZ0 * ZZ1 % p
+    M0 = (3 * XX0 + A0 * W0 + d * A1 * W1) % p
+    M1 = (3 * XX1 + A0 * W1 + A1 * W0) % p
+    T0 = (M0 * M0 + d * M1 * M1 - 2 * S0) % p
+    T1 = (2 * M0 * M1 - 2 * S1) % p
+    V0 = S0 - T0
+    V1 = S1 - T1
+    w0 = Y0 + Z0
+    w1 = Y1 + Z1
+    return (
+        T0,
+        T1,
+        (M0 * V0 + d * M1 * V1 - 8 * YYYY0) % p,
+        (M0 * V1 + M1 * V0 - 8 * YYYY1) % p,
+        (w0 * w0 + d * w1 * w1 - YY0 - ZZ0) % p,
+        (2 * w0 * w1 - YY1 - ZZ1) % p,
+    )
+
+
+def _madd(P, T, p, d, A0, A1):
+    """P + T for Jacobian P and affine T = (x0, x1, y0, y1), by madd-2007-bl
+    (EFD, Z2 = 1); T = P is handed to _dbl and T = -P gives None."""
+    X0, X1, Y0, Y1, Z0, Z1 = P
+    x0, x1, y0, y1 = T
+    ZZ0 = (Z0 * Z0 + d * Z1 * Z1) % p
+    ZZ1 = 2 * Z0 * Z1 % p
+    H0 = (x0 * ZZ0 + d * x1 * ZZ1 - X0) % p
+    H1 = (x0 * ZZ1 + x1 * ZZ0 - X1) % p
+    ZZZ0 = (Z0 * ZZ0 + d * Z1 * ZZ1) % p
+    ZZZ1 = (Z0 * ZZ1 + Z1 * ZZ0) % p
+    R0 = (y0 * ZZZ0 + d * y1 * ZZZ1 - Y0) % p
+    R1 = (y0 * ZZZ1 + y1 * ZZZ0 - Y1) % p
+    if not (H0 or H1):
+        return None if R0 or R1 else _dbl(P, p, d, A0, A1)
+    R0 *= 2
+    R1 *= 2
+    HH0 = (H0 * H0 + d * H1 * H1) % p
+    HH1 = 2 * H0 * H1 % p
+    I0 = 4 * HH0
+    I1 = 4 * HH1
+    J0 = (H0 * I0 + d * H1 * I1) % p
+    J1 = (H0 * I1 + H1 * I0) % p
+    V0 = (X0 * I0 + d * X1 * I1) % p
+    V1 = (X0 * I1 + X1 * I0) % p
+    X30 = (R0 * R0 + d * R1 * R1 - J0 - 2 * V0) % p
+    X31 = (2 * R0 * R1 - J1 - 2 * V1) % p
+    U0 = V0 - X30
+    U1 = V1 - X31
+    w0 = Z0 + H0
+    w1 = Z1 + H1
+    return (
+        X30,
+        X31,
+        (R0 * U0 + d * R1 * U1 - 2 * (Y0 * J0 + d * Y1 * J1)) % p,
+        (R0 * U1 + R1 * U0 - 2 * (Y0 * J1 + Y1 * J0)) % p,
+        (w0 * w0 + d * w1 * w1 - ZZ0 - HH0) % p,
+        (2 * w0 * w1 - ZZ1 - HH1) % p,
+    )
 
 
 def _require_oracle_scale(ctx: FieldCtx):

@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from qcurve import cmtables
-from qcurve.cli import factor_string, main, trial_factor
+from qcurve.cli import TRIAL_DIVISION_BOUND, factor_string, main, trial_factor
 
 from conftest import MERSENNE_127
 
@@ -233,9 +234,37 @@ class TestSelftest:
         assert all(rec["elapsed_ms"] >= 0 for rec in checks)
 
 
+def trial_factor_by_odd_integers(n):
+    """Reference: trial division by 2 and every odd integer up to the bound."""
+    factors = []
+    q = 2
+    while q <= TRIAL_DIVISION_BOUND and q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            factors.append((q, e))
+        q += 1 if q == 2 else 2
+    if n > 1 and q * q > n:
+        factors.append((n, 1))
+        n = 1
+    return factors, n
+
+
 class TestFactoring:
     def test_trial_factor(self):
         assert trial_factor(2**4 * 3 * 101)[0] == [(2, 4), (3, 1), (101, 1)]
+
+    def test_primes_only_matches_odd_integers(self):
+        # Squares of the primes either side of the bound 2^20, of 2^20 + 1
+        # (composite, the first candidate past the bound), and a prime far
+        # past it, then random inputs of 2 to 260 bits.
+        edges = [0, 1, 2, 4, 1048573**2, 1048583**2, (2**20 + 1) ** 2, 2**127 - 1, 1048573 * 1048583]
+        rng = random.Random(20)
+        randoms = [rng.getrandbits(rng.randrange(2, 261)) for _ in range(12)]
+        for n in edges + randoms:
+            assert trial_factor(n) == trial_factor_by_odd_integers(n), n
 
     def test_factor_string(self):
         assert factor_string(1) == "1"

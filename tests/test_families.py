@@ -26,6 +26,7 @@ from qcurve.families import (
 )
 from qcurve.fields import FieldCtx, Fp2, legendre
 from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
+from qcurve import weierstrass
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
 from conftest import MERSENNE_127, ctx_for
@@ -226,11 +227,13 @@ class TestOneFormula:
             endo(Point(P.x, P.y + 1))
 
 
-def _count_fp2_ops(monkeypatch) -> Counter:
+def _count_ops(monkeypatch) -> Counter:
     """Count Fp2 products (squares, products, products by an int) and
-    inversions from here on."""
+    inversions, and the Jacobian doublings and additions of the scalar
+    multiplication loop, from here on."""
     counts = Counter()
     mul, inverse = Fp2.__mul__, Fp2.inverse
+    dbl, madd = weierstrass._dbl, weierstrass._madd
 
     def counted_mul(self, other):
         kind = "mul_int" if isinstance(other, int) else "sqr" if other is self else "mul"
@@ -241,9 +244,19 @@ def _count_fp2_ops(monkeypatch) -> Counter:
         counts["inv"] += 1
         return inverse(self)
 
+    def counted_dbl(*args):
+        counts["dbl"] += 1
+        return dbl(*args)
+
+    def counted_madd(*args):
+        counts["madd"] += 1
+        return madd(*args)
+
     monkeypatch.setattr(Fp2, "__mul__", counted_mul)
     monkeypatch.setattr(Fp2, "__rmul__", counted_mul)
     monkeypatch.setattr(Fp2, "inverse", counted_inverse)
+    monkeypatch.setattr(weierstrass, "_dbl", counted_dbl)
+    monkeypatch.setattr(weierstrass, "_madd", counted_madd)
     return counts
 
 
@@ -256,8 +269,12 @@ PSI_COUNTS = [
     (5, False, {"sqr": 2, "mul": 31, "inv": 1}),
     (5, True, {"sqr": 2, "mul": 31, "inv": 1}),
 ]
-# One affine multiexp2 on a 127-bit scalar pair: one inversion per addition.
-MULTIEXP2_COUNTS = {"sqr": 223, "mul": 564, "inv": 219, "mul_int": 244}
+# One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
+# scalar: the Jacobian doublings and mixed additions on bare ints, plus the
+# Fp2 work outside the loop (the is_on checks, the affine table sum P + psiP
+# and the one inversion back to affine).
+MULTIEXP2_COUNTS = {"dbl": 122, "madd": 96, "sqr": 5, "mul": 6, "inv": 2}
+MUL_COUNTS = {"dbl": 252, "madd": 118, "sqr": 2, "mul": 2, "inv": 1}
 
 
 class TestOpCounts:
@@ -270,7 +287,7 @@ class TestOpCounts:
             for twisted in (False, True):
                 e = Endo(endo.family, twisted=twisted)
                 cases.append((e, random_point(e.curve, 1)))
-        counts = _count_fp2_ops(monkeypatch)
+        counts = _count_ops(monkeypatch)
         seen = []
         for e, P in cases:
             counts.clear()
@@ -278,7 +295,9 @@ class TestOpCounts:
             seen.append((e.d, e.twisted, dict(counts)))
         assert seen == PSI_COUNTS
 
-    def test_multiexp2_counts(self, monkeypatch):
+    @staticmethod
+    def _paper_scalar():
+        """(endo, P, m, decomposition of m) on the d=2 paper instance."""
         endo, trace = next(paper_endos())
         curve = endo.curve
         r = determine_r(endo, trace)
@@ -286,13 +305,23 @@ class TestOpCounts:
         basis = cofactor_basis(COFACTOR2_D2, MERSENNE_127, endo.eps, 2, r, n, eigenvalue(endo, r, n))
         P = curve.mul(2, random_point(curve, 3))
         m = random.Random(7).randrange(n)
-        dec = decompose(m, basis)
+        return endo, P, m, decompose(m, basis)
+
+    def test_multiexp2_counts(self, monkeypatch):
+        endo, P, m, dec = self._paper_scalar()
         psiP = endo(P)
-        counts = _count_fp2_ops(monkeypatch)
-        R = multiexp2(dec.a, dec.b, P, psiP, curve)
+        counts = _count_ops(monkeypatch)
+        R = multiexp2(dec.a, dec.b, P, psiP, endo.curve)
         assert dict(counts) == MULTIEXP2_COUNTS
         monkeypatch.undo()
-        assert R == curve.mul(m, P)
+        assert R == endo.curve.mul(m, P)
+
+    def test_mul_counts(self, monkeypatch):
+        endo, P, m, _ = self._paper_scalar()
+        assert m.bit_length() == 253
+        counts = _count_ops(monkeypatch)
+        endo.curve.mul(m, P)
+        assert dict(counts) == MUL_COUNTS
 
 
 class TestTraceData:

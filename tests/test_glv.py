@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurve.errors import DomainError, StructureError
+from qcurve.errors import DomainError, OffCurveError, StructureError
 from qcurve.families import Endo, build_family_curve, determine_r, eigenvalue, group_orders
 from qcurve.glv import (
     COFACTOR2_D2,
@@ -25,7 +25,7 @@ from qcurve.glv import (
     reduced_lattice_basis,
     sublattice_basis,
 )
-from qcurve.weierstrass import oracle_trace, random_point
+from qcurve.weierstrass import Point, oracle_trace, random_point
 
 from qcurve.fields import FieldCtx
 
@@ -282,6 +282,14 @@ class TestMultiexp:
         assert multiexp2(1, 0, P, Q, fam.curve) == P
         assert multiexp2(0, 1, P, Q, fam.curve) == Q
         assert multiexp2(0, 0, P, Q, fam.curve).is_infinity
+
+    def test_off_curve_operand(self):
+        fam = build_family_curve(2, ctx_for(13), 2)
+        P = random_point(fam.curve, 0)
+        bogus = Point(P.x, P.y + 1)
+        for args in ((P, bogus), (bogus, P)):
+            with pytest.raises(OffCurveError):
+                multiexp2(1, 1, *args, fam.curve)
 
     @given(st.integers(-300, 300), st.integers(-300, 300))
     @settings(max_examples=80)

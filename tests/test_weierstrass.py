@@ -1,20 +1,26 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcurve.errors import DomainError, OffCurveError, OracleGuardError
-from qcurve.fields import Fp2, is_probable_prime
+from qcurve.families import build_family_curve
+from qcurve.fields import FieldCtx, Fp2, is_probable_prime
+from qcurve.glv import multiexp2
 from qcurve.weierstrass import (
     INFINITY,
     Curve,
     Point,
+    _dbl,
+    _madd,
     curve_points,
     oracle_order,
     oracle_trace,
     random_point,
 )
 
-from conftest import ctx_for
+from conftest import MERSENNE_127, ctx_for
 
 
 def sample_curve(p, a=1, b=4, bi=0):
@@ -75,6 +81,142 @@ class TestScalarMul:
         n = oracle_order(curve)
         for P in curve_points(curve):
             assert curve.mul(n, P).is_infinity
+
+
+def affine_mul(curve, k, P):
+    """[k]P for k >= 0 by double-and-add on the affine Curve._add alone."""
+    acc = INFINITY
+    while k:
+        if k & 1:
+            acc = curve._add(acc, P)
+        P = curve._add(P, P)
+        k >>= 1
+    return acc
+
+
+def affine_mul2(curve, a, P, b, Q):
+    """[a]P + [b]Q built only from the affine Curve._add (and negation)."""
+    if a < 0:
+        a, P = -a, curve.neg(P)
+    if b < 0:
+        b, Q = -b, curve.neg(Q)
+    return curve._add(affine_mul(curve, a, P), affine_mul(curve, b, Q))
+
+
+def to_jacobian(P, z):
+    """P as the Jacobian int tuple (x z^2, y z^3, z) of the loop helpers."""
+    X, Y = P.x * z * z, P.y * z * z * z
+    return (X.a, X.b, Y.a, Y.b, z.a, z.b)
+
+
+def from_jacobian(ctx, J):
+    if J is None:
+        return INFINITY
+    zi = Fp2(ctx, J[4], J[5]).inverse()
+    return Point(Fp2(ctx, J[0], J[1]) * zi * zi, Fp2(ctx, J[2], J[3]) * zi * zi * zi)
+
+
+# One member of each degree at the smallest prime where the family exists,
+# and its quadratic twist; the p = 5 curves have 24 or 28 points, so every
+# pair of points is affordable there.
+SMALL_MEMBERS = [(2, 5, 1), (3, 5, 2), (5, 7, 5), (7, 11, 1)]
+SMALL_CURVES = [
+    pytest.param(d, p, s, twisted, id=f"d{d}-p{p}{'-twist' if twisted else ''}")
+    for d, p, s in SMALL_MEMBERS
+    for twisted in (False, True)
+]
+P5_CURVES = [c for c in SMALL_CURVES if c.values[1] == 5]
+
+
+@functools.cache
+def small_curve(d, p, s, twisted):
+    curve = build_family_curve(d, ctx_for(p), s).curve
+    if twisted:
+        curve, _ = curve.quadratic_twist()
+    return curve, curve_points(curve)
+
+
+@functools.cache
+def paper_curve(d, s):
+    return build_family_curve(d, FieldCtx(MERSENNE_127, -1), s).curve
+
+
+class TestJacobianLoop:
+    """The Jacobian loop behind Curve.mul and multiexp2 against the affine
+    reference Curve._add, which shares no code with it."""
+
+    @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
+    def test_helpers_match_affine_on_every_pair(self, d, p, s, twisted):
+        curve, pts = small_curve(d, p, s, twisted)
+        ctx = curve.ctx
+        # Any representative of delta works, and Z != 1 exercises the scaling.
+        args = (ctx.p, ctx.delta, curve.A.a, curve.A.b)
+        z = Fp2(ctx, 2, 1)
+        for P in pts[1:]:
+            J = to_jacobian(P, z)
+            assert from_jacobian(ctx, _dbl(J, *args)) == curve._add(P, P)
+            for Q in pts[1:]:
+                T = (Q.x.a, Q.x.b, Q.y.a, Q.y.b)
+                assert from_jacobian(ctx, _madd(J, T, *args)) == curve._add(P, Q)
+
+    @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
+    def test_every_multiple_matches_chain(self, d, p, s, twisted):
+        curve, pts = small_curve(d, p, s, twisted)
+        for P in pts:
+            chain = INFINITY
+            for k in range(len(pts) + 2):
+                assert curve.mul(k, P) == chain
+                chain = curve._add(chain, P)
+
+    @pytest.mark.parametrize("d,p,s,twisted", P5_CURVES)
+    def test_every_pair_matches_affine(self, d, p, s, twisted):
+        curve, pts = small_curve(d, p, s, twisted)
+        multiples = {P: [affine_mul(curve, k, P) for k in range(4)] for P in pts}
+        for P in pts:
+            for Q in pts:
+                for a in range(4):
+                    for b in range(4):
+                        expected = curve._add(multiples[P][a], multiples[Q][b])
+                        assert multiexp2(a, b, P, Q, curve) == expected
+
+    EXCEPTIONAL = {
+        "P == Q": lambda curve, pts: [(P, P) for P in pts],
+        "P == -Q": lambda curve, pts: [(P, curve.neg(P)) for P in pts],
+        "Q = O": lambda curve, pts: [(P, INFINITY) for P in pts],
+        "y = 0": lambda curve, pts: [(P, Q) for P in pts[1:] if not P.y for Q in pts],
+    }
+
+    @pytest.mark.parametrize("case", [*EXCEPTIONAL, "a = b = 0"])
+    @pytest.mark.parametrize("d,p,s,twisted", P5_CURVES)
+    def test_exceptional_case(self, case, d, p, s, twisted):
+        curve, pts = small_curve(d, p, s, twisted)
+        if case == "a = b = 0":
+            for P in pts:
+                for Q in pts:
+                    assert curve._mul2(0, P, 0, Q) is INFINITY
+            return
+        pairs = self.EXCEPTIONAL[case](curve, pts)
+        assert pairs
+        for P, Q in pairs:
+            for a in range(4):
+                for b in range(4):
+                    assert curve._mul2(a, P, b, Q) == affine_mul2(curve, a, P, b, Q)
+
+    @given(
+        st.sampled_from([(2, 28106), (5, 7930)]),
+        st.integers(2**252, 2**253 - 1),
+        st.integers(2**252, 2**253 - 1),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=12)
+    def test_matches_affine_at_127_bits(self, member, a, b, sign):
+        curve = paper_curve(*member)
+        P, Q = random_point(curve, 1), random_point(curve, 2)
+        aP, bQ = affine_mul(curve, a, P), affine_mul(curve, b, Q)
+        assert curve._mul2(a, P, b, Q) == curve._add(aP, bQ)
+        assert curve.mul(sign * a, P) == (aP if sign > 0 else curve.neg(aP))
+        signed_bQ = bQ if sign > 0 else curve.neg(bQ)
+        assert multiexp2(a, sign * b, P, Q, curve) == curve._add(aP, signed_bQ)
 
 
 class TestOracle:
