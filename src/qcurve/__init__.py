@@ -2,6 +2,7 @@
 isogenies, and the scalar decompositions they enable."""
 
 from .errors import (
+    CofactorError,
     DegenerateParameterError,
     DomainError,
     KernelError,

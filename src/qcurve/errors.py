@@ -51,3 +51,7 @@ class TraceError(DomainError):
 
 class MapPoleError(DomainError):
     """A model map was evaluated at one of its exceptional points."""
+
+
+class CofactorError(DomainError):
+    """A search cofactor filter is not a positive integer."""

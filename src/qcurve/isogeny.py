@@ -186,16 +186,19 @@ class Isogeny:
         return Point(u, P.y * du)
 
     def conjugate(self) -> "Isogeny":
-        """The Galois-conjugate isogeny between the conjugate curves."""
-        return Isogeny(
-            self.domain.conjugate(),
-            self.codomain.conjugate(),
-            self.degree,
-            tuple(c.conjugate() for c in self.num),
-            tuple(c.conjugate() for c in self.den),
-            self.x_scale.conjugate(),
-            self.y_scale.conjugate(),
+        """The Galois-conjugate isogeny between the conjugate curves.
+
+        Conjugation commutes with the formal derivative (its coefficients
+        are integer multiples), so the stored derivatives are conjugated
+        rather than rebuilt."""
+        iso = Isogeny.__new__(Isogeny)
+        iso.domain, iso.codomain = self.domain.conjugate(), self.codomain.conjugate()
+        iso.degree = self.degree
+        iso.num, iso.den, iso._dnum, iso._dden = (
+            tuple(c.conjugate() for c in poly) for poly in (self.num, self.den, self._dnum, self._dden)
         )
+        iso.x_scale, iso.y_scale = self.x_scale.conjugate(), self.y_scale.conjugate()
+        return iso
 
     def __repr__(self):
         return f"Isogeny(degree {self.degree}, {self.domain!r} -> {self.codomain!r})"

@@ -1,10 +1,19 @@
 import json
+import math
 import random
 
 import pytest
 
 from qcurve import cmtables
-from qcurve.cli import TRIAL_DIVISION_BOUND, factor_string, main, trial_factor
+from qcurve.cli import (
+    TRIAL_DIVISION_BOUND,
+    _trial_blocks,
+    factor_string,
+    factorize,
+    main,
+    trial_factor,
+)
+from qcurve.fields import is_probable_prime
 
 from conftest import MERSENNE_127
 
@@ -173,10 +182,58 @@ class TestSearch:
         assert rc == 0
         assert parse_plain(lines[-1])["records"] == "0"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--cofactor", "0"], ["--cofactor", "-2"], ["--twist-cofactor", "0"],
+         ["--twist-cofactor", "-2"], ["--cofactor", "2", "--twist-cofactor", "0"],
+         ["--cofactor", "-2", "--twist-cofactor", "4"]],
+    )
+    def test_nonpositive_cofactor_is_rejected(self, capsys, flags):
+        rc, lines = run(capsys, ["search", "--d", "2", "--p", "11", "--delta", "-1", *flags])
+        assert rc == 1
+        assert len(lines) == 1  # rejected before the sweep emits anything
+        rec = parse_plain(lines[0])
+        assert rec["status"] == "error"
+        assert rec["error"] == "cofactor"
+
     def test_guard(self, capsys):
         rc, lines = run(capsys, ["search", "--d", "2", "--p", str(MERSENNE_127), "--delta", "-1"])
         assert rc == 1
         assert parse_plain(lines[0])["error"] == "oracle_guard"
+
+
+class TestTimings:
+    STAGES = ["t_build_ms", "t_r_ms", "t_factor_ms", "t_basis_ms"]
+
+    def _pair(self, capsys, argv):
+        """The last JSON record without and with --timings."""
+        records = []
+        for extra in ([], ["--timings"]):
+            rc, lines = run(capsys, argv + ["--json"] + extra)
+            assert rc == 0
+            records.append(json.loads(lines[-1]))
+        return records
+
+    def _check(self, plain, timed, stages):
+        assert list(timed)[: len(plain)] == list(plain)
+        assert {k: timed[k] for k in plain} == plain
+        assert list(timed)[len(plain):] == stages
+        assert all(timed[k] >= 0 for k in stages)
+
+    def test_info(self, capsys):
+        plain, timed = self._pair(capsys, ["info", *EX1])
+        self._check(plain, timed, self.STAGES)
+
+    def test_decompose(self, capsys):
+        argv = ["decompose", "--d", "2", "--p", "13", "--delta", "2", "--s", "1", "--m", "7"]
+        plain, timed = self._pair(capsys, argv)
+        assert plain["multiexp_check"] == "ok"
+        self._check(plain, timed, self.STAGES + ["t_decompose_ms", "t_multiexp_ms"])
+
+    def test_off_by_default(self, capsys):
+        rc, lines = run(capsys, ["info", *EX1])
+        assert rc == 0
+        assert not any(k.startswith("t_") for k in parse_plain(lines[-1]))
 
 
 class TestErrors:
@@ -266,8 +323,98 @@ class TestFactoring:
         for n in edges + randoms:
             assert trial_factor(n) == trial_factor_by_odd_integers(n), n
 
+    def test_prime_verdict_matches_miller_rabin(self):
+        # The subgroup choice reads primality of the whole order from its
+        # factorisation instead of a second Miller-Rabin run.
+        rng = random.Random(22)
+        edges = [2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1, (2**61 - 1) * (2**31 - 1),
+                 1048573, 1048583, 1048573**2, 1048573 * 1048583, 3 * (2**127 - 1)]
+        randoms = [rng.getrandbits(rng.randrange(2, 200)) | 1 for _ in range(200)]
+        for n in list(range(3000)) + edges + randoms:
+            assert factorize(n).is_prime == is_probable_prime(n), n
+
     def test_factor_string(self):
         assert factor_string(1) == "1"
         assert factor_string(12) == "2^2*3"
         big = (2**89 - 1) * 4  # Mersenne prime times a small cofactor
         assert factor_string(big) == f"2^2*{2**89 - 1}(probable_prime)"
+
+
+def sieve_primes(bound):
+    """Reference: the primes up to bound by a plain sieve of Eratosthenes."""
+    is_prime = [True] * (bound + 1)
+    is_prime[:2] = [False, False]
+    for q in range(2, math.isqrt(bound) + 1):
+        if is_prime[q]:
+            for k in range(q * q, bound + 1, q):
+                is_prime[k] = False
+    return [q for q in range(bound + 1) if is_prime[q]]
+
+
+def trial_factor_prime_by_prime(n, primes):
+    """Reference: trial division by each prime in turn, stopping at the first
+    prime whose square exceeds n."""
+    factors = []
+    q = TRIAL_DIVISION_BOUND + 1
+    for prime in primes:
+        if prime * prime > n:
+            q = prime
+            break
+        if n % prime == 0:
+            e = 0
+            while n % prime == 0:
+                n //= prime
+                e += 1
+            factors.append((prime, e))
+    if n > 1 and q * q > n:
+        factors.append((n, 1))
+        n = 1
+    return factors, n
+
+
+class TestBlockScreening:
+    @pytest.fixture(scope="class")
+    def primes(self):
+        return sieve_primes(TRIAL_DIVISION_BOUND)
+
+    def test_blocks_are_the_sieve(self, primes):
+        blocks = _trial_blocks()
+        assert [q for _, block in blocks for q in block] == primes
+        for product, block in blocks:
+            expected = 1
+            for q in block:
+                expected *= q
+            assert product == expected
+
+    def test_block_edges(self, primes):
+        blocks = [block for _, block in _trial_blocks()]
+        assert len(blocks) > 4
+        edges = list(range(5))
+        # A divisor on either side of a block boundary, first few and last.
+        for left, right in list(zip(blocks, blocks[1:]))[:4] + [(blocks[-2], blocks[-1])]:
+            edges += [left[-1] * right[0], left[-1] * right[0] * 2**3]
+        # Squares of the first and last prime of a block.
+        for block in blocks[:3] + blocks[-2:]:
+            edges += [block[0] ** 2, block[-1] ** 2, block[0] * block[-1]]
+        # Prime powers with small bases.
+        edges += [q**k for q in (2, 3, 5, 7, 11, 13, 1021) for k in range(1, 11)]
+        # The largest prime below 2^20 times a prime far past the bound.
+        edges.append(primes[-1] * (2**127 - 1))
+        # The stop prime * prime > n falls inside a block with no divisor:
+        # n is a prime, or 2^5 times one, with sqrt(n) in the middle of a
+        # later block.
+        block = blocks[3]
+        mid = next(q for q in range(block[100] ** 2 + 1, block[101] ** 2) if is_probable_prime(q))
+        edges += [mid, 2**5 * mid]
+        for n in edges:
+            assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+        for n in edges[:5] + [primes[-1] * (2**127 - 1), mid]:
+            assert trial_factor(n) == trial_factor_by_odd_integers(n), n
+
+    def test_random_inputs(self, primes):
+        rng = random.Random(21)
+        for _ in range(100):
+            n = rng.getrandbits(rng.randrange(2, 300))
+            if rng.randrange(2):  # plant small factors across the blocks
+                n *= math.prod(rng.choice(primes) for _ in range(rng.randrange(1, 4)))
+            assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n

@@ -269,6 +269,13 @@ PSI_COUNTS = [
     (5, False, {"sqr": 2, "mul": 31, "inv": 1}),
     (5, True, {"sqr": 2, "mul": 31, "inv": 1}),
 ]
+# Building one untwisted Endo: conj(phi) takes phi's stored derivatives
+# conjugated, so the 6 int products are the discriminant checks of the two
+# conjugate curves.
+ENDO_COUNTS = [
+    (2, {"sqr": 1, "mul": 7, "mul_int": 6, "inv": 1}),
+    (5, {"sqr": 1, "mul": 7, "mul_int": 6, "inv": 1}),
+]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions on bare ints, plus the
 # Fp2 work outside the loop (the is_on checks, the affine table sum P + psiP
@@ -294,6 +301,16 @@ class TestOpCounts:
             e(P)
             seen.append((e.d, e.twisted, dict(counts)))
         assert seen == PSI_COUNTS
+
+    def test_endo_counts(self, monkeypatch):
+        families = [endo.family for endo, _ in paper_endos()]
+        counts = _count_ops(monkeypatch)
+        seen = []
+        for fam in families:
+            counts.clear()
+            Endo(fam)
+            seen.append((fam.d, dict(counts)))
+        assert seen == ENDO_COUNTS
 
     @staticmethod
     def _paper_scalar():
