@@ -281,7 +281,7 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _subgroup_point(fam, endo, n_curve, n_sub, seed):
+def _subgroup_point(fam, n_curve, n_sub, seed):
     curve = fam.curve
     for s in range(seed, seed + 64):
         P = curve.mul(n_curve // n_sub, random_point(curve, s))
@@ -308,7 +308,7 @@ def cmd_decompose(args) -> int:
     p = fam.ctx.p
     if p <= ORACLE_MAX_P:
         n_curve = record["order"]
-        P = _subgroup_point(fam, endo, n_curve, n_sub, args.seed)
+        P = _subgroup_point(fam, n_curve, n_sub, args.seed)
         psiP = endo(P)
         with _timed(timings, "t_multiexp_ms"):
             R = multiexp2(dec.a, dec.b, P, psiP, fam.curve)
@@ -442,7 +442,6 @@ def _add_common(sub, *, need_s=True):
     sub.add_argument("--d", type=int, required=True, choices=(2, 3, 5, 7), help="family degree")
     if need_s:
         sub.add_argument("--s", type=int, required=True, help="family parameter")
-    sub.add_argument("--seed", type=int, default=0, help="seed for derived points")
     sub.add_argument("--json", action="store_true", help="JSON records instead of key=value")
 
 
@@ -464,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--trace", type=int, help="Frobenius trace over F_{p^2} (signed)")
     dec.add_argument("--timings", action="store_true", help="append per-stage wall times (ms)")
     dec.add_argument("--m", type=int, required=True, help="scalar to decompose")
+    dec.add_argument("--seed", type=int, default=0, help="seed for derived points")
     dec.add_argument("--exhaustive", action="store_true", help="verify minimality for all m")
     dec.set_defaults(fn=cmd_decompose)
 

@@ -154,10 +154,10 @@ def fiber_matches(fiber: CmFiber, ctx: FieldCtx, s: int) -> bool:
     p = ctx.p
     num = fiber.coeff.numerator
     den = fiber.coeff.denominator
+    if den % p == 0:
+        return False  # the fiber lies at infinity mod p
     if fiber.sign_free:
         return (s * s * ctx.delta * den * den - num * num * fiber.radicand) % p == 0
-    if den % p == 0:
-        return False
     return (s * den - num) % p == 0
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateParameterError,
     DomainError,
-    OffCurveError,
     ResidueClassError,
     SupersingularError,
     TraceError,
@@ -176,36 +175,31 @@ class Endo:
     """The endomorphism psi = (p-power map) o phi of a family curve, or its
     twisted counterpart psi' acting on the quadratic twist.
 
-    Both are one formula, evaluated without leaving F_{p^2}: conjugating the
-    twist isomorphism through the p-power map leaves the rational maps of
-    conj(phi), whose coefficients are the conjugates of phi's, at
-    conj(x)/conj(mu), scaled by mu and nu^3 with nu = mu^((1-p)/2), where mu
-    is the canonical nonsquare.  psi is the case mu = nu = 1, since
-    conjugation commutes with evaluating phi's rational maps.
+    Both are one isogeny from the conjugate curve, evaluated at conj(P)
+    without leaving F_{p^2}.  For psi it is conj(phi), since conjugation
+    commutes with evaluating phi's rational maps.  For psi', conjugating the
+    twist isomorphism through the p-power map leaves conj(phi) read at
+    x/conj(mu) and scaled by mu and nu^3, with nu = mu^((1-p)/2) and mu the
+    canonical nonsquare: an isogeny from conj(E') to the twist E'.
 
     ``target`` is p + eps (p - eps twisted): [r]psi(Q) = [target]Q on every
     rational point Q.
     """
 
-    __slots__ = ("family", "twisted", "eps", "target", "curve", "_conj_phi", "_mu", "_inv_mu_conj", "_nu3")
+    __slots__ = ("family", "twisted", "eps", "target", "curve", "isogeny")
 
     def __init__(self, family: FamilyCurve, twisted: bool = False):
         self.family = family
         self.twisted = twisted
         ctx = family.ctx
         self.eps = epsilon_p(family.d, ctx.p)
-        self._conj_phi = family.phi.conjugate()
+        self.isogeny = family.phi.conjugate()
         if twisted:
-            self.curve, mu = family.curve.quadratic_twist()
+            twist, mu = family.curve.quadratic_twist()
             nu = mu.inverse() ** ((ctx.p - 1) // 2)
-            self.target = ctx.p - self.eps
-        else:
-            self.curve = family.curve
-            mu = nu = ctx.one()
-            self.target = ctx.p + self.eps
-        self._mu = mu
-        self._inv_mu_conj = mu.conjugate().inverse()
-        self._nu3 = nu * nu * nu
+            self.isogeny = self.isogeny.rescaled(twist.conjugate(), twist, mu.conjugate(), mu, nu * nu * nu)
+        self.curve = self.isogeny.codomain
+        self.target = ctx.p - self.eps if twisted else ctx.p + self.eps
 
     @property
     def d(self) -> int:
@@ -214,13 +208,7 @@ class Endo:
     def __call__(self, P: Point) -> Point:
         if P.is_infinity:
             return INFINITY
-        if not self.curve.is_on(P):
-            raise OffCurveError("endomorphism argument is not on the curve")
-        maps = self._conj_phi.raw_maps(P.x.conjugate() * self._inv_mu_conj)
-        if maps is None:
-            return INFINITY
-        u, du = maps
-        return Point(self._mu * u, self._nu3 * P.y.conjugate() * du)
+        return self.isogeny(Point(P.x.conjugate(), P.y.conjugate()))
 
     def __repr__(self):
         kind = "psi'" if self.twisted else "psi"
@@ -251,8 +239,8 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     v = 2 * p + eps * trace
     if v % d:
         raise TraceError("trace inconsistent with family: 2p + eps*t not divisible by d")
-    q, rem = _isqrt_exact(v // d)
-    if rem:
+    q = math.isqrt(v // d)
+    if d * q * q != v:
         raise TraceError("trace inconsistent with family: (2p + eps*t)/d is not a square")
     target = endo.target
     curve = endo.curve
@@ -273,11 +261,6 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
         if T != minus_T:
             return q if S == T else -q
     return q
-
-
-def _isqrt_exact(n: int) -> tuple[int, int]:
-    r = math.isqrt(n)
-    return r, n - r * r
 
 
 def group_orders(endo: Endo, r: int) -> tuple[int, int]:

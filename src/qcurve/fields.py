@@ -205,10 +205,8 @@ class Fp2:
         oa, ob = self._pair(other)
         if oa is NotImplemented:
             return NotImplemented
-        a1, b1 = self.a, self.b
-        t1 = a1 * oa
-        t2 = b1 * ob
-        return Fp2(self.ctx, t1 + self.ctx.delta * t2, (a1 + b1) * (oa + ob) - t1 - t2)
+        a, b = self.a, self.b
+        return Fp2(self.ctx, a * oa + self.ctx.delta * b * ob, a * ob + b * oa)
 
     __rmul__ = __mul__
 

@@ -22,8 +22,6 @@ COFACTOR2_D2 = "cofactor2_d2"
 COFACTOR4_D2 = "cofactor4_d2"
 COFACTOR3_D3 = "cofactor3_d3"
 
-BASIS_VARIANTS = (PRIME_ORDER, COFACTOR2_D2, COFACTOR4_D2, COFACTOR3_D3)
-
 
 def infnorm(v: Vec) -> int:
     return max(abs(v[0]), abs(v[1]))

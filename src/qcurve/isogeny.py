@@ -191,14 +191,22 @@ class Isogeny:
         Conjugation commutes with the formal derivative (its coefficients
         are integer multiples), so the stored derivatives are conjugated
         rather than rebuilt."""
-        iso = Isogeny.__new__(Isogeny)
-        iso.domain, iso.codomain = self.domain.conjugate(), self.codomain.conjugate()
-        iso.degree = self.degree
-        iso.num, iso.den, iso._dnum, iso._dden = (
-            tuple(c.conjugate() for c in poly) for poly in (self.num, self.den, self._dnum, self._dden)
-        )
-        iso.x_scale, iso.y_scale = self.x_scale.conjugate(), self.y_scale.conjugate()
-        return iso
+        polys = [tuple(c.conjugate() for c in f) for f in (self.num, self.den, self._dnum, self._dden)]
+        scales = self.x_scale.conjugate(), self.y_scale.conjugate()
+        return _derived(self.degree, self.domain.conjugate(), self.codomain.conjugate(), polys, *scales)
+
+    def rescaled(self, domain: Curve, codomain: Curve, c: Fp2, x_factor: Fp2, y_factor: Fp2) -> "Isogeny":
+        """(x, y) -> (x_factor * X(x/c), y_factor * y * Y(x/c)) between the
+        given curves, where (X(x), y * Y(x)) is this isogeny.  Reading a
+        polynomial at x/c scales its x^i coefficient by c^-i, and the chain
+        rule (f(x/c))' = f'(x/c)/c leaves a factor c for the y-scale."""
+        ci = c.inverse()
+        powers = [c.ctx.one()]
+        for _ in self.num:  # num is the longest of the four polynomials
+            powers.append(powers[-1] * ci)
+        polys = [tuple(f * w for f, w in zip(poly, powers[k:]))
+                 for poly, k in ((self.num, 0), (self.den, 0), (self._dnum, 1), (self._dden, 1))]
+        return _derived(self.degree, domain, codomain, polys, x_factor * self.x_scale, y_factor * c * self.y_scale)
 
     def __repr__(self):
         return f"Isogeny(degree {self.degree}, {self.domain!r} -> {self.codomain!r})"
@@ -285,22 +293,24 @@ def _check_subgroup_samples(iso: Isogeny):
 def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
     """Compose with the twisting isomorphism (x, y) -> (l^2 x, l^3 y) where
     l is the canonical square root of lam2; lam2 must be a square so the
-    composite stays rational over F_{p^2}."""
+    composite stays rational over F_{p^2}.  Only the scales change."""
     lam2 = iso.domain.ctx.coerce(lam2)
     lam = lam2.sqrt()
     if lam is None:
         raise NotSquareError("twisting factor is not a square in F_{p^2}")
     l4 = lam2 * lam2
     codomain = Curve(l4 * iso.codomain.A, l4 * lam2 * iso.codomain.B)
-    return Isogeny(
-        iso.domain,
-        codomain,
-        iso.degree,
-        iso.num,
-        iso.den,
-        iso.x_scale * lam2,
-        iso.y_scale * lam * lam2,
-    )
+    polys = (iso.num, iso.den, iso._dnum, iso._dden)
+    return _derived(iso.degree, iso.domain, codomain, polys, iso.x_scale * lam2, iso.y_scale * lam * lam2)
+
+
+def _derived(degree, domain, codomain, polys, x_scale, y_scale) -> Isogeny:
+    """An Isogeny from maps derived from another one's: polys is (num, den,
+    num', den'), with the derivatives carried over rather than rebuilt."""
+    iso = Isogeny.__new__(Isogeny)
+    iso.degree, iso.domain, iso.codomain, iso.x_scale, iso.y_scale = degree, domain, codomain, x_scale, y_scale
+    iso.num, iso.den, iso._dnum, iso._dden = polys
+    return iso
 
 
 def identity_isogeny(curve: Curve) -> Isogeny:

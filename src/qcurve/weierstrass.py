@@ -148,15 +148,23 @@ class Curve:
         a3 = 4 * A * A * A
         return 1728 * a3 / (a3 + 27 * B * B)
 
+    @classmethod
+    def _nonsingular(cls, A: Fp2, B: Fp2) -> "Curve":
+        """A conjugate or twist of a checked curve, whose discriminant is
+        therefore nonzero: the conjugate or a unit times a nonzero one."""
+        curve = cls.__new__(cls)
+        curve.A, curve.B, curve.ctx = A, B, A.ctx
+        return curve
+
     def conjugate(self) -> "Curve":
-        return Curve(self.A.conjugate(), self.B.conjugate())
+        return Curve._nonsingular(self.A.conjugate(), self.B.conjugate())
 
     def quadratic_twist(self) -> tuple["Curve", Fp2]:
         """The twist by the square root of the canonical nonsquare mu;
         returns (twisted curve, mu)."""
         mu = self.ctx.nonsquare()
         mu2 = mu * mu
-        return Curve(mu2 * self.A, mu2 * mu * self.B), mu
+        return Curve._nonsingular(mu2 * self.A, mu2 * mu * self.B), mu
 
     def lift_x(self, x: Fp2) -> Point | None:
         """The point (x, y) with canonical y, or None if x is not on the curve."""

@@ -132,6 +132,16 @@ class TestDecompose:
         rec = parse_plain(lines[0])
         assert rec["exhaustive_minimal"].startswith("all")
 
+    def test_seed_picks_the_check_point(self, capsys):
+        for seed in ("0", "7"):
+            rc, lines = run(
+                capsys,
+                ["decompose", "--d", "2", "--p", "13", "--delta", "2", "--s", "1", "--m", "5",
+                 "--seed", seed],
+            )
+            assert rc == 0
+            assert parse_plain(lines[0])["multiexp_check"] == "ok"
+
     def test_cryptographic_scalar_is_short(self, capsys):
         m = str((1 << 252) + 12345)
         rc, lines = run(capsys, ["decompose", *EX1, "--m", m])
@@ -247,6 +257,16 @@ class TestErrors:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["info", "--d", "2", "--p", "13"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "--d", "2", "--p", "13", "--delta", "2", "--s", "1", "--seed", "3"],
+        ["search", "--d", "2", "--p", "13", "--delta", "2", "--seed", "3"],
+    ])
+    def test_seed_only_on_decompose(self, argv):
+        # Only decompose derives a point from the seed.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_composite_modulus(self, capsys):

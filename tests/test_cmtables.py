@@ -86,6 +86,21 @@ class TestDetection:
             }
             assert matched == {(-s) % p for s in matched}
 
+    def test_matches_exactly_at_the_fiber_parameter(self):
+        # Where p divides a fiber's denominator the fiber lies at infinity
+        # mod p: no s matches and fiber_parameter is None.
+        for p in (q for q in range(5, 400) if is_probable_prime(q)):
+            ctx = ctx_for(p)
+            for fiber in (f for fibers in FIBERS.values() for f in fibers if f.constructible):
+                t = fiber_parameter(fiber, ctx)
+                if t is None:
+                    expected = set()
+                elif fiber.sign_free:
+                    expected = {t, -t % p}
+                else:
+                    expected = {t}
+                assert {s for s in range(p) if fiber_matches(fiber, ctx, s)} == expected, (p, fiber)
+
     def test_degree5_exact_fibers(self):
         ctx = ctx_for(23)
         hits = {s for s in range(23) if any(fiber_matches(f, ctx, s) for f in cm_fibers(5))}

@@ -214,6 +214,18 @@ class TestOneFormula:
             for P in curve_points(endo.curve):
                 assert endo(P) == psi(P)
 
+    def test_matches_reference_formulas_at_127_bits(self):
+        ctx = FieldCtx(MERSENNE_127, -1)
+        for d, s in ((2, 28106), (5, 7930), (3, 10400), (7, 1)):
+            fam = build_family_curve(d, ctx, s)
+            for twisted in (False, True):
+                endo = Endo(fam, twisted)
+                psi = reference_psi(fam, twisted)
+                for seed in range(6):
+                    P = random_point(endo.curve, seed)
+                    assert endo(P) == psi(P)
+                    assert endo.curve.is_on(endo(P))
+
     def test_target(self):
         fam = build_family_curve(2, ctx_for(13), 1)
         assert Endo(fam).target == 13 + epsilon_p(2, 13)
@@ -261,20 +273,24 @@ def _count_ops(monkeypatch) -> Counter:
 
 
 # (d, twisted, counts) for one psi / psi' evaluation on each paper instance:
-# psi is psi' with mu = nu = 1, so both pay the same products and the one
-# inversion inside the rational maps.
+# both are one isogeny evaluated at conj(P), so both pay the same products:
+# the is_on check, the rational maps with their one inversion, and y * du.
 PSI_COUNTS = [
-    (2, False, {"sqr": 2, "mul": 19, "inv": 1}),
-    (2, True, {"sqr": 2, "mul": 19, "inv": 1}),
-    (5, False, {"sqr": 2, "mul": 31, "inv": 1}),
-    (5, True, {"sqr": 2, "mul": 31, "inv": 1}),
+    (2, False, {"sqr": 2, "mul": 16, "inv": 1}),
+    (2, True, {"sqr": 2, "mul": 16, "inv": 1}),
+    (5, False, {"sqr": 2, "mul": 28, "inv": 1}),
+    (5, True, {"sqr": 2, "mul": 28, "inv": 1}),
 ]
-# Building one untwisted Endo: conj(phi) takes phi's stored derivatives
-# conjugated, so the 6 int products are the discriminant checks of the two
-# conjugate curves.
-ENDO_COUNTS = [
-    (2, {"sqr": 1, "mul": 7, "mul_int": 6, "inv": 1}),
-    (5, {"sqr": 1, "mul": 7, "mul_int": 6, "inv": 1}),
+# Building one untwisted Endo: conj(phi) conjugates phi's curves, polynomials,
+# stored derivatives and scales, none of which is a product.
+ENDO_COUNTS = [(2, {}), (5, {})]
+# build_family_curve on each paper instance.  Three curves pay a discriminant
+# check: the member, the Velu codomain and the twisted codomain.  The
+# conjugate curve that phi must land on is not checked again, and post_twist
+# keeps the derivatives of the Velu maps.
+BUILD_COUNTS = [
+    (2, {"mul_int": 18, "inv": 1, "mul": 21, "sqr": 2}),
+    (5, {"mul_int": 42, "mul": 250, "sqr": 16, "inv": 3}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions on bare ints, plus the
@@ -311,6 +327,16 @@ class TestOpCounts:
             Endo(fam)
             seen.append((fam.d, dict(counts)))
         assert seen == ENDO_COUNTS
+
+    def test_build_counts(self, monkeypatch):
+        ctx = FieldCtx(MERSENNE_127, -1)
+        counts = _count_ops(monkeypatch)
+        seen = []
+        for d, s in ((2, 28106), (5, 7930)):
+            counts.clear()
+            build_family_curve(d, ctx, s)
+            seen.append((d, dict(counts)))
+        assert seen == BUILD_COUNTS
 
     @staticmethod
     def _paper_scalar():

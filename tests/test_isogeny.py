@@ -1,19 +1,21 @@
 import pytest
 
 from qcurve.errors import KernelError, NotSquareError, OffCurveError
-from qcurve.families import build_family_curve, epsilon_p
+from qcurve.families import _BUILDERS, Endo, build_family_curve, epsilon_p, gls_endo
 from qcurve.fields import Fp2
 from qcurve.isogeny import (
     OddKernel,
     TwoTorsionKernel,
     division_polynomial,
+    identity_isogeny,
+    poly_deriv,
     poly_eval,
     post_twist,
     velu_quotient,
 )
 from qcurve.weierstrass import INFINITY, Curve, Point, curve_points, random_point
 
-from conftest import ctx_for
+from conftest import MERSENNE_127, ctx_for
 
 
 def d2_family(p, s):
@@ -199,3 +201,23 @@ class TestPostTwist:
             P = random_point(fam.curve, seed)
             img, img2 = once(P), joint(P)
             assert img2 in (img, once.codomain.neg(img))
+
+
+class TestStoredDerivatives:
+    """Every isogeny the library builds stores the derivatives of its own
+    polynomials, whether expanded, twisted, conjugated or rescaled."""
+
+    @pytest.mark.parametrize("p", [11, 19, MERSENNE_127])
+    def test_derivatives_match_polynomials(self, p):
+        ctx = ctx_for(p)
+        isogenies = [gls_endo(ctx, 3, 5, twisted).isogeny for twisted in (False, True)]
+        for d in (2, 3, 5, 7):
+            fam = build_family_curve(d, ctx, 2)
+            quotient = velu_quotient(fam.curve, _BUILDERS[d](ctx, fam.s)[3])
+            isogenies += [
+                quotient, post_twist(quotient, ctx.elem(4)), fam.phi, fam.phi.conjugate(),
+                identity_isogeny(fam.curve), Endo(fam).isogeny, Endo(fam, twisted=True).isogeny,
+            ]
+        for iso in isogenies:
+            assert iso._dnum == poly_deriv(iso.num)
+            assert iso._dden == poly_deriv(iso.den)
