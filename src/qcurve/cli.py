@@ -291,8 +291,6 @@ def _subgroup_point(fam, n_curve, n_sub, seed):
 
 
 def cmd_decompose(args) -> int:
-    if args.m is None:
-        raise DomainError("decompose requires --m")
     timings = {}
     fam, endo, record, basis = _analyze(args, timings)
     if basis is None:

@@ -17,6 +17,7 @@ from .errors import (
     DegenerateParameterError,
     DomainError,
     ResidueClassError,
+    StructureError,
     SupersingularError,
     TraceError,
 )
@@ -222,10 +223,13 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
 
     At p <= ORACLE_MAX_P the trace defaults to the oracle trace and a
     supplied one is checked against it; above, it must be supplied
-    (OracleGuardError otherwise). The trace fixes |r|. The first witness Q,
-    one with [target]Q != -[target]Q, fixes the sign: both signs holding
-    would give [2*target]Q = O. Above ORACLE_MAX_P, where no oracle proves
-    the trace, the points tried before it must satisfy [|r|]psi(Q) = [target]Q.
+    (OracleGuardError otherwise). The trace fixes |r|, and one rule at every
+    p fixes the sign. Every candidate Q tried must satisfy
+    [|r|]psi(Q) = +-[target]Q. The first witness, a Q with
+    [target]Q != -[target]Q, decides the sign: both signs holding would give
+    [2*target]Q = O. With no witness the positive root is returned. The
+    candidates are 8 hash-derived points and, at p <= ORACLE_MAX_P when
+    |r| != 0, every point of the curve; r = 0 has no sign to find.
     """
     p = endo.family.ctx.p
     d, eps = endo.d, endo.eps
@@ -245,16 +249,14 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     target = endo.target
     curve = endo.curve
 
-    def witnesses():
+    def candidates():
         yield from (random_point(curve, seed) for seed in range(8))
-        if p <= ORACLE_MAX_P:
+        if q and p <= ORACLE_MAX_P:
             yield from curve_points(curve)
 
-    for Q in witnesses():
+    for Q in candidates():
         T = curve.mul(target, Q)
         minus_T = curve.neg(T)
-        if T == minus_T and p <= ORACLE_MAX_P:
-            continue  # the oracle has proven the trace; Q cannot tell the signs apart
         S = curve.mul(q, endo(Q))
         if S != T and S != minus_T:
             raise TraceError("neither sign of r satisfies the endomorphism relation")
@@ -279,7 +281,7 @@ def eigenvalue(endo: Endo, r: int, order: int) -> int:
     if r == 0:
         raise SupersingularError("supersingular curve has no eigenvalue decomposition")
     if math.gcd(r, order) != 1:
-        raise DomainError("gcd(r, N) != 1: eigenvalue undefined")
+        raise StructureError("gcd(r, N) != 1: eigenvalue undefined")
     return endo.target * pow(r, -1, order) % order
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import KernelError, NotSquareError, OffCurveError
+from .errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
 from .fields import Fp2
 from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, random_point
 
@@ -61,8 +61,11 @@ def poly_deriv(f):
 
 
 def poly_eval(f, x: Fp2) -> Fp2:
-    acc = x.ctx.zero()
-    for c in reversed(f):
+    """f(x) by Horner's rule from the leading coefficient."""
+    if not f:
+        return x.ctx.zero()
+    acc = f[-1]
+    for c in reversed(f[:-1]):
         acc = acc * x + c
     return acc
 
@@ -295,11 +298,14 @@ def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
     l is the canonical square root of lam2; lam2 must be a square so the
     composite stays rational over F_{p^2}.  Only the scales change."""
     lam2 = iso.domain.ctx.coerce(lam2)
+    if not lam2:
+        raise DegenerateParameterError("twisting factor is zero")
     lam = lam2.sqrt()
     if lam is None:
         raise NotSquareError("twisting factor is not a square in F_{p^2}")
     l4 = lam2 * lam2
-    codomain = Curve(l4 * iso.codomain.A, l4 * lam2 * iso.codomain.B)
+    # Its discriminant is l^12 times that of the checked Velu codomain, l != 0.
+    codomain = Curve._nonsingular(l4 * iso.codomain.A, l4 * lam2 * iso.codomain.B)
     polys = (iso.num, iso.den, iso._dnum, iso._dden)
     return _derived(iso.degree, iso.domain, codomain, polys, iso.x_scale * lam2, iso.y_scale * lam * lam2)
 

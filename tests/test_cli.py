@@ -25,6 +25,14 @@ EX1 = [
     "--trace", "-272082382382015736940757543628153813996",
 ]
 
+EX2 = [
+    "--d", "5",
+    "--p", str(MERSENNE_127),
+    "--delta", "-1",
+    "--s", "7930",
+    "--trace", "160084314926568661653252069280514036151",
+]
+
 
 def run(capsys, argv):
     rc = main(argv)
@@ -79,6 +87,36 @@ class TestInfo:
         rec = parse_plain(lines[0])
         assert rec["status"] == "error"
         assert "contradicts" in rec["message"]
+
+    @pytest.mark.parametrize("d,s,variant,bound", [
+        ("5", "2", "prime_order", "4"),  # ceil_log2(p + eps), order 139
+        ("3", "3", "cofactor3_d3", "4"),  # ceil_log2(p + eps - 2|r|), order 3*47
+        ("3", "1", "reduced_lattice", "2"),  # the basis itself, order 3^2*13
+    ])
+    def test_basis_variant_by_group_structure(self, capsys, d, s, variant, bound):
+        rc, lines = run(capsys, ["info", "--d", d, "--p", "11", "--delta", "-1", "--s", s])
+        assert rc == 0
+        rec = parse_plain(lines[0])
+        assert rec["basis_variant"] == variant
+        assert rec["bound_bitlength"] == bound
+
+    @pytest.mark.parametrize("d,s,message", [
+        ("7", "0", "no dominant cyclic subgroup"),
+        ("3", "2", "gcd"),
+    ])
+    def test_no_decomposition_is_a_structure_error(self, capsys, d, s, message):
+        rc, lines = run(capsys, ["info", "--d", d, "--p", "11", "--delta", "-1", "--s", s])
+        assert rc == 1
+        rec = parse_plain(lines[0])
+        assert rec["error"] == "structure"
+        assert message in rec["message"]
+
+    def test_prime_order_paper_instance(self, capsys):
+        rc, lines = run(capsys, ["info", *EX2])
+        assert rc == 0
+        rec = parse_plain(lines[0])
+        assert rec["basis_variant"] == "prime_order"
+        assert rec["bound_bitlength"] == "127"
 
     def test_json_mode(self, capsys):
         rc, lines = run(capsys, ["info", "--json", *EX1])
@@ -257,6 +295,11 @@ class TestErrors:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["info", "--d", "2", "--p", "13"])
+        assert exc.value.code == 2
+
+    def test_decompose_requires_m(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--d", "2", "--p", "13", "--delta", "2", "--s", "1"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [

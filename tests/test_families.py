@@ -10,6 +10,7 @@ from qcurve.errors import (
     OffCurveError,
     OracleGuardError,
     ResidueClassError,
+    StructureError,
     SupersingularError,
     TraceError,
 )
@@ -27,6 +28,7 @@ from qcurve.families import (
 from qcurve.fields import FieldCtx, Fp2, legendre
 from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
 from qcurve import weierstrass
+import qcurve.families as families_module
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
 from conftest import MERSENNE_127, ctx_for
@@ -275,22 +277,24 @@ def _count_ops(monkeypatch) -> Counter:
 # (d, twisted, counts) for one psi / psi' evaluation on each paper instance:
 # both are one isogeny evaluated at conj(P), so both pay the same products:
 # the is_on check, the rational maps with their one inversion, and y * du.
+# Horner's rule starts at each polynomial's leading coefficient.
 PSI_COUNTS = [
-    (2, False, {"sqr": 2, "mul": 16, "inv": 1}),
-    (2, True, {"sqr": 2, "mul": 16, "inv": 1}),
-    (5, False, {"sqr": 2, "mul": 28, "inv": 1}),
-    (5, True, {"sqr": 2, "mul": 28, "inv": 1}),
+    (2, False, {"sqr": 2, "mul": 12, "inv": 1}),
+    (2, True, {"sqr": 2, "mul": 12, "inv": 1}),
+    (5, False, {"sqr": 2, "mul": 24, "inv": 1}),
+    (5, True, {"sqr": 2, "mul": 24, "inv": 1}),
 ]
 # Building one untwisted Endo: conj(phi) conjugates phi's curves, polynomials,
 # stored derivatives and scales, none of which is a product.
 ENDO_COUNTS = [(2, {}), (5, {})]
-# build_family_curve on each paper instance.  Three curves pay a discriminant
-# check: the member, the Velu codomain and the twisted codomain.  The
-# conjugate curve that phi must land on is not checked again, and post_twist
-# keeps the derivatives of the Velu maps.
+# build_family_curve on each paper instance.  Two curves pay a discriminant
+# check: the member and the Velu codomain.  The twisted codomain's
+# discriminant is l^12 times the Velu codomain's, the conjugate curve that
+# phi must land on is not checked again, and post_twist keeps the
+# derivatives of the Velu maps.
 BUILD_COUNTS = [
-    (2, {"mul_int": 18, "inv": 1, "mul": 21, "sqr": 2}),
-    (5, {"mul_int": 42, "mul": 250, "sqr": 16, "inv": 3}),
+    (2, {"mul_int": 15, "inv": 1, "mul": 18, "sqr": 2}),
+    (5, {"mul_int": 39, "mul": 247, "sqr": 16, "inv": 3}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions on bare ints, plus the
@@ -435,12 +439,25 @@ class TestTraceData:
         fam = build_family_curve(2, ctx_for(13), 1)
         endo = Endo(fam)
         r = determine_r(endo, oracle_trace(fam.curve))
-        with pytest.raises(DomainError):
+        with pytest.raises(StructureError, match="gcd"):
             eigenvalue(endo, r, abs(r) * 5)
 
 
 TRACE_D2 = -272082382382015736940757543628153813996
 TRACE_D5 = 160084314926568661653252069280514036151
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of owner.name from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def reference_r(endo, trace):
@@ -491,15 +508,44 @@ class TestSignRule:
                 assert determine_r(endo, t) == reference_r(endo, t)
 
     @pytest.mark.parametrize("p,s", [(5, 2), (5, 3), (7, 0)])
-    def test_member_without_witness(self, p, s):
+    def test_member_without_witness(self, p, s, monkeypatch):
         # [2*target]Q = O on every point, so both signs hold and the rule
-        # keeps the positive root.
+        # keeps the positive root after trying every point.
         endo = Endo(build_family_curve(3, ctx_for(p), s))
         curve = endo.curve
         target = p + endo.eps
         assert all(curve.mul(2 * target, Q).is_infinity for Q in curve_points(curve))
         t = oracle_trace(curve)
+        enumerations = _count_calls(monkeypatch, families_module, "curve_points")
         assert determine_r(endo, t) == reference_r(endo, t) == 2
+        assert len(enumerations) == 1
+
+    def test_no_enumeration_at_p11(self, monkeypatch):
+        # Among the 8 hash-derived points every member with r != 0 has a
+        # witness, and every r = 0 member needs none.
+        cases = list(small_endos(11))
+        enumerations = _count_calls(monkeypatch, families_module, "curve_points")
+        for endo, t in cases:
+            determine_r(endo, t)
+        assert enumerations == []
+
+    def test_r_zero_tries_only_the_hashed_points(self, monkeypatch):
+        # With r = 0, [target]Q = O on every rational point, so no point is a
+        # witness: each of the 8 hash-derived points is checked and nothing
+        # more is tried.
+        endo = Endo(build_family_curve(5, ctx_for(11), 1))
+        t = oracle_trace(endo.family.curve)
+        calls = _count_calls(monkeypatch, Endo, "__call__")
+        assert determine_r(endo, t) == 0
+        assert len(calls) == 8
+
+    def test_trace_checks_without_oracle(self):
+        # Above ORACLE_MAX_P the supplied trace meets the three checks alone.
+        endo = Endo(build_family_curve(2, ctx_for(71), 1))
+        assert endo.eps == 1
+        for t, message in ((143, "Hasse bound"), (1, "not divisible by d"), (-138, "not a square")):
+            with pytest.raises(TraceError, match=message):
+                determine_r(endo, t)
 
     def test_every_wrong_trace_rejected(self):
         p = 11
@@ -541,14 +587,7 @@ class TestSignRule:
             determine_r(endo)
 
     def test_one_psi_evaluation_per_paper_instance(self, monkeypatch):
-        calls = []
-        original = Endo.__call__
-
-        def counted(self, P):
-            calls.append(P)
-            return original(self, P)
-
-        monkeypatch.setattr(Endo, "__call__", counted)
+        calls = _count_calls(monkeypatch, Endo, "__call__")
         for endo, t in paper_endos():
             calls.clear()
             determine_r(endo, t)

@@ -1,6 +1,6 @@
 import pytest
 
-from qcurve.errors import KernelError, NotSquareError, OffCurveError
+from qcurve.errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
 from qcurve.families import _BUILDERS, Endo, build_family_curve, epsilon_p, gls_endo
 from qcurve.fields import Fp2
 from qcurve.isogeny import (
@@ -189,6 +189,13 @@ class TestPostTwist:
         fam, quotient = d2_family(11, 2)
         with pytest.raises(NotSquareError):
             post_twist(quotient, fam.ctx.nonsquare())
+
+    def test_zero_twist_rejected(self):
+        # Zero is a square, but l = 0 would send every point to (0, 0) on
+        # the singular curve y^2 = x^3.
+        fam, quotient = d2_family(11, 2)
+        with pytest.raises(DegenerateParameterError):
+            post_twist(quotient, fam.ctx.zero())
 
     def test_composition_law_of_scales(self):
         fam, quotient = d2_family(11, 2)
