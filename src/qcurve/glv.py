@@ -279,13 +279,11 @@ def coset_minimum(m: int, basis: GlvBasis) -> int | None:
 
 
 def multiexp2(a: int, b: int, P: Point, psiP: Point, curve: Curve) -> Point:
-    """[a]P + [b]psiP by one interleaved double-and-add (``Curve._mul2``) with
-    the joint table {P, psiP, P + psiP}; the loop length is the bitlength of
-    max(|a|, |b|)."""
+    """[a]P + [b]psiP for signed a, b by one interleaved double-and-add
+    (``Curve._mul2``) over the joint sparse form of (|a|, |b|), with the
+    table {+-P, +-psiP, +-(P + psiP), +-(P - psiP)}: at most
+    max(|a|, |b|).bit_length() doublings, and one mixed addition per
+    nonzero column, about half of the columns."""
     if not curve.is_on(P) or not curve.is_on(psiP):
         raise OffCurveError("multiexponentiation operand is not on the curve")
-    if a < 0:
-        a, P = -a, curve.neg(P)
-    if b < 0:
-        b, psiP = -b, curve.neg(psiP)
     return curve._mul2(a, P, b, psiP)

@@ -4,8 +4,9 @@ quadratic twists, and an exhaustive point-count oracle for small primes.
 Points are affine with an explicit point at infinity, and the affine
 ``Curve._add`` is the reference group law that everything else is checked
 against.  Scalar multiplication (``Curve.mul``, and ``glv.multiexp2`` through
-``Curve._mul2``) runs instead in Jacobian coordinates on bare integer pairs,
-with the field operations inlined, and returns to affine once at the end.
+``Curve._mul2``) walks the joint sparse form of its scalars in Jacobian
+coordinates on bare integer pairs, with the field operations inlined, and
+returns to affine once at the end.
 """
 
 from __future__ import annotations
@@ -104,29 +105,41 @@ class Curve:
         """[m]P; negative m negates the point."""
         if not self.is_on(P):
             raise OffCurveError("scalar multiplication operand is not on the curve")
-        if m < 0:
-            m, P = -m, self.neg(P)
         return self._mul2(m, P, 0, INFINITY)
 
     def _mul2(self, a: int, P: Point, b: int, Q: Point) -> Point:
-        """[a]P + [b]Q for a, b >= 0 and P, Q on the curve.
+        """[a]P + [b]Q for any integers a, b and P, Q on the curve.
 
-        One left-to-right double-and-add over the joint bits of (a, b) with
-        the affine table {P, Q, P + Q}.  The accumulator is a Jacobian point
-        (X, Y, Z) of F_{p^2} elements held as bare int pairs, or None for
-        infinity; it is converted to affine once, with one inversion.
+        A negative scalar negates its point first.  Then one left-to-right
+        double-and-add walks the joint sparse form of (a, b) (``_jsf``) with
+        the affine table {O, +-P, +-Q, +-(P + Q), +-(P - Q)}; with b = 0
+        that is the NAF of a.  The accumulator is a Jacobian point (X, Y, Z)
+        of F_{p^2} elements held as bare int pairs, or None for infinity; it
+        is converted to affine once, with one inversion.
         """
+        if a < 0:
+            a, P = -a, self.neg(P)
+        if b < 0:
+            b, Q = -b, self.neg(Q)
         ctx = self.ctx
         p = ctx.p
         # delta as its least absolute residue, so that -1 stays a small int.
         d = ctx.delta - p if 2 * ctx.delta > p else ctx.delta
         A0, A1 = self.A.a, self.A.b
-        table = (None, _affine_ints(P), _affine_ints(Q), _affine_ints(self._add(P, Q)))
+        # Entries 5..8 are the columns (0, 1), (1, -1), (1, 0), (1, 1) of
+        # _jsf; entry 8 - i is the negative of entry i, y -> -y.
+        upper = [
+            _affine_ints(T) for T in (Q, self._add(P, self.neg(Q)), P, self._add(P, Q))
+        ]
+        lower = [
+            None if T is None else (T[0], T[1], -T[2] % p, -T[3] % p) for T in reversed(upper)
+        ]
+        table = (*lower, None, *upper)
         acc = None
-        for i in range(max(a.bit_length(), b.bit_length()) - 1, -1, -1):
+        for i in _jsf(a, b):
             if acc is not None:
                 acc = _dbl(acc, p, d, A0, A1)
-            T = table[((a >> i) & 1) | (((b >> i) & 1) << 1)]
+            T = table[i]
             if T is not None:
                 acc = T + (1, 0) if acc is None else _madd(acc, T, p, d, A0, A1)
         if acc is None:
@@ -178,6 +191,35 @@ def _affine_ints(P: Point) -> tuple[int, int, int, int] | None:
     if P.is_infinity:
         return None
     return (P.x.a, P.x.b, P.y.a, P.y.b)
+
+
+def _jsf(a: int, b: int) -> list[int]:
+    """The joint sparse form of (a, b) for a, b >= 0 (Solinas 2001;
+    Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.50): the columns
+    (u0, u1), digits in {-1, 0, 1}, with a = sum u0 2^j and b = sum u1 2^j,
+    most significant first, each given as the table index 3*u0 + u1 + 4.
+
+    Of any three consecutive columns one is zero, and on average half of
+    the columns are nonzero, against three quarters of the plain binary
+    columns; with b = 0 this is the NAF of a.  There are at most
+    max(bitlength) + 1 columns, and the first is nonzero.
+    """
+    cols = []
+    while a or b:
+        u0 = u1 = 0
+        if a & 1:
+            u0 = 2 - (a & 3)
+            if (a & 7) in (3, 5) and (b & 3) == 2:
+                u0 = -u0
+        if b & 1:
+            u1 = 2 - (b & 3)
+            if (b & 7) in (3, 5) and (a & 3) == 2:
+                u1 = -u1
+        cols.append(3 * u0 + u1 + 4)
+        a = (a - u0) >> 1
+        b = (b - u1) >> 1
+    cols.reverse()
+    return cols
 
 
 # The Jacobian group law of Curve._mul2.  A point (X, Y, Z) stands for the

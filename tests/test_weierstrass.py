@@ -13,6 +13,7 @@ from qcurve.weierstrass import (
     Curve,
     Point,
     _dbl,
+    _jsf,
     _madd,
     curve_points,
     oracle_order,
@@ -126,6 +127,9 @@ SMALL_CURVES = [
     for twisted in (False, True)
 ]
 P5_CURVES = [c for c in SMALL_CURVES if c.values[1] == 5]
+# Signed scalars for the pair tests: their joint sparse forms reach all nine
+# table entries of the loop (TestJsf checks this).
+SIGNED = range(-4, 4)
 
 
 @functools.cache
@@ -166,16 +170,17 @@ class TestJacobianLoop:
             chain = INFINITY
             for k in range(len(pts) + 2):
                 assert curve.mul(k, P) == chain
+                assert curve.mul(-k, P) == curve.neg(chain)
                 chain = curve._add(chain, P)
 
     @pytest.mark.parametrize("d,p,s,twisted", P5_CURVES)
     def test_every_pair_matches_affine(self, d, p, s, twisted):
         curve, pts = small_curve(d, p, s, twisted)
-        multiples = {P: [affine_mul(curve, k, P) for k in range(4)] for P in pts}
+        multiples = {P: {k: affine_mul2(curve, k, P, 0, INFINITY) for k in SIGNED} for P in pts}
         for P in pts:
             for Q in pts:
-                for a in range(4):
-                    for b in range(4):
+                for a in SIGNED:
+                    for b in SIGNED:
                         expected = curve._add(multiples[P][a], multiples[Q][b])
                         assert multiexp2(a, b, P, Q, curve) == expected
 
@@ -198,8 +203,8 @@ class TestJacobianLoop:
         pairs = self.EXCEPTIONAL[case](curve, pts)
         assert pairs
         for P, Q in pairs:
-            for a in range(4):
-                for b in range(4):
+            for a in SIGNED:
+                for b in SIGNED:
                     assert curve._mul2(a, P, b, Q) == affine_mul2(curve, a, P, b, Q)
 
     @given(
@@ -217,6 +222,52 @@ class TestJacobianLoop:
         assert curve.mul(sign * a, P) == (aP if sign > 0 else curve.neg(aP))
         signed_bQ = bQ if sign > 0 else curve.neg(bQ)
         assert multiexp2(a, sign * b, P, Q, curve) == curve._add(aP, signed_bQ)
+
+
+def jsf_rows(a, b):
+    """The two digit rows of _jsf(a, b), least significant digit first."""
+    cols = [divmod(i, 3) for i in reversed(_jsf(a, b))]
+    return [u0 - 1 for u0, _ in cols], [u1 - 1 for _, u1 in cols]
+
+
+class TestJsf:
+    """The recoder against the definition of the joint sparse form
+    (Solinas 2001), exhaustively over pairs of bytes."""
+
+    def test_joint_sparse_form(self):
+        for a in range(256):
+            for b in range(256):
+                cols = _jsf(a, b)
+                assert all(0 <= i <= 8 for i in cols)
+                assert len(cols) <= max(a.bit_length(), b.bit_length()) + 1
+                assert not cols or cols[0] != 4
+                rows = jsf_rows(a, b)
+                for k, row in zip((a, b), rows):
+                    assert sum(u << j for j, u in enumerate(row)) == k
+                # Of any three consecutive columns, one is zero.
+                for j in range(len(cols) - 2):
+                    assert 4 in cols[j : j + 3]
+                for row, other in (rows, rows[::-1]):
+                    for j in range(len(row) - 1):
+                        # Adjacent digits never have opposite signs.
+                        assert row[j] * row[j + 1] != -1
+                        # Two adjacent nonzero digits: the other row is
+                        # nonzero at the upper one and zero at the lower.
+                        if row[j] and row[j + 1]:
+                            assert other[j + 1] and not other[j]
+
+    def test_signed_pairs_reach_every_table_entry(self):
+        reached = {i for a in SIGNED for b in SIGNED for i in _jsf(abs(a), abs(b))}
+        assert reached == set(range(9))
+
+    def test_single_scalar_is_naf(self):
+        for a in range(256):
+            row, zeros = jsf_rows(a, 0)
+            assert not any(zeros)
+            plus = sum(1 << j for j, u in enumerate(row) if u == 1)
+            minus = sum(1 << j for j, u in enumerate(row) if u == -1)
+            assert plus == (3 * a & ~a) >> 1
+            assert minus == (a & ~(3 * a)) >> 1
 
 
 class TestOracle:
