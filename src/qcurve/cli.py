@@ -291,6 +291,8 @@ def _subgroup_point(fam, n_curve, n_sub, seed):
 
 
 def cmd_decompose(args) -> int:
+    if args.exhaustive and args.p > ORACLE_MAX_P:
+        raise OracleGuardError(f"--exhaustive requires p <= {ORACLE_MAX_P}")
     timings = {}
     fam, endo, record, basis = _analyze(args, timings)
     if basis is None:
@@ -310,7 +312,7 @@ def cmd_decompose(args) -> int:
     with _timed(timings, "t_mul_ms"):
         expected = fam.curve.mul(m, P)
     record["multiexp_check"] = "ok" if R == expected else "FAIL"
-    if args.exhaustive and fam.ctx.p <= ORACLE_MAX_P:
+    if args.exhaustive:
         record["exhaustive_minimal"] = _exhaustive_minimality(basis)
     failed = any("FAIL" in str(v) for v in record.values())
     record["status"] = "error" if failed else "ok"
@@ -336,17 +338,22 @@ def cmd_search(args) -> int:
         raise OracleGuardError(f"search sweeps require p <= {ORACLE_MAX_P}")
     emitted = 0
     for s in range(p):
-        try:
-            fam = build_family_curve(args.d, ctx, s)
-        except DomainError:
-            continue
-        endo = Endo(fam)
-        r = determine_r(endo)
+        timings = {}
+        with _timed(timings, "t_build_ms"):
+            try:
+                fam = build_family_curve(args.d, ctx, s)
+            except DomainError:
+                continue
+            endo = Endo(fam)
+        with _timed(timings, "t_r_ms"):
+            r = determine_r(endo)
         n_curve, n_twist = group_orders(endo, r)
         if not _cofactor_ok(n_curve, args.cofactor):
             continue
         if not _cofactor_ok(n_twist, args.twist_cofactor):
             continue
+        with _timed(timings, "t_factor_ms"):
+            factored, twist_factored = factor_string(n_curve), factor_string(n_twist)
         record = {
             "command": "search",
             "p": p,
@@ -357,14 +364,14 @@ def cmd_search(args) -> int:
             "eps": endo.eps,
             "order": n_curve,
             "twist_order": n_twist,
-            "order_factors": factor_string(n_curve),
-            "twist_order_factors": factor_string(n_twist),
+            "order_factors": factored,
+            "twist_order_factors": twist_factored,
             "j": format_fp2(fam.curve.j_invariant()),
             "status": "ok",
         }
         disc = detect_cm(fam)
         record["cm_fiber"] = f"-{disc[0]}*{disc[1]}^2" if disc else "none"
-        _emit(record, args.json)
+        _emit(record | timings if args.timings else record, args.json)
         emitted += 1
     _emit({"command": "search", "records": emitted, "status": "ok"}, args.json)
     return 0
@@ -468,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(search, need_s=False)
     search.add_argument("--cofactor", type=int, help="require order = cofactor * prime")
     search.add_argument("--twist-cofactor", type=int, help="same for the twist order")
+    search.add_argument("--timings", action="store_true", help="append per-stage wall times (ms)")
     search.set_defaults(fn=cmd_search)
 
     tables = subs.add_parser("tables", help="dump the CM fiber and j-invariant tables")

@@ -7,6 +7,12 @@ against.  Scalar multiplication (``Curve.mul``, and ``glv.multiexp2`` through
 ``Curve._mul2``) walks the joint sparse form of its scalars in Jacobian
 coordinates on bare integer pairs, with the field operations inlined, and
 returns to affine once at the end.
+
+The point-count oracle (``oracle_order``, ``curve_points``) enumerates every
+x of F_{p^2} at p <= ORACLE_MAX_P.  It too runs on bare integer pairs, and
+reads the quadratic character from a table of the squares of F_p built once
+per call; it stays the single reference that group orders and the group law
+are checked against.
 """
 
 from __future__ import annotations
@@ -318,37 +324,64 @@ def _require_oracle_scale(ctx: FieldCtx):
 
 def oracle_order(curve: Curve) -> int:
     """#E(F_{p^2}) = p^2 + 1 + sum over x of chi(x^3 + Ax + B), with chi the
-    quadratic character of F_{p^2} (0 at zero); small primes only."""
+    quadratic character of F_{p^2} (0 at zero); small primes only.
+
+    The sum runs on bare int pairs: a nonzero element of F_{p^2} is a square
+    exactly when its norm r0^2 - delta*r1^2 is a square mod p, so chi is
+    read from a table of the quadratic character of F_p, built once per
+    call.  This enumeration is the reference every order is checked against.
+    """
     ctx = curve.ctx
     _require_oracle_scale(ctx)
-    count = ctx.p**2 + 1
-    for a in range(ctx.p):
-        for b in range(ctx.p):
-            x = Fp2(ctx, a, b)
-            rhs = x * x * x + curve.A * x + curve.B
-            if rhs:
-                count += 1 if rhs.is_square() else -1
+    p, d = ctx.p, ctx.delta
+    chi = [-1] * p
+    chi[0] = 0
+    for u in range(1, (p + 1) // 2):
+        chi[u * u % p] = 1
+    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
+    dA1 = d * A1
+    count = p * p + 1
+    for a in range(p):
+        # x^3 + Ax + B at x = a + b*sqrt(delta), with the terms in a alone
+        # taken out of the loop over b; one reduction per coordinate.
+        c0, k0 = a * (a * a + A0) + B0, 3 * d * a
+        c1, k1 = 3 * a * a + A0, A1 * a + B1
+        for b in range(p):
+            r0 = (c0 + b * (k0 * b + dA1)) % p
+            r1 = (b * (c1 + d * b * b) + k1) % p
+            count += chi[(r0 * r0 - d * r1 * r1) % p]
     return count
 
 
 def curve_points(curve: Curve) -> list[Point]:
-    """Every point of E(F_{p^2}), infinity first, with y found by brute
-    force over a table of squares; small primes only."""
+    """Every point of E(F_{p^2}), infinity first, then x in (a, b) order and
+    each x's y values in (a, b) order; small primes only.
+
+    The cubic is evaluated on bare int pairs as in ``oracle_order`` and
+    looked up in a table from each square, as an int pair, to its roots, so
+    an x is built as an Fp2 only when it has a point.  This enumeration is
+    the reference the group law and determine_r are checked against.
+    """
     ctx = curve.ctx
     _require_oracle_scale(ctx)
-    table: dict[tuple[int, int], list[Fp2]] = {}
-    for a in range(ctx.p):
-        for b in range(ctx.p):
-            y = Fp2(ctx, a, b)
-            sq = y * y
-            table.setdefault((sq.a, sq.b), []).append(y)
+    p, d = ctx.p, ctx.delta
+    roots: dict[tuple[int, int], list[Fp2]] = {}
+    for u in range(p):
+        for v in range(p):
+            roots.setdefault(((u * u + d * v * v) % p, 2 * u * v % p), []).append(Fp2(ctx, u, v))
+    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
+    dA1 = d * A1
     points = [INFINITY]
-    for a in range(ctx.p):
-        for b in range(ctx.p):
-            x = Fp2(ctx, a, b)
-            rhs = x * x * x + curve.A * x + curve.B
-            for y in table.get((rhs.a, rhs.b), ()):
-                points.append(Point(x, y))
+    for a in range(p):
+        c0, k0 = a * (a * a + A0) + B0, 3 * d * a
+        c1, k1 = 3 * a * a + A0, A1 * a + B1
+        for b in range(p):
+            r0 = (c0 + b * (k0 * b + dA1)) % p
+            r1 = (b * (c1 + d * b * b) + k1) % p
+            ys = roots.get((r0, r1))
+            if ys:
+                x = Fp2(ctx, a, b)
+                points.extend([Point(x, y) for y in ys])
     return points
 
 

@@ -270,7 +270,66 @@ class TestJsf:
             assert minus == (a & ~(3 * a)) >> 1
 
 
+def reference_order(curve):
+    """The character sum on Fp2 objects that oracle_order replaces."""
+    ctx = curve.ctx
+    count = ctx.p**2 + 1
+    for a in range(ctx.p):
+        for b in range(ctx.p):
+            x = Fp2(ctx, a, b)
+            rhs = x * x * x + curve.A * x + curve.B
+            if rhs:
+                count += 1 if rhs.is_square() else -1
+    return count
+
+
+def reference_points(curve):
+    """The square-table enumeration on Fp2 objects that curve_points
+    replaces."""
+    ctx = curve.ctx
+    table = {}
+    for a in range(ctx.p):
+        for b in range(ctx.p):
+            y = Fp2(ctx, a, b)
+            sq = y * y
+            table.setdefault((sq.a, sq.b), []).append(y)
+    points = [INFINITY]
+    for a in range(ctx.p):
+        for b in range(ctx.p):
+            x = Fp2(ctx, a, b)
+            rhs = x * x * x + curve.A * x + curve.B
+            for y in table.get((rhs.a, rhs.b), ()):
+                points.append(Point(x, y))
+    return points
+
+
+# delta = -1 where p = 3 (mod 4), and a delta != -1 at p = 5, 13 and at
+# p = 7, where -1 is a nonsquare too.
+ORACLE_FIELDS = [(5, 2), (7, -1), (7, 3), (11, -1), (13, 2), (19, -1), (23, -1)]
+
+
 class TestOracle:
+    @pytest.mark.parametrize("p,delta", ORACLE_FIELDS)
+    def test_matches_fp2_reference(self, p, delta):
+        """Every family member and its twist: the same order, and the same
+        points in the same order, as the enumeration on Fp2 objects."""
+        ctx = FieldCtx(p, delta)
+        curves = []
+        for d in (2, 3, 5, 7):
+            for s in range(p):
+                try:
+                    curve = build_family_curve(d, ctx, s).curve
+                except DomainError:
+                    continue
+                curves += [curve, curve.quadratic_twist()[0]]
+        assert len(curves) >= 4 * p
+        for curve in curves:
+            assert oracle_order(curve) == reference_order(curve)
+            points, expected = curve_points(curve), reference_points(curve)
+            assert len(points) == len(expected)
+            for P, Q in zip(points, expected):
+                assert P == Q
+
     def test_matches_independent_enumeration(self):
         curve = sample_curve(5, a=1, b=0)
         ctx = curve.ctx
@@ -293,6 +352,11 @@ class TestOracle:
         curve = sample_curve(67)
         with pytest.raises(OracleGuardError):
             oracle_order(curve)
+
+    def test_points_guard(self):
+        curve = sample_curve(67)
+        with pytest.raises(OracleGuardError):
+            curve_points(curve)
 
     def test_count_annihilates_sampled_points_near_guard(self):
         curve = sample_curve(61)
