@@ -338,22 +338,17 @@ def cmd_search(args) -> int:
         raise OracleGuardError(f"search sweeps require p <= {ORACLE_MAX_P}")
     emitted = 0
     for s in range(p):
-        timings = {}
-        with _timed(timings, "t_build_ms"):
-            try:
-                fam = build_family_curve(args.d, ctx, s)
-            except DomainError:
-                continue
-            endo = Endo(fam)
-        with _timed(timings, "t_r_ms"):
-            r = determine_r(endo)
+        try:
+            fam = build_family_curve(args.d, ctx, s)
+        except DomainError:
+            continue
+        endo = Endo(fam)
+        r = determine_r(endo)
         n_curve, n_twist = group_orders(endo, r)
         if not _cofactor_ok(n_curve, args.cofactor):
             continue
         if not _cofactor_ok(n_twist, args.twist_cofactor):
             continue
-        with _timed(timings, "t_factor_ms"):
-            factored, twist_factored = factor_string(n_curve), factor_string(n_twist)
         record = {
             "command": "search",
             "p": p,
@@ -364,14 +359,14 @@ def cmd_search(args) -> int:
             "eps": endo.eps,
             "order": n_curve,
             "twist_order": n_twist,
-            "order_factors": factored,
-            "twist_order_factors": twist_factored,
+            "order_factors": factor_string(n_curve),
+            "twist_order_factors": factor_string(n_twist),
             "j": format_fp2(fam.curve.j_invariant()),
             "status": "ok",
         }
         disc = detect_cm(fam)
         record["cm_fiber"] = f"-{disc[0]}*{disc[1]}^2" if disc else "none"
-        _emit(record | timings if args.timings else record, args.json)
+        _emit(record, args.json)
         emitted += 1
     _emit({"command": "search", "records": emitted, "status": "ok"}, args.json)
     return 0
@@ -475,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(search, need_s=False)
     search.add_argument("--cofactor", type=int, help="require order = cofactor * prime")
     search.add_argument("--twist-cofactor", type=int, help="same for the twist order")
-    search.add_argument("--timings", action="store_true", help="append per-stage wall times (ms)")
     search.set_defaults(fn=cmd_search)
 
     tables = subs.add_parser("tables", help="dump the CM fiber and j-invariant tables")

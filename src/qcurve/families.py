@@ -181,8 +181,7 @@ class Endo:
     commutes with evaluating phi's rational maps.  For psi', conjugating the
     twist isomorphism through the p-power map leaves conj(phi) read at
     x/conj(mu) and scaled by mu and nu^3, with nu = mu^((1-p)/2) and mu the
-    canonical nonsquare (both cached on the field): an isogeny from conj(E')
-    to the twist E'.
+    canonical nonsquare: an isogeny from conj(E') to the twist E'.
 
     ``target`` is p + eps (p - eps twisted): [r]psi(Q) = [target]Q on every
     rational point Q.
@@ -198,7 +197,7 @@ class Endo:
         self.isogeny = family.phi.conjugate()
         if twisted:
             twist, mu = family.curve.quadratic_twist()
-            nu = ctx.twist_unit()
+            nu = mu.inverse() ** ((ctx.p - 1) // 2)
             self.isogeny = self.isogeny.rescaled(twist.conjugate(), twist, mu.conjugate(), mu, nu * nu * nu)
         self.curve = self.isogeny.codomain
         self.target = ctx.p - self.eps if twisted else ctx.p + self.eps

@@ -123,7 +123,6 @@ class FieldCtx:
         if legendre(self.delta, p) != -1:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
         object.__setattr__(self, "_nonsquare_cache", None)
-        object.__setattr__(self, "_twist_unit_cache", None)
 
     def elem(self, a: int, b: int = 0) -> "Fp2":
         return Fp2(self, a, b)
@@ -155,16 +154,6 @@ class FieldCtx:
                     object.__setattr__(self, "_nonsquare_cache", cand)
                     return cand
         raise DomainError("no nonsquare found")  # unreachable for p > 3
-
-    def twist_unit(self) -> "Fp2":
-        """nu = mu^((1-p)/2) for the canonical nonsquare mu: psi' on the
-        quadratic twist scales y by nu^3.  At p = 2^127 - 1 this is a
-        127-bit power, so it is computed once per field."""
-        cached = self._twist_unit_cache
-        if cached is None:
-            cached = self.nonsquare().inverse() ** ((self.p - 1) // 2)
-            object.__setattr__(self, "_twist_unit_cache", cached)
-        return cached
 
 
 class Fp2:

@@ -322,6 +322,17 @@ def _require_oracle_scale(ctx: FieldCtx):
         )
 
 
+def _cubic_rows(curve: Curve):
+    """x^3 + Ax + B at x = a + b*sqrt(delta) is the int pair
+    (c0 + b*(k0*b + delta*A1), b*(c1 + delta*b^2) + k1) before reduction;
+    yields (c0, k0, c1, k1) for a = 0 .. p-1, the terms in a alone, so the
+    oracles' loop over b makes one reduction per coordinate."""
+    d = curve.ctx.delta
+    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
+    for a in range(curve.ctx.p):
+        yield a * (a * a + A0) + B0, 3 * d * a, 3 * a * a + A0, A1 * a + B1
+
+
 def oracle_order(curve: Curve) -> int:
     """#E(F_{p^2}) = p^2 + 1 + sum over x of chi(x^3 + Ax + B), with chi the
     quadratic character of F_{p^2} (0 at zero); small primes only.
@@ -338,14 +349,9 @@ def oracle_order(curve: Curve) -> int:
     chi[0] = 0
     for u in range(1, (p + 1) // 2):
         chi[u * u % p] = 1
-    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
-    dA1 = d * A1
+    dA1 = d * curve.A.b
     count = p * p + 1
-    for a in range(p):
-        # x^3 + Ax + B at x = a + b*sqrt(delta), with the terms in a alone
-        # taken out of the loop over b; one reduction per coordinate.
-        c0, k0 = a * (a * a + A0) + B0, 3 * d * a
-        c1, k1 = 3 * a * a + A0, A1 * a + B1
+    for c0, k0, c1, k1 in _cubic_rows(curve):
         for b in range(p):
             r0 = (c0 + b * (k0 * b + dA1)) % p
             r1 = (b * (c1 + d * b * b) + k1) % p
@@ -357,7 +363,7 @@ def curve_points(curve: Curve) -> list[Point]:
     """Every point of E(F_{p^2}), infinity first, then x in (a, b) order and
     each x's y values in (a, b) order; small primes only.
 
-    The cubic is evaluated on bare int pairs as in ``oracle_order`` and
+    The cubic is evaluated on bare int pairs, as in ``oracle_order``, and
     looked up in a table from each square, as an int pair, to its roots, so
     an x is built as an Fp2 only when it has a point.  This enumeration is
     the reference the group law and determine_r are checked against.
@@ -369,12 +375,9 @@ def curve_points(curve: Curve) -> list[Point]:
     for u in range(p):
         for v in range(p):
             roots.setdefault(((u * u + d * v * v) % p, 2 * u * v % p), []).append(Fp2(ctx, u, v))
-    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
-    dA1 = d * A1
+    dA1 = d * curve.A.b
     points = [INFINITY]
-    for a in range(p):
-        c0, k0 = a * (a * a + A0) + B0, 3 * d * a
-        c1, k1 = 3 * a * a + A0, A1 * a + B1
+    for a, (c0, k0, c1, k1) in enumerate(_cubic_rows(curve)):
         for b in range(p):
             r0 = (c0 + b * (k0 * b + dA1)) % p
             r1 = (b * (c1 + d * b * b) + k1) % p

@@ -289,22 +289,6 @@ class TestTimings:
             stages = self.STAGES + ["t_decompose_ms", "t_multiexp_ms", "t_mul_ms"]
             self._check(plain, timed, stages)
 
-    def test_search(self, capsys):
-        """Every search record gains the three stage times, and only with the
-        flag; the closing summary record carries none."""
-        argv = ["search", "--d", "2", "--p", "13", "--delta", "2", "--json"]
-        sweeps = []
-        for extra in ([], ["--timings"]):
-            rc, lines = run(capsys, argv + extra)
-            assert rc == 0
-            sweeps.append([json.loads(line) for line in lines])
-        plain, timed = sweeps
-        assert len(plain) == len(timed) > 1
-        assert timed[-1] == plain[-1]
-        for p_rec, t_rec in zip(plain[:-1], timed[:-1]):
-            assert not any(k.startswith("t_") for k in p_rec)
-            self._check(p_rec, t_rec, ["t_build_ms", "t_r_ms", "t_factor_ms"])
-
     def test_off_by_default(self, capsys):
         rc, lines = run(capsys, ["info", *EX1])
         assert rc == 0

@@ -287,15 +287,6 @@ PSI_COUNTS = [
 # Building one untwisted Endo: conj(phi) conjugates phi's curves, polynomials,
 # stored derivatives and scales, none of which is a product.
 ENDO_COUNTS = [(2, {}), (5, {})]
-# Building a twisted Endo once its field has nu = mu^((1-p)/2) cached: the
-# twist (mu^2, mu^2 * A, mu^3 * B), nu^3, and the rescaling of conj(phi) at
-# x/conj(mu), one inversion and a product per polynomial coefficient.  The
-# first twisted Endo on a field pays the power too: 126 more squares, 126
-# more products and one more inversion.
-TWISTED_ENDO_COUNTS = [
-    (2, {"sqr": 2, "mul": 18, "inv": 1}),
-    (5, {"sqr": 2, "mul": 33, "inv": 1}),
-]
 # build_family_curve on each paper instance.  Two curves pay a discriminant
 # check: the member and the Velu codomain.  The twisted codomain's
 # discriminant is l^12 times the Velu codomain's, the conjugate curve that
@@ -341,17 +332,6 @@ class TestOpCounts:
             Endo(fam)
             seen.append((fam.d, dict(counts)))
         assert seen == ENDO_COUNTS
-
-    def test_twisted_endo_counts(self, monkeypatch):
-        families = [endo.family for endo, _ in paper_endos()]
-        Endo(families[0], twisted=True)  # pays for nu once on the shared field
-        counts = _count_ops(monkeypatch)
-        seen = []
-        for fam in families:
-            counts.clear()
-            Endo(fam, twisted=True)
-            seen.append((fam.d, dict(counts)))
-        assert seen == TWISTED_ENDO_COUNTS
 
     def test_build_counts(self, monkeypatch):
         ctx = FieldCtx(MERSENNE_127, -1)
