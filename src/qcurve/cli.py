@@ -298,7 +298,7 @@ def cmd_decompose(args) -> int:
     if basis is None:
         if record.get("supersingular"):
             raise SupersingularError("supersingular curve: no scalar decomposition")
-        raise DomainError("decompose requires a trace (supply --trace or use p <= 64)")
+        raise DomainError(f"decompose requires a trace (supply --trace or use p <= {ORACLE_MAX_P})")
     n_sub = basis.order
     record["command"] = "decompose"
     m = args.m % n_sub

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateParameterError,
     DomainError,
+    OracleGuardError,
     ResidueClassError,
     StructureError,
     SupersingularError,
@@ -30,7 +31,7 @@ from .isogeny import (
     post_twist,
     velu_quotient,
 )
-from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, curve_points, oracle_trace, random_point
+from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, oracle_trace, random_point
 
 FAMILY_DEGREES = (2, 3, 5, 7)
 
@@ -224,12 +225,11 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     At p <= ORACLE_MAX_P the trace defaults to the oracle trace and a
     supplied one is checked against it; above, it must be supplied
     (OracleGuardError otherwise). The trace fixes |r|, and one rule at every
-    p fixes the sign. Every candidate Q tried must satisfy
-    [|r|]psi(Q) = +-[target]Q. The first witness, a Q with
+    p fixes the sign on the same 8 hash-derived points. Each of them must
+    satisfy [|r|]psi(Q) = +-[target]Q. The first witness, a Q with
     [target]Q != -[target]Q, decides the sign: both signs holding would give
-    [2*target]Q = O. With no witness the positive root is returned. The
-    candidates are 8 hash-derived points and, at p <= ORACLE_MAX_P when
-    |r| != 0, every point of the curve; r = 0 has no sign to find.
+    [2*target]Q = O. With no witness among them the positive root is
+    returned.
     """
     p = endo.family.ctx.p
     d, eps = endo.d, endo.eps
@@ -248,13 +248,8 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
         raise TraceError("trace inconsistent with family: (2p + eps*t)/d is not a square")
     target = endo.target
     curve = endo.curve
-
-    def candidates():
-        yield from (random_point(curve, seed) for seed in range(8))
-        if q and p <= ORACLE_MAX_P:
-            yield from curve_points(curve)
-
-    for Q in candidates():
+    for seed in range(8):
+        Q = random_point(curve, seed)
         T = curve.mul(target, Q)
         minus_T = curve.neg(T)
         S = curve.mul(q, endo(Q))
@@ -290,5 +285,5 @@ def subfield_order(ctx: FieldCtx, a0: int, b0: int) -> int:
     curve with subfield coefficients; small primes only."""
     p = ctx.p
     if p > 512:
-        raise DomainError("subfield enumeration is for small primes only")
+        raise OracleGuardError("subfield enumeration is for small primes only")
     return p + 1 + sum(legendre(x * x * x + a0 * x + b0, p) for x in range(p))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
 from .fields import Fp2
-from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, random_point
+from .weierstrass import INFINITY, Curve, Point
 
 # Polynomials are tuples of Fp2 coefficients, ascending degree.
 
@@ -28,6 +28,8 @@ def _poly_trim(cs: list[Fp2]) -> tuple[Fp2, ...]:
 
 
 def poly_add(f, g):
+    if not f and not g:
+        return ()
     n = max(len(f), len(g))
     zero = (f or g)[0].ctx.zero()
     return _poly_trim(
@@ -216,7 +218,13 @@ class Isogeny:
 
 
 def velu_quotient(curve: Curve, kernel: KernelSpec) -> Isogeny:
-    """The normalized quotient isogeny E -> E/S for the given kernel."""
+    """The normalized quotient isogeny E -> E/S for the given kernel.
+
+    The kernel is checked exactly, at every p: alpha must be a root of
+    x^3 + Ax + B; an odd kernel polynomial F of degree (d-1)/2 must divide
+    the d-division polynomial, and its roots must be closed under the
+    x-map of doubling, so that they are the abscissas of one cyclic
+    subgroup of order d (Velu 1971; Kohel 1996).  KernelError otherwise."""
     ctx = curve.ctx
     A, B = curve.A, curve.B
     one = ctx.one()
@@ -239,14 +247,23 @@ def velu_quotient(curve: Curve, kernel: KernelSpec) -> Isogeny:
             raise KernelError("kernel polynomial has zero leading coefficient")
         e = len(coeffs) - 1
         F = tuple(reversed(coeffs))
-        if poly_rem(division_polynomial(curve, degree), F):
+        monic = poly_scale(F, coeffs[0].inverse())  # same remainders as F
+        if poly_rem(division_polynomial(curve, degree), monic):
             raise KernelError(
                 f"kernel polynomial does not divide the {degree}-division polynomial"
             )
-        inv_f0 = coeffs[0].inverse()
-        r1 = coeffs[1] * inv_f0
-        r2 = coeffs[2] * inv_f0 if e >= 2 else ctx.zero()
-        r3 = coeffs[3] * inv_f0 if e >= 3 else ctx.zero()
+        # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
+        # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
+        # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i).
+        N = poly_rem((A * A, -8 * B, -2 * A, ctx.zero(), one), monic)
+        D = poly_rem((4 * B, 4 * A, ctx.zero(), ctx.elem(4)), monic)
+        FND, Dk = (coeffs[0],), (one,)
+        for c in coeffs[1:]:
+            Dk = poly_mul(Dk, D)
+            FND = poly_add(poly_mul(N, FND), poly_scale(Dk, c))
+        if poly_rem(FND, monic):
+            raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
+        r1, r2, r3 = (monic[::-1] + (ctx.zero(),) * 2)[1:4]  # f_i / f_0
         a_new = (1 - 10 * e) * A - 30 * r1 * r1 + 60 * r2
         # The linear-in-A correction term is 42*A*(f1/f0); validated against
         # the small-prime oracle and the family codomain identities.
@@ -272,25 +289,7 @@ def velu_quotient(curve: Curve, kernel: KernelSpec) -> Isogeny:
     iso = Isogeny(curve, codomain, degree, num, den, one, one)
     if len(iso.num) - 1 != degree or iso.num[-1] != iso.den[-1]:
         raise KernelError("expanded map is not a normalized degree-d quotient")
-    if ctx.p <= ORACLE_MAX_P:
-        _check_subgroup_samples(iso)
     return iso
-
-
-def _check_subgroup_samples(iso: Isogeny):
-    """At small primes, spot-check that images land on the codomain; a kernel
-    polynomial whose roots mix distinct subgroups fails here."""
-    checked = 0
-    seed = 0
-    while checked < 8 and seed < 64:
-        P = random_point(iso.domain, seed)
-        seed += 1
-        img = iso(P)
-        if img.is_infinity:
-            continue
-        if not iso.codomain.is_on(img):
-            raise KernelError("kernel does not define a subgroup: image left the codomain")
-        checked += 1
 
 
 def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:

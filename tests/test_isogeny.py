@@ -2,14 +2,17 @@ import pytest
 
 from qcurve.errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
 from qcurve.families import _BUILDERS, Endo, build_family_curve, epsilon_p, gls_endo
-from qcurve.fields import Fp2
+from qcurve.fields import FieldCtx, Fp2
 from qcurve.isogeny import (
     OddKernel,
     TwoTorsionKernel,
     division_polynomial,
     identity_isogeny,
+    poly_add,
     poly_deriv,
     poly_eval,
+    poly_rem,
+    poly_sub,
     post_twist,
     velu_quotient,
 )
@@ -160,6 +163,40 @@ class TestKernelValidation:
         ctx = fam.ctx
         with pytest.raises(KernelError):
             velu_quotient(fam.curve, OddKernel((ctx.one(),) + (ctx.zero(),) * 4))
+
+    @pytest.mark.parametrize("p,a0,b0", [(11, 2, 4), (71, 1, 10)])
+    def test_rejects_mixed_subgroup_kernel(self, p, a0, b0):
+        # Every 5-torsion abscissa of these curves lies in F_{p^2}.  Two of
+        # them from different cyclic subgroups give a kernel polynomial that
+        # divides psi_5 but is not closed under doubling; an abscissa and
+        # that of its double give a genuine kernel.
+        ctx = FieldCtx(p, -1)
+        curve = Curve(ctx.elem(a0), ctx.elem(b0))
+        A, B = curve.A, curve.B
+        psi5 = division_polynomial(curve, 5)
+        roots = [x for a in range(p) for b in range(p) if not poly_eval(psi5, x := ctx.elem(a, b))]
+        assert len(roots) == 12
+        x1 = roots[0]
+        twice = (x1**4 - 2 * A * x1 * x1 - 8 * B * x1 + A * A) / (4 * (x1**3 + A * x1 + B))
+        other = next(x for x in roots if x not in (x1, twice))
+
+        def kernel(u, v):
+            return OddKernel((ctx.one(), -(u + v), u * v))
+
+        assert not poly_rem(psi5, tuple(reversed(kernel(x1, other).coeffs)))
+        with pytest.raises(KernelError, match="not one cyclic subgroup"):
+            velu_quotient(curve, kernel(x1, other))
+        iso = velu_quotient(curve, kernel(x1, twice))
+        assert iso.degree == 5
+
+
+class TestPolynomials:
+    def test_zero_sums_are_zero(self):
+        one = ctx_for(11).one()
+        assert poly_add((), ()) == ()
+        assert poly_sub((), ()) == ()
+        assert poly_sub((one,), (one,)) == ()
+        assert poly_add((), (one,)) == (one,)
 
 
 class TestPostTwist:
