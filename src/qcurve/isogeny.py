@@ -62,32 +62,33 @@ def poly_deriv(f):
     return _poly_trim([i * f[i] for i in range(1, len(f))])
 
 
-def poly_eval(f, x: Fp2) -> Fp2:
-    """f(x) by Horner's rule from the leading coefficient."""
-    if not f:
-        return x.ctx.zero()
-    acc = f[-1]
-    for c in reversed(f[:-1]):
+def poly_eval(f, x: Fp2) -> tuple[Fp2, Fp2]:
+    """(f(x), f'(x)) by one Horner pass from the leading coefficient.
+
+    The derivative accumulator starts at the leading coefficient too, so
+    f'(x) costs deg f - 1 products on top of the deg f of f(x)."""
+    if len(f) < 2:
+        zero = x.ctx.zero()
+        return (f[0] if f else zero), zero
+    acc, dacc = f[-1] * x + f[-2], f[-1]
+    for c in reversed(f[:-2]):
+        dacc = dacc * x + acc
         acc = acc * x + c
-    return acc
+    return acc, dacc
 
 
 def poly_rem(f, g):
-    """Remainder of f modulo g (g nonzero)."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Remainder of f modulo the monic polynomial g."""
+    if not g or g[-1] != g[-1].ctx.one():
+        raise ValueError("poly_rem needs a monic divisor")
     r = list(f)
-    inv_lead = g[-1].inverse()
-    dg = len(g) - 1
-    while len(r) - 1 >= dg and r:
-        if not r[-1]:
-            r.pop()
-            continue
-        q = r[-1] * inv_lead
-        shift = len(r) - 1 - dg
-        for i, c in enumerate(g):
-            r[shift + i] = r[shift + i] - q * c
-        r.pop()
+    low = g[:-1]
+    while len(r) >= len(g):
+        q = r.pop()
+        if q:
+            shift = len(r) - len(low)
+            for i, c in enumerate(low):
+                r[shift + i] = r[shift + i] - q * c
     return _poly_trim(r)
 
 
@@ -142,12 +143,12 @@ def division_polynomial(curve: Curve, d: int):
         e(1),
     )
     rhs2 = poly_mul(rhs, rhs)
-    psi5 = poly_sub(poly_scale(poly_mul(rhs2, g4), e(32)), poly_mul(poly_mul(psi3, psi3), psi3))
+    psi3cube = poly_mul(poly_mul(psi3, psi3), psi3)
+    psi5 = poly_sub(poly_scale(poly_mul(rhs2, g4), e(32)), psi3cube)
     if d == 5:
         return psi5
     if d == 7:
         g4cube = poly_mul(poly_mul(g4, g4), g4)
-        psi3cube = poly_mul(poly_mul(psi3, psi3), psi3)
         return poly_sub(poly_mul(psi5, psi3cube), poly_scale(poly_mul(rhs2, g4cube), e(128)))
     raise KernelError(f"unsupported kernel degree {d}")
 
@@ -156,7 +157,7 @@ class Isogeny:
     """A separable isogeny between short Weierstrass curves, stored as an
     expanded rational x-map plus twisting scale factors."""
 
-    __slots__ = ("domain", "codomain", "degree", "num", "den", "x_scale", "y_scale", "_dnum", "_dden")
+    __slots__ = ("domain", "codomain", "degree", "num", "den", "x_scale", "y_scale")
 
     def __init__(self, domain, codomain, degree, num, den, x_scale, y_scale):
         self.domain = domain
@@ -166,17 +167,16 @@ class Isogeny:
         self.den = den
         self.x_scale = x_scale
         self.y_scale = y_scale
-        self._dnum = poly_deriv(num)
-        self._dden = poly_deriv(den)
 
     def raw_maps(self, x: Fp2) -> tuple[Fp2, Fp2] | None:
         """(x-image, y-multiplier) at x, or None when x maps to infinity."""
-        dv = poly_eval(self.den, x)
+        dv, ddv = poly_eval(self.den, x)
         if not dv:
             return None
+        nv, dnv = poly_eval(self.num, x)
         inv_dv = dv.inverse()
-        u = poly_eval(self.num, x) * inv_dv
-        du = (poly_eval(self._dnum, x) - u * poly_eval(self._dden, x)) * inv_dv
+        u = nv * inv_dv
+        du = (dnv - u * ddv) * inv_dv
         return self.x_scale * u, self.y_scale * du
 
     def __call__(self, P: Point) -> Point:
@@ -191,14 +191,10 @@ class Isogeny:
         return Point(u, P.y * du)
 
     def conjugate(self) -> "Isogeny":
-        """The Galois-conjugate isogeny between the conjugate curves.
-
-        Conjugation commutes with the formal derivative (its coefficients
-        are integer multiples), so the stored derivatives are conjugated
-        rather than rebuilt."""
-        polys = [tuple(c.conjugate() for c in f) for f in (self.num, self.den, self._dnum, self._dden)]
-        scales = self.x_scale.conjugate(), self.y_scale.conjugate()
-        return _derived(self.degree, self.domain.conjugate(), self.codomain.conjugate(), polys, *scales)
+        """The Galois-conjugate isogeny between the conjugate curves."""
+        num, den = (tuple(c.conjugate() for c in f) for f in (self.num, self.den))
+        return Isogeny(self.domain.conjugate(), self.codomain.conjugate(), self.degree, num, den,
+                       self.x_scale.conjugate(), self.y_scale.conjugate())
 
     def rescaled(self, domain: Curve, codomain: Curve, c: Fp2, x_factor: Fp2, y_factor: Fp2) -> "Isogeny":
         """(x, y) -> (x_factor * X(x/c), y_factor * y * Y(x/c)) between the
@@ -207,11 +203,10 @@ class Isogeny:
         rule (f(x/c))' = f'(x/c)/c leaves a factor c for the y-scale."""
         ci = c.inverse()
         powers = [c.ctx.one()]
-        for _ in self.num:  # num is the longest of the four polynomials
+        for _ in self.num[1:]:  # num is the longer polynomial
             powers.append(powers[-1] * ci)
-        polys = [tuple(f * w for f, w in zip(poly, powers[k:]))
-                 for poly, k in ((self.num, 0), (self.den, 0), (self._dnum, 1), (self._dden, 1))]
-        return _derived(self.degree, domain, codomain, polys, x_factor * self.x_scale, y_factor * c * self.y_scale)
+        num, den = (tuple(f * w for f, w in zip(poly, powers)) for poly in (self.num, self.den))
+        return Isogeny(domain, codomain, self.degree, num, den, x_factor * self.x_scale, y_factor * c * self.y_scale)
 
     def __repr__(self):
         return f"Isogeny(degree {self.degree}, {self.domain!r} -> {self.codomain!r})"
@@ -264,9 +259,10 @@ def velu_quotient(curve: Curve, kernel: KernelSpec) -> Isogeny:
         if poly_rem(FND, monic):
             raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
         r1, r2, r3 = (monic[::-1] + (ctx.zero(),) * 2)[1:4]  # f_i / f_0
+        # Kohel: A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An
+        # and w = 10(s1^3 - 3 s1 s2 + 3 s3) + 6A s1 + 4Bn, n = e, and the
+        # symmetric functions of F's roots s1 = -r1, s2 = r2, s3 = -r3.
         a_new = (1 - 10 * e) * A - 30 * r1 * r1 + 60 * r2
-        # The linear-in-A correction term is 42*A*(f1/f0); validated against
-        # the small-prime oracle and the family codomain identities.
         b_new = (
             (1 - 28 * e) * B
             + 42 * A * r1
@@ -305,17 +301,7 @@ def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
     l4 = lam2 * lam2
     # Its discriminant is l^12 times that of the checked Velu codomain, l != 0.
     codomain = Curve._nonsingular(l4 * iso.codomain.A, l4 * lam2 * iso.codomain.B)
-    polys = (iso.num, iso.den, iso._dnum, iso._dden)
-    return _derived(iso.degree, iso.domain, codomain, polys, iso.x_scale * lam2, iso.y_scale * lam * lam2)
-
-
-def _derived(degree, domain, codomain, polys, x_scale, y_scale) -> Isogeny:
-    """An Isogeny from maps derived from another one's: polys is (num, den,
-    num', den'), with the derivatives carried over rather than rebuilt."""
-    iso = Isogeny.__new__(Isogeny)
-    iso.degree, iso.domain, iso.codomain, iso.x_scale, iso.y_scale = degree, domain, codomain, x_scale, y_scale
-    iso.num, iso.den, iso._dnum, iso._dden = polys
-    return iso
+    return Isogeny(iso.domain, codomain, iso.degree, iso.num, iso.den, iso.x_scale * lam2, iso.y_scale * lam * lam2)
 
 
 def identity_isogeny(curve: Curve) -> Isogeny:

@@ -276,26 +276,31 @@ def _count_ops(monkeypatch) -> Counter:
 # (d, twisted, counts) for one psi / psi' evaluation on each paper instance:
 # both are one isogeny evaluated at conj(P), so both pay the same products:
 # the is_on check, the rational maps with their one inversion, and y * du.
-# Horner's rule starts at each polynomial's leading coefficient.
+# One Horner pass per polynomial gives its value and its derivative, both
+# started at the leading coefficient.
 PSI_COUNTS = [
     (2, False, {"sqr": 2, "mul": 12, "inv": 1}),
     (2, True, {"sqr": 2, "mul": 12, "inv": 1}),
     (5, False, {"sqr": 2, "mul": 24, "inv": 1}),
     (5, True, {"sqr": 2, "mul": 24, "inv": 1}),
 ]
-# Building one untwisted Endo: conj(phi) conjugates phi's curves, polynomials,
-# stored derivatives and scales, none of which is a product.
+# Building one untwisted Endo: conj(phi) conjugates phi's curves, two
+# polynomials and two scales, none of which is a product.
 ENDO_COUNTS = [(2, {}), (5, {})]
-# build_family_curve on each paper instance.  Two curves pay a discriminant
-# check: the member and the Velu codomain.  The twisted codomain's
-# discriminant is l^12 times the Velu codomain's, the conjugate curve that
-# phi must land on is not checked again, and post_twist keeps the
-# derivatives of the Velu maps.  The d=5 kernel pays the closure check under
-# doubling; its remainders are taken modulo the monic kernel polynomial, so
-# four of its inversions are of one.
+# build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
+# s=1.  Two curves pay a discriminant check: the member and the Velu
+# codomain.  The twisted codomain's discriminant is l^12 times the Velu
+# codomain's, the conjugate curve that phi must land on is not checked
+# again, and no isogeny stores derivatives, so post_twist only scales.  An
+# odd kernel pays the division polynomial, with psi3^3 formed once, and the
+# closure check under doubling; its four remainders are taken modulo the
+# monic kernel polynomial, which costs one inversion and no product by its
+# leading coefficient.
 BUILD_COUNTS = [
-    (2, {"mul_int": 15, "inv": 1, "mul": 18, "sqr": 2}),
-    (5, {"mul_int": 43, "mul": 289, "sqr": 17, "inv": 6}),
+    (2, {"mul_int": 12, "inv": 1, "mul": 18, "sqr": 2}),
+    (5, {"mul_int": 34, "mul": 255, "sqr": 17, "inv": 2}),
+    (3, {"mul_int": 25, "sqr": 7, "inv": 2, "mul": 59}),
+    (7, {"mul_int": 39, "mul": 821, "sqr": 25, "inv": 2}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse
@@ -338,7 +343,7 @@ class TestOpCounts:
         ctx = FieldCtx(MERSENNE_127, -1)
         counts = _count_ops(monkeypatch)
         seen = []
-        for d, s in ((2, 28106), (5, 7930)):
+        for d, s in ((2, 28106), (5, 7930), (3, 10400), (7, 1)):
             counts.clear()
             build_family_curve(d, ctx, s)
             seen.append((d, dict(counts)))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qcurve.errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
@@ -49,12 +51,12 @@ class TestDivisionPolynomial:
         for a in range(7):
             for b in range(7):
                 x = Fp2(ctx, a, b)
-                if not poly_eval(psi, x):
+                if not poly_eval(psi, x)[0]:
                     P = curve.lift_x(x)
                     if P is not None:
                         assert (a, b) in torsion_x
         for key in torsion_x:
-            assert not poly_eval(psi, Fp2(ctx, *key))
+            assert not poly_eval(psi, Fp2(ctx, *key))[0]
 
 
 class TestVeluCodomain:
@@ -174,7 +176,7 @@ class TestKernelValidation:
         curve = Curve(ctx.elem(a0), ctx.elem(b0))
         A, B = curve.A, curve.B
         psi5 = division_polynomial(curve, 5)
-        roots = [x for a in range(p) for b in range(p) if not poly_eval(psi5, x := ctx.elem(a, b))]
+        roots = [x for a in range(p) for b in range(p) if not poly_eval(psi5, x := ctx.elem(a, b))[0]]
         assert len(roots) == 12
         x1 = roots[0]
         twice = (x1**4 - 2 * A * x1 * x1 - 8 * B * x1 + A * A) / (4 * (x1**3 + A * x1 + B))
@@ -197,6 +199,26 @@ class TestPolynomials:
         assert poly_sub((), ()) == ()
         assert poly_sub((one,), (one,)) == ()
         assert poly_add((), (one,)) == (one,)
+
+    @pytest.mark.parametrize("p", [11, MERSENNE_127])
+    def test_eval_derivative_matches_poly_deriv(self, p):
+        ctx = ctx_for(p)
+        rng = random.Random(p)
+        for length in range(9):
+            for _ in range(4):
+                f = tuple(ctx.elem(rng.randrange(p), rng.randrange(p)) for _ in range(length))
+                x = ctx.elem(rng.randrange(p), rng.randrange(p))
+                value, slope = poly_eval(f, x)
+                assert value == sum((c * x**i for i, c in enumerate(f)), ctx.zero())
+                assert slope == poly_eval(poly_deriv(f), x)[0]
+
+    def test_rem_needs_monic_divisor(self):
+        ctx = ctx_for(11)
+        f = (ctx.elem(3), ctx.elem(5), ctx.one())
+        assert poly_rem(f, (ctx.elem(2), ctx.one())) == (ctx.elem(8),)  # f(-2)
+        for g in ((), (ctx.one(), ctx.elem(2))):
+            with pytest.raises(ValueError):
+                poly_rem(f, g)
 
 
 class TestPostTwist:
@@ -247,21 +269,32 @@ class TestPostTwist:
             assert img2 in (img, once.codomain.neg(img))
 
 
-class TestStoredDerivatives:
-    """Every isogeny the library builds stores the derivatives of its own
-    polynomials, whether expanded, twisted, conjugated or rescaled."""
+class TestEveryIsogeny:
+    """Every kind of isogeny the library builds, whether expanded, twisted,
+    conjugated or rescaled, maps points onto its codomain and, at a small
+    prime, respects the group law."""
 
-    @pytest.mark.parametrize("p", [11, 19, MERSENNE_127])
-    def test_derivatives_match_polynomials(self, p):
-        ctx = ctx_for(p)
-        isogenies = [gls_endo(ctx, 3, 5, twisted).isogeny for twisted in (False, True)]
+    @staticmethod
+    def isogenies(ctx):
+        isos = [gls_endo(ctx, 3, 5, twisted).isogeny for twisted in (False, True)]
         for d in (2, 3, 5, 7):
             fam = build_family_curve(d, ctx, 2)
             quotient = velu_quotient(fam.curve, _BUILDERS[d](ctx, fam.s)[3])
-            isogenies += [
+            isos += [
                 quotient, post_twist(quotient, ctx.elem(4)), fam.phi, fam.phi.conjugate(),
                 identity_isogeny(fam.curve), Endo(fam).isogeny, Endo(fam, twisted=True).isogeny,
             ]
-        for iso in isogenies:
-            assert iso._dnum == poly_deriv(iso.num)
-            assert iso._dden == poly_deriv(iso.den)
+        return isos
+
+    @pytest.mark.parametrize("p", [11, 19, MERSENNE_127])
+    def test_images_lie_on_codomain(self, p):
+        for iso in self.isogenies(ctx_for(p)):
+            for seed in range(3):
+                assert iso.codomain.is_on(iso(random_point(iso.domain, seed)))
+
+    def test_homomorphism(self):
+        for iso in self.isogenies(ctx_for(11)):
+            E, E2 = iso.domain, iso.codomain
+            for seed in range(3):
+                P, Q = random_point(E, seed), random_point(E, seed + 3)
+                assert iso(E.add(P, Q)) == E2.add(iso(P), iso(Q))
