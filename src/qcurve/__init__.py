@@ -27,7 +27,7 @@ from .weierstrass import (
     oracle_trace,
     random_point,
 )
-from .isogeny import Isogeny, OddKernel, TwoTorsionKernel, post_twist, velu_quotient
+from .isogeny import Isogeny, post_twist, velu_quotient
 from .families import (
     Endo,
     FamilyCurve,

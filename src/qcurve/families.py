@@ -25,8 +25,6 @@ from .errors import (
 from .fields import FieldCtx, Fp2, legendre
 from .isogeny import (
     Isogeny,
-    OddKernel,
-    TwoTorsionKernel,
     identity_isogeny,
     post_twist,
     velu_quotient,
@@ -76,18 +74,18 @@ def _build_d2(ctx: FieldCtx, s: int):
     C = ctx.elem(9, 9 * s)
     A = 2 * (C - 24)
     B = -8 * (C - 16)
-    kernel = TwoTorsionKernel(ctx.elem(4))
+    F = (ctx.elem(-4), ctx.one())
     lam2 = -(ctx.one() / 2)
-    return A, B, C, kernel, lam2
+    return A, B, C, F, lam2
 
 
 def _build_d3(ctx: FieldCtx, s: int):
     C = ctx.elem(2, 2 * s)
     A = -3 * (2 * C + 1)
     B = C * C + 10 * C - 2
-    kernel = OddKernel((ctx.one(), ctx.elem(-3)))
+    F = (ctx.elem(-3), ctx.one())
     lam2 = -(ctx.one() / 3)
-    return A, B, C, kernel, lam2
+    return A, B, C, F, lam2
 
 
 def _build_d5(ctx: FieldCtx, s: int):
@@ -97,13 +95,15 @@ def _build_d5(ctx: FieldCtx, s: int):
     u = (11 * s - 2) % p
     A = ctx.elem(3 * (6 * s * s + 6 * s - 1), -20 * s * (s - 1)) * (-27 * s * u)
     B = ctx.elem(13 * s * s + 59 * s - 9, -2 * (s - 1) * (20 * s + 9)) * (54 * s * s * u * u)
-    f0 = ctx.elem(1, 2)
     c = ctx.elem(2, -1) * (3 * s * u)
     tail = ctx.elem(1, s)
-    kernel = OddKernel((f0, -2 * f0 * c, f0 * c * c + 81 * s * u * tail * tail))
+    # The kernel polynomial f0 x^2 - 2 f0 c x + f0 c^2 + 81 s u tail^2,
+    # f0 = 1 + 2i, made monic: 1/f0 = (1 - 2i)/5 because i^2 = delta = -1,
+    # which build_family_curve enforces for d = 5.
+    F = (c * c + ctx.elem(1, -2) * (81 * s * u * pow(5, -1, p)) * tail * tail, -2 * c, ctx.one())
     w = ctx.elem(1, 2)
     lam2 = (w * w).inverse()
-    return A, B, None, kernel, lam2
+    return A, B, None, F, lam2
 
 
 def _build_d7(ctx: FieldCtx, s: int):
@@ -118,11 +118,9 @@ def _build_d7(ctx: FieldCtx, s: int):
     g = ctx.elem(1, -s)
     h = ctx.elem(27, s)
     k = 16 * g * g * C
-    kernel = OddKernel(
-        (ctx.one(), -3 * C, 3 * C * C - 3 * k, -(C * C * C) + 3 * k * C - 4 * k * g * h)
-    )
+    F = (-(C * C * C) + 3 * k * C - 4 * k * g * h, 3 * C * C - 3 * k, -3 * C, ctx.one())
     lam2 = -(ctx.one() / 7)
-    return A, B, C, kernel, lam2
+    return A, B, C, F, lam2
 
 
 _BUILDERS = {2: _build_d2, 3: _build_d3, 5: _build_d5, 7: _build_d7}
@@ -144,12 +142,12 @@ def build_family_curve(d: int, ctx: FieldCtx, s: int) -> FamilyCurve:
         if ctx.delta != p - 1:
             raise ResidueClassError("degree-5 family requires delta = -1")
     s %= p
-    A, B, C, kernel, lam2 = _BUILDERS[d](ctx, s)
+    A, B, C, F, lam2 = _BUILDERS[d](ctx, s)
     try:
         curve = Curve(A, B)
     except DegenerateParameterError as exc:
         raise DegenerateParameterError(f"s={s} gives a singular curve") from exc
-    phi = post_twist(velu_quotient(curve, kernel), lam2)
+    phi = post_twist(velu_quotient(curve, d, F), lam2)
     if phi.codomain != curve.conjugate():
         raise DegenerateParameterError(
             f"the twisting factor does not land the degree-{d} quotient on the conjugate curve"

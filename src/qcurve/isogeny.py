@@ -5,14 +5,11 @@ xs * N(x)/D(x) and the y-image is ys * y * (N/D)'(x), where N and D are
 polynomials over F_{p^2} and xs, ys accumulate composed twisting
 isomorphisms (x, y) -> (l^2 x, l^3 y).
 
-Kernel polynomials are stored with the leading coefficient first and are
-not normalised to monic; the coefficient formulas only use ratios f_i/f_0,
-which are scale invariant.
+A kernel is its monic polynomial, in the ascending convention of the
+polynomial toolkit below.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
 from .fields import Fp2
@@ -90,35 +87,6 @@ def poly_rem(f, g):
             for i, c in enumerate(low):
                 r[shift + i] = r[shift + i] - q * c
     return _poly_trim(r)
-
-
-@dataclass(frozen=True)
-class TwoTorsionKernel:
-    """The order-2 subgroup generated by (alpha, 0)."""
-
-    alpha: Fp2
-
-    @property
-    def degree(self) -> int:
-        return 2
-
-
-@dataclass(frozen=True)
-class OddKernel:
-    """An odd-order subgroup given by its kernel polynomial.
-
-    ``coeffs`` lists f_0 ... f_e with the leading coefficient first, so the
-    polynomial is sum(f_i * x^(e - i)) of degree e = (d - 1)/2.
-    """
-
-    coeffs: tuple[Fp2, ...]
-
-    @property
-    def degree(self) -> int:
-        return 2 * (len(self.coeffs) - 1) + 1
-
-
-KernelSpec = TwoTorsionKernel | OddKernel
 
 
 def division_polynomial(curve: Curve, d: int):
@@ -212,53 +180,51 @@ class Isogeny:
         return f"Isogeny(degree {self.degree}, {self.domain!r} -> {self.codomain!r})"
 
 
-def velu_quotient(curve: Curve, kernel: KernelSpec) -> Isogeny:
-    """The normalized quotient isogeny E -> E/S for the given kernel.
+def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
+    """The normalized quotient isogeny E -> E/S for the degree-d subgroup S
+    whose monic kernel polynomial is F, an ascending tuple: x - alpha for
+    d = 2, degree (d-1)/2 for d = 3, 5, 7, so len(F) == d // 2 + 1.
 
     The kernel is checked exactly, at every p: alpha must be a root of
-    x^3 + Ax + B; an odd kernel polynomial F of degree (d-1)/2 must divide
-    the d-division polynomial, and its roots must be closed under the
-    x-map of doubling, so that they are the abscissas of one cyclic
-    subgroup of order d (Velu 1971; Kohel 1996).  KernelError otherwise."""
+    x^3 + Ax + B; an odd F must divide the d-division polynomial, and its
+    roots must be closed under the x-map of doubling, so that they are the
+    abscissas of one cyclic subgroup of order d (Velu 1971; Kohel 1996).
+    KernelError otherwise."""
     ctx = curve.ctx
     A, B = curve.A, curve.B
     one = ctx.one()
-    if isinstance(kernel, TwoTorsionKernel):
-        alpha = ctx.coerce(kernel.alpha)
+    if d not in (2, 3, 5, 7):
+        raise KernelError(f"unsupported kernel degree {d}")
+    F = tuple(ctx.coerce(c) for c in F)
+    if len(F) != d // 2 + 1:
+        raise KernelError(f"a degree-{d} kernel polynomial has degree {d // 2}, not {len(F) - 1}")
+    if F[-1] != 1:
+        raise KernelError("kernel polynomial is not monic")
+    if d == 2:
+        alpha = -F[0]
         if alpha * alpha * alpha + A * alpha + B:
             raise KernelError("alpha is not a two-torsion x-coordinate")
         t = 3 * alpha * alpha + A
         a_new = -4 * A - 15 * alpha * alpha
         b_new = B - 7 * alpha * t
         num = (t, -alpha, one)
-        den = (-alpha, one)
-        degree = 2
+        den = F
     else:
-        coeffs = tuple(ctx.coerce(c) for c in kernel.coeffs)
-        degree = kernel.degree
-        if degree not in (3, 5, 7):
-            raise KernelError(f"unsupported kernel degree {degree}")
-        if not coeffs[0]:
-            raise KernelError("kernel polynomial has zero leading coefficient")
-        e = len(coeffs) - 1
-        F = tuple(reversed(coeffs))
-        monic = poly_scale(F, coeffs[0].inverse())  # same remainders as F
-        if poly_rem(division_polynomial(curve, degree), monic):
-            raise KernelError(
-                f"kernel polynomial does not divide the {degree}-division polynomial"
-            )
+        e = len(F) - 1
+        if poly_rem(division_polynomial(curve, d), F):
+            raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
         # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
         # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
         # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i).
-        N = poly_rem((A * A, -8 * B, -2 * A, ctx.zero(), one), monic)
-        D = poly_rem((4 * B, 4 * A, ctx.zero(), ctx.elem(4)), monic)
-        FND, Dk = (coeffs[0],), (one,)
-        for c in coeffs[1:]:
+        N = poly_rem((A * A, -8 * B, -2 * A, ctx.zero(), one), F)
+        D = poly_rem((4 * B, 4 * A, ctx.zero(), ctx.elem(4)), F)
+        FND, Dk = (one,), (one,)
+        for c in F[-2::-1]:
             Dk = poly_mul(Dk, D)
             FND = poly_add(poly_mul(N, FND), poly_scale(Dk, c))
-        if poly_rem(FND, monic):
+        if poly_rem(FND, F):
             raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
-        r1, r2, r3 = (monic[::-1] + (ctx.zero(),) * 2)[1:4]  # f_i / f_0
+        r1, r2, r3 = ((ctx.zero(),) * 2 + F)[-2:-5:-1]  # F_(e-1), F_(e-2), F_(e-3)
         # Kohel: A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An
         # and w = 10(s1^3 - 3 s1 s2 + 3 s3) + 6A s1 + 4Bn, n = e, and the
         # symmetric functions of F's roots s1 = -r1, s2 = r2, s3 = -r3.
@@ -282,8 +248,8 @@ def velu_quotient(curve: Curve, kernel: KernelSpec) -> Isogeny:
         num = poly_sub(num, poly_scale(poly_mul((A, ctx.zero(), ctx.elem(3)), poly_mul(Fd, F)), ctx.elem(2)))
         den = F2
     codomain = Curve(a_new, b_new)
-    iso = Isogeny(curve, codomain, degree, num, den, one, one)
-    if len(iso.num) - 1 != degree or iso.num[-1] != iso.den[-1]:
+    iso = Isogeny(curve, codomain, d, num, den, one, one)
+    if len(iso.num) - 1 != d or iso.num[-1] != iso.den[-1]:
         raise KernelError("expanded map is not a normalized degree-d quotient")
     return iso
 

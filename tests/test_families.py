@@ -294,13 +294,12 @@ ENDO_COUNTS = [(2, {}), (5, {})]
 # again, and no isogeny stores derivatives, so post_twist only scales.  An
 # odd kernel pays the division polynomial, with psi3^3 formed once, and the
 # closure check under doubling; its four remainders are taken modulo the
-# monic kernel polynomial, which costs one inversion and no product by its
-# leading coefficient.
+# monic kernel polynomial, with no product by its leading coefficient.
 BUILD_COUNTS = [
     (2, {"mul_int": 12, "inv": 1, "mul": 18, "sqr": 2}),
-    (5, {"mul_int": 34, "mul": 255, "sqr": 17, "inv": 2}),
-    (3, {"mul_int": 25, "sqr": 7, "inv": 2, "mul": 59}),
-    (7, {"mul_int": 39, "mul": 821, "sqr": 25, "inv": 2}),
+    (5, {"mul_int": 34, "mul": 250, "sqr": 18, "inv": 1}),
+    (3, {"mul_int": 25, "sqr": 7, "inv": 1, "mul": 57}),
+    (7, {"mul_int": 39, "mul": 817, "sqr": 25, "inv": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse

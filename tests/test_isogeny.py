@@ -6,8 +6,6 @@ from qcurve.errors import DegenerateParameterError, KernelError, NotSquareError,
 from qcurve.families import _BUILDERS, Endo, build_family_curve, epsilon_p, gls_endo
 from qcurve.fields import FieldCtx, Fp2
 from qcurve.isogeny import (
-    OddKernel,
-    TwoTorsionKernel,
     division_polynomial,
     identity_isogeny,
     poly_add,
@@ -26,14 +24,14 @@ from conftest import MERSENNE_127, ctx_for
 def d2_family(p, s):
     """The degree-2 family curve and its order-2 quotient, untwisted."""
     fam = build_family_curve(2, ctx_for(p), s)
-    quotient = velu_quotient(fam.curve, TwoTorsionKernel(fam.ctx.elem(4)))
+    quotient = velu_quotient(fam.curve, 2, (fam.ctx.elem(-4), fam.ctx.one()))
     return fam, quotient
 
 
 def d3_family(p, s):
     fam = build_family_curve(3, ctx_for(p), s)
     ctx = fam.ctx
-    quotient = velu_quotient(fam.curve, OddKernel((ctx.one(), ctx.elem(-3))))
+    quotient = velu_quotient(fam.curve, 3, (ctx.elem(-3), ctx.one()))
     return fam, quotient
 
 
@@ -146,25 +144,37 @@ class TestKernelValidation:
         alpha = ctx.elem(5)
         assert alpha * alpha * alpha + fam.curve.A * alpha + fam.curve.B
         with pytest.raises(KernelError):
-            velu_quotient(fam.curve, TwoTorsionKernel(alpha))
+            velu_quotient(fam.curve, 2, (-alpha, ctx.one()))
 
     def test_rejects_polynomial_outside_torsion(self):
         fam, _ = d3_family(11, 3)
         ctx = fam.ctx
         with pytest.raises(KernelError):
-            velu_quotient(fam.curve, OddKernel((ctx.one(), ctx.elem(-5))))
+            velu_quotient(fam.curve, 3, (ctx.elem(-5), ctx.one()))
 
-    def test_rejects_zero_leading_coefficient(self):
+    def test_rejects_non_monic_polynomial(self):
+        # 2x - 6 has the genuine kernel root 3; scaling is still rejected,
+        # by a KernelError and not by poly_rem's ValueError.
         fam, _ = d3_family(11, 3)
         ctx = fam.ctx
-        with pytest.raises(KernelError):
-            velu_quotient(fam.curve, OddKernel((ctx.zero(), ctx.elem(-3))))
+        with pytest.raises(KernelError, match="not monic"):
+            velu_quotient(fam.curve, 3, (ctx.elem(-6), ctx.elem(2)))
 
-    def test_rejects_unsupported_degree(self):
+    @pytest.mark.parametrize(
+        "d,length,cause",
+        [
+            pytest.param(5, 2, "has degree 2, not 1", id="d5-linear"),
+            pytest.param(2, 3, "has degree 1, not 2", id="d2-quadratic"),
+            pytest.param(4, 3, "unsupported kernel degree 4", id="d4"),
+            pytest.param(9, 5, "unsupported kernel degree 9", id="d9"),
+        ],
+    )
+    def test_rejects_wrong_degree(self, d, length, cause):
         fam, _ = d3_family(11, 3)
         ctx = fam.ctx
-        with pytest.raises(KernelError):
-            velu_quotient(fam.curve, OddKernel((ctx.one(),) + (ctx.zero(),) * 4))
+        F = (ctx.elem(-3),) + (ctx.zero(),) * (length - 2) + (ctx.one(),)
+        with pytest.raises(KernelError, match=cause):
+            velu_quotient(fam.curve, d, F)
 
     @pytest.mark.parametrize("p,a0,b0", [(11, 2, 4), (71, 1, 10)])
     def test_rejects_mixed_subgroup_kernel(self, p, a0, b0):
@@ -183,12 +193,12 @@ class TestKernelValidation:
         other = next(x for x in roots if x not in (x1, twice))
 
         def kernel(u, v):
-            return OddKernel((ctx.one(), -(u + v), u * v))
+            return (u * v, -(u + v), ctx.one())
 
-        assert not poly_rem(psi5, tuple(reversed(kernel(x1, other).coeffs)))
+        assert not poly_rem(psi5, kernel(x1, other))
         with pytest.raises(KernelError, match="not one cyclic subgroup"):
-            velu_quotient(curve, kernel(x1, other))
-        iso = velu_quotient(curve, kernel(x1, twice))
+            velu_quotient(curve, 5, kernel(x1, other))
+        iso = velu_quotient(curve, 5, kernel(x1, twice))
         assert iso.degree == 5
 
 
@@ -279,7 +289,7 @@ class TestEveryIsogeny:
         isos = [gls_endo(ctx, 3, 5, twisted).isogeny for twisted in (False, True)]
         for d in (2, 3, 5, 7):
             fam = build_family_curve(d, ctx, 2)
-            quotient = velu_quotient(fam.curve, _BUILDERS[d](ctx, fam.s)[3])
+            quotient = velu_quotient(fam.curve, d, _BUILDERS[d](ctx, fam.s)[3])
             isos += [
                 quotient, post_twist(quotient, ctx.elem(4)), fam.phi, fam.phi.conjugate(),
                 identity_isogeny(fam.curve), Endo(fam).isogeny, Endo(fam, twisted=True).isogeny,
