@@ -37,8 +37,8 @@ from .glv import (
     PRIME_ORDER,
     ceil_log2,
     cofactor_basis,
-    coset_minimum,
     decompose,
+    first_nonminimal,
     multiexp2,
     reduced_lattice_basis,
 )
@@ -298,7 +298,7 @@ def cmd_decompose(args) -> int:
     if basis is None:
         if record.get("supersingular"):
             raise SupersingularError("supersingular curve: no scalar decomposition")
-        raise DomainError(f"decompose requires a trace (supply --trace or use p <= {ORACLE_MAX_P})")
+        raise OracleGuardError(f"decompose requires a trace (supply --trace or use p <= {ORACLE_MAX_P})")
     n_sub = basis.order
     record["command"] = "decompose"
     m = args.m % n_sub
@@ -313,19 +313,12 @@ def cmd_decompose(args) -> int:
         expected = fam.curve.mul(m, P)
     record["multiexp_check"] = "ok" if R == expected else "FAIL"
     if args.exhaustive:
-        record["exhaustive_minimal"] = _exhaustive_minimality(basis)
+        m_bad = first_nonminimal(basis)
+        record["exhaustive_minimal"] = f"all {n_sub} scalars minimal" if m_bad is None else f"FAIL at m={m_bad}"
     failed = any("FAIL" in str(v) for v in record.values())
     record["status"] = "error" if failed else "ok"
     _emit(record | timings if args.timings else record, args.json)
     return 0 if record["multiexp_check"] == "ok" else 1
-
-
-def _exhaustive_minimality(basis) -> str:
-    n = basis.order
-    for m in range(n):
-        if decompose(m, basis).norm != coset_minimum(m, basis):
-            return f"FAIL at m={m}"
-    return f"all {n} scalars minimal"
 
 
 def cmd_search(args) -> int:

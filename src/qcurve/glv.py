@@ -278,6 +278,13 @@ def coset_minimum(m: int, basis: GlvBasis) -> int | None:
     )
 
 
+def first_nonminimal(basis: GlvBasis) -> int | None:
+    """The least m in [0, n) whose decomposition is not a coset minimum,
+    or None when decompose is minimal on every scalar; the exhaustive check
+    behind ``decompose --exhaustive`` and the self-test, for small orders."""
+    return next((m for m in range(basis.order) if decompose(m, basis).norm != coset_minimum(m, basis)), None)
+
+
 def multiexp2(a: int, b: int, P: Point, psiP: Point, curve: Curve) -> Point:
     """[a]P + [b]psiP for signed a, b by one interleaved double-and-add
     (``Curve._mul2``) over the joint sparse form of (|a|, |b|), with the

@@ -6,7 +6,9 @@ polynomials over F_{p^2} and xs, ys accumulate composed twisting
 isomorphisms (x, y) -> (l^2 x, l^3 y).
 
 A kernel is its monic polynomial, in the ascending convention of the
-polynomial toolkit below.
+polynomial toolkit below.  It is checked modulo itself: the division
+polynomial and the doubling map are only ever formed modulo the kernel
+polynomial, by products reduced at once (poly_mulmod).
 """
 
 from __future__ import annotations
@@ -89,36 +91,66 @@ def poly_rem(f, g):
     return _poly_trim(r)
 
 
-def division_polynomial(curve: Curve, d: int):
-    """The univariate d-division polynomial for odd d in {3, 5, 7}.
+def poly_mulmod(f, g, m):
+    """f * g modulo the monic polynomial m."""
+    return poly_rem(poly_mul(f, g), m)
 
-    Roots are exactly the x-coordinates of the nonzero d-torsion points.
-    """
+
+def division_polynomial(curve: Curve, l: int, F):
+    """psi_l modulo the monic polynomial F, for odd l >= 3.
+
+    psi_l is the univariate l-division polynomial, whose roots are exactly
+    the x-coordinates of the nonzero l-torsion points.  It is never expanded:
+    the standard recurrence (Washington, Elliptic Curves, 3.2) runs on f_n,
+    which is psi_n for odd n and psi_n / y for even n, with y^2 replaced by
+    R = x^3 + Ax + B and every product taken modulo F."""
+    if l < 3 or l % 2 == 0:
+        raise KernelError(f"division polynomials are for odd l >= 3, not {l}")
     ctx = curve.ctx
     A, B = curve.A, curve.B
     e = ctx.elem
-    psi3 = (-(A * A), 12 * B, 6 * A, e(0), e(3))
-    if d == 3:
-        return psi3
-    rhs = (B, A, e(0), e(1))  # x^3 + Ax + B
-    g4 = (
-        -(8 * B * B + A * A * A),
-        -4 * A * B,
-        -5 * A * A,
-        20 * B,
-        5 * A,
-        e(0),
-        e(1),
-    )
-    rhs2 = poly_mul(rhs, rhs)
-    psi3cube = poly_mul(poly_mul(psi3, psi3), psi3)
-    psi5 = poly_sub(poly_scale(poly_mul(rhs2, g4), e(32)), psi3cube)
-    if d == 5:
-        return psi5
-    if d == 7:
-        g4cube = poly_mul(poly_mul(g4, g4), g4)
-        return poly_sub(poly_mul(psi5, psi3cube), poly_scale(poly_mul(rhs2, g4cube), e(128)))
-    raise KernelError(f"unsupported kernel degree {d}")
+    zero = ctx.zero()
+    f = {
+        1: (ctx.one(),),
+        2: (e(2),),
+        3: poly_rem((-(A * A), 12 * B, 6 * A, zero, e(3)), F),
+    }
+    if l > 3:
+        # f_4 = 4(x^6 + 5Ax^4 + 20Bx^3 - 5A^2x^2 - 4ABx - 8B^2 - A^3)
+        A4, B16 = 4 * A, 16 * B
+        A20 = 5 * A4
+        f[4] = poly_rem((-(B16 * (B + B) + A4 * A * A), -(A * B16), -(A * A20), 5 * B16, A20, zero, e(4)), F)
+        R = poly_rem((B, A, zero, ctx.one()), F)
+        R2 = poly_mulmod(R, R, F)
+    half = (ctx.p + 1) // 2
+    cubes = {}
+
+    def cube(n):
+        if n not in cubes:
+            cubes[n] = poly_mulmod(poly_mulmod(fn(n), fn(n), F), fn(n), F)
+        return cubes[n]
+
+    def fn(n):
+        if n not in f:
+            m = n // 2
+            if n % 2:
+                # f_(2m+1) = f_(m+2) f_m^3 - f_(m-1) f_(m+1)^3, where R^2 = y^4
+                # multiplies the term whose two factors have even index.
+                lo = poly_mulmod(fn(m + 2), cube(m), F)
+                hi = poly_mulmod(fn(m - 1), cube(m + 1), F)
+                if m % 2:
+                    hi = poly_mulmod(R2, hi, F)
+                else:
+                    lo = poly_mulmod(R2, lo, F)
+                f[n] = poly_sub(lo, hi)
+            else:
+                # f_2m = f_m (f_(m+2) f_(m-1)^2 - f_(m-2) f_(m+1)^2) / 2.
+                left = poly_mulmod(fn(m + 2), poly_mulmod(fn(m - 1), fn(m - 1), F), F)
+                right = poly_mulmod(fn(m - 2), poly_mulmod(fn(m + 1), fn(m + 1), F), F)
+                f[n] = poly_scale(poly_mulmod(fn(m), poly_sub(left, right), F), half)
+        return f[n]
+
+    return fn(l)
 
 
 class Isogeny:
@@ -189,6 +221,8 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     x^3 + Ax + B; an odd F must divide the d-division polynomial, and its
     roots must be closed under the x-map of doubling, so that they are the
     abscissas of one cyclic subgroup of order d (Velu 1971; Kohel 1996).
+    Both checks work modulo F: psi_d mod F comes from the recurrence in
+    division_polynomial, and F(N, D) is reduced product by product.
     KernelError otherwise."""
     ctx = curve.ctx
     A, B = curve.A, curve.B
@@ -211,7 +245,7 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         den = F
     else:
         e = len(F) - 1
-        if poly_rem(division_polynomial(curve, d), F):
+        if division_polynomial(curve, d, F):
             raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
         # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
         # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
@@ -220,9 +254,9 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         D = poly_rem((4 * B, 4 * A, ctx.zero(), ctx.elem(4)), F)
         FND, Dk = (one,), (one,)
         for c in F[-2::-1]:
-            Dk = poly_mul(Dk, D)
-            FND = poly_add(poly_mul(N, FND), poly_scale(Dk, c))
-        if poly_rem(FND, F):
+            Dk = poly_mulmod(Dk, D, F)
+            FND = poly_add(poly_mulmod(N, FND, F), poly_scale(Dk, c))
+        if FND:
             raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
         r1, r2, r3 = ((ctx.zero(),) * 2 + F)[-2:-5:-1]  # F_(e-1), F_(e-2), F_(e-3)
         # Kohel: A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An

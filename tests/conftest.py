@@ -23,6 +23,20 @@ def ctx_for(p: int) -> FieldCtx:
     return FieldCtx(p, d)
 
 
+def prime_factors(n: int) -> set[int]:
+    """The distinct prime factors of n, by trial division."""
+    out = set()
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
 @pytest.fixture(scope="session")
 def ctx11():
     return ctx_for(11)

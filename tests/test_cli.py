@@ -328,6 +328,14 @@ class TestErrors:
         assert rc == 1
         assert parse_plain(lines[0])["error"] == "not_prime"
 
+    def test_decompose_without_trace_above_oracle_bound(self, capsys):
+        # Above p = 64 no trace can be counted, so decompose needs --trace.
+        rc, lines = run(capsys, ["decompose", "--d", "2", "--p", "67", "--delta", "-1", "--s", "1", "--m", "7"])
+        assert rc == 1
+        rec = parse_plain(lines[0])
+        assert rec["error"] == "oracle_guard"
+        assert rec["message"] == "decompose requires a trace (supply --trace or use p <= 64)"
+
 
 class TestTables:
     def test_dump_is_complete(self, capsys):

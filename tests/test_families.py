@@ -30,7 +30,7 @@ from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
 from qcurve import weierstrass
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
-from conftest import MERSENNE_127, ctx_for
+from conftest import MERSENNE_127, ctx_for, prime_factors
 
 
 def family_sweep(d, p):
@@ -292,14 +292,16 @@ ENDO_COUNTS = [(2, {}), (5, {})]
 # codomain.  The twisted codomain's discriminant is l^12 times the Velu
 # codomain's, the conjugate curve that phi must land on is not checked
 # again, and no isogeny stores derivatives, so post_twist only scales.  An
-# odd kernel pays the division polynomial, with psi3^3 formed once, and the
-# closure check under doubling; its four remainders are taken modulo the
-# monic kernel polynomial, with no product by its leading coefficient.
+# odd kernel pays psi_d modulo the kernel polynomial, by the division
+# polynomial recurrence with each product reduced at once and each cube
+# formed once, and the closure check under doubling, also reduced product by
+# product; every remainder is taken modulo the monic kernel polynomial, with
+# no product by its leading coefficient.
 BUILD_COUNTS = [
     (2, {"mul_int": 12, "inv": 1, "mul": 18, "sqr": 2}),
-    (5, {"mul_int": 34, "mul": 250, "sqr": 18, "inv": 1}),
+    (5, {"mul_int": 33, "sqr": 15, "mul": 155, "inv": 1}),
     (3, {"mul_int": 25, "sqr": 7, "inv": 1, "mul": 57}),
-    (7, {"mul_int": 39, "mul": 817, "sqr": 25, "inv": 1}),
+    (7, {"mul_int": 38, "mul": 353, "sqr": 21, "inv": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse
@@ -438,7 +440,7 @@ class TestTraceData:
                 if r == 0:
                     continue
                 n_curve, _ = group_orders(endo, r)
-                factor = max(q for q in _prime_factors(n_curve))
+                factor = max(prime_factors(n_curve))
                 if math.gcd(r, factor) != 1 or n_curve % factor**2 == 0:
                     continue
                 lam = eigenvalue(endo, r, factor)
@@ -607,19 +609,6 @@ class TestSignRule:
             assert len(calls) == 1
 
 
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 class TestStructure:
     @pytest.mark.parametrize("p", [11, 13])
     def test_degree2_cofactor_shapes(self, p):
@@ -690,7 +679,7 @@ class TestGls:
         t = oracle_trace(gls_endo(ctx, 3, 5).curve)
         r = determine_r(endo, t)
         n_twist = oracle_order(endo.curve)
-        factor = max(_prime_factors(n_twist))
+        factor = max(prime_factors(n_twist))
         if math.gcd(r, factor) == 1:
             lam = eigenvalue(endo, r, factor)
             assert lam * lam % factor == factor - 1

@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 
 from qcurve.errors import DomainError, OffCurveError, StructureError
 from qcurve.families import Endo, build_family_curve, determine_r, eigenvalue, group_orders
+from qcurve import glv
 from qcurve.glv import (
     COFACTOR2_D2,
     COFACTOR3_D3,
     COFACTOR4_D2,
     PRIME_ORDER,
+    Decomposition,
     GlvBasis,
     ceil_log2,
     cofactor_basis,
     decompose,
     det2,
+    first_nonminimal,
     infnorm,
     is_reduced,
     lagrange_reduce,
@@ -29,7 +32,7 @@ from qcurve.weierstrass import Point, oracle_trace, random_point
 
 from qcurve.fields import FieldCtx
 
-from conftest import MERSENNE_127, ctx_for
+from conftest import MERSENNE_127, ctx_for, prime_factors
 
 TRACE_D2 = -272082382382015736940757543628153813996
 
@@ -136,7 +139,7 @@ class TestLagrangeReduce:
     @pytest.mark.parametrize("d,p,s", [(2, 13, 1), (3, 13, 1), (7, 13, 1)])
     def test_defining_generators_reduce_to_minimal_basis(self, d, p, s):
         fam, endo, r, n_curve, _ = endo_data(d, p, s)
-        n = max(q for q in _prime_factors(n_curve))
+        n = max(prime_factors(n_curve))
         if math.gcd(r, n) != 1 or n_curve % (n * n) == 0:
             pytest.skip("fixture lacks a clean large subgroup")
         lam = eigenvalue(endo, r, n)
@@ -227,6 +230,14 @@ class TestDecompose:
             assert dec.norm == brute_minimum(m, n, lam, radius)
             assert (dec.a, dec.b) == four_corner_reference(m, basis)
 
+    def test_first_nonminimal_names_the_first_long_decomposition(self, monkeypatch):
+        _, _, n, _, basis = self.fixture()
+        assert first_nonminimal(basis) is None
+        # Adding n to a keeps a decomposition of m but leaves the ||b2|| box.
+        exact = glv.decompose
+        monkeypatch.setattr(glv, "decompose", lambda m, b: Decomposition(exact(m, b).a + n * (m >= 5), exact(m, b).b))
+        assert first_nonminimal(basis) == 5
+
     def test_matches_fraction_reference_on_paper_basis(self):
         fam = build_family_curve(2, FieldCtx(MERSENNE_127, -1), 28106)
         endo = Endo(fam)
@@ -312,16 +323,3 @@ class TestMultiexp:
         for m in range(n):
             dec = decompose(m, basis)
             assert multiexp2(dec.a, dec.b, P, endo(P), fam.curve) == fam.curve.mul(m, P)
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out

@@ -11,12 +11,14 @@ from qcurve.isogeny import (
     poly_add,
     poly_deriv,
     poly_eval,
+    poly_mul,
     poly_rem,
+    poly_scale,
     poly_sub,
     post_twist,
     velu_quotient,
 )
-from qcurve.weierstrass import INFINITY, Curve, Point, curve_points, random_point
+from qcurve.weierstrass import INFINITY, Curve, Point, curve_points, oracle_order, random_point
 
 from conftest import MERSENNE_127, ctx_for
 
@@ -35,12 +37,49 @@ def d3_family(p, s):
     return fam, quotient
 
 
+def reference_division_polynomial(curve, d):
+    """The univariate d-division polynomial for odd d in {3, 5, 7}, expanded
+    in full from psi_3 and g_4 = psi_4 / (4y)."""
+    ctx = curve.ctx
+    A, B = curve.A, curve.B
+    e = ctx.elem
+    psi3 = (-(A * A), 12 * B, 6 * A, e(0), e(3))
+    if d == 3:
+        return psi3
+    rhs = (B, A, e(0), e(1))  # x^3 + Ax + B
+    g4 = (
+        -(8 * B * B + A * A * A),
+        -4 * A * B,
+        -5 * A * A,
+        20 * B,
+        5 * A,
+        e(0),
+        e(1),
+    )
+    rhs2 = poly_mul(rhs, rhs)
+    psi3cube = poly_mul(poly_mul(psi3, psi3), psi3)
+    psi5 = poly_sub(poly_scale(poly_mul(rhs2, g4), e(32)), psi3cube)
+    if d == 5:
+        return psi5
+    if d == 7:
+        g4cube = poly_mul(poly_mul(g4, g4), g4)
+        return poly_sub(poly_mul(psi5, psi3cube), poly_scale(poly_mul(rhs2, g4cube), e(128)))
+    raise KernelError(f"unsupported kernel degree {d}")
+
+
+def random_curve(ctx, rng):
+    while True:
+        try:
+            return Curve(*(ctx.elem(rng.randrange(ctx.p), rng.randrange(ctx.p)) for _ in range(2)))
+        except DegenerateParameterError:
+            continue
+
+
 class TestDivisionPolynomial:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_roots_are_torsion_abscissas(self, d):
         curve = Curve(ctx_for(7).elem(1), ctx_for(7).elem(4))
         ctx = curve.ctx
-        psi = division_polynomial(curve, d)
         torsion_x = {
             (P.x.a, P.x.b)
             for P in curve_points(curve)
@@ -49,12 +88,50 @@ class TestDivisionPolynomial:
         for a in range(7):
             for b in range(7):
                 x = Fp2(ctx, a, b)
-                if not poly_eval(psi, x)[0]:
+                if not division_polynomial(curve, d, (-x, ctx.one())):
                     P = curve.lift_x(x)
                     if P is not None:
                         assert (a, b) in torsion_x
         for key in torsion_x:
-            assert not poly_eval(psi, Fp2(ctx, *key))[0]
+            assert not division_polynomial(curve, d, (-Fp2(ctx, *key), ctx.one()))
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [ctx_for(11), FieldCtx(13, 2), ctx_for(23), ctx_for(MERSENNE_127)],
+        ids=["11", "13-delta2", "23", "2^127-1"],
+    )
+    @pytest.mark.parametrize("l", [3, 5, 7])
+    def test_matches_reduced_expansion(self, ctx, l):
+        # Random monic moduli of degree 1, 2, 3, 5 and one above deg psi_l,
+        # where the reduction leaves the expansion whole.
+        rng = random.Random(ctx.p + l)
+        for _ in range(3):
+            curve = random_curve(ctx, rng)
+            full = reference_division_polynomial(curve, l)
+            for degree in (1, 2, 3, 5, len(full)):
+                F = tuple(ctx.elem(rng.randrange(ctx.p), rng.randrange(ctx.p)) for _ in range(degree)) + (ctx.one(),)
+                assert division_polynomial(curve, l, F) == poly_rem(full, F)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
+    def test_linear_moduli_find_torsion_abscissas(self, p):
+        # psi_l mod (x - x0) is psi_l(x0): it vanishes at the abscissa of a
+        # point exactly when that point is l-torsion.  Each l gets a curve
+        # whose order l divides, so that both answers occur.
+        ctx = ctx_for(p)
+        rng = random.Random(p)
+        for l in range(3, 14, 2):
+            curve = next(c for c in (random_curve(ctx, rng) for _ in range(1000)) if oracle_order(c) % l == 0)
+            points = curve_points(curve)[1:]
+            torsion_x = {P.x for P in points if curve.mul(l, P).is_infinity}
+            assert torsion_x
+            for x0 in {P.x for P in points}:
+                assert (not division_polynomial(curve, l, (-x0, ctx.one()))) == (x0 in torsion_x)
+
+    @pytest.mark.parametrize("l", [-1, 0, 1, 2, 4, 6])
+    def test_rejects_even_or_small_index(self, l):
+        curve = Curve(ctx_for(7).elem(1), ctx_for(7).elem(4))
+        with pytest.raises(KernelError, match="odd l >= 3"):
+            division_polynomial(curve, l, (curve.ctx.one(),))
 
 
 class TestVeluCodomain:
@@ -185,7 +262,7 @@ class TestKernelValidation:
         ctx = FieldCtx(p, -1)
         curve = Curve(ctx.elem(a0), ctx.elem(b0))
         A, B = curve.A, curve.B
-        psi5 = division_polynomial(curve, 5)
+        psi5 = reference_division_polynomial(curve, 5)
         roots = [x for a in range(p) for b in range(p) if not poly_eval(psi5, x := ctx.elem(a, b))[0]]
         assert len(roots) == 12
         x1 = roots[0]
@@ -195,7 +272,7 @@ class TestKernelValidation:
         def kernel(u, v):
             return (u * v, -(u + v), ctx.one())
 
-        assert not poly_rem(psi5, kernel(x1, other))
+        assert not division_polynomial(curve, 5, kernel(x1, other))
         with pytest.raises(KernelError, match="not one cyclic subgroup"):
             velu_quotient(curve, 5, kernel(x1, other))
         iso = velu_quotient(curve, 5, kernel(x1, twice))
