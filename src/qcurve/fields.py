@@ -123,6 +123,11 @@ class FieldCtx:
         if legendre(self.delta, p) != -1:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
         object.__setattr__(self, "_nonsquare_cache", None)
+        # delta as its least absolute residue, so that delta = -1 is the small
+        # int -1 in the int-pair products of the bare-int code paths.  Set
+        # here, as the cache above: writing an attribute through the instance
+        # __dict__ later would slow every attribute read of the context.
+        object.__setattr__(self, "signed_delta", self.delta - p if 2 * self.delta > p else self.delta)
 
     def elem(self, a: int, b: int = 0) -> "Fp2":
         return Fp2(self, a, b)

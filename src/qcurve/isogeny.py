@@ -5,10 +5,10 @@ xs * N(x)/D(x) and the y-image is ys * y * (N/D)'(x), where N and D are
 polynomials over F_{p^2} and xs, ys accumulate composed twisting
 isomorphisms (x, y) -> (l^2 x, l^3 y).
 
-A kernel is its monic polynomial, in the ascending convention of the
-polynomial toolkit below.  It is checked modulo itself: the division
-polynomial and the doubling map are only ever formed modulo the kernel
-polynomial, by products reduced at once (poly_mulmod).
+A kernel is its monic polynomial, given as an ascending tuple of Fp2.  It
+is checked modulo itself: the division polynomial and the doubling map are
+only ever formed modulo the kernel polynomial, by products reduced at once
+(poly_mulmod).
 """
 
 from __future__ import annotations
@@ -17,48 +17,120 @@ from .errors import DegenerateParameterError, KernelError, NotSquareError, OffCu
 from .fields import Fp2
 from .weierstrass import INFINITY, Curve, Point
 
-# Polynomials are tuples of Fp2 coefficients, ascending degree.
+# The polynomial kernel.  A polynomial over F_{p^2} = F_p(s), s^2 = delta, is
+# a pair (re, im) of int lists, ascending, with the coefficient of x^i equal
+# to re[i] + im[i]*s, 0 <= re[i], im[i] < p, and trimmed: the top coefficient
+# is nonzero, and the zero polynomial is ([], []).  Every function returns
+# that form, takes the field last and changes none of its arguments; it also
+# accepts coefficients that are not reduced, as built here straight from a
+# curve's coefficients.  A product of coefficients is written out on the
+# ints, with delta as its least absolute residue d; sums of products are left
+# unreduced and each output coefficient is reduced once.  Fp2 appears only
+# at the boundary: poly_eval takes and returns Fp2 values.
 
 
-def _poly_trim(cs: list[Fp2]) -> tuple[Fp2, ...]:
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+def _reduced(re, im, p):
+    """Reduce the new lists re and im in place, and trim them."""
+    for k in range(len(re)):
+        re[k] %= p
+        im[k] %= p
+    while re and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+    return re, im
 
 
-def poly_add(f, g):
-    if not f and not g:
-        return ()
-    n = max(len(f), len(g))
-    zero = (f or g)[0].ctx.zero()
-    return _poly_trim(
-        [(f[i] if i < len(f) else zero) + (g[i] if i < len(g) else zero) for i in range(n)]
-    )
+def poly_add(f, g, ctx):
+    (fr, fi), (gr, gi) = f, g
+    n = min(len(fr), len(gr))
+    re = [a + b for a, b in zip(fr, gr)] + fr[n:] + gr[n:]
+    im = [a + b for a, b in zip(fi, gi)] + fi[n:] + gi[n:]
+    return _reduced(re, im, ctx.p)
 
 
-def poly_sub(f, g):
-    return poly_add(f, tuple(-c for c in g))
+def poly_sub(f, g, ctx):
+    (fr, fi), (gr, gi) = f, g
+    n = min(len(fr), len(gr))
+    re = [a - b for a, b in zip(fr, gr)] + fr[n:] + [-b for b in gr[n:]]
+    im = [a - b for a, b in zip(fi, gi)] + fi[n:] + [-b for b in gi[n:]]
+    return _reduced(re, im, ctx.p)
 
 
-def poly_mul(f, g):
-    if not f or not g:
-        return ()
-    zero = f[0].ctx.zero()
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        if not ci:
-            continue
-        for j, cj in enumerate(g):
-            out[i + j] = out[i + j] + ci * cj
-    return _poly_trim(out)
+def poly_scale(f, c, ctx):
+    """f times the constant c, an int pair (c0, c1) for c0 + c1*s."""
+    c0, c1 = c
+    dc1 = ctx.signed_delta * c1
+    fr, fi = f
+    return _reduced([a * c0 + dc1 * b for a, b in zip(fr, fi)], [a * c1 + b * c0 for a, b in zip(fr, fi)], ctx.p)
 
 
-def poly_scale(f, c):
-    return _poly_trim([ci * c for ci in f])
+def poly_deriv(f, ctx):
+    fr, fi = f
+    return _reduced([i * c for i, c in enumerate(fr)][1:], [i * c for i, c in enumerate(fi)][1:], ctx.p)
 
 
-def poly_deriv(f):
-    return _poly_trim([i * f[i] for i in range(1, len(f))])
+def _products(f, g, d):
+    """The coefficients of f * g as int pairs, each a sum of unreduced products."""
+    (fr, fi), (gr, gi) = f, g
+    n = len(fr) + len(gr) - 1
+    re, im = [0] * n, [0] * n
+    row = list(zip(gr, gi))
+    i = 0
+    for a, b in zip(fr, fi):
+        db = d * b
+        k = i
+        for c, e in row:
+            re[k] += a * c + db * e
+            im[k] += a * e + b * c
+            k += 1
+        i += 1
+    return re, im
+
+
+def _fold(re, im, m, p, d):
+    """(re, im), with unreduced coefficients, modulo the monic m.  Each top
+    coefficient is reduced once, to fold it into the ones below; the
+    remainder is reduced once at the end.  Consumes re and im."""
+    mr, mi = m
+    e = len(mr) - 1
+    low = list(zip(range(e), mr, mi))
+    while len(re) > e:
+        q0 = re.pop() % p
+        q1 = im.pop() % p
+        if q0 or q1:
+            shift = len(re) - e
+            dq1 = d * q1
+            for k, c, s in low:
+                k += shift
+                re[k] -= q0 * c + dq1 * s
+                im[k] -= q0 * s + q1 * c
+    return _reduced(re, im, p)
+
+
+def _require_monic(m):
+    if not m[0] or m[0][-1] != 1 or m[1][-1]:
+        raise ValueError("poly_rem needs a monic divisor")
+
+
+def poly_mul(f, g, ctx):
+    if not f[0] or not g[0]:
+        return [], []
+    return _reduced(*_products(f, g, ctx.signed_delta), ctx.p)
+
+
+def poly_rem(f, m, ctx):
+    """Remainder of f modulo the monic polynomial m."""
+    _require_monic(m)
+    return _fold(list(f[0]), list(f[1]), m, ctx.p, ctx.signed_delta)
+
+
+def poly_mulmod(f, g, m, ctx):
+    """f * g modulo the monic polynomial m, reduced once per coefficient."""
+    _require_monic(m)
+    if not f[0] or not g[0]:
+        return [], []
+    d = ctx.signed_delta
+    return _fold(*_products(f, g, d), m, ctx.p, d)
 
 
 def poly_eval(f, x: Fp2) -> tuple[Fp2, Fp2]:
@@ -66,38 +138,29 @@ def poly_eval(f, x: Fp2) -> tuple[Fp2, Fp2]:
 
     The derivative accumulator starts at the leading coefficient too, so
     f'(x) costs deg f - 1 products on top of the deg f of f(x)."""
-    if len(f) < 2:
-        zero = x.ctx.zero()
-        return (f[0] if f else zero), zero
-    acc, dacc = f[-1] * x + f[-2], f[-1]
-    for c in reversed(f[:-2]):
-        dacc = dacc * x + acc
-        acc = acc * x + c
-    return acc, dacc
+    ctx = x.ctx
+    fr, fi = f
+    if len(fr) < 2:
+        return (Fp2(ctx, fr[0], fi[0]) if fr else ctx.zero()), ctx.zero()
+    p = ctx.p
+    x0, x1 = x.a, x.b
+    dx1 = ctx.signed_delta * x1
+    u0, u1 = fr[-1], fi[-1]
+    v0 = (u0 * x0 + dx1 * u1 + fr[-2]) % p
+    v1 = (u0 * x1 + u1 * x0 + fi[-2]) % p
+    for c0, c1 in zip(fr[-3::-1], fi[-3::-1]):
+        u0, u1 = (u0 * x0 + dx1 * u1 + v0) % p, (u0 * x1 + u1 * x0 + v1) % p
+        v0, v1 = (v0 * x0 + dx1 * v1 + c0) % p, (v0 * x1 + v1 * x0 + c1) % p
+    return Fp2(ctx, v0, v1), Fp2(ctx, u0, u1)
 
 
-def poly_rem(f, g):
-    """Remainder of f modulo the monic polynomial g."""
-    if not g or g[-1] != g[-1].ctx.one():
-        raise ValueError("poly_rem needs a monic divisor")
-    r = list(f)
-    low = g[:-1]
-    while len(r) >= len(g):
-        q = r.pop()
-        if q:
-            shift = len(r) - len(low)
-            for i, c in enumerate(low):
-                r[shift + i] = r[shift + i] - q * c
-    return _poly_trim(r)
-
-
-def poly_mulmod(f, g, m):
-    """f * g modulo the monic polynomial m."""
-    return poly_rem(poly_mul(f, g), m)
+def _kernel_poly(cs) -> tuple[list[int], list[int]]:
+    """A monic ascending tuple of Fp2 as a kernel polynomial."""
+    return [c.a for c in cs], [c.b for c in cs]
 
 
 def division_polynomial(curve: Curve, l: int, F):
-    """psi_l modulo the monic polynomial F, for odd l >= 3.
+    """psi_l modulo the monic kernel polynomial F, for odd l >= 3.
 
     psi_l is the univariate l-division polynomial, whose roots are exactly
     the x-coordinates of the nonzero l-torsion points.  It is never expanded:
@@ -107,27 +170,36 @@ def division_polynomial(curve: Curve, l: int, F):
     if l < 3 or l % 2 == 0:
         raise KernelError(f"division polynomials are for odd l >= 3, not {l}")
     ctx = curve.ctx
-    A, B = curve.A, curve.B
-    e = ctx.elem
-    zero = ctx.zero()
+    d = ctx.signed_delta
+    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
+    AA0, AA1 = A0 * A0 + d * A1 * A1, 2 * A0 * A1
+    # The base cases are folded from unreduced coefficients.
     f = {
-        1: (ctx.one(),),
-        2: (e(2),),
-        3: poly_rem((-(A * A), 12 * B, 6 * A, zero, e(3)), F),
+        1: ([1], [0]),
+        2: ([2], [0]),
+        3: poly_rem(([-AA0, 12 * B0, 6 * A0, 0, 3], [-AA1, 12 * B1, 6 * A1, 0, 0]), F, ctx),
     }
     if l > 3:
         # f_4 = 4(x^6 + 5Ax^4 + 20Bx^3 - 5A^2x^2 - 4ABx - 8B^2 - A^3)
-        A4, B16 = 4 * A, 16 * B
-        A20 = 5 * A4
-        f[4] = poly_rem((-(B16 * (B + B) + A4 * A * A), -(A * B16), -(A * A20), 5 * B16, A20, zero, e(4)), F)
-        R = poly_rem((B, A, zero, ctx.one()), F)
-        R2 = poly_mulmod(R, R, F)
-    half = (ctx.p + 1) // 2
+        AAA0, AAA1 = AA0 * A0 + d * AA1 * A1, AA0 * A1 + AA1 * A0
+        AB0, AB1 = A0 * B0 + d * A1 * B1, A0 * B1 + A1 * B0
+        BB0, BB1 = B0 * B0 + d * B1 * B1, 2 * B0 * B1
+        f[4] = poly_rem(
+            (
+                [-32 * BB0 - 4 * AAA0, -16 * AB0, -20 * AA0, 80 * B0, 20 * A0, 0, 4],
+                [-32 * BB1 - 4 * AAA1, -16 * AB1, -20 * AA1, 80 * B1, 20 * A1, 0, 0],
+            ),
+            F,
+            ctx,
+        )
+        R = poly_rem(([B0, A0, 0, 1], [B1, A1, 0, 0]), F, ctx)
+        R2 = poly_mulmod(R, R, F, ctx)
+    half = ((ctx.p + 1) // 2, 0)
     cubes = {}
 
     def cube(n):
         if n not in cubes:
-            cubes[n] = poly_mulmod(poly_mulmod(fn(n), fn(n), F), fn(n), F)
+            cubes[n] = poly_mulmod(poly_mulmod(fn(n), fn(n), F, ctx), fn(n), F, ctx)
         return cubes[n]
 
     def fn(n):
@@ -136,18 +208,18 @@ def division_polynomial(curve: Curve, l: int, F):
             if n % 2:
                 # f_(2m+1) = f_(m+2) f_m^3 - f_(m-1) f_(m+1)^3, where R^2 = y^4
                 # multiplies the term whose two factors have even index.
-                lo = poly_mulmod(fn(m + 2), cube(m), F)
-                hi = poly_mulmod(fn(m - 1), cube(m + 1), F)
+                lo = poly_mulmod(fn(m + 2), cube(m), F, ctx)
+                hi = poly_mulmod(fn(m - 1), cube(m + 1), F, ctx)
                 if m % 2:
-                    hi = poly_mulmod(R2, hi, F)
+                    hi = poly_mulmod(R2, hi, F, ctx)
                 else:
-                    lo = poly_mulmod(R2, lo, F)
-                f[n] = poly_sub(lo, hi)
+                    lo = poly_mulmod(R2, lo, F, ctx)
+                f[n] = poly_sub(lo, hi, ctx)
             else:
                 # f_2m = f_m (f_(m+2) f_(m-1)^2 - f_(m-2) f_(m+1)^2) / 2.
-                left = poly_mulmod(fn(m + 2), poly_mulmod(fn(m - 1), fn(m - 1), F), F)
-                right = poly_mulmod(fn(m - 2), poly_mulmod(fn(m + 1), fn(m + 1), F), F)
-                f[n] = poly_scale(poly_mulmod(fn(m), poly_sub(left, right), F), half)
+                left = poly_mulmod(fn(m + 2), poly_mulmod(fn(m - 1), fn(m - 1), F, ctx), F, ctx)
+                right = poly_mulmod(fn(m - 2), poly_mulmod(fn(m + 1), fn(m + 1), F, ctx), F, ctx)
+                f[n] = poly_scale(poly_mulmod(fn(m), poly_sub(left, right, ctx), F, ctx), half, ctx)
         return f[n]
 
     return fn(l)
@@ -155,7 +227,8 @@ def division_polynomial(curve: Curve, l: int, F):
 
 class Isogeny:
     """A separable isogeny between short Weierstrass curves, stored as an
-    expanded rational x-map plus twisting scale factors."""
+    expanded rational x-map, num/den as polynomials of the kernel above,
+    plus twisting scale factors in Fp2."""
 
     __slots__ = ("domain", "codomain", "degree", "num", "den", "x_scale", "y_scale")
 
@@ -192,7 +265,8 @@ class Isogeny:
 
     def conjugate(self) -> "Isogeny":
         """The Galois-conjugate isogeny between the conjugate curves."""
-        num, den = (tuple(c.conjugate() for c in f) for f in (self.num, self.den))
+        p = self.domain.ctx.p
+        num, den = ((list(fr), [-c % p for c in fi]) for fr, fi in (self.num, self.den))
         return Isogeny(self.domain.conjugate(), self.codomain.conjugate(), self.degree, num, den,
                        self.x_scale.conjugate(), self.y_scale.conjugate())
 
@@ -201,11 +275,19 @@ class Isogeny:
         given curves, where (X(x), y * Y(x)) is this isogeny.  Reading a
         polynomial at x/c scales its x^i coefficient by c^-i, and the chain
         rule (f(x/c))' = f'(x/c)/c leaves a factor c for the y-scale."""
+        ctx = c.ctx
+        p, d = ctx.p, ctx.signed_delta
         ci = c.inverse()
-        powers = [c.ctx.one()]
-        for _ in self.num[1:]:  # num is the longer polynomial
-            powers.append(powers[-1] * ci)
-        num, den = (tuple(f * w for f, w in zip(poly, powers)) for poly in (self.num, self.den))
+        i0, i1 = ci.a, ci.b
+        powers = [(1, 0)]
+        for _ in self.num[0][1:]:  # num is the longer polynomial
+            w0, w1 = powers[-1]
+            powers.append(((w0 * i0 + d * w1 * i1) % p, (w0 * i1 + w1 * i0) % p))
+        num, den = (
+            ([(a * w0 + d * b * w1) % p for a, b, (w0, w1) in zip(fr, fi, powers)],
+             [(a * w1 + b * w0) % p for a, b, (w0, w1) in zip(fr, fi, powers)])
+            for fr, fi in (self.num, self.den)
+        )
         return Isogeny(domain, codomain, self.degree, num, den, x_factor * self.x_scale, y_factor * c * self.y_scale)
 
     def __repr__(self):
@@ -234,6 +316,7 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         raise KernelError(f"a degree-{d} kernel polynomial has degree {d // 2}, not {len(F) - 1}")
     if F[-1] != 1:
         raise KernelError("kernel polynomial is not monic")
+    Fk = _kernel_poly(F)
     if d == 2:
         alpha = -F[0]
         if alpha * alpha * alpha + A * alpha + B:
@@ -241,22 +324,24 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         t = 3 * alpha * alpha + A
         a_new = -4 * A - 15 * alpha * alpha
         b_new = B - 7 * alpha * t
-        num = (t, -alpha, one)
-        den = F
+        num = _kernel_poly((t, -alpha, one))
+        den = Fk
     else:
         e = len(F) - 1
-        if division_polynomial(curve, d, F):
+        if division_polynomial(curve, d, Fk)[0]:
             raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
         # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
         # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
         # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i).
-        N = poly_rem((A * A, -8 * B, -2 * A, ctx.zero(), one), F)
-        D = poly_rem((4 * B, 4 * A, ctx.zero(), ctx.elem(4)), F)
-        FND, Dk = (one,), (one,)
+        AA = A * A
+        rhs4 = ([4 * B.a, 4 * A.a, 0, 4], [4 * B.b, 4 * A.b, 0, 0])  # 4(x^3 + Ax + B)
+        N = poly_rem(([AA.a, -8 * B.a, -2 * A.a, 0, 1], [AA.b, -8 * B.b, -2 * A.b, 0, 0]), Fk, ctx)
+        D = poly_rem(rhs4, Fk, ctx)
+        FND = Dk = ([1], [0])
         for c in F[-2::-1]:
-            Dk = poly_mulmod(Dk, D, F)
-            FND = poly_add(poly_mulmod(N, FND, F), poly_scale(Dk, c))
-        if FND:
+            Dk = poly_mulmod(Dk, D, Fk, ctx)
+            FND = poly_add(poly_mulmod(N, FND, Fk, ctx), poly_scale(Dk, (c.a, c.b), ctx), ctx)
+        if FND[0]:
             raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
         r1, r2, r3 = ((ctx.zero(),) * 2 + F)[-2:-5:-1]  # F_(e-1), F_(e-2), F_(e-3)
         # Kohel: A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An
@@ -270,22 +355,18 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
             - 210 * r1 * r2
             + 210 * r3
         )
-        Fd = poly_deriv(F)
-        Fdd = poly_deriv(Fd)
-        F2 = poly_mul(F, F)
-        rhs = (B, A, ctx.zero(), one)  # x^3 + Ax + B
-        lin = (2 * r1, ctx.elem(2 * e + 1))
-        num = poly_sub(
-            poly_mul(lin, F2),
-            poly_scale(poly_mul(rhs, poly_sub(poly_mul(Fdd, F), poly_mul(Fd, Fd))), ctx.elem(4)),
-        )
-        num = poly_sub(num, poly_scale(poly_mul((A, ctx.zero(), ctx.elem(3)), poly_mul(Fd, F)), ctx.elem(2)))
+        # The x-map N/F^2 = (2e + 1)x + 2 r1 - 2(3x^2 + A) F'/F - 4(x^3 + Ax + B)(F'/F)'.
+        Fd = poly_deriv(Fk, ctx)
+        F2 = poly_mul(Fk, Fk, ctx)
+        wronskian = poly_sub(poly_mul(poly_deriv(Fd, ctx), Fk, ctx), poly_mul(Fd, Fd, ctx), ctx)
+        num = poly_sub(poly_mul(([2 * r1.a, 2 * e + 1], [2 * r1.b, 0]), F2, ctx), poly_mul(rhs4, wronskian, ctx), ctx)
+        num = poly_sub(num, poly_mul(([2 * A.a, 0, 6], [2 * A.b, 0, 0]), poly_mul(Fd, Fk, ctx), ctx), ctx)
         den = F2
     codomain = Curve(a_new, b_new)
-    iso = Isogeny(curve, codomain, d, num, den, one, one)
-    if len(iso.num) - 1 != d or iso.num[-1] != iso.den[-1]:
+    (nr, ni), (dr, di) = num, den
+    if len(nr) - 1 != d or (nr[-1], ni[-1]) != (dr[-1], di[-1]):
         raise KernelError("expanded map is not a normalized degree-d quotient")
-    return iso
+    return Isogeny(curve, codomain, d, num, den, one, one)
 
 
 def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
@@ -306,4 +387,4 @@ def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
 
 def identity_isogeny(curve: Curve) -> Isogeny:
     one = curve.ctx.one()
-    return Isogeny(curve, curve, 1, (curve.ctx.zero(), one), (one,), one, one)
+    return Isogeny(curve, curve, 1, ([0, 1], [0, 0]), ([1], [0]), one, one)

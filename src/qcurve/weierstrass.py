@@ -18,7 +18,7 @@ are checked against.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateParameterError, OffCurveError, OracleGuardError
 from .fields import FieldCtx, Fp2
@@ -26,8 +26,10 @@ from .fields import FieldCtx, Fp2
 ORACLE_MAX_P = 64
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
+    """An affine point (x, y), or infinity with x = y = None.  A named tuple,
+    so it is immutable, compares by value and costs one tuple to build."""
+
     x: Fp2 | None
     y: Fp2 | None
 
@@ -129,8 +131,7 @@ class Curve:
             b, Q = -b, self.neg(Q)
         ctx = self.ctx
         p = ctx.p
-        # delta as its least absolute residue, so that -1 stays a small int.
-        d = ctx.delta - p if 2 * ctx.delta > p else ctx.delta
+        d = ctx.signed_delta
         A0, A1 = self.A.a, self.A.b
         # Entries 5..8 are the columns (0, 1), (1, -1), (1, 0), (1, 1) of
         # _jsf; entry 8 - i is the negative of entry i, y -> -y.

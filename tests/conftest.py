@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qcurve.fields import FieldCtx, legendre
+from qcurve.fields import FieldCtx, Fp2, legendre
 
 settings.register_profile(
     "default",
@@ -35,6 +35,62 @@ def prime_factors(n: int) -> set[int]:
     if n > 1:
         out.add(n)
     return out
+
+
+# An independent schoolbook reference for the polynomial kernel of
+# qcurve.isogeny: polynomials here are ascending tuples of Fp2 with no zero
+# top coefficient, and every operation is plain Fp2 arithmetic.
+
+
+def ref_trim(cs) -> tuple[Fp2, ...]:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    return ref_trim([c + d for c, d in zip(f, g)] + list(f[len(g):]))
+
+
+def ref_sub(f, g):
+    return ref_add(f, tuple(-c for c in g))
+
+
+def ref_mul(f, g):
+    """The schoolbook product: the x^k coefficient is the sum of f_i g_(k-i)."""
+    if not f or not g:
+        return ()
+    return ref_trim(
+        sum((f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)), f[0].ctx.zero())
+        for k in range(len(f) + len(g) - 1)
+    )
+
+
+def ref_rem(f, m):
+    """f modulo any nonzero m, by long division with m's leading coefficient
+    inverted."""
+    r = list(ref_trim(f))
+    m = ref_trim(m)
+    lead_inv = m[-1].inverse()
+    while len(r) >= len(m):
+        q = r[-1] * lead_inv
+        shift = len(r) - len(m)
+        r = list(ref_trim(r[i] - q * m[i - shift] if i >= shift else r[i] for i in range(len(r))))
+    return tuple(r)
+
+
+def to_kernel(f) -> tuple[list[int], list[int]]:
+    """An ascending tuple of Fp2 as a kernel polynomial (re, im), trimmed."""
+    f = ref_trim(f)
+    return [c.a for c in f], [c.b for c in f]
+
+
+def from_kernel(f, ctx: FieldCtx) -> tuple[Fp2, ...]:
+    """A kernel polynomial (re, im) as an ascending tuple of Fp2."""
+    return tuple(Fp2(ctx, a, b) for a, b in zip(*f))
 
 
 @pytest.fixture(scope="session")

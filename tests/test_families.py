@@ -27,7 +27,7 @@ from qcurve.families import (
 )
 from qcurve.fields import FieldCtx, Fp2, legendre
 from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
-from qcurve import weierstrass
+from qcurve import isogeny, weierstrass
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
 from conftest import MERSENNE_127, ctx_for, prime_factors
@@ -240,13 +240,18 @@ class TestOneFormula:
             endo(Point(P.x, P.y + 1))
 
 
+# The calls into the bare-int polynomial kernel of qcurve.isogeny, each
+# counted under its own name.
+KERNEL_CALLS = ("poly_add", "poly_sub", "poly_scale", "poly_deriv", "poly_mul", "poly_rem", "poly_mulmod", "poly_eval")
+
+
 def _count_ops(monkeypatch) -> Counter:
     """Count Fp2 products (squares, products, products by an int) and
-    inversions, and the Jacobian doublings and additions of the scalar
-    multiplication loop, from here on."""
+    inversions, the Jacobian doublings and additions of the scalar
+    multiplication loop, and the calls into the polynomial kernel, from
+    here on."""
     counts = Counter()
     mul, inverse = Fp2.__mul__, Fp2.inverse
-    dbl, madd = weierstrass._dbl, weierstrass._madd
 
     def counted_mul(self, other):
         kind = "mul_int" if isinstance(other, int) else "sqr" if other is self else "mul"
@@ -257,32 +262,33 @@ def _count_ops(monkeypatch) -> Counter:
         counts["inv"] += 1
         return inverse(self)
 
-    def counted_dbl(*args):
-        counts["dbl"] += 1
-        return dbl(*args)
+    def counted(name, call):
+        def wrapper(*args):
+            counts[name] += 1
+            return call(*args)
 
-    def counted_madd(*args):
-        counts["madd"] += 1
-        return madd(*args)
+        return wrapper
 
     monkeypatch.setattr(Fp2, "__mul__", counted_mul)
     monkeypatch.setattr(Fp2, "__rmul__", counted_mul)
     monkeypatch.setattr(Fp2, "inverse", counted_inverse)
-    monkeypatch.setattr(weierstrass, "_dbl", counted_dbl)
-    monkeypatch.setattr(weierstrass, "_madd", counted_madd)
+    monkeypatch.setattr(weierstrass, "_dbl", counted("dbl", weierstrass._dbl))
+    monkeypatch.setattr(weierstrass, "_madd", counted("madd", weierstrass._madd))
+    for name in KERNEL_CALLS:
+        monkeypatch.setattr(isogeny, name, counted(name, getattr(isogeny, name)))
     return counts
 
 
 # (d, twisted, counts) for one psi / psi' evaluation on each paper instance:
-# both are one isogeny evaluated at conj(P), so both pay the same products:
-# the is_on check, the rational maps with their one inversion, and y * du.
-# One Horner pass per polynomial gives its value and its derivative, both
-# started at the leading coefficient.
+# both are one isogeny evaluated at conj(P), so both pay the same work: the
+# is_on check, one poly_eval each of the numerator and the denominator, which
+# gives value and derivative in one bare-int Horner pass, the quotient with
+# its one inversion, the two scales, and y * du.
 PSI_COUNTS = [
-    (2, False, {"sqr": 2, "mul": 12, "inv": 1}),
-    (2, True, {"sqr": 2, "mul": 12, "inv": 1}),
-    (5, False, {"sqr": 2, "mul": 24, "inv": 1}),
-    (5, True, {"sqr": 2, "mul": 24, "inv": 1}),
+    (2, False, {"sqr": 2, "mul": 8, "inv": 1, "poly_eval": 2}),
+    (2, True, {"sqr": 2, "mul": 8, "inv": 1, "poly_eval": 2}),
+    (5, False, {"sqr": 2, "mul": 8, "inv": 1, "poly_eval": 2}),
+    (5, True, {"sqr": 2, "mul": 8, "inv": 1, "poly_eval": 2}),
 ]
 # Building one untwisted Endo: conj(phi) conjugates phi's curves, two
 # polynomials and two scales, none of which is a product.
@@ -291,17 +297,22 @@ ENDO_COUNTS = [(2, {}), (5, {})]
 # s=1.  Two curves pay a discriminant check: the member and the Velu
 # codomain.  The twisted codomain's discriminant is l^12 times the Velu
 # codomain's, the conjugate curve that phi must land on is not checked
-# again, and no isogeny stores derivatives, so post_twist only scales.  An
-# odd kernel pays psi_d modulo the kernel polynomial, by the division
-# polynomial recurrence with each product reduced at once and each cube
-# formed once, and the closure check under doubling, also reduced product by
-# product; every remainder is taken modulo the monic kernel polynomial, with
-# no product by its leading coefficient.
+# again, and no isogeny stores derivatives, so post_twist only scales.  The
+# Fp2 products left are the member's and the codomain's coefficients; the
+# polynomials run on the kernel.  An odd kernel pays psi_d modulo the kernel
+# polynomial, by the division polynomial recurrence with each product
+# reduced at once and each cube formed once, the closure check under
+# doubling, also reduced product by product, and Kohel's expansion of the
+# x-map; every remainder is taken modulo the monic kernel polynomial.  d=2
+# expands nothing.
 BUILD_COUNTS = [
     (2, {"mul_int": 12, "inv": 1, "mul": 18, "sqr": 2}),
-    (5, {"mul_int": 33, "sqr": 15, "mul": 155, "inv": 1}),
-    (3, {"mul_int": 25, "sqr": 7, "inv": 1, "mul": 57}),
-    (7, {"mul_int": 38, "mul": 353, "sqr": 21, "inv": 1}),
+    (5, {"mul_int": 19, "sqr": 4, "mul": 19, "inv": 1, "poly_rem": 5, "poly_mulmod": 12, "poly_sub": 4,
+         "poly_scale": 2, "poly_add": 2, "poly_deriv": 2, "poly_mul": 7}),
+    (3, {"mul_int": 17, "sqr": 3, "inv": 1, "mul": 18, "poly_rem": 3, "poly_mulmod": 2, "poly_scale": 1,
+         "poly_add": 1, "poly_deriv": 2, "poly_mul": 7, "poly_sub": 3}),
+    (7, {"mul_int": 22, "mul": 27, "sqr": 3, "inv": 1, "poly_rem": 5, "poly_mulmod": 19, "poly_sub": 5,
+         "poly_scale": 3, "poly_add": 3, "poly_deriv": 2, "poly_mul": 7}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse

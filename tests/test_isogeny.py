@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcurve.errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
+from qcurve.errors import DegenerateParameterError, DomainError, KernelError, NotSquareError, OffCurveError
 from qcurve.families import _BUILDERS, Endo, build_family_curve, epsilon_p, gls_endo
 from qcurve.fields import FieldCtx, Fp2
 from qcurve.isogeny import (
@@ -12,15 +14,15 @@ from qcurve.isogeny import (
     poly_deriv,
     poly_eval,
     poly_mul,
+    poly_mulmod,
     poly_rem,
-    poly_scale,
     poly_sub,
     post_twist,
     velu_quotient,
 )
 from qcurve.weierstrass import INFINITY, Curve, Point, curve_points, oracle_order, random_point
 
-from conftest import MERSENNE_127, ctx_for
+from conftest import MERSENNE_127, ctx_for, from_kernel, ref_add, ref_mul, ref_rem, ref_sub, ref_trim, to_kernel
 
 
 def d2_family(p, s):
@@ -38,8 +40,8 @@ def d3_family(p, s):
 
 
 def reference_division_polynomial(curve, d):
-    """The univariate d-division polynomial for odd d in {3, 5, 7}, expanded
-    in full from psi_3 and g_4 = psi_4 / (4y)."""
+    """The univariate d-division polynomial for odd d in {3, 5, 7}, as an
+    Fp2 tuple expanded in full from psi_3 and g_4 = psi_4 / (4y)."""
     ctx = curve.ctx
     A, B = curve.A, curve.B
     e = ctx.elem
@@ -56,15 +58,20 @@ def reference_division_polynomial(curve, d):
         e(0),
         e(1),
     )
-    rhs2 = poly_mul(rhs, rhs)
-    psi3cube = poly_mul(poly_mul(psi3, psi3), psi3)
-    psi5 = poly_sub(poly_scale(poly_mul(rhs2, g4), e(32)), psi3cube)
+    rhs2 = ref_mul(rhs, rhs)
+    psi3cube = ref_mul(ref_mul(psi3, psi3), psi3)
+    psi5 = ref_sub(ref_mul((e(32),), ref_mul(rhs2, g4)), psi3cube)
     if d == 5:
         return psi5
     if d == 7:
-        g4cube = poly_mul(poly_mul(g4, g4), g4)
-        return poly_sub(poly_mul(psi5, psi3cube), poly_scale(poly_mul(rhs2, g4cube), e(128)))
+        g4cube = ref_mul(ref_mul(g4, g4), g4)
+        return ref_sub(ref_mul(psi5, psi3cube), ref_mul((e(128),), ref_mul(rhs2, g4cube)))
     raise KernelError(f"unsupported kernel degree {d}")
+
+
+def vanishes(curve, l, x0):
+    """Whether psi_l(x0) = 0, read as psi_l modulo x - x0."""
+    return not division_polynomial(curve, l, to_kernel((-x0, curve.ctx.one())))[0]
 
 
 def random_curve(ctx, rng):
@@ -88,12 +95,12 @@ class TestDivisionPolynomial:
         for a in range(7):
             for b in range(7):
                 x = Fp2(ctx, a, b)
-                if not division_polynomial(curve, d, (-x, ctx.one())):
+                if vanishes(curve, d, x):
                     P = curve.lift_x(x)
                     if P is not None:
                         assert (a, b) in torsion_x
         for key in torsion_x:
-            assert not division_polynomial(curve, d, (-Fp2(ctx, *key), ctx.one()))
+            assert vanishes(curve, d, Fp2(ctx, *key))
 
     @pytest.mark.parametrize(
         "ctx",
@@ -110,7 +117,7 @@ class TestDivisionPolynomial:
             full = reference_division_polynomial(curve, l)
             for degree in (1, 2, 3, 5, len(full)):
                 F = tuple(ctx.elem(rng.randrange(ctx.p), rng.randrange(ctx.p)) for _ in range(degree)) + (ctx.one(),)
-                assert division_polynomial(curve, l, F) == poly_rem(full, F)
+                assert division_polynomial(curve, l, to_kernel(F)) == to_kernel(ref_rem(full, F))
 
     @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
     def test_linear_moduli_find_torsion_abscissas(self, p):
@@ -125,13 +132,13 @@ class TestDivisionPolynomial:
             torsion_x = {P.x for P in points if curve.mul(l, P).is_infinity}
             assert torsion_x
             for x0 in {P.x for P in points}:
-                assert (not division_polynomial(curve, l, (-x0, ctx.one()))) == (x0 in torsion_x)
+                assert vanishes(curve, l, x0) == (x0 in torsion_x)
 
     @pytest.mark.parametrize("l", [-1, 0, 1, 2, 4, 6])
     def test_rejects_even_or_small_index(self, l):
         curve = Curve(ctx_for(7).elem(1), ctx_for(7).elem(4))
         with pytest.raises(KernelError, match="odd l >= 3"):
-            division_polynomial(curve, l, (curve.ctx.one(),))
+            division_polynomial(curve, l, ([1], [0]))
 
 
 class TestVeluCodomain:
@@ -162,10 +169,10 @@ class TestVeluCodomain:
     def test_normalized_leading_behavior(self):
         for d, p, s in ((2, 11, 1), (3, 11, 1), (5, 11, 2), (7, 11, 1)):
             fam = build_family_curve(d, ctx_for(p), s)
-            phi = fam.phi
-            assert len(phi.num) - 1 == d
-            assert len(phi.den) - 1 == d - 1
-            assert phi.num[-1] == phi.den[-1]
+            num, den = (from_kernel(f, fam.ctx) for f in (fam.phi.num, fam.phi.den))
+            assert len(num) - 1 == d
+            assert len(den) - 1 == d - 1
+            assert num[-1] == den[-1]
 
 
 class TestEval:
@@ -263,7 +270,7 @@ class TestKernelValidation:
         curve = Curve(ctx.elem(a0), ctx.elem(b0))
         A, B = curve.A, curve.B
         psi5 = reference_division_polynomial(curve, 5)
-        roots = [x for a in range(p) for b in range(p) if not poly_eval(psi5, x := ctx.elem(a, b))[0]]
+        roots = [x for a in range(p) for b in range(p) if not poly_eval(to_kernel(psi5), x := ctx.elem(a, b))[0]]
         assert len(roots) == 12
         x1 = roots[0]
         twice = (x1**4 - 2 * A * x1 * x1 - 8 * B * x1 + A * A) / (4 * (x1**3 + A * x1 + B))
@@ -272,20 +279,167 @@ class TestKernelValidation:
         def kernel(u, v):
             return (u * v, -(u + v), ctx.one())
 
-        assert not division_polynomial(curve, 5, kernel(x1, other))
+        assert division_polynomial(curve, 5, to_kernel(kernel(x1, other))) == ([], [])
         with pytest.raises(KernelError, match="not one cyclic subgroup"):
             velu_quotient(curve, 5, kernel(x1, other))
         iso = velu_quotient(curve, 5, kernel(x1, twice))
         assert iso.degree == 5
 
 
+def reference_velu(curve, d, F):
+    """velu_quotient(curve, d, F) on the reference helpers, for a monic F of
+    the right length: (codomain, num, den) as Fp2 tuples, or the same
+    KernelError.  psi_d and F(N, D) are expanded in full and divided by F;
+    the codomain is Velu's (A - 5t, B - 7w), from the power sums of F's roots
+    by Newton's identities; the x-map is Kohel's
+    N/F^2 = d x - 2 s1 - 2(3x^2 + A) F'/F - 4(x^3 + Ax + B)(F'/F)'."""
+    ctx = curve.ctx
+    A, B = curve.A, curve.B
+    zero, one = ctx.zero(), ctx.one()
+    if d == 2:
+        alpha = -F[0]
+        if alpha**3 + A * alpha + B:
+            raise KernelError("alpha is not a two-torsion x-coordinate")
+        t = 3 * alpha**2 + A
+        return Curve(A - 5 * t, B - 7 * alpha * t), (t, -alpha, one), F
+    e = len(F) - 1
+    if ref_rem(reference_division_polynomial(curve, d), F):
+        raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
+    N = (A * A, -8 * B, -2 * A, zero, one)
+    D = (4 * B, 4 * A, zero, ctx.elem(4))
+    FND = ()
+    for i, c in enumerate(F):
+        term = (c,)
+        for factor in (N,) * i + (D,) * (e - i):
+            term = ref_mul(term, factor)
+        FND = ref_add(FND, term)
+    if ref_rem(FND, F):
+        raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
+    s1, s2, s3 = (F[e - k] * (-1) ** k if k <= e else zero for k in (1, 2, 3))
+    p1 = s1
+    p2 = s1 * p1 - 2 * s2
+    p3 = s1 * p2 - s2 * p1 + 3 * s3
+    t = 6 * p2 + 2 * A * e
+    w = 10 * p3 + 6 * A * p1 + 4 * B * e
+
+    def deriv(f):
+        return ref_trim(i * c for i, c in enumerate(f) if i)
+
+    Fd = deriv(F)
+    F2 = ref_mul(F, F)
+    num = ref_mul((-2 * p1, ctx.elem(d)), F2)
+    num = ref_sub(num, ref_mul((2 * A, zero, ctx.elem(6)), ref_mul(Fd, F)))
+    num = ref_sub(num, ref_mul((4 * B, 4 * A, zero, ctx.elem(4)), ref_sub(ref_mul(deriv(Fd), F), ref_mul(Fd, Fd))))
+    if len(num) - 1 != d or num[-1] != F2[-1]:
+        raise KernelError("expanded map is not a normalized degree-d quotient")
+    return Curve(A - 5 * t, B - 7 * w), num, F2
+
+
+def velu_outcome(curve, d, F):
+    try:
+        iso = velu_quotient(curve, d, F)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return iso.codomain, from_kernel(iso.num, curve.ctx), from_kernel(iso.den, curve.ctx)
+
+
+def reference_outcome(curve, d, F):
+    try:
+        return reference_velu(curve, d, F)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestVeluReference:
+    """velu_quotient against reference_velu on every family kernel, and on
+    the same kernel with its constant term moved by 1, which the checks must
+    reject with the same error."""
+
+    @staticmethod
+    def assert_matches(curve, d, F):
+        for G in (F, (F[0] + 1,) + F[1:]):
+            assert velu_outcome(curve, d, G) == reference_outcome(curve, d, G)
+
+    @pytest.mark.parametrize("p", [11, 23])
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_every_member(self, d, p):
+        ctx = ctx_for(p)
+        built = 0
+        for s in range(p):
+            try:
+                A, B, _, F, _ = _BUILDERS[d](ctx, s)
+                curve = Curve(A, B)
+            except DegenerateParameterError:
+                continue
+            self.assert_matches(curve, d, F)
+            built += 1
+        assert built >= p - 2
+
+    @pytest.mark.parametrize("d,s", [(2, 28106), (5, 7930)])
+    def test_paper_instances(self, d, s):
+        ctx = FieldCtx(MERSENNE_127, -1)
+        A, B, _, F, _ = _BUILDERS[d](ctx, s)
+        self.assert_matches(Curve(A, B), d, F)
+
+
+KERNEL_CTXS = [ctx_for(7), ctx_for(11), FieldCtx(13, 2), ctx_for(23), ctx_for(MERSENNE_127)]
+KERNEL_CTX_IDS = ["7", "11", "13-delta2", "23", "2^127-1"]
+
+
+@st.composite
+def fp2_polys(draw, ctx, max_len=9, monic=False):
+    """An ascending Fp2 tuple, trimmed, often with zero coefficients; monic
+    ones are nonzero and end in 1."""
+    p = ctx.p
+    coefficient = st.tuples(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1), st.integers(0, p - 1) | st.just(0))
+    cs = [ctx.elem(*c) for c in draw(st.lists(coefficient, max_size=max_len - monic))]
+    return tuple(cs) + (ctx.one(),) if monic else ref_trim(cs)
+
+
 class TestPolynomials:
     def test_zero_sums_are_zero(self):
-        one = ctx_for(11).one()
-        assert poly_add((), ()) == ()
-        assert poly_sub((), ()) == ()
-        assert poly_sub((one,), (one,)) == ()
-        assert poly_add((), (one,)) == (one,)
+        ctx = ctx_for(11)
+        zero, one = ([], []), ([1], [0])
+        assert poly_add(zero, zero, ctx) == zero
+        assert poly_sub(zero, zero, ctx) == zero
+        assert poly_sub(one, one, ctx) == zero
+        assert poly_add(zero, one, ctx) == one
+
+    @pytest.mark.parametrize("ctx", KERNEL_CTXS, ids=KERNEL_CTX_IDS)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_kernel_matches_reference(self, ctx, data):
+        f = data.draw(fp2_polys(ctx))
+        g = data.draw(fp2_polys(ctx))
+        m = data.draw(fp2_polys(ctx, max_len=6, monic=True))
+        x = data.draw(st.builds(ctx.elem, st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1)))
+        fk, gk, mk = to_kernel(f), to_kernel(g), to_kernel(m)
+        assert poly_mul(fk, gk, ctx) == to_kernel(ref_mul(f, g))
+        assert poly_rem(fk, mk, ctx) == to_kernel(ref_rem(f, m))
+        assert poly_mulmod(fk, gk, mk, ctx) == to_kernel(ref_rem(ref_mul(f, g), m))
+        value, slope = poly_eval(fk, x)
+        assert value == sum((c * x**i for i, c in enumerate(f)), ctx.zero())
+        assert slope == sum((i * c * x ** (i - 1) for i, c in enumerate(f) if i), ctx.zero())
+
+    @pytest.mark.parametrize("ctx", KERNEL_CTXS, ids=KERNEL_CTX_IDS)
+    def test_kernel_edge_cases(self, ctx):
+        e = ctx.elem
+        zero, one = (), (ctx.one(),)
+        const = (e(3, 1),)
+        f = (e(2), e(0, 5), e(1, 1))
+        linear, quadratic = (e(0, 5), ctx.one()), (e(2), e(0, 5), ctx.one())
+        long_monic = (e(1), e(4, 2), e(0), e(5), ctx.one())
+        cases = [(zero, f, one), (f, zero, quadratic), (const, f, long_monic), (f, const, one),
+                 (const, const, linear), (f, f, long_monic), (long_monic, f, quadratic), (f, f, linear)]
+        for a, b, m in cases:
+            ak, bk, mk = to_kernel(a), to_kernel(b), to_kernel(m)
+            assert poly_mul(ak, bk, ctx) == to_kernel(ref_mul(a, b))
+            assert poly_rem(ak, mk, ctx) == to_kernel(ref_rem(a, m))
+            assert poly_mulmod(ak, bk, mk, ctx) == to_kernel(ref_rem(ref_mul(a, b), m))
+        # A divisor longer than the dividend leaves it whole.
+        assert poly_rem(to_kernel(f), to_kernel(long_monic), ctx) == to_kernel(f)
+        assert poly_eval(to_kernel(zero), e(3)) == (ctx.zero(), ctx.zero())
+        assert poly_eval(to_kernel(const), e(3)) == (const[0], ctx.zero())
 
     @pytest.mark.parametrize("p", [11, MERSENNE_127])
     def test_eval_derivative_matches_poly_deriv(self, p):
@@ -295,17 +449,19 @@ class TestPolynomials:
             for _ in range(4):
                 f = tuple(ctx.elem(rng.randrange(p), rng.randrange(p)) for _ in range(length))
                 x = ctx.elem(rng.randrange(p), rng.randrange(p))
-                value, slope = poly_eval(f, x)
+                value, slope = poly_eval(to_kernel(f), x)
                 assert value == sum((c * x**i for i, c in enumerate(f)), ctx.zero())
-                assert slope == poly_eval(poly_deriv(f), x)[0]
+                assert slope == poly_eval(poly_deriv(to_kernel(f), ctx), x)[0]
 
     def test_rem_needs_monic_divisor(self):
         ctx = ctx_for(11)
-        f = (ctx.elem(3), ctx.elem(5), ctx.one())
-        assert poly_rem(f, (ctx.elem(2), ctx.one())) == (ctx.elem(8),)  # f(-2)
-        for g in ((), (ctx.one(), ctx.elem(2))):
-            with pytest.raises(ValueError):
-                poly_rem(f, g)
+        f = to_kernel((ctx.elem(3), ctx.elem(5), ctx.one()))
+        assert poly_rem(f, ([2, 1], [0, 0]), ctx) == ([8], [0])  # f(-2)
+        for g in (([], []), ([1, 2], [0, 0]), ([0, 0], [3, 1]), ([5, 1], [0, 1])):
+            with pytest.raises(ValueError, match="monic"):
+                poly_rem(f, g, ctx)
+            with pytest.raises(ValueError, match="monic"):
+                poly_mulmod(f, f, g, ctx)
 
 
 class TestPostTwist:
