@@ -123,9 +123,10 @@ class FieldCtx:
         if legendre(self.delta, p) != -1:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
         object.__setattr__(self, "_nonsquare_cache", None)
+        object.__setattr__(self, "_character_rows", None)
         # delta as its least absolute residue, so that delta = -1 is the small
         # int -1 in the int-pair products of the bare-int code paths.  Set
-        # here, as the cache above: writing an attribute through the instance
+        # here, as the caches above: writing an attribute through the instance
         # __dict__ later would slow every attribute read of the context.
         object.__setattr__(self, "signed_delta", self.delta - p if 2 * self.delta > p else self.delta)
 
@@ -159,6 +160,27 @@ class FieldCtx:
                     object.__setattr__(self, "_nonsquare_cache", cand)
                     return cand
         raise DomainError("no nonsquare found")  # unreachable for p > 3
+
+    def character_rows(self) -> list[list[int]]:
+        """The quadratic character of F_{p^2} as rows[r0][r1], the character
+        of r0 + r1*sqrt(delta): 1 on nonzero squares, -1 on nonsquares, 0 at
+        zero.  A nonzero element is a square exactly when its norm
+        r0^2 - delta*r1^2 is a square mod p.
+
+        The table holds p^2 small ints.  It is built on first use and kept
+        with the context, so the caller bounds p; the point-count oracle
+        asks for it only at p <= 64.
+        """
+        rows = self._character_rows
+        if rows is None:
+            p, d = self.p, self.signed_delta
+            chi = [-1] * p
+            chi[0] = 0
+            for u in range(1, (p + 1) // 2):
+                chi[u * u % p] = 1
+            rows = [[chi[(r0 * r0 - d * r1 * r1) % p] for r1 in range(p)] for r0 in range(p)]
+            object.__setattr__(self, "_character_rows", rows)
+        return rows
 
 
 class Fp2:
@@ -211,7 +233,7 @@ class Fp2:
         if oa is NotImplemented:
             return NotImplemented
         a, b = self.a, self.b
-        return Fp2(self.ctx, a * oa + self.ctx.delta * b * ob, a * ob + b * oa)
+        return Fp2(self.ctx, a * oa + self.ctx.signed_delta * b * ob, a * ob + b * oa)
 
     __rmul__ = __mul__
 
@@ -272,7 +294,7 @@ class Fp2:
     def norm(self) -> int:
         """a^2 - D*b^2 in F_p, the norm down to the base field."""
         a, b = self.a, self.b
-        return (a * a - self.ctx.delta * b * b) % self.ctx.p
+        return (a * a - self.ctx.signed_delta * b * b) % self.ctx.p
 
     def is_square(self) -> bool:
         """True iff the element has a square root in F_{p^2}.

@@ -172,6 +172,46 @@ class TestArithmetic:
             assert ((a * u + delta * b * v) % p, (a * v + b * u) % p) == (1, 0)
 
 
+def schoolbook(ctx, a, b, c, d):
+    """(a + b*sqrt(delta))(c + d*sqrt(delta)) and the norm of the first
+    factor, on the unsigned delta with one reduction at the end."""
+    p, delta = ctx.p, ctx.delta
+    return ((a * c + delta * b * d) % p, (a * d + b * c) % p), (a * a - delta * b * b) % p
+
+
+# delta = -1 and a nonsquare just above p/2 at 2^127 - 1, so the least
+# absolute residue that Fp2 multiplies by is negative in both; 2 at p = 13.
+SCHOOLBOOK_CTXS = [
+    FieldCtx(MERSENNE_127, -1),
+    FieldCtx(MERSENNE_127, next(d for d in range(MERSENNE_127 // 2 + 1, MERSENNE_127) if legendre(d, MERSENNE_127) == -1)),
+    FieldCtx(13, 2),
+]
+
+
+class TestSchoolbook:
+    def test_contexts_cover_both_signs(self):
+        assert [ctx.signed_delta for ctx in SCHOOLBOOK_CTXS[::2]] == [-1, 2]
+        assert SCHOOLBOOK_CTXS[1].signed_delta < -(MERSENNE_127 // 4)
+
+    @given(st.sampled_from(SCHOOLBOOK_CTXS), st.data())
+    def test_products_and_norms(self, ctx, data):
+        coord = st.one_of(st.integers(0, ctx.p - 1), st.sampled_from([0, 1, ctx.p - 1]))
+        a, b, c, d = (data.draw(coord) for _ in range(4))
+        x, y = Fp2(ctx, a, b), Fp2(ctx, c, d)
+        (u, v), n = schoolbook(ctx, a, b, c, d)
+        assert ((x * y).a, (x * y).b) == (u, v)
+        assert ((x * x).a, (x * x).b) == schoolbook(ctx, a, b, a, b)[0]
+        assert x.norm() == n
+
+    def test_exhaustive_at_13(self):
+        ctx = FieldCtx(13, 2)
+        elems = [(a, b, Fp2(ctx, a, b)) for a in range(13) for b in range(13)]
+        for a, b, x in elems:
+            assert x.norm() == schoolbook(ctx, a, b, 0, 0)[1]
+            for c, d, y in elems:
+                assert ((x * y).a, (x * y).b) == schoolbook(ctx, a, b, c, d)[0]
+
+
 class TestFrobenius:
     def test_conjugation_rule(self):
         ctx = ctx_for(11)

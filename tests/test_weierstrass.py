@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,11 @@ from hypothesis import strategies as st
 
 from qcurve.errors import DomainError, OffCurveError, OracleGuardError
 from qcurve.families import build_family_curve
-from qcurve.fields import FieldCtx, Fp2, is_probable_prime
+from qcurve.fields import FieldCtx, Fp2, is_probable_prime, legendre
 from qcurve.glv import multiexp2
 from qcurve.weierstrass import (
     INFINITY,
+    ORACLE_MAX_P,
     Curve,
     Point,
     _dbl,
@@ -372,6 +374,69 @@ class TestOracle:
         assert not mu.is_square()
         assert oracle_order(curve) + oracle_order(twist) == 2 * (p * p + 1)
         assert oracle_trace(twist) == -oracle_trace(curve)
+
+
+def two_deltas(p):
+    """The smallest nonsquare n mod p and a second nonsquare of the other
+    sign as a least absolute residue: -1 at p = 3 (mod 4), else -n."""
+    n = next(d for d in range(2, p) if legendre(d, p) == -1)
+    return n, (-1 if p % 4 == 3 else -n)
+
+
+ORACLE_PRIMES = [p for p in range(5, ORACLE_MAX_P) if is_probable_prime(p)]
+
+
+class TestOracleSweep:
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_matches_fp2_reference_on_random_curves(self, p):
+        """Every prime 5 <= p <= 61 and two deltas, on curves whose A and B
+        both have a nonzero sqrt(delta) part."""
+        assert ORACLE_PRIMES[-1] == 61
+        rng = random.Random(p)
+        for delta in two_deltas(p):
+            ctx = FieldCtx(p, delta)
+            checked = 0
+            while checked < 3:
+                A = ctx.elem(rng.randrange(p), rng.randrange(1, p))
+                B = ctx.elem(rng.randrange(p), rng.randrange(1, p))
+                try:
+                    curve = Curve(A, B)
+                except DomainError:
+                    continue
+                assert oracle_order(curve) == reference_order(curve)
+                checked += 1
+
+
+class TestCharacterTable:
+    @pytest.mark.parametrize("p,delta", ORACLE_FIELDS)
+    def test_rows_are_the_quadratic_character(self, p, delta):
+        ctx = FieldCtx(p, delta)
+        rows = ctx.character_rows()
+        for r0 in range(p):
+            for r1 in range(p):
+                x = Fp2(ctx, r0, r1)
+                assert rows[r0][r1] == (0 if not x else 1 if x.is_square() else -1)
+
+    def test_built_once_per_field_on_first_use(self):
+        ctx = FieldCtx(23, -1)
+        assert ctx._character_rows is None
+        first, second = Curve(ctx.elem(1), ctx.elem(4, 1)), Curve(ctx.elem(2, 3), ctx.elem(5, 7))
+        oracle_order(first)
+        rows = ctx._character_rows
+        assert rows is not None
+        oracle_order(second)
+        assert ctx._character_rows is rows
+        assert ctx.character_rows() is rows
+        assert FieldCtx(23, -1)._character_rows is None
+
+    @pytest.mark.parametrize("p", [67, MERSENNE_127])
+    def test_guard_fires_before_any_table(self, p):
+        curve = sample_curve(p)
+        with pytest.raises(OracleGuardError):
+            oracle_order(curve)
+        with pytest.raises(OracleGuardError):
+            oracle_trace(curve)
+        assert curve.ctx._character_rows is None
 
 
 class TestTwist:
