@@ -100,7 +100,7 @@ def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
     One gcd with each block's product screens its primes; only a block that
     shares a factor with n is divided prime by prime.  The remainder is 1
     when n splits completely; a remainder whose least factor provably
-    exceeds the bound is left for Miller-Rabin.
+    exceeds the bound is left for is_probable_prime.
     """
     factors = []
     q = TRIAL_DIVISION_BOUND + 1  # the first candidate past an exhausted list
@@ -126,8 +126,8 @@ def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
 
 
 class Factorization(NamedTuple):
-    """n split by trial_factor, with the one Miller-Rabin verdict on the
-    remainder that the report and the subgroup choice both read."""
+    """n split by trial_factor, with the one is_probable_prime verdict on
+    the remainder that the report and the subgroup choice both read."""
 
     n: int
     factors: list[tuple[int, int]]
@@ -137,7 +137,7 @@ class Factorization(NamedTuple):
     @property
     def is_prime(self) -> bool:
         """Whether n itself is prime: proven by trial division, or n has no
-        factor up to the bound and passes Miller-Rabin."""
+        factor up to the bound and passes is_probable_prime."""
         return self.factors == [(self.n, 1)] or (self.rest == self.n and self.rest_is_prime)
 
     def __str__(self) -> str:
@@ -150,7 +150,9 @@ class Factorization(NamedTuple):
 
 
 def factorize(n: int) -> Factorization:
-    """Trial division to 2^20 plus a Miller-Rabin verdict on the remainder."""
+    """Trial division to 2^20 plus an is_probable_prime verdict on the
+    remainder: Lucas-Lehmer if it is a Mersenne number, else 64 Miller-Rabin
+    rounds."""
     factors, rest = trial_factor(n)
     return Factorization(n, factors, rest, rest > 1 and is_probable_prime(rest))
 
@@ -216,7 +218,8 @@ def _timed(timings: dict, key: str):
 def _analyze(args, timings: dict):
     """Shared construction pipeline for info/decompose; stage times go to
     timings."""
-    ctx = FieldCtx(args.p, args.delta)
+    with _timed(timings, "t_field_ms"):
+        ctx = FieldCtx(args.p, args.delta)
     with _timed(timings, "t_build_ms"):
         fam = build_family_curve(args.d, ctx, args.s)
         endo = Endo(fam)

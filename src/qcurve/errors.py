@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class NotPrimeError(DomainError):
-    """The modulus failed the Miller-Rabin primality test."""
+    """The modulus is composite: it has a prime factor up to 37, or fails
+    Lucas-Lehmer (a Mersenne number 2^q - 1) or Miller-Rabin (any other)."""
 
 
 class NotInertError(DomainError):

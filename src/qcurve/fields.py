@@ -4,6 +4,12 @@ The quadratic extension is realised concretely: an element is a pair (a, b)
 standing for a + b*sqrt(D), where D is a fixed quadratic nonresidue mod p.
 Values are immutable and every operation returns a fresh object, so contexts
 and elements may be shared freely between threads.
+
+A context checks its modulus once.  A Mersenne modulus 2^q - 1, such as the
+paper's 2^127 - 1, is proven prime by Lucas-Lehmer (125 squarings at
+q = 127); any other modulus passes 64 Miller-Rabin rounds.  At p = 3 (mod 4)
+a square root is one exponentiation whose square is checked, so a nonsquare
+needs no separate Legendre symbol.
 """
 
 from __future__ import annotations
@@ -25,12 +31,39 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed pseudo-random base schedule."""
+    """True if n is prime: exact for n with a factor up to 37 and for a
+    Mersenne number n = 2^q - 1, probable otherwise.
+
+    After the small-prime screen, n = 2^q - 1 is decided by Lucas-Lehmer,
+    which proves primality and compositeness alike; every other n must pass
+    64 Miller-Rabin rounds with a fixed base schedule.
+    """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
+    if n & (n + 1) == 0:
+        return _lucas_lehmer(n)
+    return _miller_rabin(n)
+
+
+def _lucas_lehmer(n: int) -> bool:
+    """Lucas-Lehmer on n = 2^q - 1, q >= 3 (Lehmer 1930): n is prime iff
+    s_(q-2) = 0 mod n, where s_0 = 4 and s_(k+1) = s_k^2 - 2.
+
+    s_(q-2) = 0 mod n proves n prime for every q >= 3; for composite q,
+    2^q - 1 is composite, so the test refutes it too.
+    """
+    s = 4
+    for _ in range(n.bit_length() - 2):
+        s = (s * s - 2) % n
+    return s == 0
+
+
+def _miller_rabin(n: int) -> bool:
+    """MR_ROUNDS Miller-Rabin rounds on odd n > 3, with the bases drawn from
+    a fixed seed."""
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -68,15 +101,19 @@ def legendre(n: int, p: int) -> int:
 def sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n mod p (odd prime), or None for a nonresidue.
 
-    Deterministic: Tonelli-Shanks with the smallest nonresidue as generator.
+    Deterministic.  At p = 3 (mod 4) the root is r = n^((p+1)/4), returned
+    only if r^2 = n, so a nonresidue costs the one exponentiation.  Otherwise
+    a Legendre symbol screens n, then Tonelli-Shanks runs with the smallest
+    nonresidue as generator.
     """
     n %= p
     if n == 0:
         return 0
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
     if legendre(n, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
     # Tonelli-Shanks.
     q = p - 1
     s = 0
@@ -118,7 +155,11 @@ class FieldCtx:
         if p.bit_length() > MAX_MODULUS_BITS:
             raise DomainError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
         if not is_probable_prime(p):
-            raise NotPrimeError(f"modulus {p} failed {MR_ROUNDS}-round Miller-Rabin")
+            factor = next((q for q in _SMALL_PRIMES if p % q == 0), None)
+            if factor is not None:
+                raise NotPrimeError(f"modulus {p} has the factor {factor}")
+            test = "Lucas-Lehmer" if p & (p + 1) == 0 else f"{MR_ROUNDS}-round Miller-Rabin"
+            raise NotPrimeError(f"modulus {p} failed {test}")
         object.__setattr__(self, "delta", self.delta % p)
         if legendre(self.delta, p) != -1:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
@@ -322,15 +363,16 @@ class Fp2:
             # a is a nonresidue, so a/delta is a residue and the root is v*sqrt(D).
             v = sqrt_mod_prime(self.a * pow(ctx.delta, -1, p) % p, p)
             return _canonical_root(Fp2(ctx, 0, v))
-        n = self.norm()
-        if legendre(n, p) != 1:
+        # x is a square iff its norm is, say m^2.  Then u^2 is (a + m)/2 or
+        # (a - m)/2, whichever is a residue: their product delta*b^2/4 is a
+        # nonresidue, and neither is 0, since a = -+m would force delta*b^2 = 0.
+        m = sqrt_mod_prime(self.norm(), p)
+        if m is None:
             return None
-        m = sqrt_mod_prime(n, p)
-        half = pow(2, -1, p)
-        u2 = (self.a + m) * half % p
-        if legendre(u2, p) != 1:
-            u2 = (self.a - m) * half % p
-        u = sqrt_mod_prime(u2, p)
+        half = (p + 1) // 2
+        u = sqrt_mod_prime((self.a + m) * half, p)
+        if u is None:
+            u = sqrt_mod_prime((self.a - m) * half, p)
         v = self.b * pow(2 * u % p, -1, p) % p
         return _canonical_root(Fp2(ctx, u, v))
 

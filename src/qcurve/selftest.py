@@ -11,7 +11,7 @@ import random
 from . import cmtables
 from .errors import DomainError
 from .families import Endo, build_family_curve, determine_r, eigenvalue, epsilon_p, gls_endo, group_orders, subfield_order
-from .fields import FieldCtx, Fp2, is_probable_prime, legendre
+from .fields import FieldCtx, Fp2, _lucas_lehmer, _miller_rabin, is_probable_prime, legendre
 from .glv import (
     COFACTOR2_D2,
     cofactor_basis,
@@ -64,6 +64,12 @@ def check_field_axioms():
             _assert(x ** (13**2 - 1) == 1, f"x^(p^2-1) != 1 for {x}")
             _assert(x * x.inverse() == 1, f"x * x^-1 != 1 for {x}")
         _assert(x.conjugate().conjugate() == x, "conjugation is not an involution")
+    # The Mersenne modulus is proven by Lucas-Lehmer; 64 Miller-Rabin rounds
+    # must agree, and 2^67 - 1 = 193707721 * 761838257287 must fail both.
+    for q, prime in ((127, True), (67, False)):
+        n = 2**q - 1
+        verdicts = (is_probable_prime(n), _lucas_lehmer(n), _miller_rabin(n))
+        _assert(verdicts == (prime,) * 3, f"primality verdicts {verdicts} on 2^{q} - 1")
     rng = random.Random(1)
     big = FieldCtx(MERSENNE_127, -1)
     p, delta = big.p, big.delta

@@ -93,6 +93,50 @@ def from_kernel(f, ctx: FieldCtx) -> tuple[Fp2, ...]:
     return tuple(Fp2(ctx, a, b) for a, b in zip(*f))
 
 
+# Square roots with a Legendre symbol taken before each root: the reference
+# for the checked-exponentiation roots of qcurve.fields at p = 3 (mod 4).
+
+
+def ref_sqrt_mod_prime(n: int, p: int) -> int | None:
+    """n^((p+1)/4) mod p for a residue n, None for a nonresidue, decided
+    first by Euler's criterion; p = 3 (mod 4) only."""
+    assert p % 4 == 3
+    n %= p
+    if n == 0:
+        return 0
+    if legendre(n, p) != 1:
+        return None
+    return pow(n, (p + 1) // 4, p)
+
+
+def ref_sqrt(x: Fp2) -> Fp2 | None:
+    """The canonical square root of x (the smaller (a, b) pair of the two),
+    or None, with the residuosity of the norm and of (a + m)/2 each tested
+    by a Legendre symbol before its root is taken."""
+    ctx, p = x.ctx, x.ctx.p
+    if not x:
+        return ctx.zero()
+    if x.b == 0:
+        u = ref_sqrt_mod_prime(x.a, p)
+        if u is not None:
+            root = Fp2(ctx, u, 0)
+        else:
+            root = Fp2(ctx, 0, ref_sqrt_mod_prime(x.a * pow(ctx.delta, -1, p), p))
+    else:
+        n = x.norm()
+        if legendre(n, p) != 1:
+            return None
+        m = ref_sqrt_mod_prime(n, p)
+        half = pow(2, -1, p)
+        u2 = (x.a + m) * half % p
+        if legendre(u2, p) != 1:
+            u2 = (x.a - m) * half % p
+        u = ref_sqrt_mod_prime(u2, p)
+        root = Fp2(ctx, u, x.b * pow(2 * u, -1, p))
+    neg = -root
+    return root if (root.a, root.b) <= (neg.a, neg.b) else neg
+
+
 @pytest.fixture(scope="session")
 def ctx11():
     return ctx_for(11)

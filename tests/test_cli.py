@@ -260,7 +260,7 @@ class TestSearch:
 
 
 class TestTimings:
-    STAGES = ["t_build_ms", "t_r_ms", "t_factor_ms", "t_basis_ms"]
+    STAGES = ["t_field_ms", "t_build_ms", "t_r_ms", "t_factor_ms", "t_basis_ms"]
 
     def _pair(self, capsys, argv):
         """The last JSON record without and with --timings."""
@@ -327,6 +327,14 @@ class TestErrors:
         rc, lines = run(capsys, ["info", "--d", "2", "--p", "91", "--delta", "2", "--s", "1"])
         assert rc == 1
         assert parse_plain(lines[0])["error"] == "not_prime"
+
+    def test_composite_mersenne_modulus(self, capsys):
+        # 2^67 - 1 has no factor up to 37; Lucas-Lehmer refutes it.
+        rc, lines = run(capsys, ["info", "--d", "2", "--p", str(2**67 - 1), "--delta", "-1", "--s", "1"])
+        assert rc == 1
+        rec = parse_plain(lines[0])
+        assert rec["error"] == "not_prime"
+        assert rec["message"] == f"modulus {2**67 - 1} failed Lucas-Lehmer"
 
     def test_decompose_without_trace_above_oracle_bound(self, capsys):
         # Above p = 64 no trace can be counted, so decompose needs --trace.

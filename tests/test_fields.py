@@ -3,9 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcurve.errors import DomainError, NotInertError, NotPrimeError
+import random
+
 from qcurve.fields import (
     FieldCtx,
     Fp2,
+    _lucas_lehmer,
+    _miller_rabin,
     format_fp2,
     is_probable_prime,
     legendre,
@@ -13,7 +17,7 @@ from qcurve.fields import (
     sqrt_mod_prime,
 )
 
-from conftest import MERSENNE_127, ctx_for
+from conftest import MERSENNE_127, ctx_for, ref_sqrt, ref_sqrt_mod_prime
 
 PRIME_POOL = [5, 7, 11, 13, 17, 101, 2**31 - 1, MERSENNE_127, 2**128 - 159]
 
@@ -62,6 +66,32 @@ class TestContext:
     def test_pool_moduli_are_prime(self):
         for p in PRIME_POOL:
             assert is_probable_prime(p)
+
+    @pytest.mark.parametrize("p, message", [
+        (91, "modulus 91 has the factor 7"),
+        # Composite Mersenne numbers with no factor up to 37.
+        (2**29 - 1, f"modulus {2**29 - 1} failed Lucas-Lehmer"),
+        (2**67 - 1, f"modulus {2**67 - 1} failed Lucas-Lehmer"),
+        (1048573 * 1048583, f"modulus {1048573 * 1048583} failed 64-round Miller-Rabin"),
+    ])
+    def test_composite_modulus_names_its_test(self, p, message):
+        with pytest.raises(NotPrimeError) as exc:
+            FieldCtx(p, -1)
+        assert str(exc.value) == message
+
+
+# The exponents q <= 128 of the Mersenne primes 2^q - 1 (OEIS A000043).
+MERSENNE_EXPONENTS = {2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127}
+
+
+class TestPrimality:
+    def test_mersenne_numbers(self):
+        for q in range(2, 129):
+            n = 2**q - 1
+            prime = q in MERSENNE_EXPONENTS
+            assert is_probable_prime(n) == prime, q
+            if q > 2:  # n = 3 leaves no Miller-Rabin base in [2, n - 2]
+                assert _lucas_lehmer(n) == _miller_rabin(n) == prime, q
 
 
 class TestLegendre:
@@ -265,7 +295,7 @@ class TestSqrt:
             r = ctx.elem(2).sqrt()
             assert r is not None and r * r == 2
 
-    @pytest.mark.parametrize("p", [5, 13])
+    @pytest.mark.parametrize("p", [5, 13, 7, 11, 19, 23])
     def test_nonsquare_detection_matches_euler(self, p):
         ctx = ctx_for(p)
         power = (p * p - 1) // 2
@@ -277,6 +307,37 @@ class TestSqrt:
                 euler_square = x**power == 1
                 assert x.is_square() == euler_square
                 assert (x.sqrt() is not None) == euler_square
+
+    @pytest.mark.parametrize("p", [7, 11, 19, 23])
+    def test_exhaustive_matches_legendre_first_roots(self, p):
+        ctx = ctx_for(p)
+        for n in range(p):
+            assert sqrt_mod_prime(n, p) == ref_sqrt_mod_prime(n, p)
+        for a in range(p):
+            for b in range(p):
+                x = Fp2(ctx, a, b)
+                assert x.sqrt() == ref_sqrt(x)
+
+    def test_random_matches_legendre_first_roots_at_mersenne_127(self, big_ctx):
+        # Random coordinates with b = 0 and b != 0, and their squares, so
+        # that residues and nonresidues of F_p and squares and nonsquares of
+        # F_{p^2} all occur.
+        p = MERSENNE_127
+        rng = random.Random(24)
+        kinds = set()
+        for _ in range(60):
+            n = rng.randrange(p)
+            for m in (n, n * n):
+                r = sqrt_mod_prime(m, p)
+                assert r == ref_sqrt_mod_prime(m, p)
+                kinds.add(("F_p", r is not None))
+            for x in (Fp2(big_ctx, n, 0), Fp2(big_ctx, n, rng.randrange(1, p))):
+                for y in (x, x * x):
+                    r = y.sqrt()
+                    assert r == ref_sqrt(y)
+                    kinds.add(("b = 0" if y.b == 0 else "b != 0", r is not None))
+        # Every element of F_p is a square in F_{p^2}.
+        assert kinds == {(k, v) for k in ("F_p", "b != 0") for v in (True, False)} | {("b = 0", True)}
 
     def test_nonsquare_scan_is_a_nonsquare(self):
         for p in (5, 11, 13):
