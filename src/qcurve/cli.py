@@ -42,7 +42,7 @@ from .glv import (
     multiexp2,
     reduced_lattice_basis,
 )
-from .weierstrass import ORACLE_MAX_P, random_point
+from .weierstrass import ORACLE_MAX_P, _jsf, random_point
 
 TRIAL_DIVISION_BOUND = 1 << 20
 # Primes per gcd block in trial_factor.  Measured on CPython 3.11 on a
@@ -275,6 +275,15 @@ def _analyze(args, timings: dict):
     return fam, endo, record, basis
 
 
+def _loop_ops(a: int, b: int) -> tuple[int, int]:
+    """The doublings and mixed additions of Curve._mul2 on the scalars a, b,
+    read off the run recoding of (|a|, |b|): the sum of the runs, and one
+    addition per nonzero column after the first.  The loop does exactly
+    these unless a table entry or a partial sum is at infinity."""
+    runs = _jsf(abs(a), abs(b))
+    return sum(run for _, run in runs), max(len(runs) - 1, 0)
+
+
 def cmd_info(args) -> int:
     timings = {}
     fam, endo, record, _ = _analyze(args, timings)
@@ -315,6 +324,8 @@ def cmd_decompose(args) -> int:
     with _timed(timings, "t_mul_ms"):
         expected = fam.curve.mul(m, P)
     record["multiexp_check"] = "ok" if R == expected else "FAIL"
+    timings["n_dbl_multiexp"], timings["n_add_multiexp"] = _loop_ops(dec.a, dec.b)
+    timings["n_dbl_mul"], timings["n_add_mul"] = _loop_ops(m, 0)
     if args.exhaustive:
         m_bad = first_nonminimal(basis)
         record["exhaustive_minimal"] = f"all {n_sub} scalars minimal" if m_bad is None else f"FAIL at m={m_bad}"
@@ -456,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec = subs.add_parser("decompose", help="decompose a scalar for the endomorphism")
     _add_common(dec)
     dec.add_argument("--trace", type=int, help="Frobenius trace over F_{p^2} (signed)")
-    dec.add_argument("--timings", action="store_true", help="append per-stage wall times (ms)")
+    dec.add_argument("--timings", action="store_true", help="append per-stage wall times (ms) and group-op counts")
     dec.add_argument("--m", type=int, required=True, help="scalar to decompose")
     dec.add_argument("--seed", type=int, default=0, help="seed for derived points")
     dec.add_argument("--exhaustive", action="store_true", help="verify minimality for all m")

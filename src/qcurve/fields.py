@@ -165,6 +165,7 @@ class FieldCtx:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
         object.__setattr__(self, "_nonsquare_cache", None)
         object.__setattr__(self, "_character_rows", None)
+        object.__setattr__(self, "_square_roots", None)
         # delta as its least absolute residue, so that delta = -1 is the small
         # int -1 in the int-pair products of the bare-int code paths.  Set
         # here, as the caches above: writing an attribute through the instance
@@ -222,6 +223,25 @@ class FieldCtx:
             rows = [[chi[(r0 * r0 - d * r1 * r1) % p] for r1 in range(p)] for r0 in range(p)]
             object.__setattr__(self, "_character_rows", rows)
         return rows
+
+    def square_roots(self) -> dict[tuple[int, int], list["Fp2"]]:
+        """Every square of F_{p^2}, as the int pair (r0, r1), mapped to its
+        roots in (a, b) order: zero to [0], a nonzero square to its two
+        roots.
+
+        The table holds all p^2 elements as Fp2.  It is built on first use
+        and kept with the context, so the caller bounds p; the point
+        enumeration asks for it only at p <= 64.
+        """
+        roots = self._square_roots
+        if roots is None:
+            p, d = self.p, self.delta
+            roots = {}
+            for u in range(p):
+                for v in range(p):
+                    roots.setdefault(((u * u + d * v * v) % p, 2 * u * v % p), []).append(Fp2(self, u, v))
+            object.__setattr__(self, "_square_roots", roots)
+        return roots
 
 
 class Fp2:

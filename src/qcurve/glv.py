@@ -288,9 +288,10 @@ def first_nonminimal(basis: GlvBasis) -> int | None:
 def multiexp2(a: int, b: int, P: Point, psiP: Point, curve: Curve) -> Point:
     """[a]P + [b]psiP for signed a, b by one interleaved double-and-add
     (``Curve._mul2``) over the joint sparse form of (|a|, |b|), with the
-    table {+-P, +-psiP, +-(P + psiP), +-(P - psiP)}: at most
-    max(|a|, |b|).bit_length() doublings, and one mixed addition per
-    nonzero column, about half of the columns."""
+    table {+-P, +-psiP, +-(P + psiP), +-(P - psiP)}: one mixed addition per
+    nonzero column, about half of the columns, and after each the run of
+    doublings down to the next one, at most max(|a|, |b|).bit_length()
+    doublings in all."""
     if not curve.is_on(P) or not curve.is_on(psiP):
         raise OffCurveError("multiexponentiation operand is not on the curve")
     return curve._mul2(a, P, b, psiP)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qcurve.fields import FieldCtx, Fp2, legendre
+from qcurve.weierstrass import INFINITY, Point, _madd
 
 settings.register_profile(
     "default",
@@ -135,6 +136,100 @@ def ref_sqrt(x: Fp2) -> Fp2 | None:
         root = Fp2(ctx, u, x.b * pow(2 * u, -1, p))
     neg = -root
     return root if (root.a, root.b) <= (neg.a, neg.b) else neg
+
+
+# The scalar loop before it doubled in runs: one dbl-2007-bl step per
+# column of the joint sparse form.  The reference for the run doubling
+# of qcurve.weierstrass._dbl and the run loop of Curve._mul2.
+
+
+def ref_dbl(P, p, d, A0, A1):
+    """2P by dbl-2007-bl (EFD, short Weierstrass, any a = A) on the flat
+    Jacobian int tuple of the scalar loop, None at infinity."""
+    X0, X1, Y0, Y1, Z0, Z1 = P
+    if not (Y0 or Y1):
+        return None
+    XX0 = (X0 * X0 + d * X1 * X1) % p
+    XX1 = 2 * X0 * X1 % p
+    YY0 = (Y0 * Y0 + d * Y1 * Y1) % p
+    YY1 = 2 * Y0 * Y1 % p
+    YYYY0 = (YY0 * YY0 + d * YY1 * YY1) % p
+    YYYY1 = 2 * YY0 * YY1 % p
+    ZZ0 = (Z0 * Z0 + d * Z1 * Z1) % p
+    ZZ1 = 2 * Z0 * Z1 % p
+    u0 = X0 + YY0
+    u1 = X1 + YY1
+    S0 = 2 * (u0 * u0 + d * u1 * u1 - XX0 - YYYY0) % p
+    S1 = 2 * (2 * u0 * u1 - XX1 - YYYY1) % p
+    W0 = (ZZ0 * ZZ0 + d * ZZ1 * ZZ1) % p
+    W1 = 2 * ZZ0 * ZZ1 % p
+    M0 = (3 * XX0 + A0 * W0 + d * A1 * W1) % p
+    M1 = (3 * XX1 + A0 * W1 + A1 * W0) % p
+    T0 = (M0 * M0 + d * M1 * M1 - 2 * S0) % p
+    T1 = (2 * M0 * M1 - 2 * S1) % p
+    V0 = S0 - T0
+    V1 = S1 - T1
+    w0 = Y0 + Z0
+    w1 = Y1 + Z1
+    return (
+        T0,
+        T1,
+        (M0 * V0 + d * M1 * V1 - 8 * YYYY0) % p,
+        (M0 * V1 + M1 * V0 - 8 * YYYY1) % p,
+        (w0 * w0 + d * w1 * w1 - YY0 - ZZ0) % p,
+        (2 * w0 * w1 - YY1 - ZZ1) % p,
+    )
+
+
+def ref_jsf(a, b):
+    """The joint sparse form of (a, b) for a, b >= 0, one table index
+    3*u0 + u1 + 4 per column, zero columns included, most significant
+    first."""
+    cols = []
+    while a or b:
+        u0 = u1 = 0
+        if a & 1:
+            u0 = 2 - (a & 3)
+            if (a & 7) in (3, 5) and (b & 3) == 2:
+                u0 = -u0
+        if b & 1:
+            u1 = 2 - (b & 3)
+            if (b & 7) in (3, 5) and (a & 3) == 2:
+                u1 = -u1
+        cols.append(3 * u0 + u1 + 4)
+        a = (a - u0) >> 1
+        b = (b - u1) >> 1
+    cols.reverse()
+    return cols
+
+
+def ref_mul2(curve, a, P, b, Q):
+    """[a]P + [b]Q by the per-column loop: for each column of ref_jsf, one
+    ref_dbl of the Jacobian accumulator, then the mixed addition of the
+    column's entry of the table {O, +-P, +-Q, +-(P + Q), +-(P - Q)}."""
+    if a < 0:
+        a, P = -a, curve.neg(P)
+    if b < 0:
+        b, Q = -b, curve.neg(Q)
+    ctx = curve.ctx
+    p, d, A0, A1 = ctx.p, ctx.signed_delta, curve.A.a, curve.A.b
+    upper = [
+        None if T.is_infinity else (T.x.a, T.x.b, T.y.a, T.y.b)
+        for T in (Q, curve._add(P, curve.neg(Q)), P, curve._add(P, Q))
+    ]
+    lower = [None if T is None else (T[0], T[1], -T[2] % p, -T[3] % p) for T in reversed(upper)]
+    table = (*lower, None, *upper)
+    acc = None
+    for i in ref_jsf(a, b):
+        if acc is not None:
+            acc = ref_dbl(acc, p, d, A0, A1)
+        T = table[i]
+        if T is not None:
+            acc = T + (1, 0) if acc is None else _madd(acc, T, p, d, A0, A1)
+    if acc is None:
+        return INFINITY
+    zi = Fp2(ctx, acc[4], acc[5]).inverse()
+    return Point(Fp2(ctx, acc[0], acc[1]) * zi * zi, Fp2(ctx, acc[2], acc[3]) * zi * zi * zi)
 
 
 @pytest.fixture(scope="session")

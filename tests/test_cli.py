@@ -16,6 +16,7 @@ from qcurve.cli import (
 from qcurve.fields import is_probable_prime
 
 from conftest import MERSENNE_127
+from test_families import MUL_COUNTS, MULTIEXP2_COUNTS
 
 EX1 = [
     "--d", "2",
@@ -261,6 +262,7 @@ class TestSearch:
 
 class TestTimings:
     STAGES = ["t_field_ms", "t_build_ms", "t_r_ms", "t_factor_ms", "t_basis_ms"]
+    OPS = ["n_dbl_multiexp", "n_add_multiexp", "n_dbl_mul", "n_add_mul"]
 
     def _pair(self, capsys, argv):
         """The last JSON record without and with --timings."""
@@ -286,8 +288,23 @@ class TestTimings:
         for instance in (["--d", "2", "--p", "13", "--delta", "2", "--s", "1"], EX1):
             plain, timed = self._pair(capsys, ["decompose", *instance, "--m", "7"])
             assert plain["multiexp_check"] == "ok"
-            stages = self.STAGES + ["t_decompose_ms", "t_multiexp_ms", "t_mul_ms"]
+            stages = self.STAGES + ["t_decompose_ms", "t_multiexp_ms", "t_mul_ms"] + self.OPS
             self._check(plain, timed, stages)
+
+    def test_decompose_op_counts(self, capsys):
+        """The group-op counts read off the recodings are the loop's pinned
+        counts on the d=2 paper scalar of TestOpCounts."""
+        rc, lines = run(capsys, ["info", *EX1, "--json"])
+        assert rc == 0
+        n = json.loads(lines[-1])["subgroup_order"]
+        m = random.Random(7).randrange(n)
+        rc, lines = run(capsys, ["decompose", *EX1, "--m", str(m), "--json", "--timings"])
+        assert rc == 0
+        rec = json.loads(lines[-1])
+        assert rec["m"] == m
+        ops = [rec[k] for k in self.OPS]
+        pins = [MULTIEXP2_COUNTS["dbl"], MULTIEXP2_COUNTS["madd"], MUL_COUNTS["dbl"], MUL_COUNTS["madd"]]
+        assert ops == pins
 
     def test_off_by_default(self, capsys):
         rc, lines = run(capsys, ["info", *EX1])

@@ -249,9 +249,9 @@ def _count_ops(monkeypatch) -> Counter:
     """Count Fp2 products (squares, products, products by an int) and
     inversions, the Jacobian doublings and additions of the scalar
     multiplication loop, and the calls into the polynomial kernel, from
-    here on."""
+    here on.  A run _dbl(P, k, ...) counts as k doublings and one run."""
     counts = Counter()
-    mul, inverse = Fp2.__mul__, Fp2.inverse
+    mul, inverse, dbl = Fp2.__mul__, Fp2.inverse, weierstrass._dbl
 
     def counted_mul(self, other):
         kind = "mul_int" if isinstance(other, int) else "sqr" if other is self else "mul"
@@ -269,10 +269,15 @@ def _count_ops(monkeypatch) -> Counter:
 
         return wrapper
 
+    def counted_dbl(P, k, *args):
+        counts["dbl"] += k
+        counts["runs"] += 1
+        return dbl(P, k, *args)
+
     monkeypatch.setattr(Fp2, "__mul__", counted_mul)
     monkeypatch.setattr(Fp2, "__rmul__", counted_mul)
     monkeypatch.setattr(Fp2, "inverse", counted_inverse)
-    monkeypatch.setattr(weierstrass, "_dbl", counted("dbl", weierstrass._dbl))
+    monkeypatch.setattr(weierstrass, "_dbl", counted_dbl)
     monkeypatch.setattr(weierstrass, "_madd", counted("madd", weierstrass._madd))
     for name in KERNEL_CALLS:
         monkeypatch.setattr(isogeny, name, counted(name, getattr(isogeny, name)))
@@ -316,11 +321,13 @@ BUILD_COUNTS = [
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse
-# form (the NAF for Curve.mul), plus the Fp2 work outside the loop (the is_on
-# checks, the affine table entries P + psiP and P - psiP, and the one
-# inversion back to affine).
-MULTIEXP2_COUNTS = {"dbl": 123, "madd": 63, "sqr": 6, "mul": 8, "inv": 3}
-MUL_COUNTS = {"dbl": 253, "madd": 86, "sqr": 2, "mul": 2, "inv": 1}
+# form (the NAF for Curve.mul), the runs of doublings between nonzero
+# columns (each one _dbl call, which computes A*Z^4 once), plus the Fp2 work
+# outside the loop (the is_on checks, the affine table entries P + psiP and
+# P - psiP, and the one inversion back to affine).  The multiexp2 pair ends
+# in a nonzero column, so its last addition has no run after it.
+MULTIEXP2_COUNTS = {"dbl": 123, "runs": 63, "madd": 63, "sqr": 6, "mul": 8, "inv": 3}
+MUL_COUNTS = {"dbl": 253, "runs": 87, "madd": 86, "sqr": 2, "mul": 2, "inv": 1}
 
 
 class TestOpCounts:

@@ -23,7 +23,7 @@ from qcurve.weierstrass import (
     random_point,
 )
 
-from conftest import MERSENNE_127, ctx_for
+from conftest import MERSENNE_127, ctx_for, ref_dbl, ref_jsf, ref_mul2
 
 
 def sample_curve(p, a=1, b=4, bi=0):
@@ -160,10 +160,51 @@ class TestJacobianLoop:
         z = Fp2(ctx, 2, 1)
         for P in pts[1:]:
             J = to_jacobian(P, z)
-            assert from_jacobian(ctx, _dbl(J, *args)) == curve._add(P, P)
+            assert from_jacobian(ctx, _dbl(J, 1, *args)) == curve._add(P, P)
             for Q in pts[1:]:
                 T = (Q.x.a, Q.x.b, Q.y.a, Q.y.b)
                 assert from_jacobian(ctx, _madd(J, T, *args)) == curve._add(P, Q)
+
+    @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
+    def test_runs_match_affine_doublings(self, d, p, s, twisted):
+        """_dbl(J, k) is k affine doublings, for every k up to the group
+        order plus 2, so every run reaches points of order 2, where it
+        must end at infinity, and repeats."""
+        curve, pts = small_curve(d, p, s, twisted)
+        ctx = curve.ctx
+        args = (ctx.p, ctx.delta, curve.A.a, curve.A.b)
+        z = Fp2(ctx, 2, 1)
+        for P in pts[1:]:
+            J = to_jacobian(P, z)
+            doubled = P
+            for k in range(1, len(pts) + 3):
+                doubled = curve._add(doubled, doubled)
+                assert from_jacobian(ctx, _dbl(J, k, *args)) == doubled
+
+    @pytest.mark.parametrize("member", [(2, 28106), (5, 7930)], ids=["d2", "d5"])
+    def test_long_run_matches_single_steps(self, member):
+        """A run of 127 doublings, as in [p + eps]Q at p = 2^127 - 1, gives
+        the very Jacobian coordinates of 127 dbl-2007-bl steps."""
+        curve = paper_curve(*member)
+        ctx = curve.ctx
+        args = (ctx.p, ctx.signed_delta, curve.A.a, curve.A.b)
+        J = to_jacobian(random_point(curve, 1), Fp2(ctx, 3, 5))
+        expected = J
+        for _ in range(127):
+            expected = ref_dbl(expected, *args)
+        assert _dbl(J, 127, *args) == expected
+
+    @given(
+        st.sampled_from([(2, 28106), (5, 7930)]),
+        st.integers(-(2**127), 2**127),
+        st.integers(-(2**127), 2**127),
+    )
+    @settings(max_examples=30)
+    def test_runs_match_columns_at_127_bits(self, member, a, b):
+        curve = paper_curve(*member)
+        P, Q = random_point(curve, 1), random_point(curve, 2)
+        assert curve._mul2(a, P, b, Q) == ref_mul2(curve, a, P, b, Q)
+        assert curve.mul(a, P) == ref_mul2(curve, a, P, 0, INFINITY)
 
     @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
     def test_every_multiple_matches_chain(self, d, p, s, twisted):
@@ -226,9 +267,21 @@ class TestJacobianLoop:
         assert multiexp2(a, sign * b, P, Q, curve) == curve._add(aP, signed_bQ)
 
 
+def jsf_columns(a, b):
+    """_jsf(a, b) expanded from runs back into columns, one table index
+    per column, zero columns (index 4) included, most significant first."""
+    runs = _jsf(a, b)
+    pos = sum(run for _, run in runs)
+    cols = [4] * (pos + 1) if runs else []
+    for i, run in runs:
+        cols[-1 - pos] = i
+        pos -= run
+    return cols
+
+
 def jsf_rows(a, b):
     """The two digit rows of _jsf(a, b), least significant digit first."""
-    cols = [divmod(i, 3) for i in reversed(_jsf(a, b))]
+    cols = [divmod(i, 3) for i in reversed(jsf_columns(a, b))]
     return [u0 - 1 for u0, _ in cols], [u1 - 1 for _, u1 in cols]
 
 
@@ -239,7 +292,13 @@ class TestJsf:
     def test_joint_sparse_form(self):
         for a in range(256):
             for b in range(256):
-                cols = _jsf(a, b)
+                runs = _jsf(a, b)
+                # One pair per nonzero column; every run but the last
+                # reaches the next nonzero column.
+                assert all(i != 4 for i, _ in runs)
+                assert all(run >= 1 for _, run in runs[:-1])
+                cols = jsf_columns(a, b)
+                assert cols == ref_jsf(a, b)
                 assert all(0 <= i <= 8 for i in cols)
                 assert len(cols) <= max(a.bit_length(), b.bit_length()) + 1
                 assert not cols or cols[0] != 4
@@ -259,7 +318,7 @@ class TestJsf:
                             assert other[j + 1] and not other[j]
 
     def test_signed_pairs_reach_every_table_entry(self):
-        reached = {i for a in SIGNED for b in SIGNED for i in _jsf(abs(a), abs(b))}
+        reached = {i for a in SIGNED for b in SIGNED for i in jsf_columns(abs(a), abs(b))}
         assert reached == set(range(9))
 
     def test_single_scalar_is_naf(self):
@@ -429,6 +488,21 @@ class TestCharacterTable:
         assert ctx.character_rows() is rows
         assert FieldCtx(23, -1)._character_rows is None
 
+    def test_roots_built_once_per_field_on_first_use(self):
+        """curve_points builds the roots table on the first curve of a
+        field and reuses it; TestOracle checks the points it lists."""
+        ctx = FieldCtx(23, -1)
+        assert ctx._square_roots is None
+        first, second = Curve(ctx.elem(1), ctx.elem(4, 1)), Curve(ctx.elem(2, 3), ctx.elem(5, 7))
+        curve_points(first)
+        roots = ctx._square_roots
+        assert roots is not None
+        curve_points(second)
+        assert ctx._square_roots is roots
+        assert ctx.square_roots() is roots
+        assert ctx._character_rows is None
+        assert FieldCtx(23, -1)._square_roots is None
+
     @pytest.mark.parametrize("p", [67, MERSENNE_127])
     def test_guard_fires_before_any_table(self, p):
         curve = sample_curve(p)
@@ -436,7 +510,10 @@ class TestCharacterTable:
             oracle_order(curve)
         with pytest.raises(OracleGuardError):
             oracle_trace(curve)
+        with pytest.raises(OracleGuardError):
+            curve_points(curve)
         assert curve.ctx._character_rows is None
+        assert curve.ctx._square_roots is None
 
 
 class TestTwist:
