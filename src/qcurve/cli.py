@@ -1,6 +1,10 @@
 """Command-line front end: curve construction and inspection, scalar
 decomposition, small-prime search, table dumps, and a self-test battery.
 
+The front end parses arguments, builds records, times stages and maps
+errors to exit codes; the analysis itself is the library's (factoring in
+fields.factorize, the subgroup and basis choice in glv.subgroup_basis).
+
 Output is one structured record per line, either key=value pairs or JSON
 (--json); big integers are decimal strings and field elements print as
 "a+b*i".  Exit codes: 0 ok, 1 domain error, 2 usage error.
@@ -13,43 +17,17 @@ import contextlib
 import functools
 import os
 import json
-import math
 import shlex
 import sys
 import time
-from typing import NamedTuple
 
 from . import selftest as _selftest_mod
 from .cmtables import FIBERS, TABLE1, TABLE2, detect_cm
-from .errors import (
-    CofactorError,
-    DomainError,
-    OracleGuardError,
-    StructureError,
-    SupersingularError,
-)
-from .families import Endo, build_family_curve, determine_r, eigenvalue, group_orders
-from .fields import FieldCtx, format_fp2, is_probable_prime
-from .glv import (
-    COFACTOR2_D2,
-    COFACTOR3_D3,
-    COFACTOR4_D2,
-    PRIME_ORDER,
-    ceil_log2,
-    cofactor_basis,
-    decompose,
-    first_nonminimal,
-    multiexp2,
-    reduced_lattice_basis,
-)
+from .errors import CofactorError, DomainError, OracleGuardError, SupersingularError
+from .families import Endo, build_family_curve, determine_r, group_orders
+from .fields import FieldCtx, factorize, format_fp2, is_probable_prime
+from .glv import bound_bitlength, decompose, first_nonminimal, multiexp2, subgroup_basis
 from .weierstrass import ORACLE_MAX_P, _jsf, random_point
-
-TRIAL_DIVISION_BOUND = 1 << 20
-# Primes per gcd block in trial_factor.  Measured on CPython 3.11 on a
-# shared 2-core host: blocks of 256, 512, 1024 and 2048 primes screen a
-# 254-bit order in 2.5, 2.4, 2.2 and 2.1 ms (11-14 ms prime by prime), and
-# their products take 19, 31, 64 and 104 ms to build once per process.
-TRIAL_BLOCK_PRIMES = 512
 
 
 def _emit(record: dict, json_mode: bool, stream=None):
@@ -79,130 +57,14 @@ def _error_code(exc: Exception) -> str:
     return "".join(out)
 
 
-@functools.cache
-def _trial_blocks() -> list[tuple[int, tuple[int, ...]]]:
-    """(product, primes) for consecutive blocks of TRIAL_BLOCK_PRIMES primes
-    up to TRIAL_DIVISION_BOUND, sieved and multiplied once per process."""
-    sieve = bytearray([1]) * (TRIAL_DIVISION_BOUND + 1)
-    sieve[:2] = b"\0\0"
-    for q in range(2, math.isqrt(TRIAL_DIVISION_BOUND) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytes(len(range(q * q, TRIAL_DIVISION_BOUND + 1, q)))
-    primes = [q for q, is_prime in enumerate(sieve) if is_prime]
-    blocks = (tuple(primes[i : i + TRIAL_BLOCK_PRIMES]) for i in range(0, len(primes), TRIAL_BLOCK_PRIMES))
-    return [(math.prod(block), block) for block in blocks]
-
-
-def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
-    """Trial division by the primes up to TRIAL_DIVISION_BOUND; returns
-    (factors, remainder).
-
-    One gcd with each block's product screens its primes; only a block that
-    shares a factor with n is divided prime by prime.  The remainder is 1
-    when n splits completely; a remainder whose least factor provably
-    exceeds the bound is left for is_probable_prime.
-    """
-    factors = []
-    q = TRIAL_DIVISION_BOUND + 1  # the first candidate past an exhausted list
-    for product, block in _trial_blocks():
-        if block[0] * block[0] > n:
-            q = block[0]
-            break
-        if math.gcd(n, product) == 1:
-            continue
-        for prime in block:
-            if prime * prime > n:
-                break  # and the next block's first check ends the outer loop
-            if n % prime == 0:
-                e = 0
-                while n % prime == 0:
-                    n //= prime
-                    e += 1
-                factors.append((prime, e))
-    if n > 1 and q * q > n:
-        factors.append((n, 1))  # proven prime by the exhausted range
-        n = 1
-    return factors, n
-
-
-class Factorization(NamedTuple):
-    """n split by trial_factor, with the one is_probable_prime verdict on
-    the remainder that the report and the subgroup choice both read."""
-
-    n: int
-    factors: list[tuple[int, int]]
-    rest: int
-    rest_is_prime: bool  # False when rest is 1
-
-    @property
-    def is_prime(self) -> bool:
-        """Whether n itself is prime: proven by trial division, or n has no
-        factor up to the bound and passes is_probable_prime."""
-        return self.factors == [(self.n, 1)] or (self.rest == self.n and self.rest_is_prime)
-
-    def __str__(self) -> str:
-        if self.n == 1:
-            return "1"
-        parts = [f"{q}^{e}" if e > 1 else str(q) for q, e in self.factors]
-        if self.rest > 1:
-            parts.append(f"{self.rest}({'probable_prime' if self.rest_is_prime else 'composite'})")
-        return "*".join(parts)
-
-
-def factorize(n: int) -> Factorization:
-    """Trial division to 2^20 plus an is_probable_prime verdict on the
-    remainder: Lucas-Lehmer if it is a Mersenne number, else 64 Miller-Rabin
-    rounds."""
-    factors, rest = trial_factor(n)
-    return Factorization(n, factors, rest, rest > 1 and is_probable_prime(rest))
+def _disc_text(disc) -> str:
+    """A CM discriminant (d0, f) as "-d0*f^2", or "none" for no discriminant."""
+    return f"-{disc[0]}*{disc[1]}^2" if disc else "none"
 
 
 def factor_string(n: int) -> str:
     """Cofactor factorisation for reports, e.g. "2*N(probable_prime)"."""
     return str(factorize(n))
-
-
-def choose_subgroup(fam, r: int, factored: Factorization):
-    """(variant, N): the basis variant matching the group structure of the
-    order that factored splits, or (None, N) for the generic reduced-lattice
-    fallback."""
-    if r == 0:
-        raise SupersingularError("supersingular curve: no scalar decomposition")
-    order = factored.n
-    if fam.d == 2:
-        k = (order & -order).bit_length() - 1
-        odd = order >> k
-        if k == 1:
-            return COFACTOR2_D2, odd
-        if k == 2 and fam.constant.is_square():
-            return COFACTOR4_D2, odd
-    elif fam.d == 3:
-        if order % 3 == 0 and (order // 3) % 3:
-            return COFACTOR3_D3, order // 3
-    elif factored.is_prime:
-        return PRIME_ORDER, order
-    if factored.rest > 1:
-        n = factored.rest
-    else:
-        q, e = max(factored.factors)
-        if e > 1:
-            raise StructureError("no dominant cyclic subgroup for decomposition")
-        n = q
-    if (order // n) % n == 0:
-        raise StructureError("ambiguous subgroup structure")
-    return None, n
-
-
-def _variant_bound_bits(variant, p, eps, r, basis) -> int:
-    if variant == PRIME_ORDER:
-        return ceil_log2(p + eps)
-    if variant == COFACTOR2_D2:
-        return ceil_log2(p + eps - abs(r))
-    if variant == COFACTOR4_D2:
-        return ceil_log2(p + eps) - 1
-    if variant == COFACTOR3_D3:
-        return ceil_log2(p + eps - 2 * abs(r))
-    return basis.bitlength
 
 
 @contextlib.contextmanager
@@ -234,8 +96,7 @@ def _analyze(args, timings: dict):
         "j": format_fp2(fam.curve.j_invariant()),
         "eps": endo.eps,
     }
-    disc = detect_cm(fam)
-    record["cm_fiber"] = f"-{disc[0]}*{disc[1]}^2" if disc else "none"
+    record["cm_fiber"] = _disc_text(detect_cm(fam))
     try:
         with _timed(timings, "t_r_ms"):
             r = determine_r(endo, args.trace)
@@ -252,25 +113,19 @@ def _analyze(args, timings: dict):
         order_factors=str(factored),
         twist_order_factors=str(twist_factored),
     )
-    try:
-        variant, n_sub = choose_subgroup(fam, r, factored)
-    except SupersingularError:
+    if r == 0:
         record["supersingular"] = "true"
         return fam, endo, record, None
     with _timed(timings, "t_basis_ms"):
-        lam = eigenvalue(endo, r, n_sub)
-        if variant is None:
-            basis = reduced_lattice_basis(n_sub, lam)
-        else:
-            basis = cofactor_basis(variant, ctx.p, endo.eps, fam.d, r, n_sub, lam)
+        variant, basis = subgroup_basis(endo, r, factored)
     record.update(
-        subgroup_order=n_sub,
-        **{"lambda": lam},
+        subgroup_order=basis.order,
+        **{"lambda": basis.eigenvalue},
         basis_variant=variant or "reduced_lattice",
         b1=f"({basis.b1[0]},{basis.b1[1]})",
         b2=f"({basis.b2[0]},{basis.b2[1]})",
         basis_bitlength=basis.bitlength,
-        bound_bitlength=_variant_bound_bits(variant, ctx.p, endo.eps, r, basis),
+        bound_bitlength=bound_bitlength(variant, ctx.p, endo.eps, r, basis),
     )
     return fam, endo, record, basis
 
@@ -371,8 +226,7 @@ def cmd_search(args) -> int:
             "j": format_fp2(fam.curve.j_invariant()),
             "status": "ok",
         }
-        disc = detect_cm(fam)
-        record["cm_fiber"] = f"-{disc[0]}*{disc[1]}^2" if disc else "none"
+        record["cm_fiber"] = _disc_text(detect_cm(fam))
         _emit(record, args.json)
         emitted += 1
     _emit({"command": "search", "records": emitted, "status": "ok"}, args.json)
@@ -395,23 +249,13 @@ def cmd_tables(args) -> int:
                 record["parameter"] = f"+-({fib.coeff})*sqrt({fib.radicand})"
             else:
                 record["parameter"] = f"s={fib.coeff}"
-            record["disc"] = f"-{fib.disc[0]}*{fib.disc[1]}^2"
+            record["disc"] = _disc_text(fib.disc)
             _emit(record, args.json)
-    for (d0, f), j in sorted(TABLE1.items()):
-        _emit(
-            {"command": "tables", "kind": "class_number_1", "disc": f"-{d0}*{f}^2", "j": j},
-            args.json,
-        )
-    for (d0, f), (pref, c0, c1, rad) in sorted(TABLE2.items()):
-        _emit(
-            {
-                "command": "tables",
-                "kind": "class_number_2",
-                "disc": f"-{d0}*{f}^2",
-                "j": f"({pref})*({c0}+-{c1}*sqrt({rad}))",
-            },
-            args.json,
-        )
+    for disc, j in sorted(TABLE1.items()):
+        _emit({"command": "tables", "kind": "class_number_1", "disc": _disc_text(disc), "j": j}, args.json)
+    for disc, (pref, c0, c1, rad) in sorted(TABLE2.items()):
+        j = f"({pref})*({c0}+-{c1}*sqrt({rad}))"
+        _emit({"command": "tables", "kind": "class_number_2", "disc": _disc_text(disc), "j": j}, args.json)
     return 0
 
 
@@ -451,6 +295,7 @@ def _add_common(sub, *, need_s=True):
     sub.add_argument("--json", action="store_true", help="JSON records instead of key=value")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcurve",

@@ -10,13 +10,20 @@ paper's 2^127 - 1, is proven prime by Lucas-Lehmer (125 squarings at
 q = 127); any other modulus passes 64 Miller-Rabin rounds.  At p = 3 (mod 4)
 a square root is one exponentiation whose square is checked, so a nonsquare
 needs no separate Legendre symbol.
+
+The module also holds the integer number theory that group orders need:
+factorize splits an order by trial division up to 2^20 and gives the
+remainder one is_probable_prime verdict.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NotInertError, NotPrimeError
 
@@ -28,6 +35,13 @@ MR_ROUNDS = 64
 _MR_SEED = 0x9E3779B97F4A7C15
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+TRIAL_DIVISION_BOUND = 1 << 20
+# Primes per gcd block in trial_factor.  Measured on CPython 3.11 on a
+# shared 2-core host: blocks of 256, 512, 1024 and 2048 primes screen a
+# 254-bit order in 2.5, 2.4, 2.2 and 2.1 ms (11-14 ms prime by prime), and
+# their products take 19, 31, 64 and 104 ms to build once per process.
+TRIAL_BLOCK_PRIMES = 512
 
 
 def is_probable_prime(n: int) -> bool:
@@ -82,6 +96,84 @@ def _miller_rabin(n: int) -> bool:
         else:
             return False
     return True
+
+
+@functools.cache
+def _trial_blocks() -> list[tuple[int, tuple[int, ...]]]:
+    """(product, primes) for consecutive blocks of TRIAL_BLOCK_PRIMES primes
+    up to TRIAL_DIVISION_BOUND, sieved and multiplied once per process."""
+    sieve = bytearray([1]) * (TRIAL_DIVISION_BOUND + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(TRIAL_DIVISION_BOUND) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, TRIAL_DIVISION_BOUND + 1, q)))
+    primes = [q for q, is_prime in enumerate(sieve) if is_prime]
+    blocks = (tuple(primes[i : i + TRIAL_BLOCK_PRIMES]) for i in range(0, len(primes), TRIAL_BLOCK_PRIMES))
+    return [(math.prod(block), block) for block in blocks]
+
+
+def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
+    """Trial division by the primes up to TRIAL_DIVISION_BOUND; returns
+    (factors, remainder).
+
+    One gcd with each block's product screens its primes; only a block that
+    shares a factor with n is divided prime by prime.  The remainder is 1
+    when n splits completely; a remainder whose least factor provably
+    exceeds the bound is left for is_probable_prime.
+    """
+    factors = []
+    q = TRIAL_DIVISION_BOUND + 1  # the first candidate past an exhausted list
+    for product, block in _trial_blocks():
+        if block[0] * block[0] > n:
+            q = block[0]
+            break
+        if math.gcd(n, product) == 1:
+            continue
+        for prime in block:
+            if prime * prime > n:
+                break  # and the next block's first check ends the outer loop
+            if n % prime == 0:
+                e = 0
+                while n % prime == 0:
+                    n //= prime
+                    e += 1
+                factors.append((prime, e))
+    if n > 1 and q * q > n:
+        factors.append((n, 1))  # proven prime by the exhausted range
+        n = 1
+    return factors, n
+
+
+class Factorization(NamedTuple):
+    """n split by trial_factor, with the one is_probable_prime verdict on
+    the remainder that the report and the subgroup choice both read."""
+
+    n: int
+    factors: list[tuple[int, int]]
+    rest: int
+    rest_is_prime: bool  # False when rest is 1
+
+    @property
+    def is_prime(self) -> bool:
+        """Whether n itself is prime: proven by trial division, or n has no
+        factor up to the bound and passes is_probable_prime."""
+        return self.factors == [(self.n, 1)] or (self.rest == self.n and self.rest_is_prime)
+
+    def __str__(self) -> str:
+        if self.n == 1:
+            return "1"
+        parts = [f"{q}^{e}" if e > 1 else str(q) for q, e in self.factors]
+        if self.rest > 1:
+            parts.append(f"{self.rest}({'probable_prime' if self.rest_is_prime else 'composite'})")
+        return "*".join(parts)
+
+
+def factorize(n: int) -> Factorization:
+    """Trial division to 2^20 plus an is_probable_prime verdict on the
+    remainder: Lucas-Lehmer if it is a Mersenne number, else 64 Miller-Rabin
+    rounds."""
+    factors, rest = trial_factor(n)
+    return Factorization(n, factors, rest, rest > 1 and is_probable_prime(rest))
 
 
 def legendre(n: int, p: int) -> int:

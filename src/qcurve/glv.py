@@ -1,5 +1,6 @@
-"""Scalar decomposition machinery: reduced bases for the decomposition
-lattice, exact two-dimensional decomposition, and interleaved double-and-add.
+"""Scalar decomposition machinery: the choice of a cyclic subgroup from a
+factored group order, reduced bases for the decomposition lattice, exact
+two-dimensional decomposition, and interleaved double-and-add.
 
 All arithmetic here is exact integer arithmetic.  The lattice of
 decompositions of zero is L = <(N, 0), (-lambda, 1)>; a decomposition of m
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, OffCurveError, StructureError
+from .errors import DomainError, OffCurveError, StructureError, SupersingularError
+from . import families
 from .weierstrass import Curve, Point
 
 Vec = tuple[int, int]
@@ -218,6 +220,59 @@ def reduced_lattice_basis(order: int, eigenvalue: int) -> GlvBasis:
     """Fallback: Gauss-reduce the defining generators (N, 0), (-lambda, 1)."""
     b1, b2 = lagrange_reduce((order, 0), (-eigenvalue, 1))
     return GlvBasis(b1, b2, order, eigenvalue)
+
+
+def _choose_subgroup(fam, r: int, factored) -> tuple[str | None, int]:
+    """(variant, N): the basis variant matching the group structure of the
+    order that factored splits, or (None, N) for the generic reduced-lattice
+    fallback, whose N is the remainder or a trial factor of exponent 1."""
+    if r == 0:
+        raise SupersingularError("supersingular curve: no scalar decomposition")
+    order = factored.n
+    if fam.d == 2:
+        k = (order & -order).bit_length() - 1
+        odd = order >> k
+        if k == 1:
+            return COFACTOR2_D2, odd
+        if k == 2 and fam.constant.is_square():
+            return COFACTOR4_D2, odd
+    elif fam.d == 3:
+        if order % 3 == 0 and (order // 3) % 3:
+            return COFACTOR3_D3, order // 3
+    elif factored.is_prime:
+        return PRIME_ORDER, order
+    if factored.rest > 1:
+        return None, factored.rest
+    q, e = max(factored.factors)
+    if e > 1:
+        raise StructureError("no dominant cyclic subgroup for decomposition")
+    return None, q
+
+
+def subgroup_basis(endo, r: int, factored) -> tuple[str | None, GlvBasis]:
+    """(variant, basis) for the curve of endo, given r from determine_r and
+    #E split by fields.factorize: the cyclic subgroup's basis variant (None
+    for the reduced lattice), with basis.order = N and basis.eigenvalue."""
+    fam = endo.family
+    variant, n = _choose_subgroup(fam, r, factored)
+    lam = families.eigenvalue(endo, r, n)
+    if variant is None:
+        return None, reduced_lattice_basis(n, lam)
+    return variant, cofactor_basis(variant, fam.ctx.p, endo.eps, fam.d, r, n, lam)
+
+
+def bound_bitlength(variant: str | None, p: int, eps: int, r: int, basis: GlvBasis) -> int:
+    """The bit length that bounds ||b2|| for the variant's basis; for the
+    reduced-lattice fallback, the basis's own."""
+    if variant == PRIME_ORDER:
+        return ceil_log2(p + eps)
+    if variant == COFACTOR2_D2:
+        return ceil_log2(p + eps - abs(r))
+    if variant == COFACTOR4_D2:
+        return ceil_log2(p + eps) - 1
+    if variant == COFACTOR3_D3:
+        return ceil_log2(p + eps - 2 * abs(r))
+    return basis.bitlength
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ import random
 from . import cmtables
 from .errors import DomainError
 from .families import Endo, build_family_curve, determine_r, eigenvalue, epsilon_p, gls_endo, group_orders, subfield_order
-from .fields import FieldCtx, Fp2, _lucas_lehmer, _miller_rabin, is_probable_prime, legendre
+from .fields import FieldCtx, Fp2, _lucas_lehmer, _miller_rabin, factorize, is_probable_prime, legendre
 from .glv import (
     COFACTOR2_D2,
-    cofactor_basis,
+    PRIME_ORDER,
     decompose,
     first_nonminimal,
     multiexp2,
     reduced_lattice_basis,
+    subgroup_basis,
 )
 from .models import (
     DIK_DOUBLING,
@@ -316,11 +317,12 @@ def check_example_degree2():
     _assert(n_curve == 2 * n and n_twist == 2 * n2, "orders not twice an integer")
     _assert(is_probable_prime(n) and is_probable_prime(n2), "halves not prime")
     _assert(n.bit_length() == 253 and n2.bit_length() == 253, "wrong bit sizes")
-    lam = eigenvalue(endo, r, n)
+    variant, basis = subgroup_basis(endo, r, factorize(n_curve))
+    _assert(variant == COFACTOR2_D2 and basis.order == n, "not the cofactor-2 basis of the odd part")
+    lam = basis.eigenvalue
     _assert(lam * lam % n == 2, "lambda^2 != 2")
     P = fam.curve.mul(2, random_point(fam.curve, 0))
     _assert(endo(P) == fam.curve.mul(lam, P), "psi != [lambda]")
-    basis = cofactor_basis(COFACTOR2_D2, ctx.p, 1, 2, r, n, lam)
     rng = random.Random(4)
     for _ in range(20):
         dec = decompose(rng.randrange(n), basis)
@@ -342,7 +344,9 @@ def check_example_degree5():
     n_curve, n_twist = group_orders(endo, r)
     _assert(is_probable_prime(n_curve) and is_probable_prime(n_twist), "orders not prime")
     _assert(n_curve.bit_length() == 254 and n_twist.bit_length() == 254, "wrong bit sizes")
-    lam = eigenvalue(endo, r, n_curve)
+    variant, basis = subgroup_basis(endo, r, factorize(n_curve))
+    _assert(variant == PRIME_ORDER and basis.order == n_curve, "not the prime-order basis")
+    lam = basis.eigenvalue
     _assert(lam * lam % n_curve == 5, "lambda^2 != 5")
     P = random_point(fam.curve, 0)
     _assert(endo(P) == fam.curve.mul(lam, P), "psi != [lambda]")

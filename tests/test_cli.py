@@ -5,15 +5,14 @@ import random
 import pytest
 
 from qcurve import cmtables
-from qcurve.cli import (
+from qcurve.cli import factor_string, main
+from qcurve.fields import (
     TRIAL_DIVISION_BOUND,
     _trial_blocks,
-    factor_string,
     factorize,
-    main,
+    is_probable_prime,
     trial_factor,
 )
-from qcurve.fields import is_probable_prime
 
 from conftest import MERSENNE_127
 from test_families import MUL_COUNTS, MULTIEXP2_COUNTS
@@ -91,6 +90,7 @@ class TestInfo:
 
     @pytest.mark.parametrize("d,s,variant,bound", [
         ("5", "2", "prime_order", "4"),  # ceil_log2(p + eps), order 139
+        ("2", "2", "cofactor4_d2", "3"),  # ceil_log2(p + eps) - 1, order 2^2*3*11
         ("3", "3", "cofactor3_d3", "4"),  # ceil_log2(p + eps - 2|r|), order 3*47
         ("3", "1", "reduced_lattice", "2"),  # the basis itself, order 3^2*13
     ])

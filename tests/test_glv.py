@@ -30,7 +30,7 @@ from qcurve.glv import (
 )
 from qcurve.weierstrass import Point, oracle_trace, random_point
 
-from qcurve.fields import FieldCtx
+from qcurve.fields import FieldCtx, factorize
 
 from conftest import MERSENNE_127, ctx_for, prime_factors
 
@@ -206,6 +206,30 @@ class TestCofactorBases:
         lam = eigenvalue(endo, r, n)
         with pytest.raises(StructureError):
             cofactor_basis(COFACTOR4_D2, 13, endo.eps, 2, r, n, (lam + 1) % n)
+
+
+class TestSubgroupChoice:
+    # Primes past the trial-division bound 2^20: Q below the square of the
+    # bound (proven prime by the exhausted range), Q1 and Q2 above it.
+    Q, Q1, Q2 = 1048583, 2**61 - 1, 2**89 - 1
+
+    @pytest.mark.parametrize("d,s", [(5, 2), (7, 2)])
+    def test_subgroup_order_never_divides_its_cofactor(self, d, s):
+        fam, endo, r, _, _ = endo_data(d, 11, s)
+        assert r != 0
+        q, q1, q2 = self.Q, self.Q1, self.Q2
+        cases = [
+            (3 * q * q, q * q),
+            (3 * q1 * q1, q1 * q1),
+            (3 * q, q),
+            (q1, q1),
+            (q1 * q2, q1 * q2),
+        ] + [(2**k * a * b, a * b) for k in (1, 2, 3, 5) for a, b in ((q1, q2), (q, q1), (q, q2))]
+        for order, expected in cases:
+            variant, n = glv._choose_subgroup(fam, r, factorize(order))
+            assert n == expected, order
+            assert (order // n) % n != 0, order
+            assert variant == (PRIME_ORDER if order == q1 else None), order
 
 
 class TestDecompose:
