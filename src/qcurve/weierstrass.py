@@ -12,11 +12,12 @@ doubling to the next (``_dbl``).
 
 The point-count oracle (``oracle_order``, ``curve_points``) enumerates every
 x of F_{p^2} at p <= ORACLE_MAX_P.  It too runs on bare integers.
-``oracle_order`` reads the quadratic character of F_{p^2} from a table of
-p^2 small ints built once per field (``FieldCtx.character_rows``; the first
-count on a field builds it, in about 0.1 ms at p = 23 and 0.6 ms at p = 61),
-and ``curve_points`` reads the roots of each square from a table also built
-once per field (``FieldCtx.square_roots``).
+``oracle_order`` reads the cubic and its quadratic character from tables
+built once per field (``FieldCtx.oracle_tables``; the first count on a field
+builds them, in about 0.2 ms at p = 23 and 1.3 ms at p = 61), so each
+abscissa costs two additions and two lookups, and ``curve_points`` reads the
+roots of each square from a table also built once per field
+(``FieldCtx.square_roots``).
 The oracle stays the single reference that group orders and the group law
 are checked against.
 """
@@ -351,27 +352,29 @@ def oracle_order(curve: Curve) -> int:
     quadratic character of F_{p^2} (0 at zero); small primes only.
 
     The sum runs on bare ints, one row of abscissas x = a + b*sqrt(delta)
-    per b, and reads chi from the table of ``FieldCtx.character_rows``
-    (p^2 small ints, built once per field).  For a fixed b the cubic is
-    (a^3 + al*a + be) + (ga*a^2 + A1*a + ep)*sqrt(delta), with
-    al = A0 + 3*delta*b^2, be = B0 + delta*A1*b, ga = 3b and
-    ep = A0*b + B1 + delta*b^3, so each x costs two reductions and two
-    lookups.  This enumeration is the reference every order is checked
-    against.
+    per b.  For a fixed b the cubic is
+    (a^3 + al*a + be) + (3b*a^2 + A1*a + ep)*sqrt(delta), with
+    al = A0 + 3*delta*b^2, be = B0 + delta*A1*b and
+    ep = A0*b + B1 + delta*b^3.  The tables of ``FieldCtx.oracle_tables``
+    (built once per field) hold a^3 + al*a and 3b*a^2 reduced, and chi
+    widened to 2p rows and 3p columns, so the sums of residues that index it
+    need no reduction; with A1*a reduced once per curve, each x costs two
+    additions and two lookups.  This enumeration is the reference every
+    order is checked against.
     """
     ctx = curve.ctx
     _require_oracle_scale(ctx)
-    rows = ctx.character_rows()
+    chi, cubes, squares3 = ctx.oracle_tables()
     p, d = ctx.p, ctx.signed_delta
     A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
-    powers = [(a, a * a % p, a * a * a % p) for a in range(p)]
+    lin = [A1 * a % p for a in range(p)]
     count = p * p + 1
-    for b in range(p):
+    for b, sq in enumerate(squares3):
         al = (A0 + 3 * d * b * b) % p
         be = (B0 + d * A1 * b) % p
-        ga = 3 * b
         ep = (A0 * b + B1 + d * b * b * b) % p
-        count += sum([rows[(a3 + al * a + be) % p][(ga * a2 + A1 * a + ep) % p] for a, a2, a3 in powers])
+        rows = chi[be : be + p]
+        count += sum([rows[c][s + g + ep] for c, s, g in zip(cubes[al], sq, lin)])
     return count
 
 

@@ -1,13 +1,19 @@
-"""The benchmark's tracer contract: every name that qbench/tracer.py hooks
-still exists and is called, so a traced run reports every per-layer metric,
-and each workload's operations pass their correctness gates under the
-tracer.  Reads qbench/ and changes nothing there."""
+"""The benchmark's contracts: every name that qbench/tracer.py hooks still
+exists and is called, so a traced run reports every per-layer metric, each
+workload's operations pass their correctness gates under the tracer, and a
+short run of qbench/run.py ends with its JSON result.  Reads qbench/ and
+changes nothing there."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
-QBENCH = Path(__file__).resolve().parent.parent / "qbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+QBENCH = ROOT / "qbench"
 
 
 def _load(name):
@@ -32,3 +38,20 @@ def test_traced_workloads_report_every_metric():
     finally:
         tracer.uninstall()
     assert tracer.absent_metrics() == set()
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", ["glv-128", "info-128", "oracle-sweep"])
+def test_run_ends_with_its_result(workload, trace):
+    """The last line of standard output is the result, so nothing the
+    library prints may follow or replace it."""
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", str(trace)]
+    proc = subprocess.run(
+        [sys.executable, str(QBENCH / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    if not trace:
+        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        assert set(result["metrics"]) == {m["name"] for m in end_to_end}

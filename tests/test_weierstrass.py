@@ -469,24 +469,50 @@ class TestOracleSweep:
 class TestCharacterTable:
     @pytest.mark.parametrize("p,delta", ORACLE_FIELDS)
     def test_rows_are_the_quadratic_character(self, p, delta):
+        """The widened table: chi[r0][r1] is the character of
+        (r0 mod p) + (r1 mod p)*sqrt(delta) at every r0 < 2p, r1 < 3p."""
         ctx = FieldCtx(p, delta)
-        rows = ctx.character_rows()
-        for r0 in range(p):
-            for r1 in range(p):
+        chi = ctx.oracle_tables()[0]
+        assert len(chi) == 2 * p
+        for r0 in range(2 * p):
+            assert len(chi[r0]) == 3 * p
+            for r1 in range(3 * p):
                 x = Fp2(ctx, r0, r1)
-                assert rows[r0][r1] == (0 if not x else 1 if x.is_square() else -1)
+                assert chi[r0][r1] == (0 if not x else 1 if x.is_square() else -1)
+
+    @pytest.mark.parametrize("p,delta", ORACLE_FIELDS)
+    def test_cubes_and_squares_match_their_formulas(self, p, delta):
+        _, cubes, squares3 = FieldCtx(p, delta).oracle_tables()
+        assert cubes == [[(a**3 + al * a) % p for a in range(p)] for al in range(p)]
+        assert squares3 == [[3 * b * a**2 % p for a in range(p)] for b in range(p)]
 
     def test_built_once_per_field_on_first_use(self):
         ctx = FieldCtx(23, -1)
-        assert ctx._character_rows is None
+        assert ctx._oracle_tables is None
         first, second = Curve(ctx.elem(1), ctx.elem(4, 1)), Curve(ctx.elem(2, 3), ctx.elem(5, 7))
         oracle_order(first)
-        rows = ctx._character_rows
-        assert rows is not None
+        tables = ctx._oracle_tables
+        assert tables is not None
         oracle_order(second)
-        assert ctx._character_rows is rows
-        assert ctx.character_rows() is rows
-        assert FieldCtx(23, -1)._character_rows is None
+        assert ctx._oracle_tables is tables
+        assert ctx.oracle_tables() is tables
+        assert FieldCtx(23, -1)._oracle_tables is None
+
+    def test_count_builds_no_fp2_once_tables_exist(self, monkeypatch):
+        ctx = FieldCtx(23, -1)
+        first, second = Curve(ctx.elem(1), ctx.elem(4, 1)), Curve(ctx.elem(2, 3), ctx.elem(5, 7))
+        expected = reference_order(second)
+        oracle_order(first)
+        built = []
+        init = Fp2.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Fp2, "__init__", counting_init)
+        assert oracle_order(second) == expected
+        assert built == []
 
     def test_roots_built_once_per_field_on_first_use(self):
         """curve_points builds the roots table on the first curve of a
@@ -500,7 +526,7 @@ class TestCharacterTable:
         curve_points(second)
         assert ctx._square_roots is roots
         assert ctx.square_roots() is roots
-        assert ctx._character_rows is None
+        assert ctx._oracle_tables is None
         assert FieldCtx(23, -1)._square_roots is None
 
     @pytest.mark.parametrize("p", [67, MERSENNE_127])
@@ -512,7 +538,7 @@ class TestCharacterTable:
             oracle_trace(curve)
         with pytest.raises(OracleGuardError):
             curve_points(curve)
-        assert curve.ctx._character_rows is None
+        assert curve.ctx._oracle_tables is None
         assert curve.ctx._square_roots is None
 
 
