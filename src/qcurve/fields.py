@@ -259,9 +259,11 @@ class FieldCtx:
         object.__setattr__(self, "_oracle_tables", None)
         object.__setattr__(self, "_square_roots", None)
         # delta as its least absolute residue, so that delta = -1 is the small
-        # int -1 in the int-pair products of the bare-int code paths.  Set
-        # here, as the caches above: writing an attribute through the instance
-        # __dict__ later would slow every attribute read of the context.
+        # int -1 in the int-pair products of the bare-int code paths, and the
+        # scalar loop of weierstrass tests for it to take its F_p(i) bodies
+        # (weierstrass._dbl_i, _madd_i).  Set here, as the caches above:
+        # writing an attribute through the instance __dict__ later would slow
+        # every attribute read of the context.
         object.__setattr__(self, "signed_delta", self.delta - p if 2 * self.delta > p else self.delta)
 
     def elem(self, a: int, b: int = 0) -> "Fp2":

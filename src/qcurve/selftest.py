@@ -108,14 +108,20 @@ def check_group_law():
             curve.add(curve.add(P, Q), R) == curve.add(P, curve.add(Q, R)),
             "associativity failed",
         )
-    n = oracle_order(curve)
-    for P in pts:
-        _assert(curve.mul(n, P).is_infinity, "[#E]P != 0")
-        chain = INFINITY
-        for k in range(n + 2):
-            _assert(curve.mul(k, P) == chain, f"[{k}]P != P + ... + P")
-            chain = curve.add(chain, P)
-    return f"{len(pts)} points over F_25"
+    # The [k]P chains run the scalar loop's generic body at p = 5 (delta = 2)
+    # and its F_p(i) body at p = 7 (delta = -1).
+    ctx7 = _ctx(7)
+    curve7 = Curve(ctx7.elem(1), ctx7.elem(3))
+    pts7 = curve_points(curve7)
+    for E, points in ((curve, pts), (curve7, pts7)):
+        n = oracle_order(E)
+        for P in points:
+            _assert(E.mul(n, P).is_infinity, "[#E]P != 0")
+            chain = INFINITY
+            for k in range(n + 2):
+                _assert(E.mul(k, P) == chain, f"[{k}]P != P + ... + P")
+                chain = E.add(chain, P)
+    return f"{len(pts)} points over F_25, {len(pts7)} over F_49"
 
 
 def check_twist_counts():

@@ -8,7 +8,12 @@ against.  Scalar multiplication (``Curve.mul``, and ``glv.multiexp2`` through
 coordinates on bare integer pairs, with the field operations inlined, and
 returns to affine once at the end.  It doubles in runs: each run of
 doublings between two additions computes A*Z^4 once and carries it from one
-doubling to the next (``_dbl``).
+doubling to the next (``_dbl``).  When delta = -1, which is every field the
+benchmarks and the paper's examples use (p = 3 mod 4, F_{p^2} = F_p(i)), the
+doublings and additions run bodies with i^2 = -1 written in (``_dbl_i``,
+``_madd_i``): no product by delta, and the real part of a square as one
+product (a + b)(a - b).  They return the same residues as the generic
+bodies, which any other delta takes.
 
 The point-count oracle (``oracle_order``, ``curve_points``) enumerates every
 x of F_{p^2} at p <= ORACLE_MAX_P.  It too runs on bare integers.
@@ -255,6 +260,14 @@ def _jsf(a: int, b: int) -> list[tuple[int, int]]:
 # (u0 + u1 s)(v0 + v1 s) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) s with s^2 = d;
 # each product is reduced once per coordinate, and the sums and small
 # multiples that only feed a product are left unreduced.
+#
+# When d = -1, the field is F_p(i) with i^2 = -1 (every p = 3 mod 4, the
+# paper's 2^127 - 1 among them), and _dbl and _madd hand over to _dbl_i and
+# _madd_i: the same formulas with d = -1 written in, so a real part
+# u0 v0 + d u1 v1 is u0 v0 - u1 v1 and the real part of a square
+# u0^2 + d u1^2 is (u0 + u1)(u0 - u1).  That saves the products by d and
+# one product per square; every coordinate is the same residue as the
+# generic body's.  Any other d, p - 1 included, takes the generic body.
 
 
 def _dbl(P, k, p, d, A0, A1):
@@ -262,7 +275,10 @@ def _dbl(P, k, p, d, A0, A1):
     (Cohen-Miyaji-Ono, ASIACRYPT 1998): W = A*Z^4 is computed once, in
     2S + 1M, and carried from one doubling to the next as 16*Y^4*W, so each
     doubling costs 3M + 5S where dbl-2007-bl costs 2M + 8S with the product
-    by A.  A point with Y = 0 has order 2, and the run ends at infinity."""
+    by A.  A point with Y = 0 has order 2, and the run ends at infinity.
+    With d = -1 the run is _dbl_i's."""
+    if d == -1:
+        return _dbl_i(P, k, p, A0, A1)
     X0, X1, Y0, Y1, Z0, Z1 = P
     ZZ0 = (Z0 * Z0 + d * Z1 * Z1) % p
     ZZ1 = 2 * Z0 * Z1 % p
@@ -301,7 +317,9 @@ def _dbl(P, k, p, d, A0, A1):
 def _madd(P, T, p, d, A0, A1):
     """P + T for Jacobian P and affine T = (x0, x1, y0, y1), by madd-2007-bl
     (EFD, Z2 = 1); T = P is handed to _dbl as a run of one and T = -P gives
-    None."""
+    None.  With d = -1 the addition is _madd_i's."""
+    if d == -1:
+        return _madd_i(P, T, p, A0, A1)
     X0, X1, Y0, Y1, Z0, Z1 = P
     x0, x1, y0, y1 = T
     ZZ0 = (Z0 * Z0 + d * Z1 * Z1) % p
@@ -336,6 +354,84 @@ def _madd(P, T, p, d, A0, A1):
         (R0 * U0 + d * R1 * U1 - 2 * (Y0 * J0 + d * Y1 * J1)) % p,
         (R0 * U1 + R1 * U0 - 2 * (Y0 * J1 + Y1 * J0)) % p,
         (w0 * w0 + d * w1 * w1 - ZZ0 - HH0) % p,
+        (2 * w0 * w1 - ZZ1 - HH1) % p,
+    )
+
+
+def _dbl_i(P, k, p, A0, A1):
+    """_dbl in F_p(i): the same doublings and the same coordinates."""
+    X0, X1, Y0, Y1, Z0, Z1 = P
+    ZZ0 = (Z0 + Z1) * (Z0 - Z1) % p
+    ZZ1 = 2 * Z0 * Z1 % p
+    ZZZZ0 = (ZZ0 + ZZ1) * (ZZ0 - ZZ1) % p
+    ZZZZ1 = 2 * ZZ0 * ZZ1 % p
+    W0 = (A0 * ZZZZ0 - A1 * ZZZZ1) % p
+    W1 = (A0 * ZZZZ1 + A1 * ZZZZ0) % p
+    while True:
+        if not (Y0 or Y1):
+            return None
+        XX0 = (X0 + X1) * (X0 - X1) % p
+        XX1 = 2 * X0 * X1 % p
+        YY0 = (Y0 + Y1) * (Y0 - Y1) % p
+        YY1 = 2 * Y0 * Y1 % p
+        YYYY0 = (YY0 + YY1) * (YY0 - YY1) % p
+        YYYY1 = 2 * YY0 * YY1 % p
+        u0 = X0 + YY0
+        u1 = X1 + YY1
+        S0 = 2 * ((u0 + u1) * (u0 - u1) - XX0 - YYYY0) % p
+        S1 = 2 * (2 * u0 * u1 - XX1 - YYYY1) % p
+        M0 = 3 * XX0 + W0
+        M1 = 3 * XX1 + W1
+        X0 = ((M0 + M1) * (M0 - M1) - 2 * S0) % p
+        X1 = (2 * M0 * M1 - 2 * S1) % p
+        V0 = S0 - X0
+        V1 = S1 - X1
+        Z0, Z1 = 2 * (Y0 * Z0 - Y1 * Z1) % p, 2 * (Y0 * Z1 + Y1 * Z0) % p
+        Y0 = (M0 * V0 - M1 * V1 - 8 * YYYY0) % p
+        Y1 = (M0 * V1 + M1 * V0 - 8 * YYYY1) % p
+        k -= 1
+        if not k:
+            return (X0, X1, Y0, Y1, Z0, Z1)
+        W0, W1 = 16 * (YYYY0 * W0 - YYYY1 * W1) % p, 16 * (YYYY0 * W1 + YYYY1 * W0) % p
+
+
+def _madd_i(P, T, p, A0, A1):
+    """_madd in F_p(i): the same addition and the same coordinates; T = P
+    goes through _dbl, so every doubling is a call of _dbl."""
+    X0, X1, Y0, Y1, Z0, Z1 = P
+    x0, x1, y0, y1 = T
+    ZZ0 = (Z0 + Z1) * (Z0 - Z1) % p
+    ZZ1 = 2 * Z0 * Z1 % p
+    H0 = (x0 * ZZ0 - x1 * ZZ1 - X0) % p
+    H1 = (x0 * ZZ1 + x1 * ZZ0 - X1) % p
+    ZZZ0 = (Z0 * ZZ0 - Z1 * ZZ1) % p
+    ZZZ1 = (Z0 * ZZ1 + Z1 * ZZ0) % p
+    R0 = (y0 * ZZZ0 - y1 * ZZZ1 - Y0) % p
+    R1 = (y0 * ZZZ1 + y1 * ZZZ0 - Y1) % p
+    if not (H0 or H1):
+        return None if R0 or R1 else _dbl(P, 1, p, -1, A0, A1)
+    R0 *= 2
+    R1 *= 2
+    HH0 = (H0 + H1) * (H0 - H1) % p
+    HH1 = 2 * H0 * H1 % p
+    I0 = 4 * HH0
+    I1 = 4 * HH1
+    J0 = (H0 * I0 - H1 * I1) % p
+    J1 = (H0 * I1 + H1 * I0) % p
+    V0 = (X0 * I0 - X1 * I1) % p
+    V1 = (X0 * I1 + X1 * I0) % p
+    X30 = ((R0 + R1) * (R0 - R1) - J0 - 2 * V0) % p
+    X31 = (2 * R0 * R1 - J1 - 2 * V1) % p
+    U0 = V0 - X30
+    U1 = V1 - X31
+    w0 = Z0 + H0
+    w1 = Z1 + H1
+    return (
+        X30,
+        X31,
+        (R0 * U0 - R1 * U1 - 2 * (Y0 * J0 - Y1 * J1)) % p,
+        (R0 * U1 + R1 * U0 - 2 * (Y0 * J1 + Y1 * J0)) % p,
+        ((w0 + w1) * (w0 - w1) - ZZ0 - HH0) % p,
         (2 * w0 * w1 - ZZ1 - HH1) % p,
     )
 

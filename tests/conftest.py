@@ -1,8 +1,12 @@
+import functools
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+from qcurve import weierstrass
 from qcurve.fields import FieldCtx, Fp2, legendre
-from qcurve.weierstrass import INFINITY, Point, _madd
+from qcurve.weierstrass import INFINITY, Curve, Point, _madd
 
 settings.register_profile(
     "default",
@@ -206,13 +210,15 @@ def ref_jsf(a, b):
 def ref_mul2(curve, a, P, b, Q):
     """[a]P + [b]Q by the per-column loop: for each column of ref_jsf, one
     ref_dbl of the Jacobian accumulator, then the mixed addition of the
-    column's entry of the table {O, +-P, +-Q, +-(P + Q), +-(P - Q)}."""
+    column's entry of the table {O, +-P, +-Q, +-(P + Q), +-(P - Q)}.
+    delta is passed unsigned, so at p = 3 (mod 4) _madd takes its generic
+    body, not the F_p(i) one of Curve._mul2."""
     if a < 0:
         a, P = -a, curve.neg(P)
     if b < 0:
         b, Q = -b, curve.neg(Q)
     ctx = curve.ctx
-    p, d, A0, A1 = ctx.p, ctx.signed_delta, curve.A.a, curve.A.b
+    p, d, A0, A1 = ctx.p, ctx.delta, curve.A.a, curve.A.b
     upper = [
         None if T.is_infinity else (T.x.a, T.x.b, T.y.a, T.y.b)
         for T in (Q, curve._add(P, curve.neg(Q)), P, curve._add(P, Q))
@@ -230,6 +236,78 @@ def ref_mul2(curve, a, P, b, Q):
         return INFINITY
     zi = Fp2(ctx, acc[4], acc[5]).inverse()
     return Point(Fp2(ctx, acc[0], acc[1]) * zi * zi, Fp2(ctx, acc[2], acc[3]) * zi * zi * zi)
+
+
+@functools.cache
+def generic_127_curve() -> Curve:
+    """A curve over F_{p^2} at p = 2^127 - 1 with delta = 3, a nonresidue
+    there, so the scalar loop takes its generic body, not the F_p(i) one."""
+    ctx = FieldCtx(MERSENNE_127, 3)
+    return Curve(ctx.elem(5, 7), ctx.elem(11, 13))
+
+
+# Int-level work of the scalar loop: the residues entering weierstrass._dbl
+# and _madd become CountingInt, so every operation on them is tallied.
+
+
+class CountingInt(int):
+    """An int that tallies, into ``CountingInt.counts``, each product with
+    another CountingInt ("mul"), each product with a plain int such as a
+    small constant or delta ("mul_const"), each addition or subtraction
+    ("add") and each reduction ("mod") it takes part in.  Every result is a
+    CountingInt again."""
+
+    counts = Counter()
+
+    def __mul__(self, other):
+        CountingInt.counts["mul" if isinstance(other, CountingInt) else "mul_const"] += 1
+        return CountingInt(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        CountingInt.counts["add"] += 1
+        return CountingInt(int.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        CountingInt.counts["add"] += 1
+        return CountingInt(int.__sub__(self, other))
+
+    def __rsub__(self, other):
+        CountingInt.counts["add"] += 1
+        return CountingInt(int.__rsub__(self, other))
+
+    def __mod__(self, other):
+        CountingInt.counts["mod"] += 1
+        return CountingInt(int.__mod__(self, other))
+
+
+def count_loop_int_ops(monkeypatch) -> Counter:
+    """From here on, count the int operations inside each call of
+    weierstrass._dbl and _madd.  delta and the run length stay plain ints,
+    so a product by delta is a "mul_const"; the calls return plain ints, so
+    the rest of the scalar multiplication goes uncounted."""
+    counts = CountingInt.counts
+    counts.clear()
+    dbl, madd = weierstrass._dbl, weierstrass._madd
+
+    def counting(P):
+        return tuple(map(CountingInt, P))
+
+    def plain(R):
+        return None if R is None else tuple(map(int, R))
+
+    def counted_dbl(P, k, p, d, A0, A1):
+        return plain(dbl(counting(P), k, CountingInt(p), d, CountingInt(A0), CountingInt(A1)))
+
+    def counted_madd(P, T, p, d, A0, A1):
+        return plain(madd(counting(P), counting(T), CountingInt(p), d, CountingInt(A0), CountingInt(A1)))
+
+    monkeypatch.setattr(weierstrass, "_dbl", counted_dbl)
+    monkeypatch.setattr(weierstrass, "_madd", counted_madd)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ changes nothing there."""
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -40,18 +41,34 @@ def test_traced_workloads_report_every_metric():
     assert tracer.absent_metrics() == set()
 
 
+def _strict_json(line):
+    """The JSON value of line, with NaN and Infinity rejected: json.loads
+    takes them by default, but they are not JSON and no metric."""
+
+    def reject(token):
+        raise ValueError(f"non-standard number {token} in the result line")
+
+    return json.loads(line, parse_constant=reject)
+
+
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", ["glv-128", "info-128", "oracle-sweep"])
 def test_run_ends_with_its_result(workload, trace):
-    """The last line of standard output is the result, so nothing the
-    library prints may follow or replace it."""
+    """The last line of standard output is the result, in strict JSON, so
+    nothing the library prints may follow or replace it.  An untraced run
+    reports every end-to-end metric, a traced one every per-layer metric,
+    each a finite number."""
     argv = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", str(trace)]
     proc = subprocess.run(
         [sys.executable, str(QBENCH / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    result = _strict_json(lines[-1])
     assert result["correct"] is True and result["failed"] == 0
-    if not trace:
-        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-        assert set(result["metrics"]) == {m["name"] for m in end_to_end}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer" if trace else "end_to_end"]
+    metrics = result["metrics"]
+    assert set(metrics) == {m["name"] for m in declared}
+    for name, metric in metrics.items():
+        assert math.isfinite(metric["value"]), name
+    assert not any(line.startswith("absent") for line in lines), proc.stdout

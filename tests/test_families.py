@@ -30,7 +30,7 @@ from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
 from qcurve import isogeny, weierstrass
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
-from conftest import MERSENNE_127, ctx_for, prime_factors
+from conftest import MERSENNE_127, count_loop_int_ops, ctx_for, generic_127_curve, prime_factors
 
 
 def family_sweep(d, p):
@@ -328,6 +328,23 @@ BUILD_COUNTS = [
 # in a nonzero column, so its last addition has no run after it.
 MULTIEXP2_COUNTS = {"dbl": 123, "runs": 63, "madd": 63, "sqr": 6, "mul": 8, "inv": 3}
 MUL_COUNTS = {"dbl": 253, "runs": 87, "madd": 86, "sqr": 2, "mul": 2, "inv": 1}
+# The int operations inside _dbl and _madd for the same two calls
+# (conftest.CountingInt): products of two residues, products by a small
+# constant or delta, additions and subtractions, and reductions.  On the
+# paper instance delta = -1, so the loop runs its F_p(i) bodies; the same
+# scalars on a curve at the same prime with delta = 3 run the generic ones.
+# Writing in i^2 = -1 drops every product by delta and turns the real part
+# of each square into one product of a sum by a difference.
+LOOP_INT_COUNTS = {
+    -1: {
+        "multiexp2": {"mul": 5226, "mul_const": 2847, "add": 6462, "mod": 3480},
+        "mul": {"mul": 9010, "mul_const": 5333, "add": 11378, "mod": 6116},
+    },
+    3: {
+        "multiexp2": {"mul": 6219, "mul_const": 4650, "add": 5469, "mod": 3480},
+        "mul": {"mul": 10793, "mul_const": 8477, "add": 9595, "mod": 6116},
+    },
+}
 
 
 class TestOpCounts:
@@ -395,6 +412,23 @@ class TestOpCounts:
         counts = _count_ops(monkeypatch)
         endo.curve.mul(m, P)
         assert dict(counts) == MUL_COUNTS
+
+    @pytest.mark.parametrize("delta", [-1, 3])
+    def test_loop_int_counts(self, monkeypatch, delta):
+        endo, P, m, dec = self._paper_scalar()
+        if delta == -1:
+            curve, Q = endo.curve, endo(P)
+        else:
+            curve = generic_127_curve()
+            P, Q = random_point(curve, 1), random_point(curve, 2)
+        counts = count_loop_int_ops(monkeypatch)
+        seen = {}
+        multiexp2(dec.a, dec.b, P, Q, curve)
+        seen["multiexp2"] = dict(counts)
+        counts.clear()
+        curve.mul(m, P)
+        seen["mul"] = dict(counts)
+        assert seen == LOOP_INT_COUNTS[delta]
 
     def test_glv_group_op_ratio(self):
         """The decomposition saves close to half the group operations."""

@@ -23,7 +23,7 @@ from qcurve.weierstrass import (
     random_point,
 )
 
-from conftest import MERSENNE_127, ctx_for, ref_dbl, ref_jsf, ref_mul2
+from conftest import MERSENNE_127, ctx_for, generic_127_curve, ref_dbl, ref_jsf, ref_mul2
 
 
 def sample_curve(p, a=1, b=4, bi=0):
@@ -153,33 +153,52 @@ class TestJacobianLoop:
 
     @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
     def test_helpers_match_affine_on_every_pair(self, d, p, s, twisted):
+        """With both representatives of delta: at p = 3 (mod 4), d = -1
+        takes the F_p(i) body and d = p - 1 the generic one, and both must
+        return the very same tuple.  Z != 1 exercises the scaling."""
         curve, pts = small_curve(d, p, s, twisted)
         ctx = curve.ctx
-        # Any representative of delta works, and Z != 1 exercises the scaling.
-        args = (ctx.p, ctx.delta, curve.A.a, curve.A.b)
         z = Fp2(ctx, 2, 1)
+        arg_sets = [(ctx.p, delta, curve.A.a, curve.A.b) for delta in (ctx.delta, ctx.signed_delta)]
         for P in pts[1:]:
             J = to_jacobian(P, z)
-            assert from_jacobian(ctx, _dbl(J, 1, *args)) == curve._add(P, P)
+            generic, signed = (_dbl(J, 1, *args) for args in arg_sets)
+            assert generic == signed and from_jacobian(ctx, signed) == curve._add(P, P)
             for Q in pts[1:]:
                 T = (Q.x.a, Q.x.b, Q.y.a, Q.y.b)
-                assert from_jacobian(ctx, _madd(J, T, *args)) == curve._add(P, Q)
+                generic, signed = (_madd(J, T, *args) for args in arg_sets)
+                assert generic == signed and from_jacobian(ctx, signed) == curve._add(P, Q)
 
     @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
     def test_runs_match_affine_doublings(self, d, p, s, twisted):
         """_dbl(J, k) is k affine doublings, for every k up to the group
         order plus 2, so every run reaches points of order 2, where it
-        must end at infinity, and repeats."""
+        must end at infinity, and repeats; with both representatives of
+        delta, as above."""
         curve, pts = small_curve(d, p, s, twisted)
         ctx = curve.ctx
-        args = (ctx.p, ctx.delta, curve.A.a, curve.A.b)
         z = Fp2(ctx, 2, 1)
+        arg_sets = [(ctx.p, delta, curve.A.a, curve.A.b) for delta in (ctx.delta, ctx.signed_delta)]
         for P in pts[1:]:
             J = to_jacobian(P, z)
             doubled = P
             for k in range(1, len(pts) + 3):
                 doubled = curve._add(doubled, doubled)
-                assert from_jacobian(ctx, _dbl(J, k, *args)) == doubled
+                generic, signed = (_dbl(J, k, *args) for args in arg_sets)
+                assert generic == signed and from_jacobian(ctx, signed) == doubled
+
+    def test_bodies_agree_at_127_bits(self):
+        """The F_p(i) body (d = -1) and the generic one (d = p - 1) return
+        the same tuples on 2,000 random tuples of residues mod 2^127 - 1,
+        which need not be points: the formulas are identities of F_p(i)."""
+        p = MERSENNE_127
+        rng = random.Random(29)
+        for _ in range(2000):
+            J = tuple(rng.randrange(p) for _ in range(6))
+            T = tuple(rng.randrange(p) for _ in range(4))
+            A0, A1, k = rng.randrange(p), rng.randrange(p), rng.randrange(1, 4)
+            assert _dbl(J, k, p, -1, A0, A1) == _dbl(J, k, p, p - 1, A0, A1)
+            assert _madd(J, T, p, -1, A0, A1) == _madd(J, T, p, p - 1, A0, A1)
 
     @pytest.mark.parametrize("member", [(2, 28106), (5, 7930)], ids=["d2", "d5"])
     def test_long_run_matches_single_steps(self, member):
@@ -205,6 +224,16 @@ class TestJacobianLoop:
         P, Q = random_point(curve, 1), random_point(curve, 2)
         assert curve._mul2(a, P, b, Q) == ref_mul2(curve, a, P, b, Q)
         assert curve.mul(a, P) == ref_mul2(curve, a, P, 0, INFINITY)
+
+    @given(st.integers(-(2**127), 2**127), st.integers(-(2**127), 2**127))
+    @settings(max_examples=10)
+    def test_generic_body_matches_columns_at_127_bits(self, a, b):
+        """At delta = 3, a nonresidue mod 2^127 - 1, the loop takes the
+        generic body at 127 bits."""
+        curve = generic_127_curve()
+        P, Q = random_point(curve, 1), random_point(curve, 2)
+        assert curve.ctx.signed_delta == 3
+        assert curve._mul2(a, P, b, Q) == ref_mul2(curve, a, P, b, Q)
 
     @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
     def test_every_multiple_matches_chain(self, d, p, s, twisted):
