@@ -23,7 +23,7 @@ import time
 
 from . import selftest as _selftest_mod
 from .cmtables import FIBERS, TABLE1, TABLE2, detect_cm
-from .errors import CofactorError, DomainError, OracleGuardError, SupersingularError
+from .errors import CofactorError, DegenerateParameterError, DomainError, OracleGuardError, SupersingularError
 from .families import Endo, build_family_curve, determine_r, group_orders
 from .fields import FieldCtx, factorize, format_fp2, is_probable_prime
 from .glv import bound_bitlength, decompose, first_nonminimal, multiexp2, subgroup_basis
@@ -187,7 +187,7 @@ def cmd_decompose(args) -> int:
     failed = any("FAIL" in str(v) for v in record.values())
     record["status"] = "error" if failed else "ok"
     _emit(record | timings if args.timings else record, args.json)
-    return 0 if record["multiexp_check"] == "ok" else 1
+    return 1 if failed else 0
 
 
 def cmd_search(args) -> int:
@@ -196,13 +196,13 @@ def cmd_search(args) -> int:
             raise CofactorError(f"{flag} must be a positive integer, got {cofactor}")
     ctx = FieldCtx(args.p, args.delta)
     p = ctx.p
-    if p > ORACLE_MAX_P:
-        raise OracleGuardError(f"search sweeps require p <= {ORACLE_MAX_P}")
     emitted = 0
     for s in range(p):
+        # Only an excluded s is skipped: a field without the family raises
+        # here, and one above the oracle's reach in the first determine_r.
         try:
             fam = build_family_curve(args.d, ctx, s)
-        except DomainError:
+        except DegenerateParameterError:
             continue
         endo = Endo(fam)
         r = determine_r(endo)

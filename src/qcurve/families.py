@@ -162,11 +162,7 @@ def gls_endo(ctx: FieldCtx, a0: int, b0: int, twisted: bool = False) -> "Endo":
     psi fixes the F_p-rational points; the interesting endomorphism is the
     twisted psi', whose square is [-1] on the rational points of the twist.
     """
-    A = ctx.elem(a0)
-    B = ctx.elem(b0)
-    if A.b or B.b:
-        raise DomainError("coefficients must lie in the base field F_p")
-    curve = Curve(A, B)
+    curve = Curve(ctx.elem(a0), ctx.elem(b0))
     family = FamilyCurve(1, None, curve, None, identity_isogeny(curve))
     return Endo(family, twisted=twisted)
 

@@ -155,7 +155,7 @@ def poly_eval(f, x: Fp2) -> tuple[Fp2, Fp2]:
 
 
 def _kernel_poly(cs) -> tuple[list[int], list[int]]:
-    """A monic ascending tuple of Fp2 as a kernel polynomial."""
+    """An ascending, trimmed sequence of Fp2 as an (re, im) pair of int lists."""
     return [c.a for c in cs], [c.b for c in cs]
 
 
@@ -276,16 +276,12 @@ class Isogeny:
         polynomial at x/c scales its x^i coefficient by c^-i, and the chain
         rule (f(x/c))' = f'(x/c)/c leaves a factor c for the y-scale."""
         ctx = c.ctx
-        p, d = ctx.p, ctx.signed_delta
         ci = c.inverse()
-        i0, i1 = ci.a, ci.b
-        powers = [(1, 0)]
+        powers = [ctx.one()]
         for _ in self.num[0][1:]:  # num is the longer polynomial
-            w0, w1 = powers[-1]
-            powers.append(((w0 * i0 + d * w1 * i1) % p, (w0 * i1 + w1 * i0) % p))
+            powers.append(powers[-1] * ci)
         num, den = (
-            ([(a * w0 + d * b * w1) % p for a, b, (w0, w1) in zip(fr, fi, powers)],
-             [(a * w1 + b * w0) % p for a, b, (w0, w1) in zip(fr, fi, powers)])
+            _kernel_poly([Fp2(ctx, a, b) * w for a, b, w in zip(fr, fi, powers)])
             for fr, fi in (self.num, self.den)
         )
         return Isogeny(domain, codomain, self.degree, num, den, x_factor * self.x_scale, y_factor * c * self.y_scale)

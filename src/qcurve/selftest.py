@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from . import cmtables
-from .errors import DomainError
+from .errors import DegenerateParameterError, DomainError
 from .families import Endo, build_family_curve, determine_r, eigenvalue, epsilon_p, gls_endo, group_orders, subfield_order
 from .fields import FieldCtx, Fp2, _lucas_lehmer, _miller_rabin, _trial_blocks, factorize, is_probable_prime, legendre
 from .glv import (
@@ -158,7 +158,7 @@ def check_family_identities():
         for s in (1, 2):
             try:
                 fam = build_family_curve(d, ctx, s)
-            except DomainError:
+            except DegenerateParameterError:
                 continue
             endo = Endo(fam)
             eps = endo.eps
@@ -250,7 +250,7 @@ def check_cm_detection():
         for s in range(p):
             try:
                 fam = build_family_curve(d, ctx, s)
-            except DomainError:
+            except DegenerateParameterError:
                 continue
             expected = any(
                 cmtables.fiber_matches(f, ctx, s) for f in cmtables.cm_fibers(d)
@@ -271,7 +271,7 @@ def check_cm_tables():
             hits = 0
             p = 11
             while hits < 3 and p < 400:
-                p = _next_valid_prime(p, d)
+                p = _next_prime(p)
                 ctx = _ctx(p)
                 s = cmtables.fiber_parameter(fib, ctx)
                 if s is None:
@@ -291,16 +291,11 @@ def check_cm_tables():
     return f"{checked} fiber reductions"
 
 
-def _next_valid_prime(p: int, d: int) -> int:
-    while True:
+def _next_prime(p: int) -> int:
+    p += 2
+    while not is_probable_prime(p):
         p += 2
-        if not is_probable_prime(p):
-            continue
-        if d == 5 and p % 4 != 3:
-            continue
-        if d == 7 and p <= 7:
-            continue
-        return p
+    return p
 
 
 def check_gls():

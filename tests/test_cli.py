@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qcurve import cmtables
+import qcurve
+from qcurve import cli, cmtables
 from qcurve.cli import factor_string, main
 from qcurve.fields import (
     TRIAL_DIVISION_BOUND,
@@ -171,6 +176,21 @@ class TestDecompose:
         rec = parse_plain(lines[0])
         assert rec["exhaustive_minimal"].startswith("all")
 
+    def test_exhaustive_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "first_nonminimal", lambda basis: 3)
+        rc, lines = run(
+            capsys,
+            [
+                "decompose", "--d", "2", "--p", "13", "--delta", "2",
+                "--s", "1", "--m", "5", "--exhaustive",
+            ],
+        )
+        assert rc == 1
+        rec = parse_plain(lines[0])
+        assert rec["multiexp_check"] == "ok"
+        assert rec["exhaustive_minimal"] == "FAIL at m=3"
+        assert rec["status"] == "error"
+
     def test_seed_picks_the_check_point(self, capsys):
         for seed in ("0", "7"):
             rc, lines = run(
@@ -255,9 +275,29 @@ class TestSearch:
         assert rec["error"] == "cofactor"
 
     def test_guard(self, capsys):
+        # The oracle refuses the first member, with its own message.
         rc, lines = run(capsys, ["search", "--d", "2", "--p", str(MERSENNE_127), "--delta", "-1"])
         assert rc == 1
-        assert parse_plain(lines[0])["error"] == "oracle_guard"
+        assert len(lines) == 1
+        rec = parse_plain(lines[0])
+        assert rec["error"] == "oracle_guard"
+        assert rec["message"].startswith("exhaustive enumeration requires p <= 64")
+
+    @pytest.mark.parametrize(
+        "d,p,delta",
+        [(5, 13, 2), (5, 11, 2), (7, 7, 3)],
+    )
+    def test_field_without_the_family(self, capsys, d, p, delta):
+        """As info does, search reports the builder's residue-class error."""
+        argv = ["--d", str(d), "--p", str(p), "--delta", str(delta)]
+        rc, lines = run(capsys, ["search", *argv])
+        assert rc == 1
+        assert len(lines) == 1
+        rec = parse_plain(lines[0])
+        assert (rec["status"], rec["error"]) == ("error", "residue_class")
+        rc, info_lines = run(capsys, ["info", *argv, "--s", "1"])
+        assert rc == 1
+        assert parse_plain(info_lines[0])["message"] == rec["message"]
 
 
 class TestTimings:
@@ -373,6 +413,31 @@ class TestTables:
         assert kinds["fiber"] == 13 + 13 + 2 + 6
         assert kinds["class_number_1"] == 13
         assert kinds["class_number_2"] == 29
+
+
+class TestProcess:
+    """The module run as a program, in a child interpreter."""
+
+    @staticmethod
+    def spawn(argv, **kwargs):
+        env = dict(os.environ, PYTHONPATH=str(Path(qcurve.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, "-m", "qcurve.cli", *argv], env=env, timeout=120, **kwargs)
+
+    def test_module_entry_point(self):
+        proc = self.spawn(["tables", "--json"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len([json.loads(line) for line in proc.stdout.splitlines()]) == 34 + 13 + 29
+
+    def test_closed_pipe_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.spawn(["tables"], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
 
 class TestSelftest:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qcurve.cmtables import (
@@ -11,7 +13,7 @@ from qcurve.cmtables import (
     fiber_parameter,
 )
 from qcurve.errors import DomainError
-from qcurve.families import build_family_curve
+from qcurve.families import build_family_curve, gls_endo
 from qcurve.fields import is_probable_prime
 
 from conftest import ctx_for
@@ -100,6 +102,17 @@ class TestDetection:
                 else:
                     expected = {t}
                 assert {s for s in range(p) if fiber_matches(fiber, ctx, s)} == expected, (p, fiber)
+
+    def test_fiber_at_infinity_has_no_parameter(self):
+        # 9801 = 3^4 * 11^2, so the d=2 fiber of discriminant -232 lies at
+        # infinity mod 11.
+        (fiber,) = (f for f in cm_fibers(2) if f.coeff == Fraction(1820, 9801))
+        assert fiber_parameter(fiber, ctx_for(11)) is None
+
+    def test_no_fiber_table_for_the_gls_case(self):
+        with pytest.raises(DomainError, match="no fiber table for degree 1") as exc:
+            detect_cm(gls_endo(ctx_for(11), 3, 5).family)
+        assert exc.type is DomainError
 
     def test_degree5_exact_fibers(self):
         ctx = ctx_for(23)

@@ -131,6 +131,11 @@ class TestEpsilon:
         with pytest.raises(ResidueClassError):
             epsilon_p(5, 13)
 
+    def test_unknown_degree(self):
+        with pytest.raises(DomainError, match="no family of degree 4") as exc:
+            epsilon_p(4, 11)
+        assert exc.type is DomainError
+
 
 class TestPsi:
     @pytest.mark.parametrize("d,p", [(2, 11), (3, 11), (5, 11), (7, 11)])
@@ -298,6 +303,13 @@ PSI_COUNTS = [
 # Building one untwisted Endo: conj(phi) conjugates phi's curves, two
 # polynomials and two scales, none of which is a product.
 ENDO_COUNTS = [(2, {}), (5, {})]
+# Building one twisted Endo: nearly all of it is nu = mu^((1-p)/2), 126
+# squarings and 126 products on the exponent 2^126 - 1.  The rest is the
+# twist's coefficients (mu^2, mu^3, mu^2 A, mu^3 B), nu^3, the three scale
+# products and, in Isogeny.rescaled, one Fp2 product per power of
+# 1/conj(mu) and per coefficient of num and den: 2 + 3 + 2 for d=2 and
+# 5 + 6 + 5 for d=5.  The inversions are mu's and conj(mu)'s.
+TWISTED_ENDO_COUNTS = [(2, {"sqr": 128, "mul": 140, "inv": 2}), (5, {"sqr": 128, "mul": 149, "inv": 2})]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
 # s=1.  Two curves pay a discriminant check: the member and the Velu
 # codomain.  The twisted codomain's discriminant is l^12 times the Velu
@@ -374,6 +386,16 @@ class TestOpCounts:
             Endo(fam)
             seen.append((fam.d, dict(counts)))
         assert seen == ENDO_COUNTS
+
+    def test_twisted_endo_counts(self, monkeypatch):
+        families = [endo.family for endo, _ in paper_endos()]
+        counts = _count_ops(monkeypatch)
+        seen = []
+        for fam in families:
+            counts.clear()
+            Endo(fam, twisted=True)
+            seen.append((fam.d, dict(counts)))
+        assert seen == TWISTED_ENDO_COUNTS
 
     def test_build_counts(self, monkeypatch):
         ctx = FieldCtx(MERSENNE_127, -1)

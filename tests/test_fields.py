@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -181,6 +183,16 @@ class TestArithmetic:
     def test_cross_field_operands_rejected(self):
         with pytest.raises(DomainError):
             ctx_for(5).one() + ctx_for(7).one()
+
+    @pytest.mark.parametrize("other", [1.5, "x", None])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_foreign_operands_rejected(self, op, other):
+        # Each side returns NotImplemented, so Python raises TypeError.
+        x = ctx_for(13).elem(2, 3)
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
 
     @given(element_pairs(), st.data())
     def test_exact_outputs_match_int_formulas(self, pair, data):

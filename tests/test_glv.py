@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurve.errors import DomainError, OffCurveError, StructureError
+from qcurve.errors import DomainError, OffCurveError, StructureError, SupersingularError
 from qcurve.families import Endo, build_family_curve, determine_r, eigenvalue, group_orders
 from qcurve import glv
 from qcurve.glv import (
@@ -26,6 +26,7 @@ from qcurve.glv import (
     lagrange_reduce,
     multiexp2,
     reduced_lattice_basis,
+    subgroup_basis,
     sublattice_basis,
 )
 from qcurve.weierstrass import Point, oracle_trace, random_point
@@ -206,6 +207,33 @@ class TestCofactorBases:
         lam = eigenvalue(endo, r, n)
         with pytest.raises(StructureError):
             cofactor_basis(COFACTOR4_D2, 13, endo.eps, 2, r, n, (lam + 1) % n)
+
+
+class TestErrorBranches:
+    @pytest.mark.parametrize("variant,d", [(COFACTOR2_D2, 3), (COFACTOR4_D2, 3), (COFACTOR3_D3, 2)])
+    def test_cofactor_basis_of_the_wrong_degree(self, variant, d):
+        with pytest.raises(StructureError, match=f"applies to the degree-{5 - d} family"):
+            cofactor_basis(variant, 13, 1, d, 1, 47, 10)
+
+    def test_unknown_cofactor_variant(self):
+        with pytest.raises(DomainError, match="unknown basis variant") as exc:
+            cofactor_basis("cofactor5_d5", 13, 1, 2, 1, 47, 10)
+        assert exc.type is DomainError
+
+    def test_subgroup_basis_of_a_supersingular_curve(self):
+        endo = Endo(build_family_curve(5, ctx_for(11), 1))
+        with pytest.raises(SupersingularError):
+            subgroup_basis(endo, 0, factorize(2 * (11 * 11 + 1)))
+
+    def test_basis_of_the_wrong_determinant(self):
+        n, lam = 47, 10
+        with pytest.raises(StructureError, match="determinant"):
+            GlvBasis((n, 0), (0, n), n, lam)
+
+    def test_ceil_log2_of_zero(self):
+        with pytest.raises(DomainError, match="nonpositive") as exc:
+            ceil_log2(0)
+        assert exc.type is DomainError
 
 
 class TestSubgroupChoice:

@@ -245,3 +245,42 @@ class TestDik:
                     expected = None if S.is_infinity else dik_point(dik, S)
                     assert total == expected
         assert hit
+
+
+class TestErrorBranches:
+    @staticmethod
+    def doubling_fixture(p=7):
+        for s in range(p):
+            fam = build_family_curve(2, ctx_for(p), s)
+            dik = to_dik(fam, DIK_DOUBLING)
+            if dik is not None:
+                return fam, dik
+        raise AssertionError("no representable parameter")
+
+    def test_degree2_models_reject_degree3(self):
+        fam = build_family_curve(3, ctx_for(7), 1)
+        for build in (to_montgomery, lambda f: to_dik(f, DIK_DOUBLING)):
+            with pytest.raises(DomainError, match="degree-2 family") as exc:
+                build(fam)
+            assert exc.type is DomainError
+
+    def test_affine_charts_reject_infinity(self):
+        _, mont = montgomery_fixture()
+        with pytest.raises(MapPoleError):
+            montgomery_point(mont, INFINITY)
+        _, dik = self.doubling_fixture()
+        with pytest.raises(MapPoleError):
+            dik_point(dik, INFINITY)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_edwards_exists_iff_montgomery(self, p):
+        for s in range(p):
+            fam = build_family_curve(2, ctx_for(p), s)
+            assert (to_edwards(fam) is None) == (to_montgomery(fam) is None)
+
+    def test_dik_identity_operand(self):
+        fam, dik = self.doubling_fixture()
+        q = dik_point(dik, random_point(fam.curve, 1))
+        assert dik_add(dik, None, q) == q
+        assert dik_add(dik, q, None) == q
+        assert dik_add(dik, None, None) is None
