@@ -5,17 +5,22 @@ from .errors import (
     CofactorError,
     DegenerateParameterError,
     DomainError,
+    FieldMismatchError,
     KernelError,
     MapPoleError,
+    ModulusRangeError,
     NotInertError,
     NotPrimeError,
     NotSquareError,
     OffCurveError,
     OracleGuardError,
+    ParseError,
     ResidueClassError,
     StructureError,
+    SubgroupPointError,
     SupersingularError,
     TraceError,
+    UntabulatedError,
 )
 from .fields import FieldCtx, Fp2, format_fp2, is_probable_prime, legendre, parse_fp2
 from .weierstrass import (

@@ -2,8 +2,13 @@
 decomposition, small-prime search, table dumps, and a self-test battery.
 
 The front end parses arguments, builds records, times stages and maps
-errors to exit codes; the analysis itself is the library's (factoring in
-fields.factorize, the subgroup and basis choice in glv.subgroup_basis).
+errors to exit codes.  The analysis is the library's (factoring in
+fields.factorize, the subgroup and basis choice in glv.subgroup_basis, the
+check point in glv.subgroup_point, the scalar loop's op counts in
+weierstrass.loop_ops), and so are its refusals: a DomainError reaches the
+error record unchanged, its class name giving the error code, except the
+two that info reports in an ok record, a prime too large for the oracle
+without --trace and a supersingular curve.
 
 Output is one structured record per line, either key=value pairs or JSON
 (--json); big integers are decimal strings and field elements print as
@@ -21,13 +26,13 @@ import shlex
 import sys
 import time
 
-from . import selftest as _selftest_mod
 from .cmtables import FIBERS, TABLE1, TABLE2, detect_cm
 from .errors import CofactorError, DegenerateParameterError, DomainError, OracleGuardError, SupersingularError
 from .families import Endo, build_family_curve, determine_r, group_orders
 from .fields import FieldCtx, factorize, format_fp2, is_probable_prime
-from .glv import bound_bitlength, decompose, first_nonminimal, multiexp2, subgroup_basis
-from .weierstrass import ORACLE_MAX_P, _jsf, random_point
+from .glv import bound_bitlength, decompose, first_nonminimal, multiexp2, subgroup_basis, subgroup_point
+from .selftest import all_checks
+from .weierstrass import ORACLE_MAX_P, loop_ops
 
 
 def _emit(record: dict, json_mode: bool, stream=None):
@@ -77,31 +82,28 @@ def _timed(timings: dict, key: str):
         timings[key] = round((time.perf_counter() - t0) * 1000, 3)
 
 
-def _analyze(args, timings: dict):
-    """Shared construction pipeline for info/decompose; stage times go to
-    timings."""
+def _analyze(args, timings: dict, record: dict):
+    """The construction pipeline of info and decompose: fills record, puts
+    stage times in timings, and lets every refusal of the library through.
+    Returns (family, endo, basis)."""
     with _timed(timings, "t_field_ms"):
         ctx = FieldCtx(args.p, args.delta)
     with _timed(timings, "t_build_ms"):
         fam = build_family_curve(args.d, ctx, args.s)
         endo = Endo(fam)
-    record = {
-        "command": None,
-        "p": ctx.p,
-        "delta": ctx.delta,
-        "d": args.d,
-        "s": fam.s,
-        "A": format_fp2(fam.curve.A),
-        "B": format_fp2(fam.curve.B),
-        "j": format_fp2(fam.curve.j_invariant()),
-        "eps": endo.eps,
-    }
-    record["cm_fiber"] = _disc_text(detect_cm(fam))
-    try:
-        with _timed(timings, "t_r_ms"):
-            r = determine_r(endo, args.trace)
-    except OracleGuardError:  # no --trace, and p is too large for the oracle
-        return fam, endo, record, None
+    record.update(
+        p=ctx.p,
+        delta=ctx.delta,
+        d=args.d,
+        s=fam.s,
+        A=format_fp2(fam.curve.A),
+        B=format_fp2(fam.curve.B),
+        j=format_fp2(fam.curve.j_invariant()),
+        eps=endo.eps,
+        cm_fiber=_disc_text(detect_cm(fam)),
+    )
+    with _timed(timings, "t_r_ms"):
+        r = determine_r(endo, args.trace)
     n_curve, n_twist = group_orders(endo, r)
     with _timed(timings, "t_factor_ms"):
         factored, twist_factored = factorize(n_curve), factorize(n_twist)
@@ -113,9 +115,6 @@ def _analyze(args, timings: dict):
         order_factors=str(factored),
         twist_order_factors=str(twist_factored),
     )
-    if r == 0:
-        record["supersingular"] = "true"
-        return fam, endo, record, None
     with _timed(timings, "t_basis_ms"):
         variant, basis = subgroup_basis(endo, r, factored)
     record.update(
@@ -127,60 +126,43 @@ def _analyze(args, timings: dict):
         basis_bitlength=basis.bitlength,
         bound_bitlength=bound_bitlength(variant, ctx.p, endo.eps, r, basis),
     )
-    return fam, endo, record, basis
-
-
-def _loop_ops(a: int, b: int) -> tuple[int, int]:
-    """The doublings and mixed additions of Curve._mul2 on the scalars a, b,
-    read off the run recoding of (|a|, |b|): the sum of the runs, and one
-    addition per nonzero column after the first.  The loop does exactly
-    these unless a table entry or a partial sum is at infinity."""
-    runs = _jsf(abs(a), abs(b))
-    return sum(run for _, run in runs), max(len(runs) - 1, 0)
+    return fam, endo, basis
 
 
 def cmd_info(args) -> int:
     timings = {}
-    fam, endo, record, _ = _analyze(args, timings)
-    record["command"] = "info"
+    record = {"command": "info"}
+    try:
+        _analyze(args, timings, record)
+    except OracleGuardError:  # no --trace, and p is too large for the oracle
+        pass
+    except SupersingularError:  # orders reported, no subgroup basis
+        record["supersingular"] = "true"
     record["status"] = "ok"
     _emit(record | timings if args.timings else record, args.json)
     return 0
-
-
-def _subgroup_point(fam, n_curve, n_sub, seed):
-    curve = fam.curve
-    for s in range(seed, seed + 64):
-        P = curve.mul(n_curve // n_sub, random_point(curve, s))
-        if not P.is_infinity:
-            return P
-    raise DomainError("could not find a point of the subgroup order")
 
 
 def cmd_decompose(args) -> int:
     if args.exhaustive and args.p > ORACLE_MAX_P:
         raise OracleGuardError(f"--exhaustive requires p <= {ORACLE_MAX_P}")
     timings = {}
-    fam, endo, record, basis = _analyze(args, timings)
-    if basis is None:
-        if record.get("supersingular"):
-            raise SupersingularError("supersingular curve: no scalar decomposition")
-        raise OracleGuardError(f"decompose requires a trace (supply --trace or use p <= {ORACLE_MAX_P})")
+    record = {"command": "decompose"}
+    fam, endo, basis = _analyze(args, timings, record)
     n_sub = basis.order
-    record["command"] = "decompose"
     m = args.m % n_sub
     with _timed(timings, "t_decompose_ms"):
         dec = decompose(m, basis)
     record.update(m=m, a=dec.a, b=dec.b, norm=dec.norm, norm_bitlength=dec.bitlength)
-    P = _subgroup_point(fam, record["order"], n_sub, args.seed)
+    P = subgroup_point(fam.curve, record["order"] // n_sub, args.seed)
     psiP = endo(P)
     with _timed(timings, "t_multiexp_ms"):
         R = multiexp2(dec.a, dec.b, P, psiP, fam.curve)
     with _timed(timings, "t_mul_ms"):
         expected = fam.curve.mul(m, P)
     record["multiexp_check"] = "ok" if R == expected else "FAIL"
-    timings["n_dbl_multiexp"], timings["n_add_multiexp"] = _loop_ops(dec.a, dec.b)
-    timings["n_dbl_mul"], timings["n_add_mul"] = _loop_ops(m, 0)
+    timings["n_dbl_multiexp"], timings["n_add_multiexp"] = loop_ops(dec.a, dec.b)
+    timings["n_dbl_mul"], timings["n_add_mul"] = loop_ops(m, 0)
     if args.exhaustive:
         m_bad = first_nonminimal(basis)
         record["exhaustive_minimal"] = f"all {n_sub} scalars minimal" if m_bad is None else f"FAIL at m={m_bad}"
@@ -261,7 +243,7 @@ def cmd_tables(args) -> int:
 
 def cmd_selftest(args) -> int:
     failures = 0
-    for name, fn in _selftest_mod.all_checks():
+    for name, fn in all_checks():
         t0 = time.perf_counter()
         try:
             detail = fn()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import UntabulatedError
 from .families import FamilyCurve
 from .fields import FieldCtx, Fp2, sqrt_mod_prime
 
@@ -143,7 +143,7 @@ TABLE2: dict[Disc, tuple[Fraction, int, int, int]] = {
 
 def cm_fibers(d: int) -> tuple[CmFiber, ...]:
     if d not in FIBERS:
-        raise DomainError(f"no fiber table for degree {d}")
+        raise UntabulatedError(f"no fiber table for degree {d}")
     return FIBERS[d]
 
 
@@ -186,7 +186,7 @@ def cm_j_candidates(disc: Disc, ctx: FieldCtx) -> list[Fp2]:
         pf = ctx.elem(pref.numerator) / ctx.elem(pref.denominator)
         root = ctx.elem(rad).sqrt()
         return [pf * (c0 + c1 * root), pf * (c0 - c1 * root)]
-    raise DomainError(f"discriminant -{disc[0]}*{disc[1]}^2 is not tabulated")
+    raise UntabulatedError(f"discriminant -{disc[0]}*{disc[1]}^2 is not tabulated")
 
 
 def detect_cm(fam: FamilyCurve) -> Disc | None:
@@ -196,11 +196,9 @@ def detect_cm(fam: FamilyCurve) -> Disc | None:
 
     At primes where two fibers collide mod p (their conditions and reduced
     j-invariants coincide) the first match in table order is reported."""
-    if fam.d not in FIBERS:
-        raise DomainError(f"no fiber table for degree {fam.d}")
     ctx = fam.ctx
     j = fam.curve.j_invariant()
-    for fiber in FIBERS[fam.d]:
+    for fiber in cm_fibers(fam.d):
         if fiber_matches(fiber, ctx, fam.s) and j in cm_j_candidates(fiber.disc, ctx):
             return fiber.disc
     return None

@@ -5,6 +5,11 @@ class DomainError(ValueError):
     """A parameter or operand lies outside the domain of an operation."""
 
 
+class ModulusRangeError(DomainError):
+    """The modulus is outside the supported range: a prime p > 3 of at most
+    128 bits."""
+
+
 class NotPrimeError(DomainError):
     """The modulus is composite: it has a prime factor up to 37, or fails
     Lucas-Lehmer (a Mersenne number 2^q - 1) or Miller-Rabin (any other)."""
@@ -12,6 +17,14 @@ class NotPrimeError(DomainError):
 
 class NotInertError(DomainError):
     """The chosen extension generator is a square, so F_{p^2} degenerates."""
+
+
+class FieldMismatchError(DomainError):
+    """An operand belongs to a different field."""
+
+
+class ParseError(DomainError):
+    """Text does not spell a field element "a+b*i"."""
 
 
 class ResidueClassError(DomainError):
@@ -35,7 +48,17 @@ class NotSquareError(DomainError):
 
 
 class StructureError(DomainError):
-    """The group structure is inconsistent with the requested basis variant."""
+    """The group or lattice structure is inconsistent with the requested basis
+    variant, or a lattice computation got degenerate input."""
+
+
+class SubgroupPointError(DomainError):
+    """Every seed tried gave a point that the cofactor sends to infinity."""
+
+
+class UntabulatedError(DomainError):
+    """The library has no family, CM fiber table or model for the degree d,
+    or no j-invariant for the discriminant."""
 
 
 class OracleGuardError(DomainError):

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateParameterError,
-    DomainError,
     OracleGuardError,
     ResidueClassError,
     StructureError,
     SupersingularError,
     TraceError,
+    UntabulatedError,
 )
 from .fields import FieldCtx, Fp2, legendre
 from .isogeny import (
@@ -62,7 +62,7 @@ def epsilon_p(d: int, p: int) -> int:
     if d == 1:
         return 1
     if d not in FAMILY_DEGREES:
-        raise DomainError(f"no family of degree {d}")
+        raise UntabulatedError(f"no family of degree {d}")
     if d == 5:
         if p % 4 != 3:
             raise ResidueClassError("degree-5 family requires p = 3 (mod 4)")
@@ -132,7 +132,7 @@ def build_family_curve(d: int, ctx: FieldCtx, s: int) -> FamilyCurve:
     """Construct the degree-d family member with parameter s, together with
     its isogeny onto the conjugate curve."""
     if d not in FAMILY_DEGREES:
-        raise DomainError(f"no family of degree {d}")
+        raise UntabulatedError(f"no family of degree {d}")
     p = ctx.p
     if p <= _MIN_P[d]:
         raise ResidueClassError(f"degree-{d} family requires p > {_MIN_P[d]}")

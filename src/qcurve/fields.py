@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, NotInertError, NotPrimeError
+from .errors import FieldMismatchError, ModulusRangeError, NotInertError, NotPrimeError, ParseError
 
 MAX_MODULUS_BITS = 128
 MR_ROUNDS = 64
@@ -243,9 +243,9 @@ class FieldCtx:
     def __post_init__(self):
         p = self.p
         if not isinstance(p, int) or p <= 3:
-            raise DomainError(f"modulus must be a prime greater than 3, got {p}")
+            raise ModulusRangeError(f"modulus must be a prime greater than 3, got {p}")
         if p.bit_length() > MAX_MODULUS_BITS:
-            raise DomainError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
+            raise ModulusRangeError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
         if not is_probable_prime(p):
             factor = next((q for q in _SMALL_PRIMES if p % q == 0), None)
             if factor is not None:
@@ -272,7 +272,7 @@ class FieldCtx:
     def coerce(self, x: "Fp2") -> "Fp2":
         if x.ctx is self or (x.ctx.p == self.p and x.ctx.delta == self.delta):
             return x
-        raise DomainError("element belongs to a different field")
+        raise FieldMismatchError("element belongs to a different field")
 
     def zero(self) -> "Fp2":
         return Fp2(self, 0, 0)
@@ -287,15 +287,12 @@ class FieldCtx:
         """The canonical nonsquare of F_{p^2}: the first nonsquare in the
         ordering (0+1i), (1+1i), (2+1i), ..., continuing through (a+bi) rows."""
         cached = self._nonsquare_cache
-        if cached is not None:
-            return cached
-        for b in range(1, self.p):
-            for a in range(self.p):
-                cand = Fp2(self, a, b)
-                if not cand.is_square():
-                    object.__setattr__(self, "_nonsquare_cache", cand)
-                    return cand
-        raise DomainError("no nonsquare found")  # unreachable for p > 3
+        if cached is None:
+            p = self.p
+            row = (Fp2(self, a, b) for b in range(1, p) for a in range(p))
+            cached = next(x for x in row if not x.is_square())
+            object.__setattr__(self, "_nonsquare_cache", cached)
+        return cached
 
     def oracle_tables(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
         """The tables the point-count oracle reads, as (chi, cubes, squares3):
@@ -526,7 +523,7 @@ def parse_fp2(ctx: FieldCtx, text: str) -> Fp2:
     """Parse "a+b*i" (or a bare "a") into a field element."""
     m = _FP2_RE.match(text.replace(" ", ""))
     if not m:
-        raise DomainError(f"cannot parse field element {text!r}")
+        raise ParseError(f"cannot parse field element {text!r}")
     a = int(m.group(1))
     b = int(m.group(2)) if m.group(2) else 0
     return Fp2(ctx, a, b)

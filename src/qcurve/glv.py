@@ -1,6 +1,7 @@
 """Scalar decomposition machinery: the choice of a cyclic subgroup from a
-factored group order, reduced bases for the decomposition lattice, exact
-two-dimensional decomposition, and interleaved double-and-add.
+factored group order and of a point in it, reduced bases for the
+decomposition lattice, exact two-dimensional decomposition, and interleaved
+double-and-add.
 
 All arithmetic here is exact integer arithmetic.  The lattice of
 decompositions of zero is L = <(N, 0), (-lambda, 1)>; a decomposition of m
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, OffCurveError, StructureError, SupersingularError
+from .errors import OffCurveError, StructureError, SubgroupPointError, SupersingularError
 from . import families
-from .weierstrass import Curve, Point
+from .weierstrass import Curve, Point, random_point
 
 Vec = tuple[int, int]
 
@@ -76,7 +77,7 @@ def lagrange_reduce(v1: Vec, v2: Vec) -> tuple[Vec, Vec]:
     ||b1|| <= ||b2|| <= ||b1 - b2|| <= ||b1 + b2||.
     """
     if det2(v1, v2) == 0:
-        raise DomainError("vectors are linearly dependent")
+        raise StructureError("vectors are linearly dependent")
     u, v = v1, v2
     if infnorm(u) > infnorm(v):
         u, v = v, u
@@ -149,7 +150,7 @@ class GlvBasis:
 
 def ceil_log2(n: int) -> int:
     if n < 1:
-        raise DomainError("ceil_log2 of a nonpositive number")
+        raise StructureError("ceil_log2 of a nonpositive number")
     return (n - 1).bit_length()
 
 
@@ -210,7 +211,7 @@ def cofactor_basis(
         t = _scale(b1, 2)
         b2 = _add(e1, t) if eps * r >= 0 else _sub(e1, t)
     else:
-        raise DomainError(f"unknown basis variant {variant!r}")
+        raise StructureError(f"unknown basis variant {variant!r}")
     if not is_reduced(b1, b2):
         b1, b2 = lagrange_reduce(b1, b2)
     return GlvBasis(b1, b2, order, eigenvalue)
@@ -259,6 +260,18 @@ def subgroup_basis(endo, r: int, factored) -> tuple[str | None, GlvBasis]:
     if variant is None:
         return None, reduced_lattice_basis(n, lam)
     return variant, cofactor_basis(variant, fam.ctx.p, endo.eps, fam.d, r, n, lam)
+
+
+def subgroup_point(curve: Curve, cofactor: int, seed: int) -> Point:
+    """[cofactor]Q for the first hashed point Q = random_point(curve, s),
+    s = seed, seed + 1, ..., that the cofactor does not send to infinity:
+    with cofactor = #E/N, a point other than O of the subgroup of order N.
+    SubgroupPointError after 64 seeds."""
+    for s in range(seed, seed + 64):
+        P = curve.mul(cofactor, random_point(curve, s))
+        if not P.is_infinity:
+            return P
+    raise SubgroupPointError(f"no point of seeds {seed} to {seed + 63} survives the cofactor {cofactor}")
 
 
 def bound_bitlength(variant: str | None, p: int, eps: int, r: int, basis: GlvBasis) -> int:

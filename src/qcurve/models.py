@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateParameterError, DomainError, MapPoleError
+from .errors import DegenerateParameterError, MapPoleError, OffCurveError, UntabulatedError
 from .families import FamilyCurve
 from .fields import Fp2
 from .weierstrass import Point
@@ -35,7 +35,7 @@ class XZPoint:
 
     def __post_init__(self):
         if not self.X and not self.Z:
-            raise DomainError("(0 : 0) is not a projective point")
+            raise OffCurveError("(0 : 0) is not a projective point")
 
     def __eq__(self, other):
         if not isinstance(other, XZPoint):
@@ -59,9 +59,9 @@ class EdwardsCurve:
 @dataclass(frozen=True)
 class DikCurve:
     """Doubling model v^2 = u*(u^2 + D*u + 16*D) for the degree-2 family, or
-    tripling model v^2 = u^3 + 3*D*(u + 1)^2 for the degree-3 family."""
+    tripling model v^2 = u^3 + 3*D*(u + 1)^2 for the degree-3 family; the
+    family's degree says which."""
 
-    variant: str  # "doubling" or "tripling"
     coeff: Fp2
     alpha: Fp2
     alpha32: Fp2
@@ -72,7 +72,7 @@ def to_montgomery(fam: FamilyCurve) -> MontgomeryCurve | None:
     """The Montgomery model, which exists iff 2*C is a square in F_{p^2};
     None signals that only the quadratic twist has one."""
     if fam.d != 2:
-        raise DomainError("Montgomery model applies to the degree-2 family")
+        raise UntabulatedError("Montgomery model applies to the degree-2 family")
     b = (2 * fam.constant).sqrt()
     if b is None:
         return None
@@ -189,35 +189,28 @@ def edwards_add(e: EdwardsCurve, q1: WPair, q2: WPair) -> WPair:
     return (x1 * y2 + y1 * x2) / (1 + t), (y1 * y2 - e.a * x1 * x2) / (1 - t)
 
 
-DIK_DOUBLING = "doubling"
-DIK_TRIPLING = "tripling"
-
-
-def to_dik(fam: FamilyCurve, variant: str) -> DikCurve | None:
-    """The Doche-Icart-Kohel model; None when the scaling factor alpha is a
-    nonsquare, in which case the model is isomorphic to the quadratic twist."""
-    ctx = fam.ctx
-    if variant == DIK_DOUBLING:
-        if fam.d != 2:
-            raise DomainError("doubling model applies to the degree-2 family")
+def to_dik(fam: FamilyCurve) -> DikCurve | None:
+    """The Doche-Icart-Kohel model: the doubling model of a degree-2 family
+    member, the tripling model of a degree-3 one.  None when the scaling
+    factor alpha is a nonsquare, in which case the model is isomorphic to
+    the quadratic twist."""
+    if fam.d == 2:
         alpha = 96 / fam.constant
         coeff = 1152 / fam.constant
-    elif variant == DIK_TRIPLING:
-        if fam.d != 3:
-            raise DomainError("tripling model applies to the degree-3 family")
+    elif fam.d == 3:
         cp = fam.constant.conjugate()
         alpha = 3 / cp
         coeff = 9 / cp
     else:
-        raise DomainError(f"unknown model variant {variant!r}")
+        raise UntabulatedError("Doche-Icart-Kohel models apply to the degree-2 and degree-3 families")
     root = alpha.sqrt()
     if root is None:
         return None
-    return DikCurve(variant, coeff, alpha, alpha * root, fam)
+    return DikCurve(coeff, alpha, alpha * root, fam)
 
 
 def _dik_shift(dk: DikCurve) -> int:
-    return 4 if dk.variant == DIK_DOUBLING else 3
+    return 4 if dk.family.d == 2 else 3
 
 
 def dik_point(dk: DikCurve, P: Point) -> WPair:
@@ -235,7 +228,7 @@ def dik_to_weierstrass(dk: DikCurve, uv: WPair) -> Point:
 def _dik_cubic(dk: DikCurve) -> tuple[Fp2, Fp2, Fp2]:
     """Coefficients (c2, c4, c6) of v^2 = u^3 + c2 u^2 + c4 u + c6."""
     k = dk.coeff
-    if dk.variant == DIK_DOUBLING:
+    if dk.family.d == 2:
         return k, 16 * k, k.ctx.zero()
     return 3 * k, 6 * k, 3 * k
 

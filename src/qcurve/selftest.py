@@ -20,9 +20,9 @@ from .glv import (
     multiexp2,
     reduced_lattice_basis,
     subgroup_basis,
+    subgroup_point,
 )
 from .models import (
-    DIK_DOUBLING,
     dik_add,
     dik_point,
     edwards_add,
@@ -205,7 +205,7 @@ def check_models():
             except DomainError:
                 continue
             _assert(edwards_add(ed, ep, eq) == es, "Edwards addition mismatch")
-        dik = to_dik(fam, DIK_DOUBLING)
+        dik = to_dik(fam)
         if dik is not None:
             affine = [P for P in pts if not P.is_infinity]
             for _ in range(12):
@@ -330,7 +330,7 @@ def check_example_degree2():
     _assert(variant == COFACTOR2_D2 and basis.order == n, "not the cofactor-2 basis of the odd part")
     lam = basis.eigenvalue
     _assert(lam * lam % n == 2, "lambda^2 != 2")
-    P = fam.curve.mul(2, random_point(fam.curve, 0))
+    P = subgroup_point(fam.curve, 2, 0)
     _assert(endo(P) == fam.curve.mul(lam, P), "psi != [lambda]")
     rng = random.Random(4)
     for _ in range(20):

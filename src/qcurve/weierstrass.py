@@ -13,7 +13,8 @@ benchmarks and the paper's examples use (p = 3 mod 4, F_{p^2} = F_p(i)), the
 doublings and additions run bodies with i^2 = -1 written in (``_dbl_i``,
 ``_madd_i``): no product by delta, and the real part of a square as one
 product (a + b)(a - b).  They return the same residues as the generic
-bodies, which any other delta takes.
+bodies, which any other delta takes.  ``loop_ops`` reads the loop's
+doublings and additions off the same recoding, without running it.
 
 The point-count oracle (``oracle_order``, ``curve_points``) enumerates every
 x of F_{p^2} at p <= ORACLE_MAX_P.  It too runs on bare integers.
@@ -248,6 +249,16 @@ def _jsf(a: int, b: int) -> list[tuple[int, int]]:
         b -= u1
     runs.reverse()
     return runs
+
+
+def loop_ops(a: int, b: int) -> tuple[int, int]:
+    """(doublings, mixed additions) of the scalar loop of Curve._mul2 on the
+    scalars a, b, read off the runs of ``_jsf(|a|, |b|)``: the sum of the
+    runs, and one ``_madd`` per nonzero column after the first.  The loop
+    does exactly these unless a table entry or a partial sum is at
+    infinity."""
+    runs = _jsf(abs(a), abs(b))
+    return sum(run for _, run in runs), max(len(runs) - 1, 0)
 
 
 # The Jacobian group law of Curve._mul2.  A point (X, Y, Z) stands for the

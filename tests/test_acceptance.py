@@ -38,7 +38,6 @@ from qcurve.glv import (
     multiexp2,
 )
 from qcurve.models import (
-    DIK_DOUBLING,
     dik_add,
     dik_point,
     edwards_add,
@@ -316,7 +315,7 @@ def test_model_agreement_exhaustive():
                         except (DomainError, ZeroDivisionError):
                             continue
                         assert total == es
-                dik = to_dik(fam, DIK_DOUBLING)
+                dik = to_dik(fam)
                 if dik is not None:
                     affine = [P for P in pts if not P.is_infinity]
                     for P in affine:

@@ -1,3 +1,6 @@
+import ast
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,11 +14,13 @@ import pytest
 import qcurve
 from qcurve import cli, cmtables
 from qcurve.cli import factor_string, main
+from qcurve.errors import DomainError
 from qcurve.fields import (
     TRIAL_DIVISION_BOUND,
     _trial_blocks,
     factorize,
     is_probable_prime,
+    legendre,
     trial_factor,
 )
 
@@ -394,12 +399,102 @@ class TestErrors:
         assert rec["message"] == f"modulus {2**67 - 1} failed Lucas-Lehmer"
 
     def test_decompose_without_trace_above_oracle_bound(self, capsys):
-        # Above p = 64 no trace can be counted, so decompose needs --trace.
+        # Above p = 64 no trace can be counted, so decompose needs --trace;
+        # the refusal is the oracle's own, as in search.
         rc, lines = run(capsys, ["decompose", "--d", "2", "--p", "67", "--delta", "-1", "--s", "1", "--m", "7"])
         assert rc == 1
         rec = parse_plain(lines[0])
         assert rec["error"] == "oracle_guard"
-        assert rec["message"] == "decompose requires a trace (supply --trace or use p <= 64)"
+        assert rec["message"] == "exhaustive enumeration requires p <= 64, got 67"
+
+    @pytest.mark.parametrize("p,message", [
+        ("3", "modulus must be a prime greater than 3, got 3"),
+        (str(2**128 + 51), "modulus exceeds 128 bits"),
+    ])
+    def test_modulus_out_of_range(self, capsys, p, message):
+        rc, lines = run(capsys, ["info", "--d", "2", "--p", p, "--delta", "-1", "--s", "1"])
+        assert rc == 1
+        rec = parse_plain(lines[0])
+        assert (rec["error"], rec["message"]) == ("modulus_range", message)
+
+
+class TestRobustness:
+    """Seeded bad argument lists: every run exits 0, 1 or 2 without a
+    traceback, and every exit-1 record names its DomainError subclass."""
+
+    PRIMES = [q for q in range(5, 65) if is_probable_prime(q)]
+    # Moduli outside the supported range or not prime, and primes above the
+    # oracle's reach.
+    EDGE_MODULI = [3, 2, 1, 0, -7, 4, 9, 91, 67, 2**67 - 1, MERSENNE_127, 2**128 + 51, 2**130]
+    CASES = 300
+
+    @staticmethod
+    def argv(rng, p):
+        command = rng.choice(["info", "decompose", "search"])
+        argv = [command, "--p", str(p), "--d", str(rng.choice([2, 3, 5, 7, 2, 3, 5, 7, 1, 4]))]
+        if p in TestRobustness.PRIMES and rng.random() < 0.6:
+            delta = rng.choice([x for x in range(-1, p) if legendre(x, p) == -1])
+        else:
+            delta = rng.randrange(-8, max(p, 8) + 8)
+        argv += ["--delta", str(delta)]
+        if command != "search":
+            argv += ["--s", str(rng.randrange(-3, max(p, 3) + 3))]
+            if rng.random() < 0.3:
+                bound = 2 * abs(p) + 3
+                argv += ["--trace", str(rng.randrange(-bound, bound + 1))]
+        if command == "decompose":
+            argv += ["--m", str(rng.randrange(-(2**40), 2**40)), "--seed", str(rng.randrange(-5, 50))]
+            if rng.random() < 0.2:
+                argv.append("--exhaustive")
+        if command == "search":
+            for flag in ("--cofactor", "--twist-cofactor"):
+                if rng.random() < 0.3:
+                    argv += [flag, str(rng.randrange(-2, 9))]
+        if rng.random() < 0.05:
+            del argv[rng.randrange(1, len(argv))]  # a missing flag or value
+        if rng.random() < 0.5:
+            argv.append("--json")
+        return argv
+
+    @staticmethod
+    def last_record(text, json_mode):
+        line = text.splitlines()[-1]
+        return json.loads(line) if json_mode else parse_plain(line)
+
+    def test_bad_argument_lists(self):
+        named = {cli._error_code(cls()) for cls in DomainError.__subclasses__()}
+        rng = random.Random(31)
+        seen = set()
+        for i in range(self.CASES):
+            p = self.EDGE_MODULI[i // 5 % len(self.EDGE_MODULI)] if i % 5 == 0 else rng.choice(self.PRIMES)
+            argv = self.argv(rng, p)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            assert rc in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue(), argv
+            if rc == 1:
+                rec = self.last_record(out.getvalue(), "--json" in argv)
+                assert rec["status"] == "error", argv
+                assert rec.get("error") in named, (argv, rec)
+            seen.add(rc)
+        assert seen == {0, 1, 2}
+
+
+class TestImports:
+    def test_cli_imports_no_private_name(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        private = [
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qcurve"))
+            for alias in node.names
+            if alias.name.startswith("_") or any(part.startswith("_") for part in (node.module or "").split("."))
+        ]
+        assert private == []
 
 
 class TestTables:

@@ -12,7 +12,7 @@ from qcurve.cmtables import (
     fiber_matches,
     fiber_parameter,
 )
-from qcurve.errors import DomainError
+from qcurve.errors import DomainError, UntabulatedError
 from qcurve.families import build_family_curve, gls_endo
 from qcurve.fields import is_probable_prime
 
@@ -110,9 +110,9 @@ class TestDetection:
         assert fiber_parameter(fiber, ctx_for(11)) is None
 
     def test_no_fiber_table_for_the_gls_case(self):
-        with pytest.raises(DomainError, match="no fiber table for degree 1") as exc:
+        with pytest.raises(UntabulatedError, match="no fiber table for degree 1") as exc:
             detect_cm(gls_endo(ctx_for(11), 3, 5).family)
-        assert exc.type is DomainError
+        assert exc.type is UntabulatedError
 
     def test_degree5_exact_fibers(self):
         ctx = ctx_for(23)

@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcurve.errors import (
     DegenerateParameterError,
@@ -13,6 +16,7 @@ from qcurve.errors import (
     StructureError,
     SupersingularError,
     TraceError,
+    UntabulatedError,
 )
 from qcurve.families import (
     FAMILY_DEGREES,
@@ -132,9 +136,9 @@ class TestEpsilon:
             epsilon_p(5, 13)
 
     def test_unknown_degree(self):
-        with pytest.raises(DomainError, match="no family of degree 4") as exc:
+        with pytest.raises(UntabulatedError, match="no family of degree 4") as exc:
             epsilon_p(4, 11)
-        assert exc.type is DomainError
+        assert exc.type is UntabulatedError
 
 
 class TestPsi:
@@ -408,6 +412,7 @@ class TestOpCounts:
         assert seen == BUILD_COUNTS
 
     @staticmethod
+    @functools.cache
     def _paper_scalar():
         """(endo, P, m, decomposition of m) on the d=2 paper instance."""
         endo, trace = next(paper_endos())
@@ -451,6 +456,33 @@ class TestOpCounts:
         curve.mul(m, P)
         seen["mul"] = dict(counts)
         assert seen == LOOP_INT_COUNTS[delta]
+
+    def test_loop_ops_of_the_pinned_scalar(self):
+        _, _, m, dec = self._paper_scalar()
+        assert weierstrass.loop_ops(dec.a, dec.b) == (MULTIEXP2_COUNTS["dbl"], MULTIEXP2_COUNTS["madd"])
+        assert weierstrass.loop_ops(m, 0) == (MUL_COUNTS["dbl"], MUL_COUNTS["madd"])
+
+    @settings(max_examples=20)
+    @given(
+        m=st.integers(-(2**253), 2**253),
+        a=st.integers(-(2**127), 2**127),
+        b=st.integers(-(2**127), 2**127),
+    )
+    def test_loop_ops_match_the_loop(self, m, a, b):
+        """weierstrass.loop_ops, read off the recoding, is what the loop
+        does: the doublings and mixed additions counted as in the pins, for
+        one scalar (Curve.mul) and for a pair (multiexp2)."""
+        endo, P, _, _ = self._paper_scalar()
+        psiP = endo(P)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_ops(mp)
+            endo.curve.mul(m, P)
+            single = counts["dbl"], counts["madd"]
+            counts.clear()
+            multiexp2(a, b, P, psiP, endo.curve)
+            pair = counts["dbl"], counts["madd"]
+        assert single == weierstrass.loop_ops(m, 0)
+        assert pair == weierstrass.loop_ops(a, b)
 
     def test_glv_group_op_ratio(self):
         """The decomposition saves close to half the group operations."""

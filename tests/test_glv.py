@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurve.errors import DomainError, OffCurveError, StructureError, SupersingularError
+from qcurve.errors import DomainError, OffCurveError, StructureError, SubgroupPointError, SupersingularError
 from qcurve.families import Endo, build_family_curve, determine_r, eigenvalue, group_orders
 from qcurve import glv
 from qcurve.glv import (
@@ -27,9 +27,10 @@ from qcurve.glv import (
     multiexp2,
     reduced_lattice_basis,
     subgroup_basis,
+    subgroup_point,
     sublattice_basis,
 )
-from qcurve.weierstrass import Point, oracle_trace, random_point
+from qcurve.weierstrass import Point, curve_points, oracle_trace, random_point
 
 from qcurve.fields import FieldCtx, factorize
 
@@ -93,14 +94,6 @@ def _matching_variant(fam, endo, d, n_curve):
     if is_probable_prime(n_curve):
         return PRIME_ORDER, n_curve
     return None, None
-
-
-def subgroup_generator(fam, endo, n_curve, n_sub):
-    for seed in range(32):
-        P = fam.curve.mul(n_curve // n_sub, random_point(fam.curve, seed))
-        if not P.is_infinity:
-            return P
-    raise AssertionError("no generator found")
 
 
 class TestSublattice:
@@ -216,9 +209,9 @@ class TestErrorBranches:
             cofactor_basis(variant, 13, 1, d, 1, 47, 10)
 
     def test_unknown_cofactor_variant(self):
-        with pytest.raises(DomainError, match="unknown basis variant") as exc:
+        with pytest.raises(StructureError, match="unknown basis variant") as exc:
             cofactor_basis("cofactor5_d5", 13, 1, 2, 1, 47, 10)
-        assert exc.type is DomainError
+        assert exc.type is StructureError
 
     def test_subgroup_basis_of_a_supersingular_curve(self):
         endo = Endo(build_family_curve(5, ctx_for(11), 1))
@@ -231,9 +224,36 @@ class TestErrorBranches:
             GlvBasis((n, 0), (0, n), n, lam)
 
     def test_ceil_log2_of_zero(self):
-        with pytest.raises(DomainError, match="nonpositive") as exc:
+        with pytest.raises(StructureError, match="nonpositive") as exc:
             ceil_log2(0)
-        assert exc.type is DomainError
+        assert exc.type is StructureError
+
+
+class TestSubgroupPoint:
+    def test_point_of_the_subgroup(self):
+        fam, _, _, n_curve, _ = endo_data(2, 13, 1)
+        n = n_curve >> 2
+        images = [fam.curve.mul(4, random_point(fam.curve, s)) for s in range(80)]
+        assert any(Q.is_infinity for Q in images[:16])  # the cofactor kills some
+        for seed in range(16):
+            P = subgroup_point(fam.curve, 4, seed)
+            assert not P.is_infinity and fam.curve.mul(n, P).is_infinity
+            assert P == next(Q for Q in images[seed:] if not Q.is_infinity)
+
+    def test_only_torsion_points_is_a_named_error(self, monkeypatch):
+        fam, _, _, n_curve, _ = endo_data(2, 13, 1)
+        T = next(P for P in curve_points(fam.curve) if not P.is_infinity and not P.y)
+        seeds = []
+
+        def torsion_point(curve, seed):
+            seeds.append(seed)
+            return T
+
+        monkeypatch.setattr(glv, "random_point", torsion_point)
+        with pytest.raises(SubgroupPointError, match="seeds 5 to 68") as exc:
+            subgroup_point(fam.curve, 4, 5)
+        assert exc.type is SubgroupPointError
+        assert seeds == list(range(5, 69))
 
 
 class TestSubgroupChoice:
@@ -371,7 +391,7 @@ class TestMultiexp:
         assert n % 3 and math.gcd(r, n) == 1
         lam = eigenvalue(endo, r, n)
         basis = cofactor_basis(COFACTOR3_D3, 11, endo.eps, 3, r, n, lam)
-        P = subgroup_generator(fam, endo, n_curve, n)
+        P = subgroup_point(fam.curve, n_curve // n, 0)
         for m in range(n):
             dec = decompose(m, basis)
             assert multiexp2(dec.a, dec.b, P, endo(P), fam.curve) == fam.curve.mul(m, P)

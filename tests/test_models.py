@@ -1,10 +1,8 @@
 import pytest
 
-from qcurve.errors import DomainError, MapPoleError
+from qcurve.errors import DomainError, MapPoleError, UntabulatedError
 from qcurve.families import Endo, build_family_curve
 from qcurve.models import (
-    DIK_DOUBLING,
-    DIK_TRIPLING,
     XZPoint,
     dik_add,
     dik_contains,
@@ -184,18 +182,18 @@ class TestDik:
     def test_doubling_representable_iff_alpha_square(self, p):
         for s in range(p):
             fam = build_family_curve(2, ctx_for(p), s)
-            dik = to_dik(fam, DIK_DOUBLING)
+            dik = to_dik(fam)
             alpha = 96 / fam.constant
             assert (dik is not None) == alpha.is_square()
             if dik is not None:
                 assert dik.alpha32 * dik.alpha32 == alpha**3
 
     def test_variant_degree_mismatch(self):
-        fam = build_family_curve(2, ctx_for(11), 1)
-        with pytest.raises(DomainError):
-            to_dik(fam, DIK_TRIPLING)
-        with pytest.raises(DomainError):
-            to_dik(fam, "quadrupling")
+        # The family's degree picks the model; degrees 5 and 7 have none.
+        for d in (5, 7):
+            fam = build_family_curve(d, ctx_for(11), 1)
+            with pytest.raises(UntabulatedError, match="degree-2 and degree-3 families"):
+                to_dik(fam)
 
     def test_sampled_transport_at_p13(self):
         import random
@@ -207,7 +205,7 @@ class TestDik:
             if mont is None:
                 continue
             ed = to_edwards(fam)
-            dik = to_dik(fam, DIK_DOUBLING)
+            dik = to_dik(fam)
             pts = [P for P in curve_points(fam.curve) if not P.is_infinity]
             for _ in range(10):
                 P, Q = rng.choice(pts), rng.choice(pts)
@@ -223,13 +221,13 @@ class TestDik:
                     assert dik_add(dik, dik_point(dik, P), dik_point(dik, Q)) == expected
             break
 
-    @pytest.mark.parametrize("d,variant", [(2, DIK_DOUBLING), (3, DIK_TRIPLING)])
-    def test_round_trip_and_transport(self, d, variant):
+    @pytest.mark.parametrize("d", [2, 3], ids=["2-doubling", "3-tripling"])
+    def test_round_trip_and_transport(self, d):
         p = 7
         hit = False
         for s in range(p):
             fam = build_family_curve(d, ctx_for(p), s)
-            dik = to_dik(fam, variant)
+            dik = to_dik(fam)
             if dik is None:
                 continue
             hit = True
@@ -252,17 +250,17 @@ class TestErrorBranches:
     def doubling_fixture(p=7):
         for s in range(p):
             fam = build_family_curve(2, ctx_for(p), s)
-            dik = to_dik(fam, DIK_DOUBLING)
+            dik = to_dik(fam)
             if dik is not None:
                 return fam, dik
         raise AssertionError("no representable parameter")
 
     def test_degree2_models_reject_degree3(self):
         fam = build_family_curve(3, ctx_for(7), 1)
-        for build in (to_montgomery, lambda f: to_dik(f, DIK_DOUBLING)):
-            with pytest.raises(DomainError, match="degree-2 family") as exc:
+        for build in (to_montgomery, to_edwards):
+            with pytest.raises(UntabulatedError, match="degree-2 family") as exc:
                 build(fam)
-            assert exc.type is DomainError
+            assert exc.type is UntabulatedError
 
     def test_affine_charts_reject_infinity(self):
         _, mont = montgomery_fixture()
