@@ -82,12 +82,17 @@ def _timed(timings: dict, key: str):
         timings[key] = round((time.perf_counter() - t0) * 1000, 3)
 
 
-def _analyze(args, timings: dict, record: dict):
-    """The construction pipeline of info and decompose: fills record, puts
-    stage times in timings, and lets every refusal of the library through.
-    Returns (family, endo, basis)."""
+def _field(args, timings: dict) -> FieldCtx:
+    """The checked field of --p and --delta, the first stage of info and
+    decompose."""
     with _timed(timings, "t_field_ms"):
-        ctx = FieldCtx(args.p, args.delta)
+        return FieldCtx(args.p, args.delta)
+
+
+def _analyze(args, ctx: FieldCtx, timings: dict, record: dict):
+    """The construction pipeline of info and decompose on the field ctx:
+    fills record, puts stage times in timings, and lets every refusal of
+    the library through.  Returns (family, endo, basis)."""
     with _timed(timings, "t_build_ms"):
         fam = build_family_curve(args.d, ctx, args.s)
         endo = Endo(fam)
@@ -133,7 +138,7 @@ def cmd_info(args) -> int:
     timings = {}
     record = {"command": "info"}
     try:
-        _analyze(args, timings, record)
+        _analyze(args, _field(args, timings), timings, record)
     except OracleGuardError:  # no --trace, and p is too large for the oracle
         pass
     except SupersingularError:  # orders reported, no subgroup basis
@@ -144,18 +149,20 @@ def cmd_info(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.exhaustive and args.p > ORACLE_MAX_P:
-        raise OracleGuardError(f"--exhaustive requires p <= {ORACLE_MAX_P}")
     timings = {}
     record = {"command": "decompose"}
-    fam, endo, basis = _analyze(args, timings, record)
+    ctx = _field(args, timings)
+    if args.exhaustive and ctx.p > ORACLE_MAX_P:
+        raise OracleGuardError(f"--exhaustive requires p <= {ORACLE_MAX_P}")
+    fam, endo, basis = _analyze(args, ctx, timings, record)
     n_sub = basis.order
     m = args.m % n_sub
     with _timed(timings, "t_decompose_ms"):
         dec = decompose(m, basis)
     record.update(m=m, a=dec.a, b=dec.b, norm=dec.norm, norm_bitlength=dec.bitlength)
     P = subgroup_point(fam.curve, record["order"] // n_sub, args.seed)
-    psiP = endo(P)
+    with _timed(timings, "t_psi_ms"):
+        psiP = endo(P)
     with _timed(timings, "t_multiexp_ms"):
         R = multiexp2(dec.a, dec.b, P, psiP, fam.curve)
     with _timed(timings, "t_mul_ms"):

@@ -177,6 +177,8 @@ class Endo:
     twist isomorphism through the p-power map leaves conj(phi) read at
     x/conj(mu) and scaled by mu and nu^3, with nu = mu^((1-p)/2) and mu the
     canonical nonsquare: an isogeny from conj(E') to the twist E'.
+    ``__call__``, the one way to evaluate psi or psi', conjugates P on its
+    int pairs and hands it to ``Isogeny.__call__``.
 
     ``target`` is p + eps (p - eps twisted): [r]psi(Q) = [target]Q on every
     rational point Q.
@@ -202,9 +204,11 @@ class Endo:
         return self.family.d
 
     def __call__(self, P: Point) -> Point:
-        if P.is_infinity:
+        x, y = P
+        if x is None:
             return INFINITY
-        return self.isogeny(Point(P.x.conjugate(), P.y.conjugate()))
+        ctx = x.ctx
+        return self.isogeny(Point(Fp2(ctx, x.a, -x.b), Fp2(ctx, y.a, -y.b)))
 
     def __repr__(self):
         kind = "psi'" if self.twisted else "psi"

@@ -25,8 +25,11 @@ from .weierstrass import INFINITY, Curve, Point
 # accepts coefficients that are not reduced, as built here straight from a
 # curve's coefficients.  A product of coefficients is written out on the
 # ints, with delta as its least absolute residue d; sums of products are left
-# unreduced and each output coefficient is reduced once.  Fp2 appears only
-# at the boundary: poly_eval takes and returns Fp2 values.
+# unreduced and each output coefficient is reduced once.  A polynomial is
+# evaluated by one Horner pass on int pairs (_horner), which poly_eval wraps
+# in Fp2 for its callers and Isogeny.raw_maps runs directly: an isogeny's
+# maps at a point are computed on int pairs, with one Fp2.inverse of the
+# denominator's value as the only Fp2 operation.
 
 
 def _reduced(re, im, p):
@@ -133,24 +136,29 @@ def poly_mulmod(f, g, m, ctx):
     return _fold(*_products(f, g, d), m, ctx.p, d)
 
 
-def poly_eval(f, x: Fp2) -> tuple[Fp2, Fp2]:
-    """(f(x), f'(x)) by one Horner pass from the leading coefficient.
+def _horner(f, x0, x1, p, d):
+    """(f(x), f'(x)) at x = x0 + x1*s as reduced int pairs (v0, v1, u0, u1),
+    by one Horner pass from the leading coefficient.
 
     The derivative accumulator starts at the leading coefficient too, so
     f'(x) costs deg f - 1 products on top of the deg f of f(x)."""
-    ctx = x.ctx
     fr, fi = f
     if len(fr) < 2:
-        return (Fp2(ctx, fr[0], fi[0]) if fr else ctx.zero()), ctx.zero()
-    p = ctx.p
-    x0, x1 = x.a, x.b
-    dx1 = ctx.signed_delta * x1
+        return (fr[0], fi[0], 0, 0) if fr else (0, 0, 0, 0)
+    dx1 = d * x1
     u0, u1 = fr[-1], fi[-1]
     v0 = (u0 * x0 + dx1 * u1 + fr[-2]) % p
     v1 = (u0 * x1 + u1 * x0 + fi[-2]) % p
     for c0, c1 in zip(fr[-3::-1], fi[-3::-1]):
         u0, u1 = (u0 * x0 + dx1 * u1 + v0) % p, (u0 * x1 + u1 * x0 + v1) % p
         v0, v1 = (v0 * x0 + dx1 * v1 + c0) % p, (v0 * x1 + v1 * x0 + c1) % p
+    return v0, v1, u0, u1
+
+
+def poly_eval(f, x: Fp2) -> tuple[Fp2, Fp2]:
+    """(f(x), f'(x)) as Fp2, by the Horner pass of ``_horner``."""
+    ctx = x.ctx
+    v0, v1, u0, u1 = _horner(f, x.a, x.b, ctx.p, ctx.signed_delta)
     return Fp2(ctx, v0, v1), Fp2(ctx, u0, u1)
 
 
@@ -241,27 +249,49 @@ class Isogeny:
         self.x_scale = x_scale
         self.y_scale = y_scale
 
-    def raw_maps(self, x: Fp2) -> tuple[Fp2, Fp2] | None:
-        """(x-image, y-multiplier) at x, or None when x maps to infinity."""
-        dv, ddv = poly_eval(self.den, x)
-        if not dv:
+    def raw_maps(self, x0: int, x1: int) -> tuple[int, int, int, int] | None:
+        """(x-image, y-multiplier) at x = x0 + x1*s, as the reduced int pairs
+        (u0, u1, w0, w1), or None when x maps to infinity.  The quotients
+        share the one inversion of the denominator's value."""
+        ctx = self.domain.ctx
+        p, d = ctx.p, ctx.signed_delta
+        dv0, dv1, dd0, dd1 = _horner(self.den, x0, x1, p, d)
+        if not (dv0 or dv1):
             return None
-        nv, dnv = poly_eval(self.num, x)
-        inv_dv = dv.inverse()
-        u = nv * inv_dv
-        du = (dnv - u * ddv) * inv_dv
-        return self.x_scale * u, self.y_scale * du
+        nv0, nv1, dn0, dn1 = _horner(self.num, x0, x1, p, d)
+        inv = Fp2(ctx, dv0, dv1).inverse()
+        i0, i1 = inv.a, inv.b
+        # u = N/D and du = (N' - u D')/D, then the two scales.
+        u0 = (nv0 * i0 + d * nv1 * i1) % p
+        u1 = (nv0 * i1 + nv1 * i0) % p
+        t0 = (dn0 - u0 * dd0 - d * u1 * dd1) % p
+        t1 = (dn1 - u0 * dd1 - u1 * dd0) % p
+        w0 = (t0 * i0 + d * t1 * i1) % p
+        w1 = (t0 * i1 + t1 * i0) % p
+        xs, ys = self.x_scale, self.y_scale
+        s0, s1, r0, r1 = xs.a, xs.b, ys.a, ys.b
+        return (
+            (s0 * u0 + d * s1 * u1) % p,
+            (s0 * u1 + s1 * u0) % p,
+            (r0 * w0 + d * r1 * w1) % p,
+            (r0 * w1 + r1 * w0) % p,
+        )
 
     def __call__(self, P: Point) -> Point:
-        if P.is_infinity:
+        x, y = P
+        if x is None:
             return INFINITY
-        if not self.domain.is_on(P):
+        domain = self.domain
+        if not domain.is_on(P):
             raise OffCurveError("isogeny argument is not on the domain curve")
-        maps = self.raw_maps(P.x)
+        maps = self.raw_maps(x.a, x.b)
         if maps is None:
             return INFINITY
-        u, du = maps
-        return Point(u, P.y * du)
+        u0, u1, w0, w1 = maps
+        ctx = domain.ctx
+        d = ctx.signed_delta
+        y0, y1 = y.a, y.b
+        return Point(Fp2(ctx, u0, u1), Fp2(ctx, y0 * w0 + d * y1 * w1, y0 * w1 + y1 * w0))
 
     def conjugate(self) -> "Isogeny":
         """The Galois-conjugate isogeny between the conjugate curves."""
@@ -315,7 +345,7 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     Fk = _kernel_poly(F)
     if d == 2:
         alpha = -F[0]
-        if alpha * alpha * alpha + A * alpha + B:
+        if any(curve._cubic(alpha)):
             raise KernelError("alpha is not a two-torsion x-coordinate")
         t = 3 * alpha * alpha + A
         a_new = -4 * A - 15 * alpha * alpha

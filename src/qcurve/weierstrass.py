@@ -16,6 +16,11 @@ product (a + b)(a - b).  They return the same residues as the generic
 bodies, which any other delta takes.  ``loop_ops`` reads the loop's
 doublings and additions off the same recoding, without running it.
 
+Curve membership (``Curve.is_on``), ``Curve.lift_x`` and the discriminant
+run on the coordinates' int pairs too, not on Fp2 objects: one helper,
+``Curve._cubic``, evaluates x^3 + Ax + B as x(x^2 + A) + B, which ``is_on``
+compares with y^2 and ``lift_x`` hands to the one ``Fp2.sqrt``.
+
 The point-count oracle (``oracle_order``, ``curve_points``) enumerates every
 x of F_{p^2} at p <= ORACLE_MAX_P.  It too runs on bare integers.
 ``oracle_order`` reads the cubic and its quadratic character from tables
@@ -73,8 +78,16 @@ class Curve:
             raise DegenerateParameterError("singular curve: discriminant is zero")
 
     def discriminant(self) -> Fp2:
-        A, B = self.A, self.B
-        return -16 * (4 * A * A * A + 27 * B * B)
+        """-16(4A^3 + 27B^2), computed on the int pairs."""
+        ctx = self.ctx
+        p, d = ctx.p, ctx.signed_delta
+        A0, A1, B0, B1 = self.A.a, self.A.b, self.B.a, self.B.b
+        AA0, AA1 = (A0 * A0 + d * A1 * A1) % p, 2 * A0 * A1 % p
+        return Fp2(
+            ctx,
+            -16 * (4 * (AA0 * A0 + d * AA1 * A1) + 27 * (B0 * B0 + d * B1 * B1)),
+            -16 * (4 * (AA0 * A1 + AA1 * A0) + 54 * B0 * B1),
+        )
 
     def __eq__(self, other):
         return isinstance(other, Curve) and self.A == other.A and self.B == other.B
@@ -85,11 +98,32 @@ class Curve:
     def __repr__(self):
         return f"Curve(y^2 = x^3 + ({self.A})*x + ({self.B}) over F_{self.ctx.p}^2)"
 
+    def _cubic(self, x: Fp2) -> tuple[int, int]:
+        """x^3 + Ax + B as a reduced int pair, computed as x(x^2 + A) + B on
+        the ints; FieldMismatchError for an x of another field."""
+        ctx = self.ctx
+        if x.ctx is not ctx:
+            ctx.coerce(x)
+        p, d = ctx.p, ctx.signed_delta
+        x0, x1 = x.a, x.b
+        A, B = self.A, self.B
+        t0 = (x0 * x0 + d * x1 * x1 + A.a) % p
+        t1 = (2 * x0 * x1 + A.b) % p
+        return (x0 * t0 + d * x1 * t1 + B.a) % p, (x0 * t1 + x1 * t0 + B.b) % p
+
     def is_on(self, P: Point) -> bool:
-        if P.is_infinity:
+        """Whether P is infinity or y^2 = x^3 + Ax + B, compared on the int
+        pairs; FieldMismatchError for coordinates of another field."""
+        x, y = P
+        if x is None:
             return True
-        x, y = P.x, P.y
-        return y * y == x * x * x + self.A * x + self.B
+        ctx = self.ctx
+        if y.ctx is not ctx:
+            ctx.coerce(y)
+        c0, c1 = self._cubic(x)
+        y0, y1 = y.a, y.b
+        p = ctx.p
+        return (y0 * y0 + ctx.signed_delta * y1 * y1 - c0) % p == 0 and (2 * y0 * y1 - c1) % p == 0
 
     def point(self, x: Fp2, y: Fp2) -> Point:
         P = Point(x, y)
@@ -207,7 +241,7 @@ class Curve:
 
     def lift_x(self, x: Fp2) -> Point | None:
         """The point (x, y) with canonical y, or None if x is not on the curve."""
-        y = (x * x * x + self.A * x + self.B).sqrt()
+        y = Fp2(self.ctx, *self._cubic(x)).sqrt()
         if y is None:
             return None
         return Point(x, y)

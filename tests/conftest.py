@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from qcurve import weierstrass
 from qcurve.fields import FieldCtx, Fp2, legendre
+from qcurve.isogeny import poly_eval
 from qcurve.weierstrass import INFINITY, Curve, Point, _madd
 
 settings.register_profile(
@@ -16,6 +17,17 @@ settings.register_profile(
 settings.load_profile("default")
 
 MERSENNE_127 = 2**127 - 1
+
+
+# One member of each degree at the smallest prime where the family exists,
+# and its quadratic twist; the p = 5 curves have 24 or 28 points, so every
+# pair of points is affordable there.  The twist is the curve of psi'.
+SMALL_MEMBERS = [(2, 5, 1), (3, 5, 2), (5, 7, 5), (7, 11, 1)]
+SMALL_CURVES = [
+    pytest.param(d, p, s, twisted, id=f"d{d}-p{p}{'-twist' if twisted else ''}")
+    for d, p, s in SMALL_MEMBERS
+    for twisted in (False, True)
+]
 
 
 def ctx_for(p: int) -> FieldCtx:
@@ -244,6 +256,64 @@ def generic_127_curve() -> Curve:
     there, so the scalar loop takes its generic body, not the F_p(i) one."""
     ctx = FieldCtx(MERSENNE_127, 3)
     return Curve(ctx.elem(5, 7), ctx.elem(11, 13))
+
+
+# The per-point and per-curve formulas in plain Fp2 arithmetic: the
+# references for Curve.is_on, lift_x, discriminant and Isogeny.raw_maps, and
+# through them psi.  ref_raw_maps reads the polynomials through poly_eval,
+# whose values test_isogeny checks against sums of Fp2 powers.
+
+
+def ref_cubic(curve: Curve, x: Fp2) -> Fp2:
+    return x * x * x + curve.A * x + curve.B
+
+
+def ref_is_on(curve: Curve, P: Point) -> bool:
+    return P.is_infinity or P.y * P.y == ref_cubic(curve, P.x)
+
+
+def ref_lift_x(curve: Curve, x: Fp2) -> Point | None:
+    y = ref_cubic(curve, x).sqrt()
+    return None if y is None else Point(x, y)
+
+
+def ref_discriminant(curve: Curve) -> Fp2:
+    A, B = curve.A, curve.B
+    return -16 * (4 * A * A * A + 27 * B * B)
+
+
+def ref_raw_maps(iso, x: Fp2) -> tuple[Fp2, Fp2] | None:
+    """(x-image, y-multiplier) of the isogeny at x, or None at a root of
+    the denominator: N/D and (N' - (N/D) D')/D by the Fp2 boundary of
+    poly_eval, then the two scales."""
+    dv, ddv = poly_eval(iso.den, x)
+    if not dv:
+        return None
+    nv, dnv = poly_eval(iso.num, x)
+    inv_dv = dv.inverse()
+    u = nv * inv_dv
+    du = (dnv - u * ddv) * inv_dv
+    return iso.x_scale * u, iso.y_scale * du
+
+
+def ref_isogeny(iso, P: Point) -> Point:
+    """The isogeny at P, None for a P off its domain."""
+    if P.is_infinity:
+        return INFINITY
+    if not ref_is_on(iso.domain, P):
+        return None
+    maps = ref_raw_maps(iso, P.x)
+    if maps is None:
+        return INFINITY
+    u, du = maps
+    return Point(u, P.y * du)
+
+
+def ref_psi(endo, P: Point) -> Point:
+    """psi (or psi') at P: the endomorphism's isogeny at conj(P)."""
+    if P.is_infinity:
+        return INFINITY
+    return ref_isogeny(endo.isogeny, Point(P.x.conjugate(), P.y.conjugate()))
 
 
 # Int-level work of the scalar loop: the residues entering weierstrass._dbl

@@ -215,13 +215,30 @@ class TestDecompose:
         assert int(rec["bound_bitlength"]) == 127
 
     def test_exhaustive_is_guarded_at_large_scale(self, capsys):
-        """--exhaustive above the oracle bound is refused before any work."""
+        """--exhaustive above the oracle bound is refused once the field is
+        checked, before any other work."""
         rc, lines = run(capsys, ["decompose", *EX1, "--m", "7", "--exhaustive"])
         assert rc == 1
         assert len(lines) == 1
         rec = parse_plain(lines[0])
         assert rec["status"] == "error"
         assert rec["error"] == "oracle_guard"
+
+    @pytest.mark.parametrize("p,delta,error,message", [
+        ("91", "2", "not_prime", "modulus 91 has the factor 7"),
+        (str(2**130), "-1", "modulus_range", "modulus exceeds 128 bits"),
+        ("67", "-1", "oracle_guard", "--exhaustive requires p <= 64"),
+    ], ids=["composite", "out_of_range", "prime"])
+    def test_exhaustive_checks_the_modulus_first(self, capsys, p, delta, error, message):
+        """A modulus that is not a field's is refused as such, with or
+        without --exhaustive; only a prime above the oracle bound meets the
+        --exhaustive guard."""
+        argv = ["decompose", "--d", "2", "--p", p, "--delta", delta, "--s", "1", "--m", "3", "--exhaustive"]
+        rc, lines = run(capsys, argv)
+        assert rc == 1
+        assert len(lines) == 1
+        rec = parse_plain(lines[0])
+        assert (rec["error"], rec["message"]) == (error, message)
 
     def test_requires_trace_at_large_scale(self, capsys):
         rc, lines = run(
@@ -333,7 +350,7 @@ class TestTimings:
         for instance in (["--d", "2", "--p", "13", "--delta", "2", "--s", "1"], EX1):
             plain, timed = self._pair(capsys, ["decompose", *instance, "--m", "7"])
             assert plain["multiexp_check"] == "ok"
-            stages = self.STAGES + ["t_decompose_ms", "t_multiexp_ms", "t_mul_ms"] + self.OPS
+            stages = self.STAGES + ["t_decompose_ms", "t_psi_ms", "t_multiexp_ms", "t_mul_ms"] + self.OPS
             self._check(plain, timed, stages)
 
     def test_decompose_op_counts(self, capsys):

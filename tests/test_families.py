@@ -34,7 +34,17 @@ from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
 from qcurve import isogeny, weierstrass
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
-from conftest import MERSENNE_127, count_loop_int_ops, ctx_for, generic_127_curve, prime_factors
+from conftest import (
+    MERSENNE_127,
+    SMALL_CURVES,
+    count_loop_int_ops,
+    ctx_for,
+    generic_127_curve,
+    prime_factors,
+    ref_isogeny,
+    ref_psi,
+    ref_raw_maps,
+)
 
 
 def family_sweep(d, p):
@@ -188,7 +198,7 @@ def reference_psi(fam, twisted):
     mu and nu^3, nu = mu^((1-p)/2), mu the canonical nonsquare."""
     if not twisted:
         def psi(P):
-            img = fam.phi(P)
+            img = ref_isogeny(fam.phi, P)
             if img.is_infinity:
                 return INFINITY
             return Point(img.x.conjugate(), img.y.conjugate())
@@ -202,7 +212,7 @@ def reference_psi(fam, twisted):
     def psi_twisted(P):
         if P.is_infinity:
             return INFINITY
-        maps = conj_phi.raw_maps(P.x.conjugate() / mu.conjugate())
+        maps = ref_raw_maps(conj_phi, P.x.conjugate() / mu.conjugate())
         if maps is None:
             return INFINITY
         u, du = maps
@@ -247,6 +257,80 @@ class TestOneFormula:
         P = random_point(endo.curve, 0)
         with pytest.raises(OffCurveError):
             endo(Point(P.x, P.y + 1))
+
+
+def _int_maps(maps):
+    """Fp2 raw maps (u, du) as the int tuple Isogeny.raw_maps returns."""
+    return None if maps is None else (maps[0].a, maps[0].b, maps[1].a, maps[1].b)
+
+
+class TestIntPairPsi:
+    """psi and psi', whose isogeny runs on int pairs, against the Fp2
+    formulas of conftest: ref_raw_maps (N/D and its derivative through the
+    Fp2 boundary of poly_eval) and ref_psi."""
+
+    @staticmethod
+    def _check(endo, xs, points):
+        iso = endo.isogeny
+        infinite = 0
+        for x in xs:
+            maps = iso.raw_maps(x.a, x.b)
+            assert maps == _int_maps(ref_raw_maps(iso, x))
+            infinite += maps is None
+        for P in points:
+            assert endo(P) == ref_psi(endo, P)
+            if P.is_infinity:
+                continue
+            # Off the curve unless y + 1 = -y.
+            Q = Point(P.x, P.y + 1)
+            expected = ref_psi(endo, Q)
+            if expected is None:
+                with pytest.raises(OffCurveError):
+                    endo(Q)
+            else:
+                assert Q == endo.curve.neg(P) and endo(Q) == expected
+        return infinite
+
+    @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
+    def test_every_abscissa_on_small_curves(self, d, p, s, twisted):
+        """raw_maps at every x of F_{p^2}, the kernel abscissas among them,
+        and psi at every point P and at (x, y + 1), which is off the curve
+        unless it is -P.  The d = 2 kernel is a rational two-torsion point,
+        whose abscissa maps to infinity."""
+        ctx = ctx_for(p)
+        endo = Endo(build_family_curve(d, ctx, s), twisted)
+        xs = [ctx.elem(a, b) for a in range(p) for b in range(p)]
+        infinite = self._check(endo, xs, curve_points(endo.curve))
+        if d == 2:
+            assert infinite == 1
+
+    def test_every_member_at_generic_delta(self):
+        """delta = 2 at p = 13: every member of the families that exist
+        there, psi and psi'."""
+        ctx = FieldCtx(13, 2)
+        xs = [ctx.elem(a, b) for a in range(13) for b in range(13)]
+        infinite = 0
+        for d in (2, 3, 7):
+            for fam in _members(d, ctx):
+                for twisted in (False, True):
+                    endo = Endo(fam, twisted)
+                    infinite += self._check(endo, xs, curve_points(endo.curve))
+        assert infinite
+
+    @pytest.mark.parametrize("delta", [-1, 3])
+    def test_random_at_127_bits(self, delta):
+        """2,000 random abscissas at p = 2^127 - 1, spread over psi and psi'
+        of a member of each family that exists at this delta; psi at the
+        point above each abscissa that lifts."""
+        ctx = FieldCtx(MERSENNE_127, delta)
+        members = ((2, 28106), (5, 7930), (3, 10400), (7, 1)) if delta == -1 else ((2, 5), (3, 5), (7, 5))
+        endos = [Endo(build_family_curve(d, ctx, s), twisted) for d, s in members for twisted in (False, True)]
+        rng = random.Random(32 + delta)
+        for i in range(2000):
+            endo = endos[i % len(endos)]
+            x = ctx.elem(rng.randrange(ctx.p), rng.randrange(ctx.p))
+            P = endo.curve.lift_x(x)
+            self._check(endo, [x], [] if P is None else [P])
 
 
 # The calls into the bare-int polynomial kernel of qcurve.isogeny, each
@@ -294,15 +378,15 @@ def _count_ops(monkeypatch) -> Counter:
 
 
 # (d, twisted, counts) for one psi / psi' evaluation on each paper instance:
-# both are one isogeny evaluated at conj(P), so both pay the same work: the
-# is_on check, one poly_eval each of the numerator and the denominator, which
-# gives value and derivative in one bare-int Horner pass, the quotient with
-# its one inversion, the two scales, and y * du.
+# both are one isogeny evaluated at conj(P), so both pay the same work, all
+# of it on int pairs but the one inversion of the denominator's value: the
+# is_on check, one Horner pass each over the numerator and the denominator,
+# the quotients, the two scales, and y * du.
 PSI_COUNTS = [
-    (2, False, {"sqr": 2, "mul": 8, "inv": 1, "poly_eval": 2}),
-    (2, True, {"sqr": 2, "mul": 8, "inv": 1, "poly_eval": 2}),
-    (5, False, {"sqr": 2, "mul": 8, "inv": 1, "poly_eval": 2}),
-    (5, True, {"sqr": 2, "mul": 8, "inv": 1, "poly_eval": 2}),
+    (2, False, {"inv": 1}),
+    (2, True, {"inv": 1}),
+    (5, False, {"inv": 1}),
+    (5, True, {"inv": 1}),
 ]
 # Building one untwisted Endo: conj(phi) conjugates phi's curves, two
 # polynomials and two scales, none of which is a product.
@@ -315,35 +399,36 @@ ENDO_COUNTS = [(2, {}), (5, {})]
 # 5 + 6 + 5 for d=5.  The inversions are mu's and conj(mu)'s.
 TWISTED_ENDO_COUNTS = [(2, {"sqr": 128, "mul": 140, "inv": 2}), (5, {"sqr": 128, "mul": 149, "inv": 2})]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
-# s=1.  Two curves pay a discriminant check: the member and the Velu
-# codomain.  The twisted codomain's discriminant is l^12 times the Velu
-# codomain's, the conjugate curve that phi must land on is not checked
-# again, and no isogeny stores derivatives, so post_twist only scales.  The
-# Fp2 products left are the member's and the codomain's coefficients; the
-# polynomials run on the kernel.  An odd kernel pays psi_d modulo the kernel
-# polynomial, by the division polynomial recurrence with each product
-# reduced at once and each cube formed once, the closure check under
-# doubling, also reduced product by product, and Kohel's expansion of the
-# x-map; every remainder is taken modulo the monic kernel polynomial.  d=2
-# expands nothing.
+# s=1.  Two curves pay a discriminant check, on int pairs: the member and the
+# Velu codomain.  The twisted codomain's discriminant is l^12 times the Velu
+# codomain's, the conjugate curve that phi must land on is not checked again,
+# and no isogeny stores derivatives, so post_twist only scales.  The Fp2
+# products left are the member's and the codomain's coefficients (d=2 checks
+# its kernel abscissa on the curve's int-pair cubic); the polynomials run on
+# the kernel.  An odd kernel pays psi_d modulo the kernel polynomial, by the
+# division polynomial recurrence with each product reduced at once and each
+# cube formed once, the closure check under doubling, also reduced product by
+# product, and Kohel's expansion of the x-map; every remainder is taken modulo
+# the monic kernel polynomial.  d=2 expands nothing.
 BUILD_COUNTS = [
-    (2, {"mul_int": 12, "inv": 1, "mul": 18, "sqr": 2}),
-    (5, {"mul_int": 19, "sqr": 4, "mul": 19, "inv": 1, "poly_rem": 5, "poly_mulmod": 12, "poly_sub": 4,
+    (2, {"mul_int": 6, "inv": 1, "mul": 10, "sqr": 1}),
+    (5, {"mul_int": 13, "sqr": 4, "mul": 13, "inv": 1, "poly_rem": 5, "poly_mulmod": 12, "poly_sub": 4,
          "poly_scale": 2, "poly_add": 2, "poly_deriv": 2, "poly_mul": 7}),
-    (3, {"mul_int": 17, "sqr": 3, "inv": 1, "mul": 18, "poly_rem": 3, "poly_mulmod": 2, "poly_scale": 1,
+    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 12, "poly_rem": 3, "poly_mulmod": 2, "poly_scale": 1,
          "poly_add": 1, "poly_deriv": 2, "poly_mul": 7, "poly_sub": 3}),
-    (7, {"mul_int": 22, "mul": 27, "sqr": 3, "inv": 1, "poly_rem": 5, "poly_mulmod": 19, "poly_sub": 5,
+    (7, {"mul_int": 16, "mul": 21, "sqr": 3, "inv": 1, "poly_rem": 5, "poly_mulmod": 19, "poly_sub": 5,
          "poly_scale": 3, "poly_add": 3, "poly_deriv": 2, "poly_mul": 7}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse
 # form (the NAF for Curve.mul), the runs of doublings between nonzero
 # columns (each one _dbl call, which computes A*Z^4 once), plus the Fp2 work
-# outside the loop (the is_on checks, the affine table entries P + psiP and
-# P - psiP, and the one inversion back to affine).  The multiexp2 pair ends
-# in a nonzero column, so its last addition has no run after it.
-MULTIEXP2_COUNTS = {"dbl": 123, "runs": 63, "madd": 63, "sqr": 6, "mul": 8, "inv": 3}
-MUL_COUNTS = {"dbl": 253, "runs": 87, "madd": 86, "sqr": 2, "mul": 2, "inv": 1}
+# outside the loop: the affine table entries P + psiP and P - psiP, and the
+# one inversion back to affine; the is_on checks run on int pairs.  The
+# multiexp2 pair ends in a nonzero column, so its last addition has no run
+# after it.
+MULTIEXP2_COUNTS = {"dbl": 123, "runs": 63, "madd": 63, "sqr": 2, "mul": 4, "inv": 3}
+MUL_COUNTS = {"dbl": 253, "runs": 87, "madd": 86, "inv": 1}
 # The int operations inside _dbl and _madd for the same two calls
 # (conftest.CountingInt): products of two residues, products by a small
 # constant or delta, additions and subtractions, and reductions.  On the

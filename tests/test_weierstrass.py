@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurve.errors import DomainError, OffCurveError, OracleGuardError
+from qcurve.errors import DomainError, FieldMismatchError, OffCurveError, OracleGuardError
 from qcurve.families import build_family_curve
 from qcurve.fields import FieldCtx, Fp2, is_probable_prime, legendre
 from qcurve.glv import multiexp2
@@ -23,7 +23,18 @@ from qcurve.weierstrass import (
     random_point,
 )
 
-from conftest import MERSENNE_127, ctx_for, generic_127_curve, ref_dbl, ref_jsf, ref_mul2
+from conftest import (
+    MERSENNE_127,
+    SMALL_CURVES,
+    ctx_for,
+    generic_127_curve,
+    ref_dbl,
+    ref_discriminant,
+    ref_is_on,
+    ref_jsf,
+    ref_lift_x,
+    ref_mul2,
+)
 
 
 def sample_curve(p, a=1, b=4, bi=0):
@@ -119,15 +130,6 @@ def from_jacobian(ctx, J):
     return Point(Fp2(ctx, J[0], J[1]) * zi * zi, Fp2(ctx, J[2], J[3]) * zi * zi * zi)
 
 
-# One member of each degree at the smallest prime where the family exists,
-# and its quadratic twist; the p = 5 curves have 24 or 28 points, so every
-# pair of points is affordable there.
-SMALL_MEMBERS = [(2, 5, 1), (3, 5, 2), (5, 7, 5), (7, 11, 1)]
-SMALL_CURVES = [
-    pytest.param(d, p, s, twisted, id=f"d{d}-p{p}{'-twist' if twisted else ''}")
-    for d, p, s in SMALL_MEMBERS
-    for twisted in (False, True)
-]
 P5_CURVES = [c for c in SMALL_CURVES if c.values[1] == 5]
 # Signed scalars for the pair tests: their joint sparse forms reach all nine
 # table entries of the loop (TestJsf checks this).
@@ -312,6 +314,83 @@ def jsf_rows(a, b):
     """The two digit rows of _jsf(a, b), least significant digit first."""
     cols = [divmod(i, 3) for i in reversed(jsf_columns(a, b))]
     return [u0 - 1 for u0, _ in cols], [u1 - 1 for _, u1 in cols]
+
+
+class TestIntPairFormulas:
+    """Curve.is_on, lift_x and discriminant, which run on int pairs, against
+    the Fp2 expressions y*y == x*x*x + A*x + B, (x*x*x + A*x + B).sqrt() and
+    -16*(4*A*A*A + 27*B*B) (conftest)."""
+
+    @staticmethod
+    def _check_every_pair(curve):
+        ctx = curve.ctx
+        elems = [Fp2(ctx, a, b) for a in range(ctx.p) for b in range(ctx.p)]
+        assert curve.discriminant() == ref_discriminant(curve)
+        on = 0
+        for x in elems:
+            assert curve.lift_x(x) == ref_lift_x(curve, x)
+            for y in elems:
+                P = Point(x, y)
+                assert curve.is_on(P) is ref_is_on(curve, P)
+                on += curve.is_on(P)
+        assert curve.is_on(INFINITY)
+        return on
+
+    @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
+    def test_every_pair_on_small_curves(self, d, p, s, twisted):
+        """Every (x, y) of F_{p^2} x F_{p^2}, so every point and its
+        off-curve (x, y + 1) among them; the count of pairs on the curve is
+        the oracle's."""
+        curve, pts = small_curve(d, p, s, twisted)
+        assert self._check_every_pair(curve) == len(pts) - 1
+
+    def test_every_pair_at_generic_delta(self):
+        """delta = 2 at p = 13, so the products by delta are real products."""
+        ctx = FieldCtx(13, 2)
+        for A, B in (((1, 4), (2, 3)), ((0, 7), (5, 0)), ((6, 0), (0, 9))):
+            curve = Curve(ctx.elem(*A), ctx.elem(*B))
+            assert self._check_every_pair(curve) == oracle_order(curve) - 1
+
+    @pytest.mark.parametrize("delta", [-1, 3])
+    def test_random_at_127_bits(self, delta):
+        """2,000 random curves and abscissas at p = 2^127 - 1: the lifted
+        point, its (x, y + 1), and a random (x, y)."""
+        ctx = FieldCtx(MERSENNE_127, delta)
+        p = ctx.p
+        rng = random.Random(32 + delta)
+        lifted = 0
+        for _ in range(2000):
+            A, B, x, y = (ctx.elem(rng.randrange(p), rng.randrange(p)) for _ in range(4))
+            curve = Curve(A, B)
+            assert curve.discriminant() == ref_discriminant(curve)
+            P = curve.lift_x(x)
+            assert P == ref_lift_x(curve, x)
+            candidates = [Point(x, y)]
+            if P is not None:
+                lifted += 1
+                candidates += [P, Point(x, P.y + 1)]
+            for Q in candidates:
+                assert curve.is_on(Q) is ref_is_on(curve, Q)
+        assert 900 < lifted < 1100
+
+    def test_discriminant_of_a_singular_curve(self):
+        ctx = ctx_for(13)
+        A, B = ctx.elem(-3), ctx.elem(2)  # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+        with pytest.raises(DomainError):
+            Curve(A, B)
+        curve = Curve._nonsingular(A, B)
+        assert not curve.discriminant() and not ref_discriminant(curve)
+
+
+    def test_foreign_field_rejected(self):
+        curve = sample_curve(13)
+        other = ctx_for(11)
+        P = random_point(curve, 0)
+        for Q in (Point(other.elem(1), P.y), Point(P.x, other.elem(1))):
+            with pytest.raises(FieldMismatchError):
+                curve.is_on(Q)
+        with pytest.raises(FieldMismatchError):
+            curve.lift_x(other.elem(1))
 
 
 class TestJsf:
