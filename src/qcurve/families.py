@@ -171,14 +171,13 @@ class Endo:
     """The endomorphism psi = (p-power map) o phi of a family curve, or its
     twisted counterpart psi' acting on the quadratic twist.
 
-    Both are one isogeny from the conjugate curve, evaluated at conj(P)
-    without leaving F_{p^2}.  For psi it is conj(phi), since conjugation
-    commutes with evaluating phi's rational maps.  For psi', conjugating the
-    twist isomorphism through the p-power map leaves conj(phi) read at
-    x/conj(mu) and scaled by mu and nu^3, with nu = mu^((1-p)/2) and mu the
-    canonical nonsquare: an isogeny from conj(E') to the twist E'.
-    ``__call__``, the one way to evaluate psi or psi', conjugates P on its
-    int pairs and hands it to ``Isogeny.__call__``.
+    Both are one isogeny onto the conjugate curve followed by conjugating
+    the image.  For psi it is the family's own phi.  For psi' it is phi
+    read through the twist: at x/mu, with its output scaled by conj(mu) and
+    conj(nu^3), nu = mu^((1-p)/2) and mu the canonical nonsquare, an
+    isogeny from the twist E' to conj(E').  ``__call__``, the one way to
+    evaluate psi or psi', hands P to ``Isogeny.__call__`` and conjugates
+    the image on its int pairs.
 
     ``target`` is p + eps (p - eps twisted): [r]psi(Q) = [target]Q on every
     rational point Q.
@@ -191,12 +190,12 @@ class Endo:
         self.twisted = twisted
         ctx = family.ctx
         self.eps = epsilon_p(family.d, ctx.p)
-        self.isogeny = family.phi.conjugate()
+        self.isogeny = family.phi
         if twisted:
             twist, mu = family.curve.quadratic_twist()
             nu = mu.inverse() ** ((ctx.p - 1) // 2)
-            self.isogeny = self.isogeny.rescaled(twist.conjugate(), twist, mu.conjugate(), mu, nu * nu * nu)
-        self.curve = self.isogeny.codomain
+            self.isogeny = family.phi.rescaled(twist, twist.conjugate(), mu, mu.conjugate(), (nu * nu * nu).conjugate())
+        self.curve = self.isogeny.domain
         self.target = ctx.p - self.eps if twisted else ctx.p + self.eps
 
     @property
@@ -204,11 +203,11 @@ class Endo:
         return self.family.d
 
     def __call__(self, P: Point) -> Point:
-        x, y = P
+        x, y = self.isogeny(P)
         if x is None:
             return INFINITY
         ctx = x.ctx
-        return self.isogeny(Point(Fp2(ctx, x.a, -x.b), Fp2(ctx, y.a, -y.b)))
+        return Point(Fp2(ctx, x.a, -x.b), Fp2(ctx, y.a, -y.b))
 
     def __repr__(self):
         kind = "psi'" if self.twisted else "psi"

@@ -284,7 +284,8 @@ def bound_bitlength(variant: str | None, p: int, eps: int, r: int, basis: GlvBas
     if variant == COFACTOR4_D2:
         return ceil_log2(p + eps) - 1
     if variant == COFACTOR3_D3:
-        return ceil_log2(p + eps - 2 * abs(r))
+        # b2 = e1 +- 2*b1, whose second coordinate dominates at small p.
+        return ceil_log2(max(p + eps - 2 * abs(r), 2 * (p + eps) // 3 - eps * abs(r)))
     return basis.bitlength
 
 

@@ -236,7 +236,8 @@ def division_polynomial(curve: Curve, l: int, F):
 class Isogeny:
     """A separable isogeny between short Weierstrass curves, stored as an
     expanded rational x-map, num/den as polynomials of the kernel above,
-    plus twisting scale factors in Fp2."""
+    plus twisting scale factors in Fp2.  psi evaluates phi and conjugates
+    the image (families.Endo), so no conjugate isogeny is needed."""
 
     __slots__ = ("domain", "codomain", "degree", "num", "den", "x_scale", "y_scale")
 
@@ -292,13 +293,6 @@ class Isogeny:
         d = ctx.signed_delta
         y0, y1 = y.a, y.b
         return Point(Fp2(ctx, u0, u1), Fp2(ctx, y0 * w0 + d * y1 * w1, y0 * w1 + y1 * w0))
-
-    def conjugate(self) -> "Isogeny":
-        """The Galois-conjugate isogeny between the conjugate curves."""
-        p = self.domain.ctx.p
-        num, den = ((list(fr), [-c % p for c in fi]) for fr, fi in (self.num, self.den))
-        return Isogeny(self.domain.conjugate(), self.codomain.conjugate(), self.degree, num, den,
-                       self.x_scale.conjugate(), self.y_scale.conjugate())
 
     def rescaled(self, domain: Curve, codomain: Curve, c: Fp2, x_factor: Fp2, y_factor: Fp2) -> "Isogeny":
         """(x, y) -> (x_factor * X(x/c), y_factor * y * Y(x/c)) between the

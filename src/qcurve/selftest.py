@@ -34,7 +34,7 @@ from .models import (
     to_montgomery,
     to_xz,
 )
-from .weierstrass import INFINITY, Curve, curve_points, oracle_order, oracle_trace, random_point
+from .weierstrass import INFINITY, Curve, Point, curve_points, oracle_order, oracle_trace, random_point
 
 MERSENNE_127 = 2**127 - 1
 
@@ -138,15 +138,19 @@ def check_twist_counts():
     return "p in {5,7,11,13}"
 
 
+def _conj(P):
+    return INFINITY if P.is_infinity else Point(P.x.conjugate(), P.y.conjugate())
+
+
 def check_conjugate_composition():
     for d, p in ((2, 13), (3, 13), (5, 11), (7, 13)):
         ctx = _ctx(p)
         fam = build_family_curve(d, ctx, 1)
         eps = epsilon_p(d, p)
-        sigma_phi = fam.phi.conjugate()
         for P in curve_points(fam.curve):
+            # phi^sigma(phi(P)) = conj(phi(conj(phi(P)))), through phi alone.
             _assert(
-                sigma_phi(fam.phi(P)) == fam.curve.mul(eps * d, P),
+                _conj(fam.phi(_conj(fam.phi(P)))) == fam.curve.mul(eps * d, P),
                 f"conjugate composition != [eps*d] for d={d}",
             )
     return "all degrees"

@@ -310,10 +310,12 @@ def ref_isogeny(iso, P: Point) -> Point:
 
 
 def ref_psi(endo, P: Point) -> Point:
-    """psi (or psi') at P: the endomorphism's isogeny at conj(P)."""
-    if P.is_infinity:
-        return INFINITY
-    return ref_isogeny(endo.isogeny, Point(P.x.conjugate(), P.y.conjugate()))
+    """psi (or psi') at P: the conjugate of the endomorphism's isogeny at P,
+    None for a P off its domain."""
+    img = ref_isogeny(endo.isogeny, P)
+    if img is None or img.is_infinity:
+        return img
+    return Point(img.x.conjugate(), img.y.conjugate())
 
 
 # Int-level work of the scalar loop: the residues entering weierstrass._dbl

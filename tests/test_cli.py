@@ -101,7 +101,7 @@ class TestInfo:
     @pytest.mark.parametrize("d,s,variant,bound", [
         ("5", "2", "prime_order", "4"),  # ceil_log2(p + eps), order 139
         ("2", "2", "cofactor4_d2", "3"),  # ceil_log2(p + eps) - 1, order 2^2*3*11
-        ("3", "3", "cofactor3_d3", "4"),  # ceil_log2(p + eps - 2|r|), order 3*47
+        ("3", "3", "cofactor3_d3", "4"),  # ceil_log2 of b2's larger coordinate, order 3*47
         ("3", "1", "reduced_lattice", "2"),  # the basis itself, order 3^2*13
     ])
     def test_basis_variant_by_group_structure(self, capsys, d, s, variant, bound):
@@ -110,6 +110,17 @@ class TestInfo:
         rec = parse_plain(lines[0])
         assert rec["basis_variant"] == variant
         assert rec["bound_bitlength"] == bound
+
+    @pytest.mark.parametrize("p,delta,s,b2,bits", [
+        ("7", "3", "3", "(-4,5)", "3"),  # b2's second coordinate 2(p + eps)/3 - eps*|r| = 5
+        ("43", "2", "17", "(32,33)", "6"),  # 33 against p + eps - 2|r| = 32
+    ])
+    def test_cofactor3_bound_covers_the_basis(self, capsys, p, delta, s, b2, bits):
+        rc, lines = run(capsys, ["info", "--d", "3", "--p", p, "--delta", delta, "--s", s])
+        assert rc == 0
+        rec = parse_plain(lines[0])
+        assert rec["basis_variant"] == "cofactor3_d3"
+        assert (rec["b2"], rec["basis_bitlength"], rec["bound_bitlength"]) == (b2, bits, bits)
 
     @pytest.mark.parametrize("d,s,message", [
         ("7", "0", "no dominant cyclic subgroup"),

@@ -194,8 +194,9 @@ class TestPsi:
 
 def reference_psi(fam, twisted):
     """psi and psi' by two separate formulas: phi followed by conjugating
-    the image, and the twist formula conj(phi) at conj(x)/conj(mu) scaled by
-    mu and nu^3, nu = mu^((1-p)/2), mu the canonical nonsquare."""
+    the image, and the twist formula phi read at x/mu, its image
+    (u, y * du) conjugated and scaled to (mu * conj(u), nu^3 * conj(y * du)),
+    nu = mu^((1-p)/2), mu the canonical nonsquare."""
     if not twisted:
         def psi(P):
             img = ref_isogeny(fam.phi, P)
@@ -206,17 +207,16 @@ def reference_psi(fam, twisted):
         return psi
     ctx = fam.ctx
     mu = ctx.nonsquare()
-    conj_phi = fam.phi.conjugate()
     nu = mu.inverse() ** ((ctx.p - 1) // 2)
 
     def psi_twisted(P):
         if P.is_infinity:
             return INFINITY
-        maps = ref_raw_maps(conj_phi, P.x.conjugate() / mu.conjugate())
+        maps = ref_raw_maps(fam.phi, P.x / mu)
         if maps is None:
             return INFINITY
         u, du = maps
-        return Point(mu * u, nu * nu * nu * P.y.conjugate() * du)
+        return Point(mu * u.conjugate(), nu * nu * nu * (P.y * du).conjugate())
 
     return psi_twisted
 
@@ -378,25 +378,27 @@ def _count_ops(monkeypatch) -> Counter:
 
 
 # (d, twisted, counts) for one psi / psi' evaluation on each paper instance:
-# both are one isogeny evaluated at conj(P), so both pay the same work, all
-# of it on int pairs but the one inversion of the denominator's value: the
-# is_on check, one Horner pass each over the numerator and the denominator,
-# the quotients, the two scales, and y * du.
+# both are one isogeny evaluated at P, its image conjugated, so both pay the
+# same work, all of it on int pairs but the one inversion of the
+# denominator's value: the is_on check, one Horner pass each over the
+# numerator and the denominator, the quotients, the two scales, y * du and
+# the conjugation.
 PSI_COUNTS = [
     (2, False, {"inv": 1}),
     (2, True, {"inv": 1}),
     (5, False, {"inv": 1}),
     (5, True, {"inv": 1}),
 ]
-# Building one untwisted Endo: conj(phi) conjugates phi's curves, two
-# polynomials and two scales, none of which is a product.
+# Building one untwisted Endo: it holds the family's phi and curve, copying
+# nothing, so it costs no field operation at all.
 ENDO_COUNTS = [(2, {}), (5, {})]
 # Building one twisted Endo: nearly all of it is nu = mu^((1-p)/2), 126
 # squarings and 126 products on the exponent 2^126 - 1.  The rest is the
 # twist's coefficients (mu^2, mu^3, mu^2 A, mu^3 B), nu^3, the three scale
-# products and, in Isogeny.rescaled, one Fp2 product per power of
-# 1/conj(mu) and per coefficient of num and den: 2 + 3 + 2 for d=2 and
-# 5 + 6 + 5 for d=5.  The inversions are mu's and conj(mu)'s.
+# products and, in Isogeny.rescaled, which reads phi at x/mu, one Fp2
+# product per power of 1/mu and per coefficient of num and den: 2 + 3 + 2
+# for d=2 and 5 + 6 + 5 for d=5.  The two inversions are both of mu, one
+# for nu and one for 1/mu.
 TWISTED_ENDO_COUNTS = [(2, {"sqr": 128, "mul": 140, "inv": 2}), (5, {"sqr": 128, "mul": 149, "inv": 2})]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
 # s=1.  Two curves pay a discriminant check, on int pairs: the member and the
@@ -475,6 +477,14 @@ class TestOpCounts:
             Endo(fam)
             seen.append((fam.d, dict(counts)))
         assert seen == ENDO_COUNTS
+
+    def test_untwisted_endo_holds_phi(self):
+        """psi is phi followed by conjugation: an untwisted Endo holds the
+        family's own isogeny and curve, not a copy of either."""
+        for endo, _ in paper_endos():
+            fam = endo.family
+            assert endo.isogeny is fam.phi
+            assert endo.curve is fam.curve
 
     def test_twisted_endo_counts(self, monkeypatch):
         families = [endo.family for endo, _ in paper_endos()]

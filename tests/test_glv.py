@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurve.errors import DomainError, OffCurveError, StructureError, SubgroupPointError, SupersingularError
-from qcurve.families import Endo, build_family_curve, determine_r, eigenvalue, group_orders
+from qcurve.errors import (
+    DomainError,
+    OffCurveError,
+    ResidueClassError,
+    StructureError,
+    SubgroupPointError,
+    SupersingularError,
+)
+from qcurve.families import FAMILY_DEGREES, Endo, build_family_curve, determine_r, eigenvalue, epsilon_p, group_orders
 from qcurve import glv
 from qcurve.glv import (
     COFACTOR2_D2,
@@ -16,6 +23,7 @@ from qcurve.glv import (
     PRIME_ORDER,
     Decomposition,
     GlvBasis,
+    bound_bitlength,
     ceil_log2,
     cofactor_basis,
     decompose,
@@ -32,7 +40,7 @@ from qcurve.glv import (
 )
 from qcurve.weierstrass import Point, curve_points, oracle_trace, random_point
 
-from qcurve.fields import FieldCtx, factorize
+from qcurve.fields import FieldCtx, factorize, is_probable_prime
 
 from conftest import MERSENNE_127, ctx_for, prime_factors
 
@@ -183,6 +191,38 @@ class TestCofactorBases:
                     assert (v[0] + lam * v[1]) % n == 0
                 seen.add(variant)
         assert {COFACTOR2_D2, COFACTOR3_D3, PRIME_ORDER} <= seen
+
+    def test_bound_covers_every_variant_basis_below_64(self):
+        """bound_bitlength is at least the basis's own bit length for every
+        (p, d, r) that a member at p < 64 can have (r != 0, d r^2 <= 4p by
+        Hasse), under each variant whose structure the order admits: a
+        superset of the members that get a variant basis, at every delta."""
+        seen = set()
+        for p in (q for q in range(5, 64) if is_probable_prime(q)):
+            for d in FAMILY_DEGREES:
+                try:
+                    eps = epsilon_p(d, p)
+                except ResidueClassError:
+                    continue
+                for q in range(1, math.isqrt(4 * p // d) + 1):
+                    for r in (q, -q):
+                        n = (p + eps) ** 2 - eps * d * r * r
+                        if d == 2:
+                            cases = [(COFACTOR2_D2, n // 2), (COFACTOR4_D2, n // 4)]
+                        elif d == 3:
+                            cases = [(COFACTOR3_D3, n // 3)]
+                        else:
+                            cases = [(PRIME_ORDER, n)] if is_probable_prime(n) else []
+                        for variant, m in cases:
+                            if math.gcd(r, m) != 1:
+                                continue
+                            try:
+                                basis = cofactor_basis(variant, p, eps, d, r, m, (p + eps) * pow(r, -1, m) % m)
+                            except StructureError:
+                                continue
+                            assert bound_bitlength(variant, p, eps, r, basis) >= basis.bitlength, (p, d, r)
+                            seen.add(variant)
+        assert seen == {COFACTOR2_D2, COFACTOR4_D2, COFACTOR3_D3, PRIME_ORDER}
 
     def test_divisibility_guards(self):
         with pytest.raises(StructureError):
