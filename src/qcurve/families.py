@@ -220,13 +220,14 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     points, target = endo.target.
 
     At p <= ORACLE_MAX_P the trace defaults to the oracle trace and a
-    supplied one is checked against it; above, it must be supplied
-    (OracleGuardError otherwise). The trace fixes |r|, and one rule at every
-    p fixes the sign on the same 8 hash-derived points. Each of them must
-    satisfy [|r|]psi(Q) = +-[target]Q. The first witness, a Q with
-    [target]Q != -[target]Q, decides the sign: both signs holding would give
-    [2*target]Q = O. With no witness among them the positive root is
-    returned.
+    supplied one is checked against it: against the count kept on
+    endo.family.curve, so a curve its caller has counted is not enumerated
+    again. Above, it must be supplied (OracleGuardError otherwise). The
+    trace fixes |r|, and one rule at every p fixes the sign on the same 8
+    hash-derived points. Each of them must satisfy [|r|]psi(Q) =
+    +-[target]Q. The first witness, a Q with [target]Q != -[target]Q,
+    decides the sign: both signs holding would give [2*target]Q = O. With
+    no witness among them the positive root is returned.
     """
     p = endo.family.ctx.p
     d, eps = endo.d, endo.eps

@@ -12,8 +12,9 @@ a square root is one exponentiation whose square is checked, so a nonsquare
 needs no separate Legendre symbol.
 
 The module also holds the integer number theory that group orders need:
-factorize splits an order by trial division up to 2^20 and gives the
-remainder one is_probable_prime verdict.
+factorize splits an order by trial division up to 2^20 (or past its square
+root, if that comes first) and gives the remainder one is_probable_prime
+verdict.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ TRIAL_DIVISION_BOUND = 1 << 20
 # shared 2-core host: blocks of 256, 512, 1024 and 2048 primes screen a
 # 254-bit order in 2.5, 2.4, 2.2 and 2.1 ms (11-14 ms prime by prime), and
 # their products take 19, 31, 64 and 104 ms to build once per process.
+# Only an n above 2^40 needs the primes up to the full bound and pays that
+# one-off cost; a smaller n sieves to 2^ceil(bits/2) (_trial_blocks).
 TRIAL_BLOCK_PRIMES = 512
 
 
@@ -99,14 +102,20 @@ def _miller_rabin(n: int) -> bool:
 
 
 @functools.cache
-def _trial_blocks() -> list[tuple[int, tuple[int, ...]]]:
+def _trial_blocks(limit: int) -> list[tuple[int, tuple[int, ...]]]:
     """(product, primes) for consecutive blocks of TRIAL_BLOCK_PRIMES primes
-    up to TRIAL_DIVISION_BOUND, sieved and multiplied once per process."""
-    sieve = bytearray([1]) * (TRIAL_DIVISION_BOUND + 1)
+    up to limit, sieved and multiplied once per process and limit.
+
+    trial_factor asks for limit = min(TRIAL_DIVISION_BOUND, 2^ceil(bits/2)),
+    a power of two, so there are at most 21 entries.  Only an n above 2^40
+    builds the full list, about 0.1 s of sieving and block products; the
+    order of a curve at p <= 64 (below 2^12) sieves at most to 2^6.
+    """
+    sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
-    for q in range(2, math.isqrt(TRIAL_DIVISION_BOUND) + 1):
+    for q in range(2, math.isqrt(limit) + 1):
         if sieve[q]:
-            sieve[q * q :: q] = bytes(len(range(q * q, TRIAL_DIVISION_BOUND + 1, q)))
+            sieve[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
     primes = [q for q, is_prime in enumerate(sieve) if is_prime]
     blocks = (tuple(primes[i : i + TRIAL_BLOCK_PRIMES]) for i in range(0, len(primes), TRIAL_BLOCK_PRIMES))
     return [(math.prod(block), block) for block in blocks]
@@ -116,14 +125,18 @@ def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
     """Trial division by the primes up to TRIAL_DIVISION_BOUND; returns
     (factors, remainder).
 
-    One gcd with each block's product screens its primes; only a block that
-    shares a factor with n is divided prime by prime.  The remainder is 1
-    when n splits completely; a remainder whose least factor provably
-    exceeds the bound is left for is_probable_prime.
+    The primes stop at min(TRIAL_DIVISION_BOUND, 2^ceil(bits/2)) for a
+    bits-bit n: below the bound that limit is past sqrt(n), so no prime
+    beyond it can be a least factor.  One gcd with each block's product
+    screens its primes; only a block that shares a factor with n is divided
+    prime by prime.  The remainder is 1 when n splits completely; a
+    remainder whose least factor provably exceeds the bound is left for
+    is_probable_prime.
     """
     factors = []
-    q = TRIAL_DIVISION_BOUND + 1  # the first candidate past an exhausted list
-    for product, block in _trial_blocks():
+    limit = min(TRIAL_DIVISION_BOUND, 1 << -(-n.bit_length() // 2))
+    q = limit + 1  # the first candidate past an exhausted list
+    for product, block in _trial_blocks(limit):
         if block[0] * block[0] > n:
             q = block[0]
             break

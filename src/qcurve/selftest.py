@@ -11,7 +11,17 @@ import random
 from . import cmtables
 from .errors import DegenerateParameterError, DomainError
 from .families import Endo, build_family_curve, determine_r, eigenvalue, epsilon_p, gls_endo, group_orders, subfield_order
-from .fields import FieldCtx, Fp2, _lucas_lehmer, _miller_rabin, _trial_blocks, factorize, is_probable_prime, legendre
+from .fields import (
+    TRIAL_DIVISION_BOUND,
+    FieldCtx,
+    Fp2,
+    _lucas_lehmer,
+    _miller_rabin,
+    _trial_blocks,
+    factorize,
+    is_probable_prime,
+    legendre,
+)
 from .glv import (
     COFACTOR2_D2,
     PRIME_ORDER,
@@ -71,10 +81,10 @@ def check_field_axioms():
         n = 2**q - 1
         verdicts = (is_probable_prime(n), _lucas_lehmer(n), _miller_rabin(n))
         _assert(verdicts == (prime,) * 3, f"primality verdicts {verdicts} on 2^{q} - 1")
-    # The primes of trial division, sieved once per process and so timed
-    # here rather than in the first check that factors an order: there are
-    # pi(2^20) = 82025 of them, from 2 to 1048573.
-    primes = [q for _, block in _trial_blocks() for q in block]
+    # The primes of trial division to the full bound, sieved once per
+    # process and so timed here rather than in the first check that factors
+    # a 254-bit order: there are pi(2^20) = 82025 of them, from 2 to 1048573.
+    primes = [q for _, block in _trial_blocks(TRIAL_DIVISION_BOUND) for q in block]
     _assert(
         (len(primes), primes[0], primes[-1]) == (82025, 2, 1048573),
         f"trial-division primes: {len(primes)} from {primes[0]} to {primes[-1]}",

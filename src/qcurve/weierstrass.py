@@ -28,7 +28,11 @@ built once per field (``FieldCtx.oracle_tables``; the first count on a field
 builds them, in about 0.2 ms at p = 23 and 1.3 ms at p = 61), so each
 abscissa costs two additions and two lookups, and ``curve_points`` reads the
 roots of each square from a table also built once per field
-(``FieldCtx.square_roots``).
+(``FieldCtx.square_roots``).  Each ``Curve`` object is counted once: the
+count is kept on it, as the tables are kept with the field, so
+``families.determine_r`` checks a supplied trace against the count its
+caller has just made without enumerating F_{p^2} again.  The write is
+idempotent, so a curve may still be shared between threads.
 The oracle stays the single reference that group orders and the group law
 are checked against.
 """
@@ -67,13 +71,14 @@ INFINITY = Point(None, None)
 class Curve:
     """y^2 = x^3 + A*x + B over F_{p^2}, with nonzero discriminant."""
 
-    __slots__ = ("A", "B", "ctx")
+    __slots__ = ("A", "B", "ctx", "_order")
 
     def __init__(self, A: Fp2, B: Fp2):
         ctx = A.ctx
         self.A = A
         self.B = ctx.coerce(B)
         self.ctx = ctx
+        self._order = None  # oracle_order's count, kept once made
         if not self.discriminant():
             raise DegenerateParameterError("singular curve: discriminant is zero")
 
@@ -226,7 +231,7 @@ class Curve:
         """A conjugate or twist of a checked curve, whose discriminant is
         therefore nonzero: the conjugate or a unit times a nonzero one."""
         curve = cls.__new__(cls)
-        curve.A, curve.B, curve.ctx = A, B, A.ctx
+        curve.A, curve.B, curve.ctx, curve._order = A, B, A.ctx, None
         return curve
 
     def conjugate(self) -> "Curve":
@@ -499,7 +504,16 @@ def oracle_order(curve: Curve) -> int:
     need no reduction; with A1*a reduced once per curve, each x costs two
     additions and two lookups.  This enumeration is the reference every
     order is checked against.
+
+    The count is kept on the curve object, as the tables are kept with the
+    field, so a second count of the same ``Curve`` (the trace check of
+    ``families.determine_r`` after its caller's count) reads it back.  A
+    curve built again from the same coefficients, and a conjugate or twist,
+    starts uncounted.
     """
+    count = curve._order
+    if count is not None:
+        return count
     ctx = curve.ctx
     _require_oracle_scale(ctx)
     chi, cubes, squares3 = ctx.oracle_tables()
@@ -513,6 +527,7 @@ def oracle_order(curve: Curve) -> int:
         ep = (A0 * b + B1 + d * b * b * b) % p
         rows = chi[be : be + p]
         count += sum([rows[c][s + g + ep] for c, s, g in zip(cubes[al], sq, lin)])
+    curve._order = count
     return count
 
 

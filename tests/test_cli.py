@@ -673,7 +673,7 @@ class TestBlockScreening:
         return sieve_primes(TRIAL_DIVISION_BOUND)
 
     def test_blocks_are_the_sieve(self, primes):
-        blocks = _trial_blocks()
+        blocks = _trial_blocks(TRIAL_DIVISION_BOUND)
         assert [q for _, block in blocks for q in block] == primes
         for product, block in blocks:
             expected = 1
@@ -682,7 +682,7 @@ class TestBlockScreening:
             assert product == expected
 
     def test_block_edges(self, primes):
-        blocks = [block for _, block in _trial_blocks()]
+        blocks = [block for _, block in _trial_blocks(TRIAL_DIVISION_BOUND)]
         assert len(blocks) > 4
         edges = list(range(5))
         # A divisor on either side of a block boundary, first few and last.
@@ -713,3 +713,29 @@ class TestBlockScreening:
             if rng.randrange(2):  # plant small factors across the blocks
                 n *= math.prod(rng.choice(primes) for _ in range(rng.randrange(1, 4)))
             assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+
+    def test_every_n_below_2_17(self, primes):
+        # A sieve to 2^ceil(bits/2) <= 2^9 gives what the full list gives.
+        for n in range(1 << 17):
+            assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+
+    def test_every_bit_length(self, primes):
+        rng = random.Random(34)
+        for bits in range(1, 257):
+            for _ in range(3 if bits <= 48 else 1):
+                n = rng.getrandbits(bits) | 1 << (bits - 1)
+                if rng.randrange(2):  # a factor on either side of the limit
+                    n *= rng.choice(primes[: 1 << rng.randrange(1, 17)])
+                assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+
+    def test_small_order_sieves_to_its_square_root(self):
+        # The orders at p = 11 and p = 61 are below 2^7 and 2^12: their
+        # primes stop at 2^4 and 2^6, and the full list is never built.
+        _trial_blocks.cache_clear()
+        assert str(factorize(102)) == "2*3*17"
+        assert str(factorize(3844)) == "2^2*31^2"
+        info = _trial_blocks.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert [q for _, block in _trial_blocks(1 << 4) for q in block] == [2, 3, 5, 7, 11, 13]
+        assert _trial_blocks(1 << 6)[-1][1][-1] == 61
+        assert _trial_blocks.cache_info().misses == 2

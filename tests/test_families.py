@@ -766,6 +766,10 @@ class TestSignRule:
     def test_every_wrong_trace_rejected(self):
         p = 11
         for endo, t in small_endos(p):
+            # The check reads the count kept on the family curve; counting it
+            # first leaves every verdict as it was.
+            assert oracle_trace(endo.family.curve) == t
+            assert endo.family.curve._order is not None
             for wrong in range(-2 * p, 2 * p + 1):
                 if wrong != t:
                     with pytest.raises(TraceError, match="contradicts"):
@@ -808,6 +812,26 @@ class TestSignRule:
             calls.clear()
             determine_r(endo, t)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [11, 19, 23])
+    def test_one_count_per_member(self, p, monkeypatch):
+        # FieldCtx.oracle_tables runs once per enumeration of F_{p^2}: a
+        # caller's count and determine_r's trace check share one, in either
+        # order, on every member of all four degrees.
+        enumerations = _count_calls(monkeypatch, FieldCtx, "oracle_tables")
+        ctx = ctx_for(p)
+        for d in FAMILY_DEGREES:
+            for fam in _members(d, ctx):
+                enumerations.clear()
+                t = oracle_trace(fam.curve)
+                r = determine_r(Endo(fam), t)
+                assert len(enumerations) == 1
+                fam = build_family_curve(d, ctx, fam.s)
+                enumerations.clear()
+                endo = Endo(fam)
+                assert determine_r(endo) == r
+                assert oracle_order(fam.curve) == group_orders(endo, r)[0]
+                assert len(enumerations) == 1
 
 
 class TestStructure:

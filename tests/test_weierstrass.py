@@ -606,6 +606,27 @@ class TestCharacterTable:
         assert ctx.oracle_tables() is tables
         assert FieldCtx(23, -1)._oracle_tables is None
 
+    def test_count_kept_per_curve_object(self):
+        """The count is kept on the Curve it was made for: an equal curve
+        built again, the conjugate, the twist and the codomain of phi each
+        start uncounted, and each is enumerated on its own first count."""
+        p = 23
+        fam = build_family_curve(2, FieldCtx(p, -1), 1)
+        curve = fam.curve
+        assert curve._order is None
+        n = oracle_order(curve)
+        assert curve._order == n
+        assert oracle_trace(curve) == p * p + 1 - n
+        same = Curve(curve.A, curve.B)
+        assert same == curve and same._order is None
+        conjugate, (twist, _), codomain = curve.conjugate(), curve.quadratic_twist(), fam.phi.codomain
+        assert codomain == conjugate
+        for other in (same, conjugate, twist, codomain):
+            assert other._order is None
+        assert oracle_order(same) == oracle_order(conjugate) == oracle_order(codomain) == n
+        assert oracle_order(twist) == 2 * (p * p + 1) - n
+        assert twist._order == 2 * (p * p + 1) - n
+
     def test_count_builds_no_fp2_once_tables_exist(self, monkeypatch):
         ctx = FieldCtx(23, -1)
         first, second = Curve(ctx.elem(1), ctx.elem(4, 1)), Curve(ctx.elem(2, 3), ctx.elem(5, 7))
@@ -648,6 +669,7 @@ class TestCharacterTable:
             curve_points(curve)
         assert curve.ctx._oracle_tables is None
         assert curve.ctx._square_roots is None
+        assert curve._order is None
 
 
 class TestTwist:
