@@ -193,7 +193,7 @@ class Endo:
         self.isogeny = family.phi
         if twisted:
             twist, mu = family.curve.quadratic_twist()
-            nu = mu.inverse() ** ((ctx.p - 1) // 2)
+            nu = ctx.nonsquare_nu()
             self.isogeny = family.phi.rescaled(twist, twist.conjugate(), mu, mu.conjugate(), (nu * nu * nu).conjugate())
         self.curve = self.isogeny.domain
         self.target = ctx.p - self.eps if twisted else ctx.p + self.eps
@@ -227,7 +227,8 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     hash-derived points. Each of them must satisfy [|r|]psi(Q) =
     +-[target]Q. The first witness, a Q with [target]Q != -[target]Q,
     decides the sign: both signs holding would give [2*target]Q = O. With
-    no witness among them the positive root is returned.
+    no witness among them the positive root is returned. With |r| = 0, psi
+    is not evaluated: each point must have [target]Q = O.
     """
     p = endo.family.ctx.p
     d, eps = endo.d, endo.eps
@@ -250,7 +251,7 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
         Q = random_point(curve, seed)
         T = curve.mul(target, Q)
         minus_T = curve.neg(T)
-        S = curve.mul(q, endo(Q))
+        S = curve.mul(q, endo(Q)) if q else INFINITY
         if S != T and S != minus_T:
             raise TraceError("neither sign of r satisfies the endomorphism relation")
         if T != minus_T:

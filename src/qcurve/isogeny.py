@@ -174,7 +174,8 @@ def division_polynomial(curve: Curve, l: int, F):
     the x-coordinates of the nonzero l-torsion points.  It is never expanded:
     the standard recurrence (Washington, Elliptic Curves, 3.2) runs on f_n,
     which is psi_n for odd n and psi_n / y for even n, with y^2 replaced by
-    R = x^3 + Ax + B and every product taken modulo F."""
+    R = x^3 + Ax + B and every product taken modulo F.  A product with a
+    constant, such as f_1 = 1, f_2 = 2 or f_2^3 = 8, is a scaling."""
     if l < 3 or l % 2 == 0:
         raise KernelError(f"division polynomials are for odd l >= 3, not {l}")
     ctx = curve.ctx
@@ -203,11 +204,18 @@ def division_polynomial(curve: Curve, l: int, F):
         R = poly_rem(([B0, A0, 0, 1], [B1, A1, 0, 0]), F, ctx)
         R2 = poly_mulmod(R, R, F, ctx)
     half = ((ctx.p + 1) // 2, 0)
-    cubes = {}
+    cubes = {2: ([8], [0])}
+
+    def times(g, h):
+        if len(h[0]) == 1:
+            g, h = h, g
+        if len(g[0]) == 1:
+            return poly_scale(h, (g[0][0], g[1][0]), ctx)
+        return poly_mulmod(g, h, F, ctx)
 
     def cube(n):
         if n not in cubes:
-            cubes[n] = poly_mulmod(poly_mulmod(fn(n), fn(n), F, ctx), fn(n), F, ctx)
+            cubes[n] = times(times(fn(n), fn(n)), fn(n))
         return cubes[n]
 
     def fn(n):
@@ -216,18 +224,18 @@ def division_polynomial(curve: Curve, l: int, F):
             if n % 2:
                 # f_(2m+1) = f_(m+2) f_m^3 - f_(m-1) f_(m+1)^3, where R^2 = y^4
                 # multiplies the term whose two factors have even index.
-                lo = poly_mulmod(fn(m + 2), cube(m), F, ctx)
-                hi = poly_mulmod(fn(m - 1), cube(m + 1), F, ctx)
+                lo = times(fn(m + 2), cube(m))
+                hi = times(fn(m - 1), cube(m + 1))
                 if m % 2:
-                    hi = poly_mulmod(R2, hi, F, ctx)
+                    hi = times(R2, hi)
                 else:
-                    lo = poly_mulmod(R2, lo, F, ctx)
+                    lo = times(R2, lo)
                 f[n] = poly_sub(lo, hi, ctx)
             else:
                 # f_2m = f_m (f_(m+2) f_(m-1)^2 - f_(m-2) f_(m+1)^2) / 2.
-                left = poly_mulmod(fn(m + 2), poly_mulmod(fn(m - 1), fn(m - 1), F, ctx), F, ctx)
-                right = poly_mulmod(fn(m - 2), poly_mulmod(fn(m + 1), fn(m + 1), F, ctx), F, ctx)
-                f[n] = poly_scale(poly_mulmod(fn(m), poly_sub(left, right, ctx), F, ctx), half, ctx)
+                left = times(fn(m + 2), times(fn(m - 1), fn(m - 1)))
+                right = times(fn(m - 2), times(fn(m + 1), fn(m + 1)))
+                f[n] = poly_scale(times(fn(m), poly_sub(left, right, ctx)), half, ctx)
         return f[n]
 
     return fn(l)
@@ -324,11 +332,12 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     roots must be closed under the x-map of doubling, so that they are the
     abscissas of one cyclic subgroup of order d (Velu 1971; Kohel 1996).
     Both checks work modulo F: psi_d mod F comes from the recurrence in
-    division_polynomial, and F(N, D) is reduced product by product.
-    KernelError otherwise."""
+    division_polynomial, and F(N, D) from Horner's rule, reduced product by
+    product.  KernelError otherwise.  The codomain and the x-map, Kohel's,
+    are written out on int pairs."""
     ctx = curve.ctx
-    A, B = curve.A, curve.B
-    one = ctx.one()
+    p, sd = ctx.p, ctx.signed_delta
+    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
     if d not in (2, 3, 5, 7):
         raise KernelError(f"unsupported kernel degree {d}")
     F = tuple(ctx.coerce(c) for c in F)
@@ -341,10 +350,13 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         alpha = -F[0]
         if any(curve._cubic(alpha)):
             raise KernelError("alpha is not a two-torsion x-coordinate")
-        t = 3 * alpha * alpha + A
-        a_new = -4 * A - 15 * alpha * alpha
-        b_new = B - 7 * alpha * t
-        num = _kernel_poly((t, -alpha, one))
+        # t = 3 alpha^2 + A, A' = -4A - 15 alpha^2 and B' = B - 7 alpha t.
+        a0, a1 = alpha.a, alpha.b
+        q0, q1 = a0 * a0 + sd * a1 * a1, 2 * a0 * a1
+        t0, t1 = 3 * q0 + A0, 3 * q1 + A1
+        a_new = Fp2(ctx, -4 * A0 - 15 * q0, -4 * A1 - 15 * q1)
+        b_new = Fp2(ctx, B0 - 7 * (a0 * t0 + sd * a1 * t1), B1 - 7 * (a0 * t1 + a1 * t0))
+        num = _reduced([t0, -a0, 1], [t1, -a1, 0], p)
         den = Fk
     else:
         e = len(F) - 1
@@ -352,41 +364,45 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
             raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
         # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
         # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
-        # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i).
-        AA = A * A
-        rhs4 = ([4 * B.a, 4 * A.a, 0, 4], [4 * B.b, 4 * A.b, 0, 0])  # 4(x^3 + Ax + B)
-        N = poly_rem(([AA.a, -8 * B.a, -2 * A.a, 0, 1], [AA.b, -8 * B.b, -2 * A.b, 0, 0]), Fk, ctx)
-        D = poly_rem(rhs4, Fk, ctx)
-        FND = Dk = ([1], [0])
-        for c in F[-2::-1]:
+        # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i),
+        # formed by Horner's rule from F_e = 1: its first step is N + F_(e-1) D.
+        Fr, Fi = Fk
+        rhs4 = ([4 * B0, 4 * A0, 0, 4], [4 * B1, 4 * A1, 0, 0])  # 4(x^3 + Ax + B)
+        AA0, AA1 = A0 * A0 + sd * A1 * A1, 2 * A0 * A1
+        N = poly_rem(([AA0, -8 * B0, -2 * A0, 0, 1], [AA1, -8 * B1, -2 * A1, 0, 0]), Fk, ctx)
+        D = Dk = poly_rem(rhs4, Fk, ctx)
+        FND = poly_add(N, poly_scale(D, (Fr[-2], Fi[-2]), ctx), ctx)
+        for c in zip(Fr[-3::-1], Fi[-3::-1]):
             Dk = poly_mulmod(Dk, D, Fk, ctx)
-            FND = poly_add(poly_mulmod(N, FND, Fk, ctx), poly_scale(Dk, (c.a, c.b), ctx), ctx)
+            FND = poly_add(poly_mulmod(N, FND, Fk, ctx), poly_scale(Dk, c, ctx), ctx)
         if FND[0]:
             raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
-        r1, r2, r3 = ((ctx.zero(),) * 2 + F)[-2:-5:-1]  # F_(e-1), F_(e-2), F_(e-3)
         # Kohel: A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An
         # and w = 10(s1^3 - 3 s1 s2 + 3 s3) + 6A s1 + 4Bn, n = e, and the
-        # symmetric functions of F's roots s1 = -r1, s2 = r2, s3 = -r3.
-        a_new = (1 - 10 * e) * A - 30 * r1 * r1 + 60 * r2
-        b_new = (
-            (1 - 28 * e) * B
-            + 42 * A * r1
-            + 70 * r1 * r1 * r1
-            - 210 * r1 * r2
-            + 210 * r3
-        )
+        # symmetric functions of F's roots s1 = -r1, s2 = r2, s3 = -r3, so
+        # B' = (1 - 28e)B + r1 (42A + 70 r1^2 - 210 r2) + 210 r3.
+        (u0, v0, w0), (u1, v1, w1) = ([0, 0] + Fr)[-2:-5:-1], ([0, 0] + Fi)[-2:-5:-1]  # r1, r2, r3
+        q0, q1 = u0 * u0 + sd * u1 * u1, 2 * u0 * u1
+        c0, c1 = 42 * A0 + 70 * q0 - 210 * v0, 42 * A1 + 70 * q1 - 210 * v1
+        a_new = Fp2(ctx, (1 - 10 * e) * A0 - 30 * q0 + 60 * v0, (1 - 10 * e) * A1 - 30 * q1 + 60 * v1)
+        b0 = (1 - 28 * e) * B0 + u0 * c0 + sd * u1 * c1 + 210 * w0
+        b_new = Fp2(ctx, b0, (1 - 28 * e) * B1 + u0 * c1 + u1 * c0 + 210 * w1)
         # The x-map N/F^2 = (2e + 1)x + 2 r1 - 2(3x^2 + A) F'/F - 4(x^3 + Ax + B)(F'/F)'.
+        # Its three products of d + 1 coefficients, and F''F - F'^2 in one, are
+        # summed unreduced and reduced once.
         Fd = poly_deriv(Fk, ctx)
-        F2 = poly_mul(Fk, Fk, ctx)
-        wronskian = poly_sub(poly_mul(poly_deriv(Fd, ctx), Fk, ctx), poly_mul(Fd, Fd, ctx), ctx)
-        num = poly_sub(poly_mul(([2 * r1.a, 2 * e + 1], [2 * r1.b, 0]), F2, ctx), poly_mul(rhs4, wronskian, ctx), ctx)
-        num = poly_sub(num, poly_mul(([2 * A.a, 0, 6], [2 * A.b, 0, 0]), poly_mul(Fd, Fk, ctx), ctx), ctx)
-        den = F2
+        den = poly_mul(Fk, Fk, ctx)
+        (gr, gi), (hr, hi) = _products(poly_deriv(Fd, ctx), Fk, sd), _products(Fd, Fd, sd)
+        wronskian = [g - h for g, h in zip(gr, hr)], [g - h for g, h in zip(gi, hi)]
+        lin = _products(([2 * u0, 2 * e + 1], [2 * u1, 0]), den, sd)
+        quad = _products(([2 * A0, 0, 6], [2 * A1, 0, 0]), _products(Fd, Fk, sd), sd)
+        (ar, ai), (br, bi), (cr, ci) = lin, _products(rhs4, wronskian, sd), quad
+        num = _reduced([a - b - c for a, b, c in zip(ar, br, cr)], [a - b - c for a, b, c in zip(ai, bi, ci)], p)
     codomain = Curve(a_new, b_new)
     (nr, ni), (dr, di) = num, den
     if len(nr) - 1 != d or (nr[-1], ni[-1]) != (dr[-1], di[-1]):
         raise KernelError("expanded map is not a normalized degree-d quotient")
-    return Isogeny(curve, codomain, d, num, den, one, one)
+    return Isogeny(curve, codomain, d, num, den, ctx.one(), ctx.one())
 
 
 def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:

@@ -356,16 +356,20 @@ def reference_outcome(curve, d, F):
 
 
 class TestVeluReference:
-    """velu_quotient against reference_velu on every family kernel, and on
-    the same kernel with its constant term moved by 1, which the checks must
-    reject with the same error."""
+    """velu_quotient against reference_velu on every family kernel and on
+    subgroup kernels of random curves, and on the same kernel with its
+    constant term moved by 1, which the checks must reject with the same
+    error."""
 
     @staticmethod
     def assert_matches(curve, d, F):
         for G in (F, (F[0] + 1,) + F[1:]):
             assert velu_outcome(curve, d, G) == reference_outcome(curve, d, G)
 
-    @pytest.mark.parametrize("p", [11, 23])
+    # delta = -1 at p = 11 and 23; delta = 2 at p = 13 runs the generic
+    # int-pair products (there the d=5 kernels are not kernels, and both
+    # sides must reject them alike).
+    @pytest.mark.parametrize("p", [11, 13, 23])
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_every_member(self, d, p):
         ctx = ctx_for(p)
@@ -380,7 +384,34 @@ class TestVeluReference:
             built += 1
         assert built >= p - 2
 
-    @pytest.mark.parametrize("d,s", [(2, 28106), (5, 7930)])
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_subgroup_kernels_off_the_subfield(self, d):
+        # The kernels of order-d subgroups of random curves at p = 13 with
+        # delta = 2.  Each is accepted, so the codomain is computed, and
+        # their F_(e-1) leaves F_p, as no family kernel's does there, so the
+        # codomain's products by delta act on both halves of each int pair.
+        ctx = ctx_for(13)
+        rng = random.Random(d)
+        kernels = []
+        while len(kernels) < 4:
+            curve = random_curve(ctx, rng)
+            P = next((P for P in curve_points(curve)[1:] if curve.mul(d, P).is_infinity), None)
+            if P is None:
+                continue
+            F, Q = (ctx.one(),), P
+            for _ in range(d // 2):
+                F = ref_mul(F, (-Q.x, ctx.one()))
+                Q = curve.add(Q, P)
+            assert isinstance(velu_outcome(curve, d, F)[0], Curve)
+            self.assert_matches(curve, d, F)
+            kernels.append(F)
+        assert any(F[-2].b for F in kernels)
+
+    # The paper instances, then the d=3 and d=7 members that
+    # tests/test_families.py::BUILD_COUNTS counts, whose Kohel sums reach
+    # about 2 (d=3) and 3 (d=7) times p's bit length before their one
+    # reduction.
+    @pytest.mark.parametrize("d,s", [(2, 28106), (5, 7930), (3, 10400), (7, 1)])
     def test_paper_instances(self, d, s):
         ctx = FieldCtx(MERSENNE_127, -1)
         A, B, _, F, _ = _BUILDERS[d](ctx, s)
