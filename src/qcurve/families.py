@@ -193,7 +193,7 @@ class Endo:
         self.isogeny = family.phi
         if twisted:
             twist, mu = family.curve.quadratic_twist()
-            nu = ctx.nonsquare_nu()
+            nu = mu.inverse() ** ((ctx.p - 1) // 2)
             self.isogeny = family.phi.rescaled(twist, twist.conjugate(), mu, mu.conjugate(), (nu * nu * nu).conjugate())
         self.curve = self.isogeny.domain
         self.target = ctx.p - self.eps if twisted else ctx.p + self.eps

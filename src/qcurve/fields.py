@@ -269,7 +269,6 @@ class FieldCtx:
         if legendre(self.delta, p) != -1:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
         object.__setattr__(self, "_nonsquare_cache", None)
-        object.__setattr__(self, "_nu_cache", None)
         object.__setattr__(self, "_oracle_tables", None)
         object.__setattr__(self, "_square_roots", None)
         # delta as its least absolute residue, so that delta = -1 is the small
@@ -307,12 +306,6 @@ class FieldCtx:
             cached = next(x for x in row if not x.is_square())
             object.__setattr__(self, "_nonsquare_cache", cached)
         return cached
-
-    def nonsquare_nu(self) -> "Fp2":
-        """nu = mu^((1-p)/2) for mu = nonsquare(), a scale of the twisted psi' (families.Endo); kept like mu."""
-        if self._nu_cache is None:
-            object.__setattr__(self, "_nu_cache", self.nonsquare().inverse() ** ((self.p - 1) // 2))
-        return self._nu_cache
 
     def oracle_tables(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
         """The tables the point-count oracle reads, as (chi, cubes, squares3):

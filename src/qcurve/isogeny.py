@@ -204,7 +204,7 @@ def division_polynomial(curve: Curve, l: int, F):
         R = poly_rem(([B0, A0, 0, 1], [B1, A1, 0, 0]), F, ctx)
         R2 = poly_mulmod(R, R, F, ctx)
     half = ((ctx.p + 1) // 2, 0)
-    cubes = {2: ([8], [0])}
+    cubes = {}
 
     def times(g, h):
         if len(h[0]) == 1:
@@ -333,11 +333,10 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     abscissas of one cyclic subgroup of order d (Velu 1971; Kohel 1996).
     Both checks work modulo F: psi_d mod F comes from the recurrence in
     division_polynomial, and F(N, D) from Horner's rule, reduced product by
-    product.  KernelError otherwise.  The codomain and the x-map, Kohel's,
-    are written out on int pairs."""
+    product.  KernelError otherwise."""
     ctx = curve.ctx
-    p, sd = ctx.p, ctx.signed_delta
-    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
+    A, B = curve.A, curve.B
+    one = ctx.one()
     if d not in (2, 3, 5, 7):
         raise KernelError(f"unsupported kernel degree {d}")
     F = tuple(ctx.coerce(c) for c in F)
@@ -350,13 +349,10 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         alpha = -F[0]
         if any(curve._cubic(alpha)):
             raise KernelError("alpha is not a two-torsion x-coordinate")
-        # t = 3 alpha^2 + A, A' = -4A - 15 alpha^2 and B' = B - 7 alpha t.
-        a0, a1 = alpha.a, alpha.b
-        q0, q1 = a0 * a0 + sd * a1 * a1, 2 * a0 * a1
-        t0, t1 = 3 * q0 + A0, 3 * q1 + A1
-        a_new = Fp2(ctx, -4 * A0 - 15 * q0, -4 * A1 - 15 * q1)
-        b_new = Fp2(ctx, B0 - 7 * (a0 * t0 + sd * a1 * t1), B1 - 7 * (a0 * t1 + a1 * t0))
-        num = _reduced([t0, -a0, 1], [t1, -a1, 0], p)
+        t = 3 * alpha * alpha + A
+        a_new = -4 * A - 15 * alpha * alpha
+        b_new = B - 7 * alpha * t
+        num = _kernel_poly((t, -alpha, one))
         den = Fk
     else:
         e = len(F) - 1
@@ -366,43 +362,45 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
         # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i),
         # formed by Horner's rule from F_e = 1: its first step is N + F_(e-1) D.
-        Fr, Fi = Fk
-        rhs4 = ([4 * B0, 4 * A0, 0, 4], [4 * B1, 4 * A1, 0, 0])  # 4(x^3 + Ax + B)
-        AA0, AA1 = A0 * A0 + sd * A1 * A1, 2 * A0 * A1
-        N = poly_rem(([AA0, -8 * B0, -2 * A0, 0, 1], [AA1, -8 * B1, -2 * A1, 0, 0]), Fk, ctx)
+        AA = A * A
+        rhs4 = ([4 * B.a, 4 * A.a, 0, 4], [4 * B.b, 4 * A.b, 0, 0])  # 4(x^3 + Ax + B)
+        N = poly_rem(([AA.a, -8 * B.a, -2 * A.a, 0, 1], [AA.b, -8 * B.b, -2 * A.b, 0, 0]), Fk, ctx)
         D = Dk = poly_rem(rhs4, Fk, ctx)
-        FND = poly_add(N, poly_scale(D, (Fr[-2], Fi[-2]), ctx), ctx)
-        for c in zip(Fr[-3::-1], Fi[-3::-1]):
+        FND = poly_add(N, poly_scale(D, (F[-2].a, F[-2].b), ctx), ctx)
+        for c in F[-3::-1]:
             Dk = poly_mulmod(Dk, D, Fk, ctx)
-            FND = poly_add(poly_mulmod(N, FND, Fk, ctx), poly_scale(Dk, c, ctx), ctx)
+            FND = poly_add(poly_mulmod(N, FND, Fk, ctx), poly_scale(Dk, (c.a, c.b), ctx), ctx)
         if FND[0]:
             raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
+        r1, r2, r3 = ((ctx.zero(),) * 2 + F)[-2:-5:-1]  # F_(e-1), F_(e-2), F_(e-3)
         # Kohel: A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An
         # and w = 10(s1^3 - 3 s1 s2 + 3 s3) + 6A s1 + 4Bn, n = e, and the
-        # symmetric functions of F's roots s1 = -r1, s2 = r2, s3 = -r3, so
-        # B' = (1 - 28e)B + r1 (42A + 70 r1^2 - 210 r2) + 210 r3.
-        (u0, v0, w0), (u1, v1, w1) = ([0, 0] + Fr)[-2:-5:-1], ([0, 0] + Fi)[-2:-5:-1]  # r1, r2, r3
-        q0, q1 = u0 * u0 + sd * u1 * u1, 2 * u0 * u1
-        c0, c1 = 42 * A0 + 70 * q0 - 210 * v0, 42 * A1 + 70 * q1 - 210 * v1
-        a_new = Fp2(ctx, (1 - 10 * e) * A0 - 30 * q0 + 60 * v0, (1 - 10 * e) * A1 - 30 * q1 + 60 * v1)
-        b0 = (1 - 28 * e) * B0 + u0 * c0 + sd * u1 * c1 + 210 * w0
-        b_new = Fp2(ctx, b0, (1 - 28 * e) * B1 + u0 * c1 + u1 * c0 + 210 * w1)
+        # symmetric functions of F's roots s1 = -r1, s2 = r2, s3 = -r3.
+        a_new = (1 - 10 * e) * A - 30 * r1 * r1 + 60 * r2
+        b_new = (
+            (1 - 28 * e) * B
+            + 42 * A * r1
+            + 70 * r1 * r1 * r1
+            - 210 * r1 * r2
+            + 210 * r3
+        )
         # The x-map N/F^2 = (2e + 1)x + 2 r1 - 2(3x^2 + A) F'/F - 4(x^3 + Ax + B)(F'/F)'.
         # Its three products of d + 1 coefficients, and F''F - F'^2 in one, are
         # summed unreduced and reduced once.
+        sd = ctx.signed_delta
         Fd = poly_deriv(Fk, ctx)
         den = poly_mul(Fk, Fk, ctx)
         (gr, gi), (hr, hi) = _products(poly_deriv(Fd, ctx), Fk, sd), _products(Fd, Fd, sd)
         wronskian = [g - h for g, h in zip(gr, hr)], [g - h for g, h in zip(gi, hi)]
-        lin = _products(([2 * u0, 2 * e + 1], [2 * u1, 0]), den, sd)
-        quad = _products(([2 * A0, 0, 6], [2 * A1, 0, 0]), _products(Fd, Fk, sd), sd)
+        lin = _products(([2 * r1.a, 2 * e + 1], [2 * r1.b, 0]), den, sd)
+        quad = _products(([2 * A.a, 0, 6], [2 * A.b, 0, 0]), _products(Fd, Fk, sd), sd)
         (ar, ai), (br, bi), (cr, ci) = lin, _products(rhs4, wronskian, sd), quad
-        num = _reduced([a - b - c for a, b, c in zip(ar, br, cr)], [a - b - c for a, b, c in zip(ai, bi, ci)], p)
+        num = _reduced([a - b - c for a, b, c in zip(ar, br, cr)], [a - b - c for a, b, c in zip(ai, bi, ci)], ctx.p)
     codomain = Curve(a_new, b_new)
     (nr, ni), (dr, di) = num, den
     if len(nr) - 1 != d or (nr[-1], ni[-1]) != (dr[-1], di[-1]):
         raise KernelError("expanded map is not a normalized degree-d quotient")
-    return Isogeny(curve, codomain, d, num, den, ctx.one(), ctx.one())
+    return Isogeny(curve, codomain, d, num, den, one, one)
 
 
 def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:

@@ -406,39 +406,37 @@ PSI_COUNTS = [
 # Building one untwisted Endo: it holds the family's phi and curve, copying
 # nothing, so it costs no field operation at all.
 ENDO_COUNTS = [(2, {}), (5, {})]
-# Building one twisted Endo, first on d=2, then on d=5 over the same field.
-# The field keeps nu = mu^((1-p)/2) (FieldCtx.nonsquare_nu), so only the
-# first twisted Endo of a field computes it: 126 squarings and 126 products
-# on the exponent 2^126 - 1, and one inversion of mu.  Each Endo pays the
+# Building one twisted Endo: nearly all of it is nu = mu^((1-p)/2), 126
+# squarings and 126 products on the exponent 2^126 - 1.  The rest is the
 # twist's coefficients (mu^2, mu^3, mu^2 A, mu^3 B), nu^3, the three scale
-# products and, in Isogeny.rescaled, which reads phi at x/mu, the inversion
-# of mu and one Fp2 product per power of 1/mu and per coefficient of num and
-# den: 2 + 3 + 2 for d=2 and 5 + 6 + 5 for d=5.
-TWISTED_ENDO_COUNTS = [(2, {"sqr": 128, "mul": 140, "inv": 2}), (5, {"sqr": 2, "mul": 23, "inv": 1})]
+# products and, in Isogeny.rescaled, which reads phi at x/mu, one Fp2
+# product per power of 1/mu and per coefficient of num and den: 2 + 3 + 2
+# for d=2 and 5 + 6 + 5 for d=5.  The two inversions are both of mu, one
+# for nu and one for 1/mu.
+TWISTED_ENDO_COUNTS = [(2, {"sqr": 128, "mul": 140, "inv": 2}), (5, {"sqr": 128, "mul": 149, "inv": 2})]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
 # s=1.  Two curves pay a discriminant check, on int pairs: the member and the
 # Velu codomain.  The twisted codomain's discriminant is l^12 times the Velu
 # codomain's, the conjugate curve that phi must land on is not checked again,
 # and no isogeny stores derivatives, so post_twist only scales.  The Fp2
-# products left are the member's coefficients, the twisting factor and the
-# twisted codomain; the Velu codomain's coefficients and d=2's check of its
-# kernel abscissa run on int pairs, and the polynomials on the kernel.  An
-# odd kernel pays psi_d modulo the kernel polynomial, by the division
-# polynomial recurrence with each product of two nonconstant factors reduced
-# at once, a constant factor (f_1, f_2, f_2^3) a scaling, and each cube
-# formed once; the closure check under doubling, by Horner's rule from
+# products left are the member's and the codomain's coefficients (d=2 checks
+# its kernel abscissa on the curve's int-pair cubic); the polynomials run on
+# the kernel.  An odd kernel pays psi_d modulo the kernel polynomial, by the
+# division polynomial recurrence with each product of two nonconstant factors
+# reduced at once, a constant factor (f_1, f_2, f_2^3) a scaling, and each
+# cube formed once; the closure check under doubling, by Horner's rule from
 # N + F_(e-1) D, also reduced product by product; and Kohel's expansion of
 # the x-map, whose six products after F^2 are added up unreduced and reduced
 # once.  Every remainder is taken modulo the monic kernel polynomial.  d=2
 # expands nothing.
 BUILD_COUNTS = [
-    (2, {"mul_int": 2, "inv": 1, "mul": 7, "_reduced": 1, "sqr": 1}),
-    (5, {"mul_int": 5, "sqr": 3, "mul": 8, "inv": 1, "poly_rem": 5, "_reduced": 22, "poly_mulmod": 6,
-         "_products": 13, "poly_scale": 4, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
-    (3, {"mul_int": 3, "sqr": 2, "inv": 1, "mul": 7, "poly_rem": 3, "_reduced": 9, "poly_scale": 1, "poly_add": 1,
+    (2, {"mul_int": 6, "inv": 1, "mul": 10, "sqr": 1}),
+    (5, {"mul_int": 13, "sqr": 4, "mul": 13, "inv": 1, "poly_rem": 5, "_reduced": 24, "poly_mulmod": 6,
+         "_products": 13, "poly_scale": 6, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
+    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 12, "poly_rem": 3, "_reduced": 9, "poly_scale": 1, "poly_add": 1,
          "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
-    (7, {"mul_int": 8, "mul": 16, "sqr": 2, "inv": 1, "poly_rem": 5, "_reduced": 32, "poly_mulmod": 12,
-         "_products": 19, "poly_scale": 6, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
+    (7, {"mul_int": 16, "mul": 21, "sqr": 3, "inv": 1, "poly_rem": 5, "_reduced": 34, "poly_mulmod": 12,
+         "_products": 19, "poly_scale": 8, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse

@@ -356,14 +356,6 @@ class TestSqrt:
             mu = ctx_for(p).nonsquare()
             assert not mu.is_square()
 
-    def test_nonsquare_nu_is_kept_with_the_field(self):
-        # nu = mu^((1-p)/2): nu * mu^((p-1)/2) = 1, and it is computed once.
-        for p in (5, 11, 13, MERSENNE_127):
-            ctx = ctx_for(p)
-            nu = ctx.nonsquare_nu()
-            assert nu * ctx.nonsquare() ** ((p - 1) // 2) == 1
-            assert ctx.nonsquare_nu() is nu
-
 
 class TestText:
     def test_format(self):

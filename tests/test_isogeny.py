@@ -387,9 +387,10 @@ class TestVeluReference:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_subgroup_kernels_off_the_subfield(self, d):
         # The kernels of order-d subgroups of random curves at p = 13 with
-        # delta = 2.  Each is accepted, so the codomain is computed, and
-        # their F_(e-1) leaves F_p, as no family kernel's does there, so the
-        # codomain's products by delta act on both halves of each int pair.
+        # delta = 2.  Each is accepted, so the map is expanded, and their
+        # F_(e-1) leaves F_p, as no family kernel's does there, so the closure
+        # check's first Horner step and Kohel's products by delta act on both
+        # halves of each int pair.
         ctx = ctx_for(13)
         rng = random.Random(d)
         kernels = []
