@@ -12,7 +12,7 @@ class ModulusRangeError(DomainError):
 
 class NotPrimeError(DomainError):
     """The modulus is composite: it has a prime factor up to 37, or fails
-    Lucas-Lehmer (a Mersenne number 2^q - 1) or Miller-Rabin (any other)."""
+    Lucas-Lehmer (a Mersenne number 2^q - 1) or Baillie-PSW (any other)."""
 
 
 class NotInertError(DomainError):

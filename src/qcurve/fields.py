@@ -7,21 +7,21 @@ and elements may be shared freely between threads.
 
 A context checks its modulus once.  A Mersenne modulus 2^q - 1, such as the
 paper's 2^127 - 1, is proven prime by Lucas-Lehmer (125 squarings at
-q = 127); any other modulus passes 64 Miller-Rabin rounds.  At p = 3 (mod 4)
-a square root is one exponentiation whose square is checked, so a nonsquare
-needs no separate Legendre symbol.
+q = 127); any other modulus must pass Baillie-PSW, one strong base-2
+Miller-Rabin round and one strong Lucas test.  At p = 3 (mod 4) a square
+root is one exponentiation whose square is checked, so a nonsquare needs no
+separate Legendre symbol.
 
 The module also holds the integer number theory that group orders need:
 factorize splits an order by trial division up to 2^20 (or past its square
 root, if that comes first) and gives the remainder one is_probable_prime
-verdict.
+verdict: proven for a Mersenne number, probable for any other.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,11 +29,6 @@ from typing import NamedTuple
 from .errors import FieldMismatchError, ModulusRangeError, NotInertError, NotPrimeError, ParseError
 
 MAX_MODULUS_BITS = 128
-MR_ROUNDS = 64
-
-# Fixed seed so the Miller-Rabin bases (and hence "probable prime" verdicts)
-# are reproducible across runs.
-_MR_SEED = 0x9E3779B97F4A7C15
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -52,8 +47,12 @@ def is_probable_prime(n: int) -> bool:
     Mersenne number n = 2^q - 1, probable otherwise.
 
     After the small-prime screen, n = 2^q - 1 is decided by Lucas-Lehmer,
-    which proves primality and compositeness alike; every other n must pass
-    64 Miller-Rabin rounds with a fixed base schedule.
+    which proves primality and compositeness alike.  Every other n must pass
+    Baillie-PSW: one strong base-2 Miller-Rabin round and one strong Lucas
+    test with Selfridge's parameters (Baillie-Wagstaff, Math. Comp. 1980;
+    Pomerance-Selfridge-Wagstaff, Math. Comp. 1980).  No composite is known
+    to pass both; below 2^64 none does, by Feitsma-Galway's list of the
+    strong base-2 pseudoprimes there.
     """
     if n < 2:
         return False
@@ -62,7 +61,7 @@ def is_probable_prime(n: int) -> bool:
             return n == q
     if n & (n + 1) == 0:
         return _lucas_lehmer(n)
-    return _miller_rabin(n)
+    return _strong_base2(n) and _strong_lucas(n)
 
 
 def _lucas_lehmer(n: int) -> bool:
@@ -78,27 +77,74 @@ def _lucas_lehmer(n: int) -> bool:
     return s == 0
 
 
-def _miller_rabin(n: int) -> bool:
-    """MR_ROUNDS Miller-Rabin rounds on odd n > 3, with the bases drawn from
-    a fixed seed."""
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    rng = random.Random(_MR_SEED)
-    for _ in range(MR_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _strong_base2(n: int) -> bool:
+    """One strong Miller-Rabin round to the base 2 on odd n > 2: with
+    n - 1 = d 2^s and d odd, 2^d = 1 or 2^(d 2^k) = -1 mod n for some k < s."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas test on odd n > 37.
+
+    A perfect square is refused first: (D|n) is never -1 for it, so the
+    search for D would not end.  Selfridge's method A takes the first D in
+    5, -7, 9, -11, ... with (D|n) = -1, P = 1 and Q = (1 - D)/4.  With
+    n + 1 = d 2^s and d odd, n passes if U_d = 0 or V_(d 2^k) = 0 mod n for
+    some k < s.  U and V are doubled by U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k
+    and stepped by U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2, the
+    halving done mod n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # n shares a factor with D
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U, V, Qk = (U >> 1) % n, (V >> 1) % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 @functools.cache
@@ -183,8 +229,7 @@ class Factorization(NamedTuple):
 
 def factorize(n: int) -> Factorization:
     """Trial division to 2^20 plus an is_probable_prime verdict on the
-    remainder: Lucas-Lehmer if it is a Mersenne number, else 64 Miller-Rabin
-    rounds."""
+    remainder: Lucas-Lehmer if it is a Mersenne number, else Baillie-PSW."""
     factors, rest = trial_factor(n)
     return Factorization(n, factors, rest, rest > 1 and is_probable_prime(rest))
 
@@ -263,7 +308,7 @@ class FieldCtx:
             factor = next((q for q in _SMALL_PRIMES if p % q == 0), None)
             if factor is not None:
                 raise NotPrimeError(f"modulus {p} has the factor {factor}")
-            test = "Lucas-Lehmer" if p & (p + 1) == 0 else f"{MR_ROUNDS}-round Miller-Rabin"
+            test = "Lucas-Lehmer" if p & (p + 1) == 0 else "Baillie-PSW"
             raise NotPrimeError(f"modulus {p} failed {test}")
         object.__setattr__(self, "delta", self.delta % p)
         if legendre(self.delta, p) != -1:

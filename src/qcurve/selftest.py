@@ -16,7 +16,8 @@ from .fields import (
     FieldCtx,
     Fp2,
     _lucas_lehmer,
-    _miller_rabin,
+    _strong_base2,
+    _strong_lucas,
     _trial_blocks,
     factorize,
     is_probable_prime,
@@ -75,12 +76,20 @@ def check_field_axioms():
             _assert(x ** (13**2 - 1) == 1, f"x^(p^2-1) != 1 for {x}")
             _assert(x * x.inverse() == 1, f"x * x^-1 != 1 for {x}")
         _assert(x.conjugate().conjugate() == x, "conjugation is not an involution")
-    # The Mersenne modulus is proven by Lucas-Lehmer; 64 Miller-Rabin rounds
-    # must agree, and 2^67 - 1 = 193707721 * 761838257287 must fail both.
+    # The Mersenne modulus is proven by Lucas-Lehmer; Baillie-PSW must agree,
+    # and 2^67 - 1 = 193707721 * 761838257287 must fail both.  The base-2
+    # half alone passes 2^67 - 1, as it passes every composite n = 2^q - 1
+    # with q prime (2^q = 1 mod n and q divides d = (n - 1)/2, so 2^d = 1),
+    # so the Lucas half must refuse it.
     for q, prime in ((127, True), (67, False)):
         n = 2**q - 1
-        verdicts = (is_probable_prime(n), _lucas_lehmer(n), _miller_rabin(n))
+        verdicts = (is_probable_prime(n), _lucas_lehmer(n), _strong_base2(n) and _strong_lucas(n))
         _assert(verdicts == (prime,) * 3, f"primality verdicts {verdicts} on 2^{q} - 1")
+    # Each half refuses a pseudoprime of the other, neither with a factor up
+    # to 37: the strong base-2 pseudoprime 8321 = 53 * 157 and the strong
+    # Lucas pseudoprime 5459 = 53 * 103.
+    halves = (_strong_base2(8321), _strong_lucas(8321), _strong_base2(5459), _strong_lucas(5459))
+    _assert(halves == (True, False, False, True), f"Baillie-PSW halves on 8321, 5459: {halves}")
     # The primes of trial division to the full bound, sieved once per
     # process and so timed here rather than in the first check that factors
     # a 254-bit order: there are pi(2^20) = 82025 of them, from 2 to 1048573.

@@ -618,9 +618,9 @@ class TestFactoring:
         for n in edges + randoms:
             assert trial_factor(n) == trial_factor_by_odd_integers(n), n
 
-    def test_prime_verdict_matches_miller_rabin(self):
+    def test_prime_verdict_matches_is_probable_prime(self):
         # The subgroup choice reads primality of the whole order from its
-        # factorisation instead of a second Miller-Rabin run.
+        # factorisation instead of a second primality test.
         rng = random.Random(22)
         edges = [2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1, (2**61 - 1) * (2**31 - 1),
                  1048573, 1048583, 1048573**2, 1048573 * 1048583, 3 * (2**127 - 1)]

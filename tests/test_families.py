@@ -29,10 +29,10 @@ from qcurve.families import (
     group_orders,
     subfield_order,
 )
-from qcurve.fields import FieldCtx, Fp2, legendre
+from qcurve.fields import FieldCtx, Fp2, factorize, legendre
 from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
 import qcurve.families
-from qcurve import isogeny, weierstrass
+from qcurve import fields, isogeny, weierstrass
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
 from conftest import (
@@ -465,6 +465,10 @@ LOOP_INT_COUNTS = {
         "mul": {"mul": 10793, "mul_const": 8477, "add": 9595, "mod": 6116},
     },
 }
+# pow calls in factorize on the four paper orders (curve and twist, d=2 and
+# d=5): trial division makes none, and each remainder's Baillie-PSW verdict
+# makes one, the base-2 round's; the Lucas half multiplies out its own powers.
+FACTORIZE_POW_CALLS = 4
 
 
 class TestOpCounts:
@@ -601,6 +605,19 @@ class TestOpCounts:
         plain = MUL_COUNTS["dbl"] + MUL_COUNTS["madd"]
         glv = MULTIEXP2_COUNTS["dbl"] + MULTIEXP2_COUNTS["madd"]
         assert plain / glv >= 1.8
+
+    def test_factorize_pow_calls(self, monkeypatch):
+        orders = [n for endo, trace in paper_endos() for n in group_orders(endo, determine_r(endo, trace))]
+        calls = Counter()
+
+        def counted_pow(*args):
+            calls["pow"] += 1
+            return pow(*args)
+
+        monkeypatch.setattr(fields, "pow", counted_pow, raising=False)
+        factorizations = [factorize(n) for n in orders]
+        assert calls["pow"] == FACTORIZE_POW_CALLS
+        assert all(f.rest.bit_length() >= 253 and str(f).endswith("(probable_prime)") for f in factorizations)
 
 
 class TestTraceData:

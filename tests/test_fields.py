@@ -1,3 +1,4 @@
+import functools
 import operator
 
 import pytest
@@ -10,8 +11,11 @@ import random
 from qcurve.fields import (
     FieldCtx,
     Fp2,
+    TRIAL_DIVISION_BOUND,
     _lucas_lehmer,
-    _miller_rabin,
+    _strong_base2,
+    _strong_lucas,
+    _trial_blocks,
     format_fp2,
     is_probable_prime,
     legendre,
@@ -74,7 +78,7 @@ class TestContext:
         # Composite Mersenne numbers with no factor up to 37.
         (2**29 - 1, f"modulus {2**29 - 1} failed Lucas-Lehmer"),
         (2**67 - 1, f"modulus {2**67 - 1} failed Lucas-Lehmer"),
-        (1048573 * 1048583, f"modulus {1048573 * 1048583} failed 64-round Miller-Rabin"),
+        (1048573 * 1048583, f"modulus {1048573 * 1048583} failed Baillie-PSW"),
     ])
     def test_composite_modulus_names_its_test(self, p, message):
         with pytest.raises(NotPrimeError) as exc:
@@ -92,8 +96,68 @@ class TestPrimality:
             n = 2**q - 1
             prime = q in MERSENNE_EXPONENTS
             assert is_probable_prime(n) == prime, q
-            if q > 2:  # n = 3 leaves no Miller-Rabin base in [2, n - 2]
-                assert _lucas_lehmer(n) == _miller_rabin(n) == prime, q
+            if q > 2:
+                assert _lucas_lehmer(n) == (_strong_base2(n) and _strong_lucas(n)) == prime, q
+
+
+@functools.cache
+def _primes_below_2_20() -> frozenset[int]:
+    return frozenset(q for _, block in _trial_blocks(TRIAL_DIVISION_BOUND) for q in block)
+
+
+def _odd_composites(bound: int):
+    primes = _primes_below_2_20()
+    return (n for n in range(9, bound, 2) if n not in primes)
+
+
+class TestBailliePSW:
+    """is_probable_prime's Baillie-PSW test and its two halves, the strong
+    base-2 round and the strong Lucas test with Selfridge's parameters."""
+
+    def test_agrees_with_the_sieve_below_2_20(self):
+        primes = _primes_below_2_20()
+        assert max(primes) < 2**20 <= TRIAL_DIVISION_BOUND
+        assert [n for n in range(2**20) if is_probable_prime(n) != (n in primes)] == []
+
+    def test_lucas_half_refuses_the_strong_base2_pseudoprimes(self):
+        pseudoprimes = [n for n in _odd_composites(2**20) if _strong_base2(n)]
+        assert len(pseudoprimes) == 49
+        assert pseudoprimes[:5] == [2047, 3277, 4033, 4681, 8321]  # OEIS A001262
+        assert not any(_strong_lucas(n) for n in pseudoprimes)
+
+    def test_refuses_carmichael_numbers(self):
+        # Korselt: squarefree composite n with q - 1 | n - 1 for each prime q | n.
+        primes = sorted(_primes_below_2_20())
+
+        def is_carmichael(n):
+            m = n
+            for q in primes:
+                if q * q > m:
+                    break
+                if m % q == 0:
+                    m //= q
+                    if m % q == 0 or (n - 1) % (q - 1):
+                        return False
+            return m == 1 or (n - 1) % (m - 1) == 0
+
+        carmichael = [n for n in _odd_composites(2**20) if is_carmichael(n)]
+        assert carmichael[:4] == [561, 1105, 1729, 2465]  # OEIS A002997
+        assert len(carmichael) == 45  # 43 below 10^6, then 1024651 and 1033669
+        assert not any(is_probable_prime(n) for n in carmichael)
+
+    def test_strong_lucas_pseudoprimes_below_20000(self):
+        # OEIS A217255, which pins Selfridge's choice of D, P and Q.
+        pseudoprimes = [n for n in _odd_composites(20000) if _strong_lucas(n)]
+        assert pseudoprimes == [5459, 5777, 10877, 16109, 18971]
+        assert not any(_strong_base2(n) for n in pseudoprimes)
+
+    @pytest.mark.parametrize("q", [1093, 3511, 1048573, 2**61 - 1])
+    def test_refuses_squares_of_primes(self, q):
+        # 1093^2 and 3511^2, squares of the Wieferich primes, pass the base-2 half.
+        assert is_probable_prime(q)
+        assert _strong_base2(q * q) == (q in (1093, 3511))
+        assert not _strong_lucas(q * q)
+        assert not is_probable_prime(q * q)
 
 
 class TestLegendre:
