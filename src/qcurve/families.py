@@ -176,8 +176,8 @@ class Endo:
     read through the twist: at x/mu, with its output scaled by conj(mu) and
     conj(nu^3), nu = mu^((1-p)/2) and mu the canonical nonsquare, an
     isogeny from the twist E' to conj(E').  ``__call__``, the one way to
-    evaluate psi or psi', hands P to ``Isogeny.__call__`` and conjugates
-    the image on its int pairs.
+    evaluate psi or psi', reads the isogeny's int-pair image of P, the one
+    that ``Isogeny.__call__`` wraps, and conjugates it on the ints.
 
     ``target`` is p + eps (p - eps twisted): [r]psi(Q) = [target]Q on every
     rational point Q.
@@ -203,11 +203,12 @@ class Endo:
         return self.family.d
 
     def __call__(self, P: Point) -> Point:
-        x, y = self.isogeny(P)
-        if x is None:
+        image = self.isogeny._image(P)
+        if image is None:
             return INFINITY
-        ctx = x.ctx
-        return Point(Fp2(ctx, x.a, -x.b), Fp2(ctx, y.a, -y.b))
+        ctx = self.curve.ctx
+        x0, x1, y0, y1 = image
+        return Point(Fp2(ctx, x0, -x1), Fp2(ctx, y0, -y1))
 
     def __repr__(self):
         kind = "psi'" if self.twisted else "psi"

@@ -1,9 +1,9 @@
 """Quotient isogenies for kernels of order 2, 3, 5, and 7.
 
-The rational maps are expanded once at construction: the x-image is
-xs * N(x)/D(x) and the y-image is ys * y * (N/D)'(x), where N and D are
-polynomials over F_{p^2} and xs, ys accumulate composed twisting
-isomorphisms (x, y) -> (l^2 x, l^3 y).
+The rational maps are expanded once at construction, in the standard
+form (x, y) -> (X(x), c * y * X'(x)) with X = N/D, where N and D are
+polynomials over F_{p^2} and c is one constant: a composed twisting
+isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l.
 
 A kernel is its monic polynomial, given as an ascending tuple of Fp2.  It
 is checked modulo itself: the division polynomial and the doubling map are
@@ -242,24 +242,23 @@ def division_polynomial(curve: Curve, l: int, F):
 
 
 class Isogeny:
-    """A separable isogeny between short Weierstrass curves, stored as an
-    expanded rational x-map, num/den as polynomials of the kernel above,
-    plus twisting scale factors in Fp2.  psi evaluates phi and conjugates
-    the image (families.Endo), so no conjugate isogeny is needed."""
+    """A separable isogeny between short Weierstrass curves in the standard
+    form (x, y) -> (X(x), c * y * X'(x)), X = num/den as polynomials of the
+    kernel above and c in Fp2.  psi evaluates phi and conjugates the image
+    (families.Endo), so no conjugate isogeny is needed."""
 
-    __slots__ = ("domain", "codomain", "degree", "num", "den", "x_scale", "y_scale")
+    __slots__ = ("domain", "codomain", "degree", "num", "den", "c")
 
-    def __init__(self, domain, codomain, degree, num, den, x_scale, y_scale):
+    def __init__(self, domain, codomain, degree, num, den, c):
         self.domain = domain
         self.codomain = codomain
         self.degree = degree
         self.num = num
         self.den = den
-        self.x_scale = x_scale
-        self.y_scale = y_scale
+        self.c = c
 
     def raw_maps(self, x0: int, x1: int) -> tuple[int, int, int, int] | None:
-        """(x-image, y-multiplier) at x = x0 + x1*s, as the reduced int pairs
+        """(X(x), c * X'(x)) at x = x0 + x1*s, as the reduced int pairs
         (u0, u1, w0, w1), or None when x maps to infinity.  The quotients
         share the one inversion of the denominator's value."""
         ctx = self.domain.ctx
@@ -270,45 +269,49 @@ class Isogeny:
         nv0, nv1, dn0, dn1 = _horner(self.num, x0, x1, p, d)
         inv = Fp2(ctx, dv0, dv1).inverse()
         i0, i1 = inv.a, inv.b
-        # u = N/D and du = (N' - u D')/D, then the two scales.
+        # u = N/D and du = (N' - u D')/D, then c * du.
         u0 = (nv0 * i0 + d * nv1 * i1) % p
         u1 = (nv0 * i1 + nv1 * i0) % p
         t0 = (dn0 - u0 * dd0 - d * u1 * dd1) % p
         t1 = (dn1 - u0 * dd1 - u1 * dd0) % p
         w0 = (t0 * i0 + d * t1 * i1) % p
         w1 = (t0 * i1 + t1 * i0) % p
-        xs, ys = self.x_scale, self.y_scale
-        s0, s1, r0, r1 = xs.a, xs.b, ys.a, ys.b
-        return (
-            (s0 * u0 + d * s1 * u1) % p,
-            (s0 * u1 + s1 * u0) % p,
-            (r0 * w0 + d * r1 * w1) % p,
-            (r0 * w1 + r1 * w0) % p,
-        )
+        c0, c1 = self.c.a, self.c.b
+        return u0, u1, (c0 * w0 + d * c1 * w1) % p, (c0 * w1 + c1 * w0) % p
 
-    def __call__(self, P: Point) -> Point:
+    def _image(self, P: Point) -> tuple[int, int, int, int] | None:
+        """P's image as int pairs (x0, x1, y0, y1), y unreduced, or None for
+        infinity: the one evaluation behind __call__ and families.Endo."""
         x, y = P
         if x is None:
-            return INFINITY
+            return None
         domain = self.domain
         if not domain.is_on(P):
             raise OffCurveError("isogeny argument is not on the domain curve")
         maps = self.raw_maps(x.a, x.b)
         if maps is None:
-            return INFINITY
+            return None
         u0, u1, w0, w1 = maps
-        ctx = domain.ctx
-        d = ctx.signed_delta
+        d = domain.ctx.signed_delta
         y0, y1 = y.a, y.b
-        return Point(Fp2(ctx, u0, u1), Fp2(ctx, y0 * w0 + d * y1 * w1, y0 * w1 + y1 * w0))
+        return u0, u1, y0 * w0 + d * y1 * w1, y0 * w1 + y1 * w0
 
-    def rescaled(self, domain: Curve, codomain: Curve, c: Fp2, x_factor: Fp2, y_factor: Fp2) -> "Isogeny":
-        """(x, y) -> (x_factor * X(x/c), y_factor * y * Y(x/c)) between the
-        given curves, where (X(x), y * Y(x)) is this isogeny.  Reading a
-        polynomial at x/c scales its x^i coefficient by c^-i, and the chain
-        rule (f(x/c))' = f'(x/c)/c leaves a factor c for the y-scale."""
-        ctx = c.ctx
-        ci = c.inverse()
+    def __call__(self, P: Point) -> Point:
+        image = self._image(P)
+        if image is None:
+            return INFINITY
+        ctx = self.domain.ctx
+        x0, x1, y0, y1 = image
+        return Point(Fp2(ctx, x0, x1), Fp2(ctx, y0, y1))
+
+    def rescaled(self, domain: Curve, codomain: Curve, mu: Fp2, x_factor: Fp2, y_factor: Fp2) -> "Isogeny":
+        """(x, y) -> (x_factor * X(x/mu), y_factor * c * y * X'(x/mu)) between
+        the given curves, where (X(x), c * y * X'(x)) is this isogeny.
+        Reading a polynomial at x/mu scales its x^i coefficient by mu^-i, and
+        x_factor joins num.  The new x-map's derivative is x_factor/mu times
+        X'(x/mu), so its constant is y_factor * mu * c / x_factor."""
+        ctx = mu.ctx
+        ci = mu.inverse()
         powers = [ctx.one()]
         for _ in self.num[0][1:]:  # num is the longer polynomial
             powers.append(powers[-1] * ci)
@@ -316,7 +319,8 @@ class Isogeny:
             _kernel_poly([Fp2(ctx, a, b) * w for a, b, w in zip(fr, fi, powers)])
             for fr, fi in (self.num, self.den)
         )
-        return Isogeny(domain, codomain, self.degree, num, den, x_factor * self.x_scale, y_factor * c * self.y_scale)
+        num = poly_scale(num, (x_factor.a, x_factor.b), ctx)
+        return Isogeny(domain, codomain, self.degree, num, den, y_factor * mu * self.c * x_factor.inverse())
 
     def __repr__(self):
         return f"Isogeny(degree {self.degree}, {self.domain!r} -> {self.codomain!r})"
@@ -400,13 +404,13 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     (nr, ni), (dr, di) = num, den
     if len(nr) - 1 != d or (nr[-1], ni[-1]) != (dr[-1], di[-1]):
         raise KernelError("expanded map is not a normalized degree-d quotient")
-    return Isogeny(curve, codomain, d, num, den, one, one)
+    return Isogeny(curve, codomain, d, num, den, one)
 
 
 def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
     """Compose with the twisting isomorphism (x, y) -> (l^2 x, l^3 y) where
     l is the canonical square root of lam2; lam2 must be a square so the
-    composite stays rational over F_{p^2}.  Only the scales change."""
+    composite stays rational over F_{p^2}.  It scales num by l^2 and c by l."""
     lam2 = iso.domain.ctx.coerce(lam2)
     if not lam2:
         raise DegenerateParameterError("twisting factor is zero")
@@ -416,9 +420,9 @@ def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
     l4 = lam2 * lam2
     # Its discriminant is l^12 times that of the checked Velu codomain, l != 0.
     codomain = Curve._nonsingular(l4 * iso.codomain.A, l4 * lam2 * iso.codomain.B)
-    return Isogeny(iso.domain, codomain, iso.degree, iso.num, iso.den, iso.x_scale * lam2, iso.y_scale * lam * lam2)
+    num = poly_scale(iso.num, (lam2.a, lam2.b), lam2.ctx)
+    return Isogeny(iso.domain, codomain, iso.degree, num, iso.den, iso.c * lam)
 
 
 def identity_isogeny(curve: Curve) -> Isogeny:
-    one = curve.ctx.one()
-    return Isogeny(curve, curve, 1, ([0, 1], [0, 0]), ([1], [0]), one, one)
+    return Isogeny(curve, curve, 1, ([0, 1], [0, 0]), ([1], [0]), curve.ctx.one())

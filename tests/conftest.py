@@ -285,7 +285,7 @@ def ref_discriminant(curve: Curve) -> Fp2:
 def ref_raw_maps(iso, x: Fp2) -> tuple[Fp2, Fp2] | None:
     """(x-image, y-multiplier) of the isogeny at x, or None at a root of
     the denominator: N/D and (N' - (N/D) D')/D by the Fp2 boundary of
-    poly_eval, then the two scales."""
+    poly_eval, the latter times the constant c."""
     dv, ddv = poly_eval(iso.den, x)
     if not dv:
         return None
@@ -293,7 +293,7 @@ def ref_raw_maps(iso, x: Fp2) -> tuple[Fp2, Fp2] | None:
     inv_dv = dv.inverse()
     u = nv * inv_dv
     du = (dnv - u * ddv) * inv_dv
-    return iso.x_scale * u, iso.y_scale * du
+    return u, iso.c * du
 
 
 def ref_isogeny(iso, P: Point) -> Point:

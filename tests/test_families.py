@@ -40,6 +40,7 @@ from conftest import (
     SMALL_CURVES,
     count_loop_int_ops,
     ctx_for,
+    from_kernel,
     generic_127_curve,
     prime_factors,
     ref_isogeny,
@@ -260,6 +261,58 @@ class TestOneFormula:
             endo(Point(P.x, P.y + 1))
 
 
+def _least_nonresidue(p):
+    return next(n for n in range(2, p) if legendre(n, p) == -1)
+
+
+class TestStandardForm:
+    """phi is (x, y) -> (X(x), c * y * X'(x)), which pulls the invariant
+    differential dx/y back to dx/(c y), and its conjugate back to
+    dx/(conj(c) y).  psi^2 = [k] * Frobenius holds because phi^sigma o phi
+    = [k], with k = eps*d for psi and -eps*d for psi', and [k] pulls dx/y
+    back to k dx/y; so k * Norm(c) = 1 (mod p).  That checks epsilon_p's
+    Legendre formula against the construction, with no point sampled."""
+
+    @staticmethod
+    def _check(endo):
+        k = -endo.eps * endo.d if endo.twisted else endo.eps * endo.d
+        assert k * endo.isogeny.c.norm() % endo.family.ctx.p == 1
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
+    def test_every_member(self, p):
+        """Every member and its twist, at delta = -1 where p = 3 (mod 4)
+        and at the least nonresidue."""
+        ctxs = {FieldCtx(p, _least_nonresidue(p)), ctx_for(p)}
+        members = [fam for ctx in ctxs for d in FAMILY_DEGREES for fam in _members(d, ctx)]
+        assert len(members) >= 2 * p
+        for fam in members:
+            for twisted in (False, True):
+                self._check(Endo(fam, twisted))
+
+    def test_at_127_bits(self):
+        ctx = FieldCtx(MERSENNE_127, -1)
+        for d, s in ((2, 28106), (5, 7930), (3, 10400), (7, 1)):
+            fam = build_family_curve(d, ctx, s)
+            for twisted in (False, True):
+                self._check(Endo(fam, twisted))
+
+    @pytest.mark.parametrize("p", [11, 23, MERSENNE_127])
+    def test_gls(self, p):
+        for twisted in (False, True):
+            self._check(gls_endo(ctx_for(p), 3, 5, twisted))
+
+    @pytest.mark.parametrize("p,s", [(23, 1), (MERSENNE_127, 28106)])
+    def test_degree2_map(self, p, s):
+        """The paper's phi_2 = (-x/2 - C/(x - 4), y/sqrt(-2) * (-1/2 + C/(x - 4)^2)):
+        num/den = (-x^2/2 + 2x - C)/(x - 4) and c^2 = -1/2."""
+        ctx = ctx_for(p)
+        fam = build_family_curve(2, ctx, s)
+        half = ctx.one() / 2
+        assert from_kernel(fam.phi.num, ctx) == (-fam.constant, ctx.elem(2), -half)
+        assert from_kernel(fam.phi.den, ctx) == (ctx.elem(-4), ctx.one())
+        assert fam.phi.c * fam.phi.c == -half
+
+
 def _int_maps(maps):
     """Fp2 raw maps (u, du) as the int tuple Isogeny.raw_maps returns."""
     return None if maps is None else (maps[0].a, maps[0].b, maps[1].a, maps[1].b)
@@ -395,7 +448,7 @@ def _count_ops(monkeypatch) -> Counter:
 # both are one isogeny evaluated at P, its image conjugated, so both pay the
 # same work, all of it on int pairs but the one inversion of the
 # denominator's value: the is_on check, one Horner pass each over the
-# numerator and the denominator, the quotients, the two scales, y * du and
+# numerator and the denominator, the quotients, the constant c, y * du and
 # the conjugation.
 PSI_COUNTS = [
     (2, False, {"inv": 1}),
@@ -403,25 +456,34 @@ PSI_COUNTS = [
     (5, False, {"inv": 1}),
     (5, True, {"inv": 1}),
 ]
+# Fp2 objects built by one psi / psi' evaluation, for d = 2 and 7 at p = 23
+# and on each paper instance: the denominator's value and its inverse, and
+# the two coordinates of the one Point returned.
+PSI_FP2_BUILDS = 4
 # Building one untwisted Endo: it holds the family's phi and curve, copying
 # nothing, so it costs no field operation at all.
 ENDO_COUNTS = [(2, {}), (5, {})]
 # Building one twisted Endo: nearly all of it is nu = mu^((1-p)/2), 126
 # squarings and 126 products on the exponent 2^126 - 1.  The rest is the
-# twist's coefficients (mu^2, mu^3, mu^2 A, mu^3 B), nu^3, the three scale
-# products and, in Isogeny.rescaled, which reads phi at x/mu, one Fp2
-# product per power of 1/mu and per coefficient of num and den: 2 + 3 + 2
-# for d=2 and 5 + 6 + 5 for d=5.  The two inversions are both of mu, one
-# for nu and one for 1/mu.
-TWISTED_ENDO_COUNTS = [(2, {"sqr": 128, "mul": 140, "inv": 2}), (5, {"sqr": 128, "mul": 149, "inv": 2})]
+# twist's coefficients (mu^2, mu^3, mu^2 A, mu^3 B), nu^3 and, in
+# Isogeny.rescaled, which reads phi at x/mu, one Fp2 product per power of
+# 1/mu and per coefficient of num and den: 2 + 3 + 2 for d=2 and 5 + 6 + 5
+# for d=5; then the three products of the new constant conj(nu^3) * mu * c /
+# conj(mu), and conj(mu) scaling num on the kernel.  The three inversions
+# are of mu, for nu and for 1/mu, and of conj(mu), for the constant.
+TWISTED_ENDO_COUNTS = [
+    (2, {"sqr": 128, "mul": 140, "inv": 3, "poly_scale": 1, "_reduced": 1}),
+    (5, {"sqr": 128, "mul": 149, "inv": 3, "poly_scale": 1, "_reduced": 1}),
+]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
 # s=1.  Two curves pay a discriminant check, on int pairs: the member and the
 # Velu codomain.  The twisted codomain's discriminant is l^12 times the Velu
 # codomain's, the conjugate curve that phi must land on is not checked again,
-# and no isogeny stores derivatives, so post_twist only scales.  The Fp2
-# products left are the member's and the codomain's coefficients (d=2 checks
-# its kernel abscissa on the curve's int-pair cubic); the polynomials run on
-# the kernel.  An odd kernel pays psi_d modulo the kernel polynomial, by the
+# and no isogeny stores derivatives, so post_twist only scales: num by l^2
+# on the kernel, and the constant c by l.  The Fp2 products left are the
+# member's and the codomain's coefficients and c (d=2 checks its kernel
+# abscissa on the curve's int-pair cubic); the polynomials run on the
+# kernel.  An odd kernel pays psi_d modulo the kernel polynomial, by the
 # division polynomial recurrence with each product of two nonconstant factors
 # reduced at once, a constant factor (f_1, f_2, f_2^3) a scaling, and each
 # cube formed once; the closure check under doubling, by Horner's rule from
@@ -430,13 +492,13 @@ TWISTED_ENDO_COUNTS = [(2, {"sqr": 128, "mul": 140, "inv": 2}), (5, {"sqr": 128,
 # once.  Every remainder is taken modulo the monic kernel polynomial.  d=2
 # expands nothing.
 BUILD_COUNTS = [
-    (2, {"mul_int": 6, "inv": 1, "mul": 10, "sqr": 1}),
-    (5, {"mul_int": 13, "sqr": 4, "mul": 13, "inv": 1, "poly_rem": 5, "_reduced": 24, "poly_mulmod": 6,
-         "_products": 13, "poly_scale": 6, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
-    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 12, "poly_rem": 3, "_reduced": 9, "poly_scale": 1, "poly_add": 1,
+    (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 1, "poly_scale": 1, "_reduced": 1}),
+    (5, {"mul_int": 13, "sqr": 4, "mul": 11, "inv": 1, "poly_rem": 5, "_reduced": 25, "poly_mulmod": 6,
+         "_products": 13, "poly_scale": 7, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
+    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 10, "poly_rem": 3, "_reduced": 10, "poly_scale": 2, "poly_add": 1,
          "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
-    (7, {"mul_int": 16, "mul": 21, "sqr": 3, "inv": 1, "poly_rem": 5, "_reduced": 34, "poly_mulmod": 12,
-         "_products": 19, "poly_scale": 8, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
+    (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "poly_rem": 5, "_reduced": 35, "poly_mulmod": 12,
+         "_products": 19, "poly_scale": 9, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse
@@ -488,6 +550,30 @@ class TestOpCounts:
             e(P)
             seen.append((e.d, e.twisted, dict(counts)))
         assert seen == PSI_COUNTS
+
+    def test_psi_fp2_builds(self, monkeypatch):
+        ctx = ctx_for(23)
+        families = [build_family_curve(d, ctx, 1) for d in (2, 7)]
+        families += [endo.family for endo, _ in paper_endos()]
+        cases = []
+        for fam in families:
+            for twisted in (False, True):
+                e = Endo(fam, twisted=twisted)
+                cases.append((e, random_point(e.curve, 1)))
+        builds = Counter()
+        init = Fp2.__init__
+
+        def counted_init(self, *args):
+            builds["Fp2"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Fp2, "__init__", counted_init)
+        seen = []
+        for e, P in cases:
+            builds.clear()
+            assert not e(P).is_infinity
+            seen.append(builds["Fp2"])
+        assert seen == [PSI_FP2_BUILDS] * len(cases)
 
     def test_endo_counts(self, monkeypatch):
         families = [endo.family for endo, _ in paper_endos()]

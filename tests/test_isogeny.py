@@ -167,12 +167,18 @@ class TestVeluCodomain:
         assert phi.codomain == fam.curve.conjugate()
 
     def test_normalized_leading_behavior(self):
+        """The Velu quotient is normalised: num and den share their leading
+        coefficient.  phi = post_twist(quotient, l^2) scales num by l^2."""
         for d, p, s in ((2, 11, 1), (3, 11, 1), (5, 11, 2), (7, 11, 1)):
-            fam = build_family_curve(d, ctx_for(p), s)
-            num, den = (from_kernel(f, fam.ctx) for f in (fam.phi.num, fam.phi.den))
-            assert len(num) - 1 == d
-            assert len(den) - 1 == d - 1
-            assert num[-1] == den[-1]
+            ctx = ctx_for(p)
+            fam = build_family_curve(d, ctx, s)
+            _, _, _, F, lam2 = _BUILDERS[d](ctx, fam.s)
+            quotient = velu_quotient(fam.curve, d, F)
+            for iso, lead in ((quotient, ctx.one()), (fam.phi, lam2)):
+                num, den = (from_kernel(f, ctx) for f in (iso.num, iso.den))
+                assert len(num) - 1 == d
+                assert len(den) - 1 == d - 1
+                assert num[-1] == lead * den[-1]
 
 
 class TestEval:
@@ -573,8 +579,9 @@ class TestEveryIsogeny:
                 assert iso.codomain.is_on(iso(random_point(iso.domain, seed)))
 
     def test_homomorphism(self):
-        for iso in self.isogenies(ctx_for(11)):
-            E, E2 = iso.domain, iso.codomain
-            for seed in range(3):
-                P, Q = random_point(E, seed), random_point(E, seed + 3)
-                assert iso(E.add(P, Q)) == E2.add(iso(P), iso(Q))
+        for p in (11, MERSENNE_127):
+            for iso in self.isogenies(ctx_for(p)):
+                E, E2 = iso.domain, iso.codomain
+                for seed in range(3):
+                    P, Q = random_point(E, seed), random_point(E, seed + 3)
+                    assert iso(E.add(P, Q)) == E2.add(iso(P), iso(Q))
