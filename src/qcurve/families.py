@@ -27,6 +27,7 @@ from .isogeny import (
     Isogeny,
     identity_isogeny,
     post_twist,
+    quadratic_twist,
     velu_quotient,
 )
 from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, oracle_trace, random_point
@@ -173,11 +174,11 @@ class Endo:
 
     Both are one isogeny onto the conjugate curve followed by conjugating
     the image.  For psi it is the family's own phi.  For psi' it is phi
-    read through the twist: at x/mu, with its output scaled by conj(mu) and
-    conj(nu^3), nu = mu^((1-p)/2) and mu the canonical nonsquare, an
-    isogeny from the twist E' to conj(E').  ``__call__``, the one way to
-    evaluate psi or psi', reads the isogeny's int-pair image of P, the one
-    that ``Isogeny.__call__`` wraps, and conjugates it on the ints.
+    read through the twist by the canonical nonsquare mu, an isogeny from
+    the twist E' to conj(E') with x-map conj(mu) * X(x/mu) and constant
+    -c * mu^((p-1)/2) (isogeny.quadratic_twist).  ``__call__``, the one way
+    to evaluate psi or psi', reads the isogeny's int-pair image of P, the
+    one that ``Isogeny.__call__`` wraps, and conjugates it on the ints.
 
     ``target`` is p + eps (p - eps twisted): [r]psi(Q) = [target]Q on every
     rational point Q.
@@ -190,11 +191,7 @@ class Endo:
         self.twisted = twisted
         ctx = family.ctx
         self.eps = epsilon_p(family.d, ctx.p)
-        self.isogeny = family.phi
-        if twisted:
-            twist, mu = family.curve.quadratic_twist()
-            nu = mu.inverse() ** ((ctx.p - 1) // 2)
-            self.isogeny = family.phi.rescaled(twist, twist.conjugate(), mu, mu.conjugate(), (nu * nu * nu).conjugate())
+        self.isogeny = quadratic_twist(family.phi) if twisted else family.phi
         self.curve = self.isogeny.domain
         self.target = ctx.p - self.eps if twisted else ctx.p + self.eps
 

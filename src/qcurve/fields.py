@@ -10,7 +10,7 @@ paper's 2^127 - 1, is proven prime by Lucas-Lehmer (125 squarings at
 q = 127); any other modulus must pass Baillie-PSW, one strong base-2
 Miller-Rabin round and one strong Lucas test.  At p = 3 (mod 4) a square
 root is one exponentiation whose square is checked, so a nonsquare needs no
-separate Legendre symbol.
+separate Legendre symbol, which is the Jacobi symbol by quadratic reciprocity.
 
 The module also holds the integer number theory that group orders need:
 factorize splits an order by trial division up to 2^20 (or past its square
@@ -235,17 +235,14 @@ def factorize(n: int) -> Factorization:
 
 
 def legendre(n: int, p: int) -> int:
-    """Legendre symbol (n|p) by Euler's criterion.
+    """Legendre symbol (n|p), as the Jacobi symbol: no exponentiation.
 
     The caller guarantees p is an odd prime; context construction validates
     primality once so per-call checks stay cheap.
     """
     if p < 3 or p % 2 == 0:
         raise NotPrimeError(f"modulus {p} is not an odd prime")
-    r = pow(n % p, (p - 1) // 2, p)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
+    return _jacobi(n, p)
 
 
 def sqrt_mod_prime(n: int, p: int) -> int | None:

@@ -3,7 +3,8 @@
 The rational maps are expanded once at construction, in the standard
 form (x, y) -> (X(x), c * y * X'(x)) with X = N/D, where N and D are
 polynomials over F_{p^2} and c is one constant: a composed twisting
-isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l.
+isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l, and the
+quadratic twist by mu makes c' = -c * mu^((p-1)/2) (quadratic_twist).
 
 A kernel is its monic polynomial, given as an ascending tuple of Fp2.  It
 is checked modulo itself: the division polynomial and the doubling map are
@@ -304,24 +305,6 @@ class Isogeny:
         x0, x1, y0, y1 = image
         return Point(Fp2(ctx, x0, x1), Fp2(ctx, y0, y1))
 
-    def rescaled(self, domain: Curve, codomain: Curve, mu: Fp2, x_factor: Fp2, y_factor: Fp2) -> "Isogeny":
-        """(x, y) -> (x_factor * X(x/mu), y_factor * c * y * X'(x/mu)) between
-        the given curves, where (X(x), c * y * X'(x)) is this isogeny.
-        Reading a polynomial at x/mu scales its x^i coefficient by mu^-i, and
-        x_factor joins num.  The new x-map's derivative is x_factor/mu times
-        X'(x/mu), so its constant is y_factor * mu * c / x_factor."""
-        ctx = mu.ctx
-        ci = mu.inverse()
-        powers = [ctx.one()]
-        for _ in self.num[0][1:]:  # num is the longer polynomial
-            powers.append(powers[-1] * ci)
-        num, den = (
-            _kernel_poly([Fp2(ctx, a, b) * w for a, b, w in zip(fr, fi, powers)])
-            for fr, fi in (self.num, self.den)
-        )
-        num = poly_scale(num, (x_factor.a, x_factor.b), ctx)
-        return Isogeny(domain, codomain, self.degree, num, den, y_factor * mu * self.c * x_factor.inverse())
-
     def __repr__(self):
         return f"Isogeny(degree {self.degree}, {self.domain!r} -> {self.codomain!r})"
 
@@ -422,6 +405,26 @@ def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
     codomain = Curve._nonsingular(l4 * iso.codomain.A, l4 * lam2 * iso.codomain.B)
     num = poly_scale(iso.num, (lam2.a, lam2.b), lam2.ctx)
     return Isogeny(iso.domain, codomain, iso.degree, num, iso.den, iso.c * lam)
+
+
+def quadratic_twist(iso: Isogeny) -> Isogeny:
+    """iso: E -> conj(E) read through the twist E' of E by the canonical
+    nonsquare mu: an isogeny E' -> conj(E'), which psi' conjugates as psi
+    conjugates iso.  Its x-map is conj(mu) * X(x/mu): the x^i coefficients
+    of num and den times mu^(n-i), n = deg num (den is then not monic), and
+    num times conj(mu).  The twisting isomorphisms and the chain rule give
+    the constant c * mu^(-(p-1)(3p+2)/2) = -c * mu^((p-1)/2), since
+    mu^((p^2-1)/2) = -1; so Norm(c') = -Norm(c)."""
+    domain, mu = iso.domain.quadratic_twist()
+    ctx = mu.ctx
+    powers = [ctx.one()]  # mu^n, ..., mu, 1
+    for _ in iso.num[0][1:]:  # num is the longer polynomial
+        powers.insert(0, powers[0] * mu)
+    num, den = (
+        _kernel_poly([Fp2(ctx, a, b) * w for a, b, w in zip(fr, fi, powers)]) for fr, fi in (iso.num, iso.den)
+    )
+    num = poly_scale(num, (mu.a, -mu.b), ctx)
+    return Isogeny(domain, domain.conjugate(), iso.degree, num, den, -(iso.c * mu ** ((ctx.p - 1) // 2)))
 
 
 def identity_isogeny(curve: Curve) -> Isogeny:

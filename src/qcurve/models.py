@@ -1,6 +1,9 @@
 """Montgomery, twisted Edwards, and Doche-Icart-Kohel models of the family
 curves, the x-only ladder, and the endomorphism on the (X:Z)-line.
 
+A model has its maps and its equation but no group law: a map that fixes O
+is a homomorphism (Silverman, AEC III.4.8), so Curve's law serves them all.
+
 A model that only exists on the quadratic twist is reported as None; callers
 sweeping parameters use that as a filter rather than an error.
 """
@@ -182,13 +185,6 @@ def edwards_contains(e: EdwardsCurve, q: WPair) -> bool:
     return e.a * s1 + s2 == 1 + e.d * s1 * s2
 
 
-def edwards_add(e: EdwardsCurve, q1: WPair, q2: WPair) -> WPair:
-    x1, y1 = q1
-    x2, y2 = q2
-    t = e.d * x1 * x2 * y1 * y2
-    return (x1 * y2 + y1 * x2) / (1 + t), (y1 * y2 - e.a * x1 * x2) / (1 - t)
-
-
 def to_dik(fam: FamilyCurve) -> DikCurve | None:
     """The Doche-Icart-Kohel model: the doubling model of a degree-2 family
     member, the tripling model of a degree-3 one.  None when the scaling
@@ -225,34 +221,10 @@ def dik_to_weierstrass(dk: DikCurve, uv: WPair) -> Point:
     return Point(u / dk.alpha + _dik_shift(dk), v / dk.alpha32)
 
 
-def _dik_cubic(dk: DikCurve) -> tuple[Fp2, Fp2, Fp2]:
-    """Coefficients (c2, c4, c6) of v^2 = u^3 + c2 u^2 + c4 u + c6."""
-    k = dk.coeff
-    if dk.family.d == 2:
-        return k, 16 * k, k.ctx.zero()
-    return 3 * k, 6 * k, 3 * k
-
-
 def dik_contains(dk: DikCurve, uv: WPair) -> bool:
-    c2, c4, c6 = _dik_cubic(dk)
+    """v^2 = u^3 + c2 u^2 + c4 u + c6, with (c2, c4, c6) = (k, 16k, 0) on
+    the doubling model and (3k, 6k, 3k) on the tripling model, k = coeff."""
+    k = dk.coeff
+    c2, c4, c6 = (k, 16 * k, 0) if dk.family.d == 2 else (3 * k, 6 * k, 3 * k)
     u, v = uv
     return v * v == ((u + c2) * u + c4) * u + c6
-
-
-def dik_add(dk: DikCurve, q1: WPair | None, q2: WPair | None) -> WPair | None:
-    """Chord-and-tangent addition on the model cubic; None is the identity."""
-    if q1 is None:
-        return q2
-    if q2 is None:
-        return q1
-    c2, c4, _ = _dik_cubic(dk)
-    u1, v1 = q1
-    u2, v2 = q2
-    if u1 == u2:
-        if v1 != v2 or not v1:
-            return None
-        lam = (3 * u1 * u1 + 2 * c2 * u1 + c4) / (2 * v1)
-    else:
-        lam = (v2 - v1) / (u2 - u1)
-    u3 = lam * lam - c2 - u1 - u2
-    return u3, lam * (u1 - u3) - v1

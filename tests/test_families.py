@@ -271,12 +271,21 @@ class TestStandardForm:
     dx/(conj(c) y).  psi^2 = [k] * Frobenius holds because phi^sigma o phi
     = [k], with k = eps*d for psi and -eps*d for psi', and [k] pulls dx/y
     back to k dx/y; so k * Norm(c) = 1 (mod p).  That checks epsilon_p's
-    Legendre formula against the construction, with no point sampled."""
+    Legendre formula against the construction, with no point sampled.
+    psi' has the closed-form constant c' = -c * mu^((p-1)/2), mu the
+    canonical nonsquare, so Norm(c') = -Norm(c) and k' = -k."""
 
     @staticmethod
     def _check(endo):
         k = -endo.eps * endo.d if endo.twisted else endo.eps * endo.d
-        assert k * endo.isogeny.c.norm() % endo.family.ctx.p == 1
+        p = endo.family.ctx.p
+        c = endo.isogeny.c
+        assert k * c.norm() % p == 1
+        if endo.twisted:
+            phi_c = endo.family.phi.c
+            mu = endo.family.ctx.nonsquare()
+            assert c == -phi_c * mu ** ((p - 1) // 2)
+            assert (c.norm() + phi_c.norm()) % p == 0
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
     def test_every_member(self, p):
@@ -463,17 +472,16 @@ PSI_FP2_BUILDS = 4
 # Building one untwisted Endo: it holds the family's phi and curve, copying
 # nothing, so it costs no field operation at all.
 ENDO_COUNTS = [(2, {}), (5, {})]
-# Building one twisted Endo: nearly all of it is nu = mu^((1-p)/2), 126
-# squarings and 126 products on the exponent 2^126 - 1.  The rest is the
-# twist's coefficients (mu^2, mu^3, mu^2 A, mu^3 B), nu^3 and, in
-# Isogeny.rescaled, which reads phi at x/mu, one Fp2 product per power of
-# 1/mu and per coefficient of num and den: 2 + 3 + 2 for d=2 and 5 + 6 + 5
-# for d=5; then the three products of the new constant conj(nu^3) * mu * c /
-# conj(mu), and conj(mu) scaling num on the kernel.  The three inversions
-# are of mu, for nu and for 1/mu, and of conj(mu), for the constant.
+# Building one twisted Endo (isogeny.quadratic_twist): nearly all of it is
+# mu^((p-1)/2) for the new constant -c * mu^((p-1)/2), 126 squarings and 126
+# products on the exponent 2^126 - 1.  The rest is the twist's coefficients
+# (mu^2, mu^3, mu^2 A, mu^3 B), the powers mu, ..., mu^n, n = deg num, and
+# one Fp2 product per coefficient of num and den, which reads phi at x/mu:
+# 2 + 5 for d=2 and 5 + 11 for d=5; then c times the power, and conj(mu)
+# scaling num on the kernel.  It makes no inversion.
 TWISTED_ENDO_COUNTS = [
-    (2, {"sqr": 128, "mul": 140, "inv": 3, "poly_scale": 1, "_reduced": 1}),
-    (5, {"sqr": 128, "mul": 149, "inv": 3, "poly_scale": 1, "_reduced": 1}),
+    (2, {"sqr": 127, "mul": 137, "poly_scale": 1, "_reduced": 1}),
+    (5, {"sqr": 127, "mul": 146, "poly_scale": 1, "_reduced": 1}),
 ]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
 # s=1.  Two curves pay a discriminant check, on int pairs: the member and the

@@ -184,6 +184,23 @@ class TestLegendre:
         with pytest.raises(NotPrimeError):
             legendre(3, 8)
 
+    @staticmethod
+    def _euler(n, p):
+        r = pow(n, (p - 1) // 2, p)
+        return -1 if r == p - 1 else r
+
+    def test_matches_euler_criterion_below_200(self):
+        for p in range(3, 200, 2):
+            if is_probable_prime(p):
+                for n in range(p):
+                    assert legendre(n, p) == self._euler(n, p)
+
+    def test_matches_euler_criterion_at_mersenne_127(self):
+        rng = random.Random(38)
+        for _ in range(1000):
+            n = rng.randrange(-MERSENNE_127**2, MERSENNE_127**2)
+            assert legendre(n, MERSENNE_127) == self._euler(n, MERSENNE_127)
+
 
 class TestSqrtModPrime:
     @given(st.sampled_from(PRIME_POOL), st.integers(0, 2**80))

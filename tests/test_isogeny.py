@@ -557,8 +557,8 @@ class TestPostTwist:
 
 class TestEveryIsogeny:
     """Every kind of isogeny the library builds, whether expanded, twisted
-    or rescaled, maps points onto its codomain and, at a small prime,
-    respects the group law."""
+    or read through the quadratic twist, maps points onto its codomain and,
+    at a small prime, respects the group law."""
 
     @staticmethod
     def isogenies(ctx):

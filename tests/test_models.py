@@ -4,11 +4,9 @@ from qcurve.errors import DomainError, MapPoleError, UntabulatedError
 from qcurve.families import Endo, build_family_curve
 from qcurve.models import (
     XZPoint,
-    dik_add,
     dik_contains,
     dik_point,
     dik_to_weierstrass,
-    edwards_add,
     edwards_contains,
     edwards_point,
     ladder,
@@ -145,24 +143,6 @@ class TestEdwards:
                 continue
             assert edwards_contains(ed, q)
 
-    def test_addition_transports(self):
-        fam, _ = montgomery_fixture()
-        ed = to_edwards(fam)
-        pts = curve_points(fam.curve)
-        checked = 0
-        for P in pts:
-            for Q in pts:
-                try:
-                    ep = edwards_point(ed, P)
-                    eq = edwards_point(ed, Q)
-                    es = edwards_point(ed, fam.curve.add(P, Q))
-                    total = edwards_add(ed, ep, eq)
-                except (MapPoleError, ZeroDivisionError):
-                    continue
-                assert total == es
-                checked += 1
-        assert checked > len(pts)
-
     def test_pole_errors_are_named(self):
         fam, mont = montgomery_fixture()
         ed = to_edwards(fam)
@@ -195,34 +175,10 @@ class TestDik:
             with pytest.raises(UntabulatedError, match="degree-2 and degree-3 families"):
                 to_dik(fam)
 
-    def test_sampled_transport_at_p13(self):
-        import random
-
-        rng = random.Random(9)
-        for fam_s in range(13):
-            fam = build_family_curve(2, ctx_for(13), fam_s)
-            mont = to_montgomery(fam)
-            if mont is None:
-                continue
-            ed = to_edwards(fam)
-            dik = to_dik(fam)
-            pts = [P for P in curve_points(fam.curve) if not P.is_infinity]
-            for _ in range(10):
-                P, Q = rng.choice(pts), rng.choice(pts)
-                S = fam.curve.add(P, Q)
-                try:
-                    assert edwards_add(ed, edwards_point(ed, P), edwards_point(ed, Q)) == (
-                        edwards_point(ed, S)
-                    )
-                except (MapPoleError, ZeroDivisionError):
-                    pass
-                if dik is not None:
-                    expected = None if S.is_infinity else dik_point(dik, S)
-                    assert dik_add(dik, dik_point(dik, P), dik_point(dik, Q)) == expected
-            break
-
     @pytest.mark.parametrize("d", [2, 3], ids=["2-doubling", "3-tripling"])
     def test_round_trip_and_transport(self, d):
+        """Every affine point is transported onto the model, lands on it, and
+        maps back: the model has no group law of its own to check."""
         p = 7
         hit = False
         for s in range(p):
@@ -236,12 +192,6 @@ class TestDik:
                 uv = dik_point(dik, P)
                 assert dik_contains(dik, uv)
                 assert dik_to_weierstrass(dik, uv) == P
-            for P in pts:
-                for Q in pts:
-                    total = dik_add(dik, dik_point(dik, P), dik_point(dik, Q))
-                    S = fam.curve.add(P, Q)
-                    expected = None if S.is_infinity else dik_point(dik, S)
-                    assert total == expected
         assert hit
 
 
@@ -276,9 +226,3 @@ class TestErrorBranches:
             fam = build_family_curve(2, ctx_for(p), s)
             assert (to_edwards(fam) is None) == (to_montgomery(fam) is None)
 
-    def test_dik_identity_operand(self):
-        fam, dik = self.doubling_fixture()
-        q = dik_point(dik, random_point(fam.curve, 1))
-        assert dik_add(dik, None, q) == q
-        assert dik_add(dik, q, None) == q
-        assert dik_add(dik, None, None) is None
