@@ -13,9 +13,12 @@ root is one exponentiation whose square is checked, so a nonsquare needs no
 separate Legendre symbol, which is the Jacobi symbol by quadratic reciprocity.
 
 The module also holds the integer number theory that group orders need:
-factorize splits an order by trial division up to 2^20 (or past its square
-root, if that comes first) and gives the remainder one is_probable_prime
-verdict: proven for a Mersenne number, probable for any other.
+factorize_all splits orders, such as a curve's and its twist's, by trial
+division up to 2^20 (or past each one's square root, if that comes first)
+in one pass over the prime blocks, with one remainder per block modulo the
+orders' product, and gives each remainder one is_probable_prime verdict:
+proven for a Mersenne number, probable for any other.  factorize is the
+same on one order.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,11 +37,12 @@ MAX_MODULUS_BITS = 128
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 TRIAL_DIVISION_BOUND = 1 << 20
-# Primes per gcd block in trial_factor.  Measured on CPython 3.11 on a
-# shared 2-core host: blocks of 256, 512, 1024 and 2048 primes screen a
-# 254-bit order in 2.5, 2.4, 2.2 and 2.1 ms (11-14 ms prime by prime), and
-# their products take 19, 31, 64 and 104 ms to build once per process.
-# Only an n above 2^40 needs the primes up to the full bound and pays that
+# Primes per block in trial_factor_all.  Measured on CPython 3.11 on a
+# shared 2-core host: blocks of 256, 512, 1024 and 2048 primes screen the
+# pair of 254-bit paper orders in 2.4-2.5, 2.2-2.3, 2.3 and 2.3-2.4 ms, one
+# such order alone in 1.6, 1.4-1.6, 1.5 and 1.5-1.7 ms, and the sieve plus
+# the block products take 53-66, 51-56, 61-84 and 87 ms once per process.
+# Only an n >= 2^38 needs the primes up to the full bound and pays that
 # one-off cost; a smaller n sieves to 2^ceil(bits/2) (_trial_blocks).
 TRIAL_BLOCK_PRIMES = 512
 
@@ -114,9 +119,10 @@ def _strong_lucas(n: int) -> bool:
     search for D would not end.  Selfridge's method A takes the first D in
     5, -7, 9, -11, ... with (D|n) = -1, P = 1 and Q = (1 - D)/4.  With
     n + 1 = d 2^s and d odd, n passes if U_d = 0 or V_(d 2^k) = 0 mod n for
-    some k < s.  U and V are doubled by U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k
-    and stepped by U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2, the
-    halving done mod n.
+    some k < s.  A ladder carries (V_k, V_(k+1), Q^k) by V_2k = V_k^2 - 2 Q^k,
+    V_(2k+1) = V_k V_(k+1) - Q^k and V_(2k+2) = V_(k+1)^2 - 2 Q^(k+1).  Since
+    D U_k = 2 V_(k+1) - V_k and D is a unit mod n, U_d = 0 reads
+    2 V_(d+1) = V_d.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -128,17 +134,13 @@ def _strong_lucas(n: int) -> bool:
     Q = (1 - D) // 4
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     d = (n + 1) >> s
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+    V, W, Qk = 2, 1, 1  # V_k, V_(k+1), Q^k at k = 0
+    for bit in bin(d)[2:]:
         if bit == "1":
-            U, V = U + V, D * U + V
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U, V, Qk = (U >> 1) % n, (V >> 1) % n, Qk * Q % n
-    if U == 0 or V == 0:
+            V, W, Qk = (V * W - Qk) % n, (W * W - 2 * Qk * Q) % n, Qk * Qk * Q % n
+        else:
+            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
+    if (2 * W - V) % n == 0 or V == 0:
         return True
     for _ in range(s - 1):
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
@@ -152,10 +154,11 @@ def _trial_blocks(limit: int) -> list[tuple[int, tuple[int, ...]]]:
     """(product, primes) for consecutive blocks of TRIAL_BLOCK_PRIMES primes
     up to limit, sieved and multiplied once per process and limit.
 
-    trial_factor asks for limit = min(TRIAL_DIVISION_BOUND, 2^ceil(bits/2)),
-    a power of two, so there are at most 21 entries.  Only an n above 2^40
-    builds the full list, about 0.1 s of sieving and block products; the
-    order of a curve at p <= 64 (below 2^12) sieves at most to 2^6.
+    trial_factor_all asks for limit = min(TRIAL_DIVISION_BOUND,
+    2^ceil(bits/2)), a power of two, so there are at most 21 entries.  Only
+    an n >= 2^38 builds the full list, 50-90 ms of sieving and block
+    products; the order of a curve at p <= 64 (below 2^12) sieves at most
+    to 2^6.
     """
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
@@ -167,40 +170,62 @@ def _trial_blocks(limit: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(math.prod(block), block) for block in blocks]
 
 
-def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
-    """Trial division by the primes up to TRIAL_DIVISION_BOUND; returns
-    (factors, remainder).
+def trial_factor_all(ns: Sequence[int]) -> list[tuple[list[tuple[int, int]], int]]:
+    """Trial division of each n in ns by the primes up to
+    TRIAL_DIVISION_BOUND, in one pass over the prime blocks; returns
+    (factors, remainder) for each n.
 
-    The primes stop at min(TRIAL_DIVISION_BOUND, 2^ceil(bits/2)) for a
-    bits-bit n: below the bound that limit is past sqrt(n), so no prime
-    beyond it can be a least factor.  One gcd with each block's product
-    screens its primes; only a block that shares a factor with n is divided
-    prime by prime.  The remainder is 1 when n splits completely; a
-    remainder whose least factor provably exceeds the bound is left for
-    is_probable_prime.
+    Each n keeps its own limit min(TRIAL_DIVISION_BOUND, 2^ceil(bits/2)):
+    below the bound it is past sqrt(n), so no prime beyond it can be a
+    least factor.  Every block product is reduced once modulo m, the
+    product of the ns, and the remainders are multiplied together mod m, so
+    g = gcd(n, accumulator) is the product of the distinct primes up to the
+    largest limit that divide n.  Only a block whose remainder shares a
+    factor with g is divided prime by prime, and the walk ends once g is
+    used up.  The remainder is 1 when n splits completely; a remainder whose
+    least factor provably exceeds the bound is left for is_probable_prime.
     """
-    factors = []
-    limit = min(TRIAL_DIVISION_BOUND, 1 << -(-n.bit_length() // 2))
-    q = limit + 1  # the first candidate past an exhausted list
-    for product, block in _trial_blocks(limit):
-        if block[0] * block[0] > n:
-            q = block[0]
-            break
-        if math.gcd(n, product) == 1:
-            continue
-        for prime in block:
-            if prime * prime > n:
-                break  # and the next block's first check ends the outer loop
-            if n % prime == 0:
-                e = 0
-                while n % prime == 0:
-                    n //= prime
-                    e += 1
-                factors.append((prime, e))
-    if n > 1 and q * q > n:
-        factors.append((n, 1))  # proven prime by the exhausted range
-        n = 1
-    return factors, n
+    limits = [min(TRIAL_DIVISION_BOUND, 1 << -(-n.bit_length() // 2)) for n in ns]
+    m = math.prod(n for n in ns if n)
+    remainders = [product % m for product, _ in _trial_blocks(max(limits, default=1))]
+    acc = 1
+    for r in remainders:
+        acc = acc * r % m
+    results = []
+    for n, limit in zip(ns, limits):
+        g = math.gcd(n, acc)
+        factors = []
+        q = limit + 1  # the first candidate past an exhausted list
+        # A smaller limit's blocks are a prefix of the largest limit's, the
+        # last one cut short, so each remainder still screens its block.
+        for (_, block), r in zip(_trial_blocks(limit), remainders):
+            if g == 1:
+                break  # n has no prime factor left up to its limit
+            if block[0] * block[0] > n:
+                q = block[0]
+                break
+            if math.gcd(r, g) == 1:
+                continue
+            for prime in block:
+                if prime * prime > n:
+                    break  # and the next block's first check ends the outer loop
+                if n % prime == 0:
+                    e = 0
+                    while n % prime == 0:
+                        n //= prime
+                        e += 1
+                    factors.append((prime, e))
+                    g //= prime
+        if n > 1 and q * q > n:
+            factors.append((n, 1))  # proven prime by the exhausted range
+            n = 1
+        results.append((factors, n))
+    return results
+
+
+def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
+    """trial_factor_all on the one number n."""
+    return trial_factor_all((n,))[0]
 
 
 class Factorization(NamedTuple):
@@ -227,11 +252,19 @@ class Factorization(NamedTuple):
         return "*".join(parts)
 
 
+def factorize_all(ns: Sequence[int]) -> list[Factorization]:
+    """Trial division of the ns to 2^20 in one pass (trial_factor_all),
+    plus an is_probable_prime verdict on each remainder: Lucas-Lehmer if it
+    is a Mersenne number, else Baillie-PSW."""
+    return [
+        Factorization(n, factors, rest, rest > 1 and is_probable_prime(rest))
+        for n, (factors, rest) in zip(ns, trial_factor_all(ns))
+    ]
+
+
 def factorize(n: int) -> Factorization:
-    """Trial division to 2^20 plus an is_probable_prime verdict on the
-    remainder: Lucas-Lehmer if it is a Mersenne number, else Baillie-PSW."""
-    factors, rest = trial_factor(n)
-    return Factorization(n, factors, rest, rest > 1 and is_probable_prime(rest))
+    """factorize_all on the one number n."""
+    return factorize_all((n,))[0]
 
 
 def legendre(n: int, p: int) -> int:

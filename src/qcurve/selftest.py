@@ -19,7 +19,7 @@ from .fields import (
     _strong_base2,
     _strong_lucas,
     _trial_blocks,
-    factorize,
+    factorize_all,
     is_probable_prime,
     legendre,
 )
@@ -350,12 +350,12 @@ def check_example_degree2():
     endo = Endo(fam)
     _assert(endo.eps == 1, "eps != 1")
     r = determine_r(endo, EXAMPLE_D2["trace"])
-    n_curve, n_twist = group_orders(endo, r)
-    n, n2 = n_curve // 2, n_twist // 2
-    _assert(n_curve == 2 * n and n_twist == 2 * n2, "orders not twice an integer")
-    _assert(is_probable_prime(n) and is_probable_prime(n2), "halves not prime")
-    _assert(n.bit_length() == 253 and n2.bit_length() == 253, "wrong bit sizes")
-    variant, basis = subgroup_basis(endo, r, factorize(n_curve))
+    factored = factorize_all(group_orders(endo, r))
+    _assert(all(f.factors == [(2, 1)] for f in factored), "orders not twice an integer")
+    _assert(all(f.rest_is_prime for f in factored), "halves not prime")
+    _assert(all(f.rest.bit_length() == 253 for f in factored), "wrong bit sizes")
+    n = factored[0].rest
+    variant, basis = subgroup_basis(endo, r, factored[0])
     _assert(variant == COFACTOR2_D2 and basis.order == n, "not the cofactor-2 basis of the odd part")
     lam = basis.eigenvalue
     _assert(lam * lam % n == 2, "lambda^2 != 2")
@@ -379,10 +379,11 @@ def check_example_degree5():
     fam = build_family_curve(5, ctx, EXAMPLE_D5["s"])
     endo = Endo(fam)
     r = determine_r(endo, EXAMPLE_D5["trace"])
-    n_curve, n_twist = group_orders(endo, r)
-    _assert(is_probable_prime(n_curve) and is_probable_prime(n_twist), "orders not prime")
-    _assert(n_curve.bit_length() == 254 and n_twist.bit_length() == 254, "wrong bit sizes")
-    variant, basis = subgroup_basis(endo, r, factorize(n_curve))
+    factored = factorize_all(group_orders(endo, r))
+    _assert(all(f.is_prime for f in factored), "orders not prime")
+    _assert(all(f.n.bit_length() == 254 for f in factored), "wrong bit sizes")
+    n_curve = factored[0].n
+    variant, basis = subgroup_basis(endo, r, factored[0])
     _assert(variant == PRIME_ORDER and basis.order == n_curve, "not the prime-order basis")
     lam = basis.eigenvalue
     _assert(lam * lam % n_curve == 5, "lambda^2 != 5")

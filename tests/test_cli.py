@@ -19,9 +19,11 @@ from qcurve.fields import (
     TRIAL_DIVISION_BOUND,
     _trial_blocks,
     factorize,
+    factorize_all,
     is_probable_prime,
     legendre,
     trial_factor,
+    trial_factor_all,
 )
 
 from conftest import MERSENNE_127
@@ -727,6 +729,53 @@ class TestBlockScreening:
                 if rng.randrange(2):  # a factor on either side of the limit
                     n *= rng.choice(primes[: 1 << rng.randrange(1, 17)])
                 assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+
+    @staticmethod
+    def assert_pair(a, b, primes):
+        """A pair screened in one pass gives what each number gives alone,
+        and what the prime-by-prime reference gives."""
+        pair = trial_factor_all((a, b))
+        assert pair == [trial_factor(a), trial_factor(b)], (a, b)
+        assert pair == [trial_factor_prime_by_prime(n, primes) for n in (a, b)], (a, b)
+        assert [str(f) for f in factorize_all((a, b))] == [str(factorize(a)), str(factorize(b))], (a, b)
+
+    def test_pair_edges(self, primes):
+        blocks = [block for _, block in _trial_blocks(TRIAL_DIVISION_BOUND)]
+        above_bound = 1048583  # the first prime past 2^20
+        big = (2**127 - 1) * 3 * 1048573
+        smalls = [0, 1, 2, 3, 4, 6, 2**38 - 5, 3 * 5 * 7 * 11 * 13, above_bound, above_bound**2]
+        pairs = [(a, b) for a in smalls for b in smalls]
+        # One limit below 2^20 and one at it: the smaller limit's last block
+        # is cut short, so the two block lists differ there.
+        pairs += [(a, big) for a in smalls] + [(big, a) for a in smalls]
+        pairs += [(n, n) for n in (big, above_bound**2, 2**127 - 1)]
+        # Shared small factors, and factors planted in different blocks.
+        shared = 2**3 * 3 * blocks[2][7]
+        pairs.append((shared * (2**89 - 1), shared * (2**61 - 1) * blocks[-1][-1]))
+        for i, j in ((0, 5), (3, 40), (7, len(blocks) - 1), (len(blocks) - 1, 1)):
+            pairs.append((blocks[i][11] * blocks[i][-1] * (2**127 - 1), blocks[j][0] ** 2 * (2**107 - 1)))
+        # A prime just above 2^20, squared, beside a 254-bit number.
+        pairs += [(above_bound**2, 2**253 + 1), (above_bound**2 * 2**5, 2**61 - 1)]
+        for a, b in pairs:
+            self.assert_pair(a, b, primes)
+
+    @pytest.mark.parametrize("argv", [EX1, EX2], ids=["d2", "d5"])
+    def test_paper_pairs(self, argv, primes):
+        t = int(argv[argv.index("--trace") + 1])
+        n_curve, n_twist = MERSENNE_127**2 + 1 - t, MERSENNE_127**2 + 1 + t
+        self.assert_pair(n_curve, n_twist, primes)
+        self.assert_pair(n_twist, n_curve, primes)
+
+    def test_random_pairs(self, primes):
+        rng = random.Random(39)
+        for _ in range(240):
+            pair = []
+            for _ in range(2):
+                n = rng.getrandbits(rng.randrange(2, 301))
+                if rng.randrange(2):  # plant small factors across the blocks
+                    n *= math.prod(rng.choice(primes) for _ in range(rng.randrange(1, 4)))
+                pair.append(n)
+            self.assert_pair(*pair, primes)
 
     def test_small_order_sieves_to_its_square_root(self):
         # The orders at p = 11 and p = 61 are below 2^7 and 2^12: their

@@ -29,7 +29,7 @@ from qcurve.families import (
     group_orders,
     subfield_order,
 )
-from qcurve.fields import FieldCtx, Fp2, factorize, legendre
+from qcurve.fields import FieldCtx, Fp2, factorize, factorize_all, legendre
 from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
 import qcurve.families
 from qcurve import fields, isogeny, weierstrass
@@ -535,10 +535,16 @@ LOOP_INT_COUNTS = {
         "mul": {"mul": 10793, "mul_const": 8477, "add": 9595, "mod": 6116},
     },
 }
-# pow calls in factorize on the four paper orders (curve and twist, d=2 and
-# d=5): trial division makes none, and each remainder's Baillie-PSW verdict
-# makes one, the base-2 round's; the Lucas half multiplies out its own powers.
+# pow calls in factorize_all on the two paper pairs (curve and twist, d=2
+# and d=5): trial division makes none, and each remainder's Baillie-PSW
+# verdict makes one, the base-2 round's; the Lucas half multiplies out its
+# own powers.
 FACTORIZE_POW_CALLS = 4
+# math.gcd calls for the same two pair calls: one per order against the
+# product of the block remainders, plus one block check for each d=2 order,
+# whose only small factor 2 lies in the first block.  Screening each order
+# alone took one gcd per block, 644 for the four.
+FACTORIZE_GCD_CALLS = 6
 
 
 class TestOpCounts:
@@ -700,8 +706,12 @@ class TestOpCounts:
         glv = MULTIEXP2_COUNTS["dbl"] + MULTIEXP2_COUNTS["madd"]
         assert plain / glv >= 1.8
 
+    @staticmethod
+    def _paper_pairs():
+        return [group_orders(endo, determine_r(endo, trace)) for endo, trace in paper_endos()]
+
     def test_factorize_pow_calls(self, monkeypatch):
-        orders = [n for endo, trace in paper_endos() for n in group_orders(endo, determine_r(endo, trace))]
+        pairs = self._paper_pairs()
         calls = Counter()
 
         def counted_pow(*args):
@@ -709,9 +719,24 @@ class TestOpCounts:
             return pow(*args)
 
         monkeypatch.setattr(fields, "pow", counted_pow, raising=False)
-        factorizations = [factorize(n) for n in orders]
+        factorizations = [f for pair in pairs for f in factorize_all(pair)]
         assert calls["pow"] == FACTORIZE_POW_CALLS
         assert all(f.rest.bit_length() >= 253 and str(f).endswith("(probable_prime)") for f in factorizations)
+
+    def test_factorize_gcd_calls(self, monkeypatch):
+        pairs = self._paper_pairs()
+        factorize(pairs[0][0])  # the prime blocks, built outside the count
+        calls = Counter()
+        gcd = math.gcd
+
+        def counted_gcd(*args):
+            calls["gcd"] += 1
+            return gcd(*args)
+
+        monkeypatch.setattr(fields.math, "gcd", counted_gcd)
+        for pair in pairs:
+            factorize_all(pair)
+        assert calls["gcd"] == FACTORIZE_GCD_CALLS
 
 
 class TestTraceData:
