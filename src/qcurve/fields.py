@@ -15,10 +15,15 @@ separate Legendre symbol, which is the Jacobi symbol by quadratic reciprocity.
 The module also holds the integer number theory that group orders need:
 factorize_all splits orders, such as a curve's and its twist's, by trial
 division up to 2^20 (or past each one's square root, if that comes first)
-in one pass over the prime blocks, with one remainder per block modulo the
-orders' product, and gives each remainder one is_probable_prime verdict:
-proven for a Mersenne number, probable for any other.  factorize is the
-same on one order.
+and gives each remainder one is_probable_prime verdict: proven for a
+Mersenne number, probable for any other.  An order above (2^20 + 1)^2 is
+first screened by the first block of 512 primes (up to 3671) alone; if its
+cofactor passes Baillie-PSW the order is done.  Every other order takes one
+pass over all the prime blocks, with one remainder per block modulo the
+orders' product.  The early exit can change a result only for a composite
+cofactor that passes Baillie-PSW and has a prime factor between 3673 and
+2^20: none is known, none exists below 2^64, and a probable_prime verdict
+already rests on the same assumption.  factorize is the same on one order.
 """
 
 from __future__ import annotations
@@ -42,9 +47,15 @@ TRIAL_DIVISION_BOUND = 1 << 20
 # pair of 254-bit paper orders in 2.4-2.5, 2.2-2.3, 2.3 and 2.3-2.4 ms, one
 # such order alone in 1.6, 1.4-1.6, 1.5 and 1.5-1.7 ms, and the sieve plus
 # the block products take 53-66, 51-56, 61-84 and 87 ms once per process.
-# Only an n >= 2^38 needs the primes up to the full bound and pays that
-# one-off cost; a smaller n sieves to 2^ceil(bits/2) (_trial_blocks).
+# Only an n >= 2^38 whose cofactor after the first block is not a probable
+# prime needs the primes up to the full bound and pays that one-off cost; a
+# smaller n sieves to 2^ceil(bits/2) (_trial_blocks).
 TRIAL_BLOCK_PRIMES = 512
+# factorize_all's early exit: the first block's primes (up to 3671) come
+# from a sieve to 2^12, and a cofactor from this square on is past the
+# reach of trial_factor_all's exhausted-range rule.
+_SCREEN_LIMIT = 1 << 12
+_EARLY_EXIT_FLOOR = (TRIAL_DIVISION_BOUND + 1) ** 2
 
 
 def is_probable_prime(n: int) -> bool:
@@ -155,8 +166,9 @@ def _trial_blocks(limit: int) -> list[tuple[int, tuple[int, ...]]]:
     up to limit, sieved and multiplied once per process and limit.
 
     trial_factor_all asks for limit = min(TRIAL_DIVISION_BOUND,
-    2^ceil(bits/2)), a power of two, so there are at most 21 entries.  Only
-    an n >= 2^38 builds the full list, 50-90 ms of sieving and block
+    2^ceil(bits/2)), a power of two, and factorize_all's screen for 2^12,
+    so there are at most 21 entries.  Only an n >= 2^38 that the screen
+    leaves composite builds the full list, 50-90 ms of sieving and block
     products; the order of a curve at p <= 64 (below 2^12) sieves at most
     to 2^6.
     """
@@ -229,8 +241,14 @@ def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
 
 
 class Factorization(NamedTuple):
-    """n split by trial_factor, with the one is_probable_prime verdict on
-    the remainder that the report and the subgroup choice both read."""
+    """n split by trial division, with the one is_probable_prime verdict on
+    the remainder that the report and the subgroup choice both read.
+
+    factorize_all builds it: factors are the primes found up to the bound
+    with their exponents, or only those up to 3671 when the cofactor left
+    there is above (2^20 + 1)^2 and passes Baillie-PSW.  Both give the same
+    record unless that cofactor is a composite with a factor between 3673
+    and 2^20 that Baillie-PSW misses (module docstring)."""
 
     n: int
     factors: list[tuple[int, int]]
@@ -252,14 +270,58 @@ class Factorization(NamedTuple):
         return "*".join(parts)
 
 
+def _first_block_factors(n: int) -> tuple[list[tuple[int, int]], int]:
+    """(factors, cofactor) of n over the first block of primes, up to 3671:
+    one gcd with the block product, then a walk of the block that ends once
+    that gcd is used up."""
+    product, block = _trial_blocks(_SCREEN_LIMIT)[0]
+    g = math.gcd(n, product)
+    factors = []
+    for prime in block:
+        if g == 1:
+            break
+        if g % prime == 0:
+            e = 0
+            while n % prime == 0:
+                n //= prime
+                e += 1
+            factors.append((prime, e))
+            g //= prime
+    return factors, n
+
+
 def factorize_all(ns: Sequence[int]) -> list[Factorization]:
-    """Trial division of the ns to 2^20 in one pass (trial_factor_all),
-    plus an is_probable_prime verdict on each remainder: Lucas-Lehmer if it
-    is a Mersenne number, else Baillie-PSW."""
-    return [
-        Factorization(n, factors, rest, rest > 1 and is_probable_prime(rest))
-        for n, (factors, rest) in zip(ns, trial_factor_all(ns))
-    ]
+    """Trial division of the ns to 2^20, plus an is_probable_prime verdict
+    on each remainder: Lucas-Lehmer if it is a Mersenne number, else
+    Baillie-PSW.
+
+    An n >= (2^20 + 1)^2 is first divided by the first block of primes
+    alone.  If the cofactor c is still that large and passes Baillie-PSW, c
+    is the remainder, tagged probable_prime: a prime has no factor to find,
+    and above that square the exhausted-range rule cannot fire, so the full
+    pass would give the same record.  Every other n takes one
+    trial_factor_all pass with the rest, and a remainder that Baillie-PSW
+    has just refused as some c keeps that verdict.
+    """
+    records: list[Factorization | None] = []
+    refused: set[int] = set()
+    for n in ns:
+        record = None
+        if n >= _EARLY_EXIT_FLOOR:
+            factors, c = _first_block_factors(n)
+            if c >= _EARLY_EXIT_FLOOR:
+                if is_probable_prime(c):
+                    record = Factorization(n, factors, c, True)
+                else:
+                    refused.add(c)
+        records.append(record)
+    full = [n for n, record in zip(ns, records) if record is None]
+    passes = iter(trial_factor_all(full) if full else ())
+    for i, n in enumerate(ns):
+        if records[i] is None:
+            factors, rest = next(passes)
+            records[i] = Factorization(n, factors, rest, rest > 1 and rest not in refused and is_probable_prime(rest))
+    return records
 
 
 def factorize(n: int) -> Factorization:

@@ -91,9 +91,10 @@ def check_field_axioms():
     # Lucas pseudoprime 5459 = 53 * 103.
     halves = (_strong_base2(8321), _strong_lucas(8321), _strong_base2(5459), _strong_lucas(5459))
     _assert(halves == (True, False, False, True), f"Baillie-PSW halves on 8321, 5459: {halves}")
-    # The primes of trial division to the full bound, sieved once per
-    # process and so timed here rather than in the first check that factors
-    # a 254-bit order: there are pi(2^20) = 82025 of them, from 2 to 1048573.
+    # The primes of trial division to the full bound: there are
+    # pi(2^20) = 82025 of them, from 2 to 1048573.  The paper's orders stop
+    # after the first block and never sieve this far, so this check is
+    # where a selftest process builds the list and pays for it.
     primes = [q for _, block in _trial_blocks(TRIAL_DIVISION_BOUND) for q in block]
     _assert(
         (len(primes), primes[0], primes[-1]) == (82025, 2, 1048573),

@@ -669,6 +669,13 @@ def trial_factor_prime_by_prime(n, primes):
     return factors, n
 
 
+def factorize_by_reference(n, primes):
+    """Reference: trial_factor_prime_by_prime plus one is_probable_prime
+    verdict on the remainder, as a plain (n, factors, rest, rest_is_prime)."""
+    factors, rest = trial_factor_prime_by_prime(n, primes)
+    return (n, factors, rest, rest > 1 and is_probable_prime(rest))
+
+
 class TestBlockScreening:
     @pytest.fixture(scope="class")
     def primes(self):
@@ -738,6 +745,9 @@ class TestBlockScreening:
         assert pair == [trial_factor(a), trial_factor(b)], (a, b)
         assert pair == [trial_factor_prime_by_prime(n, primes) for n in (a, b)], (a, b)
         assert [str(f) for f in factorize_all((a, b))] == [str(factorize(a)), str(factorize(b))], (a, b)
+        expected = [factorize_by_reference(n, primes) for n in (a, b)]
+        assert factorize_all((a, b)) == expected, (a, b)
+        assert [factorize(a), factorize(b)] == expected, (a, b)
 
     def test_pair_edges(self, primes):
         blocks = [block for _, block in _trial_blocks(TRIAL_DIVISION_BOUND)]
@@ -776,6 +786,40 @@ class TestBlockScreening:
                     n *= math.prod(rng.choice(primes) for _ in range(rng.randrange(1, 4)))
                 pair.append(n)
             self.assert_pair(*pair, primes)
+
+    def test_early_exit_edges(self, primes):
+        # Past (2^20 + 1)^2, a cofactor left by the first block (primes up
+        # to 3671) that passes Baillie-PSW ends the trial division.
+        assert _trial_blocks(1 << 12)[0][1] == _trial_blocks(TRIAL_DIVISION_BOUND)[0][1]
+        assert _trial_blocks(1 << 12)[0][1][-1] == 3671
+        prime = next(q for q in range(2**200 + 1, 2**201, 2) if is_probable_prime(q))
+        edges = [
+            0,
+            1,
+            2,
+            1048573**2,  # just below the exit square: the full pass proves it
+            1048583**2,  # a square above it: refused, then composite
+            1048583 * 1048589,  # no factor up to 2^20: the refusal is reused
+            3671 * prime,  # the last prime of the first block
+            3673 * prime,  # the first prime past it
+            3671 * (2**127 - 1),
+            3673 * (2**127 - 1),
+            3671 * 3673 * 1048583 * prime,
+            2 * (2**61 - 1),  # Mersenne cofactors, decided by Lucas-Lehmer
+            3 * (2**89 - 1),
+            2**38 - 1,
+            2**38,
+            2**40 + 15,
+            (TRIAL_DIVISION_BOUND + 1) ** 2,
+            (TRIAL_DIVISION_BOUND + 1) ** 2 - 2,
+        ]
+        rng = random.Random(40)
+        for bits in (38, 39, 40, 41):  # the limit reaches 2^20 from 39 bits
+            edges += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(20)]
+        for n in edges:
+            assert factorize(n) == factorize_by_reference(n, primes), n
+        for a, b in zip(edges, edges[1:] + edges[:1]):
+            self.assert_pair(a, b, primes)
 
     def test_small_order_sieves_to_its_square_root(self):
         # The orders at p = 11 and p = 61 are below 2^7 and 2^12: their

@@ -541,10 +541,12 @@ LOOP_INT_COUNTS = {
 # own powers.
 FACTORIZE_POW_CALLS = 4
 # math.gcd calls for the same two pair calls: one per order against the
-# product of the block remainders, plus one block check for each d=2 order,
-# whose only small factor 2 lies in the first block.  Screening each order
-# alone took one gcd per block, 644 for the four.
-FACTORIZE_GCD_CALLS = 6
+# product of the first block, whose primes hold all of each order's small
+# factors (2 for d=2, none for d=5); each cofactor then passes Baillie-PSW
+# and ends the order.  Walking all 161 blocks for the pair took 6 (one per
+# order against the block remainders, and one block check per d=2 order);
+# screening each order alone took one gcd per block, 644 for the four.
+FACTORIZE_GCD_CALLS = 4
 
 
 class TestOpCounts:
@@ -737,6 +739,33 @@ class TestOpCounts:
         for pair in pairs:
             factorize_all(pair)
         assert calls["gcd"] == FACTORIZE_GCD_CALLS
+
+    def test_paper_orders_skip_the_full_sieve(self):
+        """The four paper orders stop after the first block: the one sieve
+        they build is the screen's, to 2^12, never the list up to 2^20."""
+        pairs = self._paper_pairs()
+        fields._trial_blocks.cache_clear()
+        for pair in pairs:
+            factorize_all(pair)
+        info = fields._trial_blocks.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert fields._trial_blocks(1 << 12)[0][1][-1] == 3671
+        assert fields._trial_blocks.cache_info().misses == 1
+
+    def test_refused_cofactor_keeps_its_verdict(self, monkeypatch):
+        """A cofactor that Baillie-PSW refuses before the full pass, and that
+        the full pass leaves as the remainder, is not tested again: one
+        base-2 pow in all."""
+        n = 1048583 * 1048589  # no prime factor up to 2^20
+        calls = Counter()
+
+        def counted_pow(*args):
+            calls["pow"] += 1
+            return pow(*args)
+
+        monkeypatch.setattr(fields, "pow", counted_pow, raising=False)
+        assert str(factorize(n)) == f"{n}(composite)"
+        assert calls["pow"] == 1
 
 
 class TestTraceData:
