@@ -13,17 +13,16 @@ root is one exponentiation whose square is checked, so a nonsquare needs no
 separate Legendre symbol, which is the Jacobi symbol by quadratic reciprocity.
 
 The module also holds the integer number theory that group orders need:
-factorize_all splits orders, such as a curve's and its twist's, by trial
-division up to 2^20 (or past each one's square root, if that comes first)
-and gives each remainder one is_probable_prime verdict: proven for a
-Mersenne number, probable for any other.  An order above (2^20 + 1)^2 is
-first screened by the first block of 512 primes (up to 3671) alone; if its
-cofactor passes Baillie-PSW the order is done.  Every other order takes one
-pass over all the prime blocks, with one remainder per block modulo the
-orders' product.  The early exit can change a result only for a composite
-cofactor that passes Baillie-PSW and has a prime factor between 3673 and
-2^20: none is known, none exists below 2^64, and a probable_prime verdict
-already rests on the same assumption.  factorize is the same on one order.
+factorize splits an order by trial division up to 2^20 (or past its square
+root, if that comes first) and gives the remainder one is_probable_prime
+verdict: proven for a Mersenne number, probable for any other.  An order
+above (2^20 + 1)^2 is first divided by the first block of 512 primes (up
+to 3671) alone; if the cofactor left passes Baillie-PSW, the order is done
+and its factors between 3673 and 2^20 are not looked for.  A composite
+cofactor that passes Baillie-PSW would then be reported without such a
+factor; none is known, and a probable_prime verdict rests on the same
+assumption.  Every other order is walked through all the prime blocks.
+factorize_all does the same on each of several orders.
 """
 
 from __future__ import annotations
@@ -42,18 +41,18 @@ MAX_MODULUS_BITS = 128
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 TRIAL_DIVISION_BOUND = 1 << 20
-# Primes per block in trial_factor_all.  Measured on CPython 3.11 on a
-# shared 2-core host: blocks of 256, 512, 1024 and 2048 primes screen the
-# pair of 254-bit paper orders in 2.4-2.5, 2.2-2.3, 2.3 and 2.3-2.4 ms, one
-# such order alone in 1.6, 1.4-1.6, 1.5 and 1.5-1.7 ms, and the sieve plus
-# the block products take 53-66, 51-56, 61-84 and 87 ms once per process.
-# Only an n >= 2^38 whose cofactor after the first block is not a probable
-# prime needs the primes up to the full bound and pays that one-off cost; a
-# smaller n sieves to 2^ceil(bits/2) (_trial_blocks).
+# Primes per block in factorize.  Measured on CPython 3.11 on a shared
+# 2-core host: with blocks of 256, 512, 1024 and 2048 primes, a 254-bit
+# order with no factor past the first block takes 1.9, 1.7, 1.6-1.7 and
+# 1.5 ms, a paper order 0.5 ms at every size (its Baillie-PSW verdict), and
+# the sieve plus the block products 45-49, 53-55, 65-70 and 85-111 ms once
+# per process.  Only an n >= 2^38 whose cofactor after the first block is
+# not a probable prime needs the primes up to the full bound and pays that
+# one-off cost; a smaller n sieves to 2^ceil(bits/2) (_trial_blocks).
 TRIAL_BLOCK_PRIMES = 512
-# factorize_all's early exit: the first block's primes (up to 3671) come
-# from a sieve to 2^12, and a cofactor from this square on is past the
-# reach of trial_factor_all's exhausted-range rule.
+# factorize's early exit: the first block's primes (up to 3671) come from a
+# sieve to 2^12, and a cofactor from this square on is past the reach of
+# the exhausted-range rule.
 _SCREEN_LIMIT = 1 << 12
 _EARLY_EXIT_FLOOR = (TRIAL_DIVISION_BOUND + 1) ** 2
 
@@ -165,9 +164,9 @@ def _trial_blocks(limit: int) -> list[tuple[int, tuple[int, ...]]]:
     """(product, primes) for consecutive blocks of TRIAL_BLOCK_PRIMES primes
     up to limit, sieved and multiplied once per process and limit.
 
-    trial_factor_all asks for limit = min(TRIAL_DIVISION_BOUND,
-    2^ceil(bits/2)), a power of two, and factorize_all's screen for 2^12,
-    so there are at most 21 entries.  Only an n >= 2^38 that the screen
+    factorize asks for limit = min(TRIAL_DIVISION_BOUND, 2^ceil(bits/2)),
+    a power of two, and for 2^12 for its first block at the full bound, so
+    there are at most 21 entries.  Only an n >= 2^38 that the screen
     leaves composite builds the full list, 50-90 ms of sieving and block
     products; the order of a curve at p <= 64 (below 2^12) sieves at most
     to 2^6.
@@ -182,73 +181,16 @@ def _trial_blocks(limit: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(math.prod(block), block) for block in blocks]
 
 
-def trial_factor_all(ns: Sequence[int]) -> list[tuple[list[tuple[int, int]], int]]:
-    """Trial division of each n in ns by the primes up to
-    TRIAL_DIVISION_BOUND, in one pass over the prime blocks; returns
-    (factors, remainder) for each n.
-
-    Each n keeps its own limit min(TRIAL_DIVISION_BOUND, 2^ceil(bits/2)):
-    below the bound it is past sqrt(n), so no prime beyond it can be a
-    least factor.  Every block product is reduced once modulo m, the
-    product of the ns, and the remainders are multiplied together mod m, so
-    g = gcd(n, accumulator) is the product of the distinct primes up to the
-    largest limit that divide n.  Only a block whose remainder shares a
-    factor with g is divided prime by prime, and the walk ends once g is
-    used up.  The remainder is 1 when n splits completely; a remainder whose
-    least factor provably exceeds the bound is left for is_probable_prime.
-    """
-    limits = [min(TRIAL_DIVISION_BOUND, 1 << -(-n.bit_length() // 2)) for n in ns]
-    m = math.prod(n for n in ns if n)
-    remainders = [product % m for product, _ in _trial_blocks(max(limits, default=1))]
-    acc = 1
-    for r in remainders:
-        acc = acc * r % m
-    results = []
-    for n, limit in zip(ns, limits):
-        g = math.gcd(n, acc)
-        factors = []
-        q = limit + 1  # the first candidate past an exhausted list
-        # A smaller limit's blocks are a prefix of the largest limit's, the
-        # last one cut short, so each remainder still screens its block.
-        for (_, block), r in zip(_trial_blocks(limit), remainders):
-            if g == 1:
-                break  # n has no prime factor left up to its limit
-            if block[0] * block[0] > n:
-                q = block[0]
-                break
-            if math.gcd(r, g) == 1:
-                continue
-            for prime in block:
-                if prime * prime > n:
-                    break  # and the next block's first check ends the outer loop
-                if n % prime == 0:
-                    e = 0
-                    while n % prime == 0:
-                        n //= prime
-                        e += 1
-                    factors.append((prime, e))
-                    g //= prime
-        if n > 1 and q * q > n:
-            factors.append((n, 1))  # proven prime by the exhausted range
-            n = 1
-        results.append((factors, n))
-    return results
-
-
-def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
-    """trial_factor_all on the one number n."""
-    return trial_factor_all((n,))[0]
-
-
 class Factorization(NamedTuple):
     """n split by trial division, with the one is_probable_prime verdict on
     the remainder that the report and the subgroup choice both read.
 
-    factorize_all builds it: factors are the primes found up to the bound
-    with their exponents, or only those up to 3671 when the cofactor left
-    there is above (2^20 + 1)^2 and passes Baillie-PSW.  Both give the same
-    record unless that cofactor is a composite with a factor between 3673
-    and 2^20 that Baillie-PSW misses (module docstring)."""
+    factorize builds it: factors are the primes found up to the bound with
+    their exponents.  When the cofactor left by the primes up to 3671 is
+    above (2^20 + 1)^2 and passes Baillie-PSW, factors holds only those
+    primes: the ones between 3673 and 2^20 are not looked for, so a
+    composite cofactor that passed Baillie-PSW would leave any of them in
+    rest.  No such cofactor is known."""
 
     n: int
     factors: list[tuple[int, int]]
@@ -270,13 +212,11 @@ class Factorization(NamedTuple):
         return "*".join(parts)
 
 
-def _first_block_factors(n: int) -> tuple[list[tuple[int, int]], int]:
-    """(factors, cofactor) of n over the first block of primes, up to 3671:
-    one gcd with the block product, then a walk of the block that ends once
-    that gcd is used up."""
-    product, block = _trial_blocks(_SCREEN_LIMIT)[0]
+def _divide_block(n: int, product: int, block: tuple[int, ...], factors: list[tuple[int, int]]) -> int:
+    """n with the primes of block that divide it divided out, each appended
+    to factors with its exponent: one gcd with the block's product, then the
+    block's primes until that gcd is used up."""
     g = math.gcd(n, product)
-    factors = []
     for prime in block:
         if g == 1:
             break
@@ -287,46 +227,53 @@ def _first_block_factors(n: int) -> tuple[list[tuple[int, int]], int]:
                 e += 1
             factors.append((prime, e))
             g //= prime
-    return factors, n
-
-
-def factorize_all(ns: Sequence[int]) -> list[Factorization]:
-    """Trial division of the ns to 2^20, plus an is_probable_prime verdict
-    on each remainder: Lucas-Lehmer if it is a Mersenne number, else
-    Baillie-PSW.
-
-    An n >= (2^20 + 1)^2 is first divided by the first block of primes
-    alone.  If the cofactor c is still that large and passes Baillie-PSW, c
-    is the remainder, tagged probable_prime: a prime has no factor to find,
-    and above that square the exhausted-range rule cannot fire, so the full
-    pass would give the same record.  Every other n takes one
-    trial_factor_all pass with the rest, and a remainder that Baillie-PSW
-    has just refused as some c keeps that verdict.
-    """
-    records: list[Factorization | None] = []
-    refused: set[int] = set()
-    for n in ns:
-        record = None
-        if n >= _EARLY_EXIT_FLOOR:
-            factors, c = _first_block_factors(n)
-            if c >= _EARLY_EXIT_FLOOR:
-                if is_probable_prime(c):
-                    record = Factorization(n, factors, c, True)
-                else:
-                    refused.add(c)
-        records.append(record)
-    full = [n for n, record in zip(ns, records) if record is None]
-    passes = iter(trial_factor_all(full) if full else ())
-    for i, n in enumerate(ns):
-        if records[i] is None:
-            factors, rest = next(passes)
-            records[i] = Factorization(n, factors, rest, rest > 1 and rest not in refused and is_probable_prime(rest))
-    return records
+    return n
 
 
 def factorize(n: int) -> Factorization:
-    """factorize_all on the one number n."""
-    return factorize_all((n,))[0]
+    """Trial division of n to 2^20, plus an is_probable_prime verdict on the
+    remainder: Lucas-Lehmer if it is a Mersenne number, else Baillie-PSW.
+
+    The primes stop at min(TRIAL_DIVISION_BOUND, 2^ceil(bits/2)) for a
+    bits-bit n: below the bound that limit is past sqrt(n), so no prime
+    beyond it can be a least factor, and a remainder left there is proven
+    prime by the exhausted range.  The primes come in blocks, each screened
+    by one gcd with its product (_divide_block).
+
+    At the full bound the first block, the primes up to 3671, comes from a
+    sieve to 2^12.  If the cofactor c it leaves is at least (2^20 + 1)^2
+    and passes Baillie-PSW, c is the remainder, tagged probable_prime, and
+    the other blocks are not walked (Factorization).  Otherwise the walk
+    goes on through the primes up to 2^20, and a remainder that is the c
+    Baillie-PSW refused keeps that verdict.
+    """
+    limit = min(TRIAL_DIVISION_BOUND, 1 << -(-n.bit_length() // 2))
+    factors: list[tuple[int, int]] = []
+    rest = n
+    refused = 0  # the cofactor that Baillie-PSW refused at the early exit
+    first = 0  # the index of the first block still to walk
+    if limit == TRIAL_DIVISION_BOUND:
+        rest = _divide_block(rest, *_trial_blocks(_SCREEN_LIMIT)[0], factors)
+        if rest >= _EARLY_EXIT_FLOOR:
+            if is_probable_prime(rest):
+                return Factorization(n, factors, rest, True)
+            refused = rest
+        first = 1
+    q = limit + 1  # the first candidate past an exhausted list
+    for product, block in _trial_blocks(limit)[first:]:
+        if block[0] * block[0] > rest:
+            q = block[0]
+            break
+        rest = _divide_block(rest, product, block, factors)
+    if rest > 1 and q * q > rest:
+        factors.append((rest, 1))  # proven prime by the exhausted range
+        rest = 1
+    return Factorization(n, factors, rest, rest > 1 and rest != refused and is_probable_prime(rest))
+
+
+def factorize_all(ns: Sequence[int]) -> list[Factorization]:
+    """factorize on each n in ns, such as a curve's order and its twist's."""
+    return [factorize(n) for n in ns]
 
 
 def legendre(n: int, p: int) -> int:

@@ -22,8 +22,6 @@ from qcurve.fields import (
     factorize_all,
     is_probable_prime,
     legendre,
-    trial_factor,
-    trial_factor_all,
 )
 
 from conftest import MERSENNE_127
@@ -588,6 +586,12 @@ class TestSelftest:
         assert all(rec["elapsed_ms"] >= 0 for rec in checks)
 
 
+def factors_and_rest(n):
+    """factorize(n) as the trial-division references give it: (factors, rest)."""
+    f = factorize(n)
+    return f.factors, f.rest
+
+
 def trial_factor_by_odd_integers(n):
     """Reference: trial division by 2 and every odd integer up to the bound."""
     factors = []
@@ -608,7 +612,7 @@ def trial_factor_by_odd_integers(n):
 
 class TestFactoring:
     def test_trial_factor(self):
-        assert trial_factor(2**4 * 3 * 101)[0] == [(2, 4), (3, 1), (101, 1)]
+        assert factorize(2**4 * 3 * 101).factors == [(2, 4), (3, 1), (101, 1)]
 
     def test_primes_only_matches_odd_integers(self):
         # Squares of the primes either side of the bound 2^20, of 2^20 + 1
@@ -618,7 +622,7 @@ class TestFactoring:
         rng = random.Random(20)
         randoms = [rng.getrandbits(rng.randrange(2, 261)) for _ in range(12)]
         for n in edges + randoms:
-            assert trial_factor(n) == trial_factor_by_odd_integers(n), n
+            assert factors_and_rest(n) == trial_factor_by_odd_integers(n), n
 
     def test_prime_verdict_matches_is_probable_prime(self):
         # The subgroup choice reads primality of the whole order from its
@@ -711,9 +715,9 @@ class TestBlockScreening:
         mid = next(q for q in range(block[100] ** 2 + 1, block[101] ** 2) if is_probable_prime(q))
         edges += [mid, 2**5 * mid]
         for n in edges:
-            assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+            assert factors_and_rest(n) == trial_factor_prime_by_prime(n, primes), n
         for n in edges[:5] + [primes[-1] * (2**127 - 1), mid]:
-            assert trial_factor(n) == trial_factor_by_odd_integers(n), n
+            assert factors_and_rest(n) == trial_factor_by_odd_integers(n), n
 
     def test_random_inputs(self, primes):
         rng = random.Random(21)
@@ -721,12 +725,12 @@ class TestBlockScreening:
             n = rng.getrandbits(rng.randrange(2, 300))
             if rng.randrange(2):  # plant small factors across the blocks
                 n *= math.prod(rng.choice(primes) for _ in range(rng.randrange(1, 4)))
-            assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+            assert factors_and_rest(n) == trial_factor_prime_by_prime(n, primes), n
 
     def test_every_n_below_2_17(self, primes):
         # A sieve to 2^ceil(bits/2) <= 2^9 gives what the full list gives.
         for n in range(1 << 17):
-            assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+            assert factors_and_rest(n) == trial_factor_prime_by_prime(n, primes), n
 
     def test_every_bit_length(self, primes):
         rng = random.Random(34)
@@ -735,15 +739,12 @@ class TestBlockScreening:
                 n = rng.getrandbits(bits) | 1 << (bits - 1)
                 if rng.randrange(2):  # a factor on either side of the limit
                     n *= rng.choice(primes[: 1 << rng.randrange(1, 17)])
-                assert trial_factor(n) == trial_factor_prime_by_prime(n, primes), n
+                assert factors_and_rest(n) == trial_factor_prime_by_prime(n, primes), n
 
     @staticmethod
     def assert_pair(a, b, primes):
-        """A pair screened in one pass gives what each number gives alone,
-        and what the prime-by-prime reference gives."""
-        pair = trial_factor_all((a, b))
-        assert pair == [trial_factor(a), trial_factor(b)], (a, b)
-        assert pair == [trial_factor_prime_by_prime(n, primes) for n in (a, b)], (a, b)
+        """A pair gives what each number gives alone, and what the
+        prime-by-prime reference gives."""
         assert [str(f) for f in factorize_all((a, b))] == [str(factorize(a)), str(factorize(b))], (a, b)
         expected = [factorize_by_reference(n, primes) for n in (a, b)]
         assert factorize_all((a, b)) == expected, (a, b)
@@ -797,7 +798,7 @@ class TestBlockScreening:
             0,
             1,
             2,
-            1048573**2,  # just below the exit square: the full pass proves it
+            1048573**2,  # just below the exit square: the walk to 2^20 splits it
             1048583**2,  # a square above it: refused, then composite
             1048583 * 1048589,  # no factor up to 2^20: the refusal is reused
             3671 * prime,  # the last prime of the first block

@@ -543,9 +543,8 @@ FACTORIZE_POW_CALLS = 4
 # math.gcd calls for the same two pair calls: one per order against the
 # product of the first block, whose primes hold all of each order's small
 # factors (2 for d=2, none for d=5); each cofactor then passes Baillie-PSW
-# and ends the order.  Walking all 161 blocks for the pair took 6 (one per
-# order against the block remainders, and one block check per d=2 order);
-# screening each order alone took one gcd per block, 644 for the four.
+# and ends the order.  An order walked through all 161 blocks would take
+# one gcd per block.
 FACTORIZE_GCD_CALLS = 4
 
 
@@ -753,8 +752,8 @@ class TestOpCounts:
         assert fields._trial_blocks.cache_info().misses == 1
 
     def test_refused_cofactor_keeps_its_verdict(self, monkeypatch):
-        """A cofactor that Baillie-PSW refuses before the full pass, and that
-        the full pass leaves as the remainder, is not tested again: one
+        """A cofactor that Baillie-PSW refuses at the early exit, and that
+        the walk to 2^20 leaves as the remainder, is not tested again: one
         base-2 pow in all."""
         n = 1048583 * 1048589  # no prime factor up to 2^20
         calls = Counter()
