@@ -3,7 +3,7 @@ decomposition, small-prime search, table dumps, and a self-test battery.
 
 The front end parses arguments, builds records, times stages and maps
 errors to exit codes.  The analysis is the library's (factoring in
-fields.factorize_all, the subgroup and basis choice in glv.subgroup_basis, the
+fields.factorize, the subgroup and basis choice in glv.subgroup_basis, the
 check point in glv.subgroup_point, the scalar loop's op counts in
 weierstrass.loop_ops), and so are its refusals: a DomainError reaches the
 error record unchanged, its class name giving the error code, except the
@@ -29,7 +29,7 @@ import time
 from .cmtables import FIBERS, TABLE1, TABLE2, detect_cm
 from .errors import CofactorError, DegenerateParameterError, DomainError, OracleGuardError, SupersingularError
 from .families import Endo, build_family_curve, determine_r, group_orders
-from .fields import FieldCtx, factorize, factorize_all, format_fp2, is_probable_prime
+from .fields import FieldCtx, factorize, format_fp2, is_probable_prime
 from .glv import bound_bitlength, decompose, first_nonminimal, multiexp2, subgroup_basis, subgroup_point
 from .selftest import all_checks
 from .weierstrass import ORACLE_MAX_P, loop_ops
@@ -111,7 +111,7 @@ def _analyze(args, ctx: FieldCtx, timings: dict, record: dict):
         r = determine_r(endo, args.trace)
     n_curve, n_twist = group_orders(endo, r)
     with _timed(timings, "t_factor_ms"):
-        factored, twist_factored = factorize_all((n_curve, n_twist))
+        factored, twist_factored = factorize(n_curve), factorize(n_twist)
     record.update(
         trace=ctx.p**2 + 1 - n_curve,
         r=r,

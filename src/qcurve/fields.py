@@ -22,7 +22,6 @@ and its factors between 3673 and 2^20 are not looked for.  A composite
 cofactor that passes Baillie-PSW would then be reported without such a
 factor; none is known, and a probable_prime verdict rests on the same
 assumption.  Every other order is walked through all the prime blocks.
-factorize_all does the same on each of several orders.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -269,11 +267,6 @@ def factorize(n: int) -> Factorization:
         factors.append((rest, 1))  # proven prime by the exhausted range
         rest = 1
     return Factorization(n, factors, rest, rest > 1 and rest != refused and is_probable_prime(rest))
-
-
-def factorize_all(ns: Sequence[int]) -> list[Factorization]:
-    """factorize on each n in ns, such as a curve's order and its twist's."""
-    return [factorize(n) for n in ns]
 
 
 def legendre(n: int, p: int) -> int:

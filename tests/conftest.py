@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 from qcurve import weierstrass
 from qcurve.fields import FieldCtx, Fp2, legendre
 from qcurve.isogeny import poly_eval
+from qcurve.selftest import _ctx as ctx_for
 from qcurve.weierstrass import INFINITY, Curve, Point, _madd
 
 settings.register_profile(
@@ -28,16 +29,6 @@ SMALL_CURVES = [
     for d, p, s in SMALL_MEMBERS
     for twisted in (False, True)
 ]
-
-
-def ctx_for(p: int) -> FieldCtx:
-    """F_{p^2} with delta = -1 when p = 3 (mod 4), else the smallest nonsquare."""
-    if p % 4 == 3:
-        return FieldCtx(p, p - 1)
-    d = 2
-    while legendre(d, p) != -1:
-        d += 1
-    return FieldCtx(p, d)
 
 
 def prime_factors(n: int) -> set[int]:

@@ -1,63 +1,19 @@
 """Acceptance suite: end-to-end checks at their stated tolerances, one
 printed pass/fail line per check.
 
-All assertions are exact integer/field arithmetic; the two 128-bit example
+Each test runs a paper check of qcurve.selftest, the body that
+``qcurve selftest`` runs on its smaller grid, on the acceptance grid.  All
+assertions are exact integer/field arithmetic; the three 128-bit example
 verifications carry explicit wall-clock budgets.
 """
 
-import math
-import random
 import time
 from contextlib import contextmanager
 
 import pytest
 
-from qcurve.cmtables import cm_fibers, cm_j_candidates, detect_cm, fiber_matches, fiber_parameter
-from qcurve.errors import DomainError, MapPoleError
-from qcurve.families import (
-    Endo,
-    build_family_curve,
-    determine_r,
-    eigenvalue,
-    epsilon_p,
-    gls_endo,
-    group_orders,
-    subfield_order,
-)
-from qcurve.fields import FieldCtx, is_probable_prime, legendre
-from qcurve.glv import (
-    COFACTOR2_D2,
-    COFACTOR3_D3,
-    COFACTOR4_D2,
-    PRIME_ORDER,
-    bound_bitlength,
-    ceil_log2,
-    cofactor_basis,
-    decompose,
-    infnorm,
-    is_reduced,
-    multiexp2,
-)
-from qcurve.models import (
-    dik_contains,
-    dik_point,
-    dik_to_weierstrass,
-    edwards_contains,
-    edwards_point,
-    ladder,
-    psi_montgomery,
-    to_dik,
-    to_edwards,
-    to_montgomery,
-    to_xz,
-)
-from qcurve.weierstrass import curve_points, oracle_order, oracle_trace, random_point
-
-from conftest import MERSENNE_127, ctx_for
-
-P127 = MERSENNE_127
-TRACE_D2 = -272082382382015736940757543628153813996
-TRACE_D5 = 160084314926568661653252069280514036151
+from qcurve import selftest
+from qcurve.glv import COFACTOR3_D3, COFACTOR4_D2, PRIME_ORDER
 
 
 @contextmanager
@@ -74,194 +30,41 @@ def acceptance(name, budget=None):
         assert elapsed < budget, f"{name} exceeded its {budget}s budget"
 
 
-def valid_primes(d):
-    if d in (2, 3):
-        return (5, 7, 11, 13)
-    if d == 5:
-        return (7, 11)
-    return (11, 13)
-
-
-def nondegenerate_sweep(d, p):
-    ctx = ctx_for(p)
-    for s in range(p):
-        try:
-            yield build_family_curve(d, ctx, s)
-        except DomainError:
-            continue
+# Every member of each degree at each prime up to 13 that carries the family.
+VALID_PRIMES = {2: (5, 7, 11, 13), 3: (5, 7, 11, 13), 5: (7, 11), 7: (11, 13)}
+EXHAUSTIVE = [(d, p, range(p)) for d, primes in VALID_PRIMES.items() for p in primes]
 
 
 def test_degree2_example_reproduction():
     with acceptance("degree-2 example at p = 2^127 - 1", budget=60):
-        ctx = FieldCtx(P127, -1)
-        fam = build_family_curve(2, ctx, 28106)
-        endo = Endo(fam)
-        assert endo.eps == 1
-
-        # (a) 2p + t = 2r^2 for an integer r
-        r = determine_r(endo, TRACE_D2)
-        assert 2 * r * r == 2 * P127 + TRACE_D2
-
-        # (b) orders are twice 253-bit probable primes
-        n_curve, n_twist = group_orders(endo, r)
-        assert n_curve == P127**2 + 1 - TRACE_D2
-        assert n_twist == P127**2 + 1 + TRACE_D2
-        n, n2 = n_curve // 2, n_twist // 2
-        assert n_curve == 2 * n and n_twist == 2 * n2
-        assert is_probable_prime(n) and is_probable_prime(n2)
-        assert n.bit_length() == 253 and n2.bit_length() == 253
-
-        # (c) the group order annihilates 100 seeded points
-        for seed in range(100):
-            P = random_point(fam.curve, seed)
-            assert fam.curve.mul(n_curve, P).is_infinity
-
-        # (d) eigenvalue action on the order-N subgroup
-        lam = eigenvalue(endo, r, n)
-        assert lam == (P127 + 1) * pow(r, -1, n) % n
-        assert lam * lam % n == 2
-        P = fam.curve.mul(2, random_point(fam.curve, 0))
-        assert not P.is_infinity
-        assert endo(P) == fam.curve.mul(lam, P)
-
-        # (e) reduced basis, 1000 short decompositions, 10 multiexp checks
-        basis = cofactor_basis(COFACTOR2_D2, P127, 1, 2, r, n, lam)
-        for v in (basis.b1, basis.b2):
-            assert (v[0] + lam * v[1]) % n == 0
-        assert is_reduced(basis.b1, basis.b2)
-        rng = random.Random(12345)
-        scalars = [rng.randrange(n) for _ in range(1000)]
-        decs = [decompose(m, basis) for m in scalars]
-        assert all(dec.norm < 2**127 for dec in decs)
-        psi_p = endo(P)
-        for m, dec in zip(scalars[:10], decs[:10]):
-            assert multiexp2(dec.a, dec.b, P, psi_p, fam.curve) == fam.curve.mul(m, P)
+        selftest.check_example_degree2(decompositions=1000, multiexps=10, seed=12345)
 
 
 def test_degree5_example_reproduction():
     with acceptance("degree-5 example at p = 2^127 - 1", budget=60):
-        ctx = FieldCtx(P127, -1)
-        fam = build_family_curve(5, ctx, 7930)
-        endo = Endo(fam)
-        assert endo.eps == 1
-
-        r = determine_r(endo, TRACE_D5)
-        assert 5 * r * r == 2 * P127 + TRACE_D5
-
-        n_curve, n_twist = group_orders(endo, r)
-        assert n_curve == P127**2 + 1 - TRACE_D5
-        assert n_twist == P127**2 + 1 + TRACE_D5
-        assert is_probable_prime(n_curve) and is_probable_prime(n_twist)
-        assert n_curve.bit_length() == 254 and n_twist.bit_length() == 254
-
-        for seed in range(100):
-            P = random_point(fam.curve, seed)
-            assert fam.curve.mul(n_curve, P).is_infinity
-
-        lam = eigenvalue(endo, r, n_curve)
-        assert lam == (P127 + 1) * pow(r, -1, n_curve) % n_curve
-        assert lam * lam % n_curve == 5
-        P = random_point(fam.curve, 0)
-        assert endo(P) == fam.curve.mul(lam, P)
+        selftest.check_example_degree5()
 
 
 def test_degree3_example_substitute():
     # No trace is published for this parameter, so the check is structural:
     # exact conjugate codomain plus the degree identity on sampled points.
     with acceptance("degree-3 example at p = 2^127 - 1", budget=30):
-        ctx = FieldCtx(P127, -1)
-        fam = build_family_curve(3, ctx, 10400)
-        assert fam.phi.codomain == fam.curve.conjugate()
-        endo = Endo(fam)
-        assert endo.eps == -1
-        for seed in range(100):
-            P = random_point(fam.curve, seed)
-            assert endo(endo(P)) == fam.curve.mul(-3, P)
+        selftest.check_example_degree3(seeds=100)
 
 
 def test_endomorphism_identities_exhaustive():
     with acceptance("exhaustive endomorphism identities at p <= 13"):
-        for d in (2, 3, 5, 7):
-            for p in valid_primes(d):
-                eps = epsilon_p(d, p)
-                for fam in nondegenerate_sweep(d, p):
-                    curve = fam.curve
-                    endo = Endo(fam)
-                    t = oracle_trace(curve)
-                    r = determine_r(endo, t)
-                    n_curve, n_twist = group_orders(endo, r)
-                    assert n_curve == oracle_order(curve)
-                    twist, _ = curve.quadratic_twist()
-                    assert n_twist == oracle_order(twist)
-                    assert n_curve + n_twist == 2 * (p * p + 1)
-                    for P in curve_points(curve):
-                        pP = endo(P)
-                        ppP = endo(pP)
-                        assert ppP == curve.mul(eps * d, P)
-                        assert curve.mul(r, pP) == curve.mul(p + eps, P)
-                        char = curve.add(
-                            curve.add(ppP, curve.mul(-d * r, pP)),
-                            curve.mul(d * p, P),
-                        )
-                        assert char.is_infinity
-
-
-def _optimality_fixture(d):
-    """One curve per degree whose structure matches a stated basis variant."""
-    for p in valid_primes(d)[::-1]:
-        for fam in nondegenerate_sweep(d, p):
-            endo = Endo(fam)
-            r = determine_r(endo, oracle_trace(fam.curve))
-            if r == 0:
-                continue
-            n_curve, _ = group_orders(endo, r)
-            if d == 2:
-                k = (n_curve & -n_curve).bit_length() - 1
-                n = n_curve >> k
-                if k == 1:
-                    variant = COFACTOR2_D2
-                elif k == 2 and fam.constant.is_square():
-                    variant = COFACTOR4_D2
-                else:
-                    continue
-            elif d == 3:
-                n = n_curve // 3
-                if n_curve % 3 or n % 3 == 0:
-                    continue
-                variant = COFACTOR3_D3
-            else:
-                n = n_curve
-                if not is_probable_prime(n):
-                    continue
-                variant = PRIME_ORDER
-            if math.gcd(r, n) != 1:
-                continue
-            return fam, endo, r, n_curve, n, variant
-    raise AssertionError(f"no fixture for degree {d}")
+        selftest.check_family_identities(EXHAUSTIVE)
+        selftest.check_conjugate_composition(EXHAUSTIVE)
 
 
 def test_decomposition_optimality():
+    # For each degree, the first member at the largest valid prime whose
+    # group fits a basis variant.
     with acceptance("decomposition optimality for all scalars"):
-        for d in (2, 3, 5, 7):
-            fam, endo, r, n_curve, n, variant = _optimality_fixture(d)
-            p = fam.ctx.p
-            lam = eigenvalue(endo, r, n)
-            basis = cofactor_basis(variant, p, endo.eps, d, r, n, lam)
-            radius = infnorm(basis.b2)
-            bound = bound_bitlength(variant, p, endo.eps, r, basis)
-            for m in range(n):
-                dec = decompose(m, basis)
-                assert (dec.a + dec.b * lam - m) % n == 0
-                best = min(
-                    max(abs(a), abs(b))
-                    for b in range(-radius, radius + 1)
-                    for a0 in [(m - b * lam) % n]
-                    for a in (a0, a0 - n)
-                    if abs(a) <= radius
-                )
-                assert dec.norm == best
-                if dec.norm:
-                    assert ceil_log2(dec.norm) <= bound
+        selftest.check_decompose_minimality(
+            ((2, 13, 1, COFACTOR4_D2), (3, 13, 4, COFACTOR3_D3), (5, 11, 2, PRIME_ORDER), (7, 11, 2, PRIME_ORDER))
+        )
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 19])
@@ -270,115 +73,23 @@ def test_j_invariant_distinctness(p):
     # analysis, which degenerates at p = 13: the exceptional j-invariants
     # 20^3 and -15^3 differ by 5^3 * 7 * 13 and so coincide mod 13, merging
     # the s = 0 class with an s/-s pair.  The enumerated count there is 11
-    # for every valid delta; the expectation below is kept as stated and the
+    # for every valid delta; the expectation is kept as stated and the
     # p = 13 case is a known red.
     with acceptance(f"j-invariant distinctness at p = {p}"):
-        ctx = ctx_for(p)
-        js = {build_family_curve(2, ctx, s).curve.j_invariant() for s in range(p)}
-        expected = p if legendre(-7, p) == 1 else p - 1
-        assert len(js) == expected, f"got {len(js)}, expected {expected}"
+        selftest.check_j_count((p,))
 
 
 def test_model_agreement_exhaustive():
     with acceptance("model agreement at p <= 7"):
-        representable = 0
-        for p in (5, 7):
-            for fam in nondegenerate_sweep(2, p):
-                mont = to_montgomery(fam)
-                if mont is None:
-                    continue
-                representable += 1
-                endo = Endo(fam)
-                pts = curve_points(fam.curve)
-                n = len(pts)
-                for P in pts:
-                    xz = to_xz(mont, P)
-                    assert psi_montgomery(xz, mont) == to_xz(mont, endo(P))
-                    for m in range(n):
-                        assert ladder(m, xz, mont) == to_xz(mont, fam.curve.mul(m, P))
-                # Each model map, on every point: its image is on the model,
-                # and the DIK image maps back to P.
-                ed = to_edwards(fam)
-                for P in pts:
-                    try:
-                        q = edwards_point(ed, P)
-                    except MapPoleError:
-                        continue
-                    assert edwards_contains(ed, q)
-                dik = to_dik(fam)
-                if dik is not None:
-                    for P in pts:
-                        if not P.is_infinity:
-                            uv = dik_point(dik, P)
-                            assert dik_contains(dik, uv)
-                            assert dik_to_weierstrass(dik, uv) == P
-        assert representable >= 2
+        selftest.check_models((5, 7), exhaustive=True)
 
 
 def test_cm_fiber_reductions():
     with acceptance("CM fiber tables at three primes per fiber"):
-        for d in (2, 3, 5, 7):
-            for fib in cm_fibers(d):
-                if not fib.constructible:
-                    continue
-                hits = 0
-                p = 7
-                while hits < 3:
-                    p = _next_prime_for(p, d)
-                    assert p < 600, f"fiber {fib.disc} of degree {d} not realisable"
-                    ctx = ctx_for(p)
-                    s = fiber_parameter(fib, ctx)
-                    if s is None:
-                        continue
-                    try:
-                        fam = build_family_curve(d, ctx, s)
-                    except DomainError:
-                        continue
-                    assert fam.curve.j_invariant() in cm_j_candidates(fib.disc, ctx)
-                    assert detect_cm(fam) is not None
-                    hits += 1
-        # detection flags exactly the fiber parameters in exhaustive sweeps
-        for d, p in ((2, 11), (2, 13), (3, 11), (3, 13), (5, 11), (7, 13)):
-            ctx = ctx_for(p)
-            for s in range(p):
-                try:
-                    fam = build_family_curve(d, ctx, s)
-                except DomainError:
-                    continue
-                expected = any(fiber_matches(f, ctx, s) for f in cm_fibers(d))
-                assert (detect_cm(fam) is not None) == expected
-
-
-def _next_prime_for(p, d):
-    while True:
-        p += 2
-        if not is_probable_prime(p):
-            continue
-        if p <= 7:
-            continue
-        if d == 5 and p % 4 != 3:
-            continue
-        return p
+        selftest.check_cm_tables(start=7, bound=600)
+        selftest.check_cm_detection(((2, 11), (2, 13), (3, 11), (3, 13), (5, 11), (7, 13)))
 
 
 def test_gls_degenerate_case():
     with acceptance("degenerate subfield-curve case at p <= 13"):
-        for p in (5, 7, 11, 13):
-            ctx = ctx_for(p)
-            for a0, b0 in ((1, 1), (2, 3), (3, 5)):
-                if (4 * a0**3 + 27 * b0**2) % p == 0:
-                    continue
-                endo = gls_endo(ctx, a0, b0)
-                twisted = gls_endo(ctx, a0, b0, twisted=True)
-                for P in curve_points(twisted.curve):
-                    assert twisted(twisted(P)) == twisted.curve.neg(P)
-                n0 = subfield_order(ctx, a0, b0)
-                t0 = p + 1 - n0
-                t_big = oracle_trace(endo.curve)
-                assert t0 * t0 - 2 * p == t_big
-                fixed = sum(
-                    1
-                    for P in curve_points(endo.curve)
-                    if P.is_infinity or endo(P) == P
-                )
-                assert fixed == p + 1 - t0
+        selftest.check_gls((5, 7, 11, 13), ((1, 1), (2, 3), (3, 5)))

@@ -29,10 +29,11 @@ from qcurve.families import (
     group_orders,
     subfield_order,
 )
-from qcurve.fields import FieldCtx, Fp2, factorize, factorize_all, legendre
+from qcurve.fields import FieldCtx, Fp2, factorize, legendre
 from qcurve.glv import COFACTOR2_D2, cofactor_basis, decompose, multiexp2
 import qcurve.families
 from qcurve import fields, isogeny, weierstrass
+from qcurve.selftest import EXAMPLE_D2, EXAMPLE_D5
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
 from conftest import (
@@ -535,12 +536,12 @@ LOOP_INT_COUNTS = {
         "mul": {"mul": 10793, "mul_const": 8477, "add": 9595, "mod": 6116},
     },
 }
-# pow calls in factorize_all on the two paper pairs (curve and twist, d=2
+# pow calls in factorize on the two paper pairs (curve and twist, d=2
 # and d=5): trial division makes none, and each remainder's Baillie-PSW
 # verdict makes one, the base-2 round's; the Lucas half multiplies out its
 # own powers.
 FACTORIZE_POW_CALLS = 4
-# math.gcd calls for the same two pair calls: one per order against the
+# math.gcd calls for the same four orders: one per order against the
 # product of the first block, whose primes hold all of each order's small
 # factors (2 for d=2, none for d=5); each cofactor then passes Baillie-PSW
 # and ends the order.  An order walked through all 161 blocks would take
@@ -720,7 +721,7 @@ class TestOpCounts:
             return pow(*args)
 
         monkeypatch.setattr(fields, "pow", counted_pow, raising=False)
-        factorizations = [f for pair in pairs for f in factorize_all(pair)]
+        factorizations = [factorize(n) for pair in pairs for n in pair]
         assert calls["pow"] == FACTORIZE_POW_CALLS
         assert all(f.rest.bit_length() >= 253 and str(f).endswith("(probable_prime)") for f in factorizations)
 
@@ -736,7 +737,8 @@ class TestOpCounts:
 
         monkeypatch.setattr(fields.math, "gcd", counted_gcd)
         for pair in pairs:
-            factorize_all(pair)
+            for n in pair:
+                factorize(n)
         assert calls["gcd"] == FACTORIZE_GCD_CALLS
 
     def test_paper_orders_skip_the_full_sieve(self):
@@ -745,7 +747,8 @@ class TestOpCounts:
         pairs = self._paper_pairs()
         fields._trial_blocks.cache_clear()
         for pair in pairs:
-            factorize_all(pair)
+            for n in pair:
+                factorize(n)
         info = fields._trial_blocks.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert fields._trial_blocks(1 << 12)[0][1][-1] == 3671
@@ -839,10 +842,6 @@ class TestTraceData:
             eigenvalue(endo, r, abs(r) * 5)
 
 
-TRACE_D2 = -272082382382015736940757543628153813996
-TRACE_D5 = 160084314926568661653252069280514036151
-
-
 def _count_calls(monkeypatch, owner, name) -> list:
     """Record the arguments of every call of owner.name from here on."""
     calls = []
@@ -882,8 +881,8 @@ def small_endos(p):
 
 def paper_endos():
     ctx = FieldCtx(MERSENNE_127, -1)
-    yield Endo(build_family_curve(2, ctx, 28106)), TRACE_D2
-    yield Endo(build_family_curve(5, ctx, 7930)), TRACE_D5
+    for d, example in ((2, EXAMPLE_D2), (5, EXAMPLE_D5)):
+        yield Endo(build_family_curve(d, ctx, example["s"])), example["trace"]
 
 
 class TestSignRule:

@@ -26,6 +26,7 @@ from qcurve.glv import (
     bound_bitlength,
     ceil_log2,
     cofactor_basis,
+    coset_minimum,
     decompose,
     det2,
     first_nonminimal,
@@ -41,10 +42,9 @@ from qcurve.glv import (
 from qcurve.weierstrass import Point, curve_points, oracle_trace, random_point
 
 from qcurve.fields import FieldCtx, factorize, is_probable_prime
+from qcurve.selftest import EXAMPLE_D2
 
 from conftest import MERSENNE_127, ctx_for, prime_factors
-
-TRACE_D2 = -272082382382015736940757543628153813996
 
 
 def endo_data(d, p, s):
@@ -53,18 +53,6 @@ def endo_data(d, p, s):
     r = determine_r(endo, oracle_trace(fam.curve))
     n_curve, n_twist = group_orders(endo, r)
     return fam, endo, r, n_curve, n_twist
-
-
-def brute_minimum(m, n, lam, radius):
-    best = None
-    for b in range(-radius, radius + 1):
-        a0 = (m - b * lam) % n
-        for a in (a0, a0 - n):
-            if abs(a) <= radius:
-                cand = max(abs(a), abs(b))
-                if best is None or cand < best:
-                    best = cand
-    return best
 
 
 def four_corner_reference(m, basis):
@@ -327,6 +315,24 @@ class TestDecompose:
         lam = eigenvalue(endo, r, n)
         return fam, endo, n, lam, reduced_lattice_basis(n, lam)
 
+    def small_bases(self):
+        """The fixture's reduced-lattice basis, and one cofactor basis per
+        degree."""
+        yield self.fixture()[-1]
+        for d, p, s in ((2, 13, 1), (3, 13, 4), (5, 11, 2), (7, 11, 2)):
+            _, endo, r, n_curve, _ = endo_data(d, p, s)
+            yield subgroup_basis(endo, r, factorize(n_curve))[1]
+
+    def test_coset_minimum_is_the_least_norm_in_the_box(self):
+        # Every (a, b) of the ||b2|| box, not only the two a per b that
+        # coset_minimum walks.
+        for basis in self.small_bases():
+            n, lam, radius = basis.order, basis.eigenvalue, infnorm(basis.b2)
+            box = [(a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)]
+            for m in range(n):
+                norms = [max(abs(a), abs(b)) for a, b in box if (a + b * lam - m) % n == 0]
+                assert coset_minimum(m, basis) == min(norms, default=None), (basis, m)
+
     def test_zero_and_order_give_zero(self):
         _, _, n, _, basis = self.fixture()
         assert decompose(0, basis) == decompose(n, basis)
@@ -339,7 +345,7 @@ class TestDecompose:
             dec = decompose(m, basis)
             assert (dec.a + dec.b * lam - m) % n == 0
             assert dec.norm <= radius
-            assert dec.norm == brute_minimum(m, n, lam, radius)
+            assert dec.norm == coset_minimum(m, basis)
             assert (dec.a, dec.b) == four_corner_reference(m, basis)
 
     def test_first_nonminimal_names_the_first_long_decomposition(self, monkeypatch):
@@ -351,9 +357,9 @@ class TestDecompose:
         assert first_nonminimal(basis) == 5
 
     def test_matches_fraction_reference_on_paper_basis(self):
-        fam = build_family_curve(2, FieldCtx(MERSENNE_127, -1), 28106)
+        fam = build_family_curve(2, FieldCtx(MERSENNE_127, -1), EXAMPLE_D2["s"])
         endo = Endo(fam)
-        r = determine_r(endo, TRACE_D2)
+        r = determine_r(endo, EXAMPLE_D2["trace"])
         n = group_orders(endo, r)[0] // 2
         basis = cofactor_basis(COFACTOR2_D2, MERSENNE_127, endo.eps, 2, r, n, eigenvalue(endo, r, n))
         rng = random.Random(2014)
