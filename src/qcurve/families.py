@@ -221,12 +221,24 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     supplied one is checked against it: against the count kept on
     endo.family.curve, so a curve its caller has counted is not enumerated
     again. Above, it must be supplied (OracleGuardError otherwise). The
-    trace fixes |r|, and one rule at every p fixes the sign on the same 8
-    hash-derived points. Each of them must satisfy [|r|]psi(Q) =
+    trace fixes q = |r|, and one rule at every p fixes the sign on the same
+    8 hash-derived points. Each of them must satisfy [q]psi(Q) =
     +-[target]Q. The first witness, a Q with [target]Q != -[target]Q,
     decides the sign: both signs holding would give [2*target]Q = O. With
-    no witness among them the positive root is returned. With |r| = 0, psi
+    no witness among them the positive root is returned. With q = 0, psi
     is not evaluated: each point must have [target]Q = O.
+
+    Each point costs one joint loop D = [target]Q - [q]psi(Q)
+    (Curve._mul2): 127 doublings on the paper instances at p = 2^127 - 1,
+    where [target]Q and [q]psi(Q) apart take 189-190. D = O is the sign +,
+    and then, with g = gcd(q, target), Q is a witness exactly when
+    [2g]psi(Q) != O. If both signs hold, [2q]psi(Q) = O and
+    [2*target]psi(Q) = psi([2*target]Q) = O, so the order of psi(Q) divides
+    2g; conversely [2g]psi(Q) = O gives [2*target]Q = [2q]psi(Q) = O. With
+    g = 1 (both paper instances) the test reads psi(Q) != O and
+    y(psi(Q)) != 0, with no multiplication. D != O rules the sign + out on
+    Q, and the sign - holds exactly when D = -[2q]psi(Q), a second loop of
+    about 65 doublings.
     """
     p = endo.family.ctx.p
     d, eps = endo.d, endo.eps
@@ -245,15 +257,25 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
         raise TraceError("trace inconsistent with family: (2p + eps*t)/d is not a square")
     target = endo.target
     curve = endo.curve
+    g = math.gcd(q, target)
     for seed in range(8):
         Q = random_point(curve, seed)
-        T = curve.mul(target, Q)
-        minus_T = curve.neg(T)
-        S = curve.mul(q, endo(Q)) if q else INFINITY
-        if S != T and S != minus_T:
-            raise TraceError("neither sign of r satisfies the endomorphism relation")
-        if T != minus_T:
-            return q if S == T else -q
+        if not q:
+            if curve.mul(target, Q).is_infinity:
+                continue
+        else:
+            R = endo(Q)
+            D = curve._mul2(target, Q, -q, R)
+            if D.is_infinity:
+                # A witness: [g]psi(Q) is neither O nor of order 2.
+                if g > 1:
+                    R = curve._mul2(g, R, 0, INFINITY)
+                if not R.is_infinity and R.y:
+                    return q
+                continue
+            if D == curve._mul2(-2 * q, R, 0, INFINITY):
+                return -q
+        raise TraceError("neither sign of r satisfies the endomorphism relation")
     return q
 
 

@@ -516,12 +516,15 @@ class Fp2:
         if e < 0:
             base = self.inverse()
             e = -e
-        acc = Fp2(self.ctx, 1, 0)
-        while e:
-            if e & 1:
+        if not e:
+            return Fp2(self.ctx, 1, 0)
+        # Left to right from the top bit: one square per lower bit and one
+        # product per lower set bit, so x ** 2 is a single square.
+        acc = base
+        for i in range(e.bit_length() - 2, -1, -1):
+            acc = acc * acc
+            if e >> i & 1:
                 acc = acc * base
-            base = base * base
-            e >>= 1
         return acc
 
     def __eq__(self, other):

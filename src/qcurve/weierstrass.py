@@ -6,15 +6,19 @@ Points are affine with an explicit point at infinity, and the affine
 against.  Scalar multiplication (``Curve.mul``, and ``glv.multiexp2`` through
 ``Curve._mul2``) walks the joint sparse form of its scalars in Jacobian
 coordinates on bare integer pairs, with the field operations inlined, and
-returns to affine once at the end.  It doubles in runs: each run of
-doublings between two additions computes A*Z^4 once and carries it from one
-doubling to the next (``_dbl``).  When delta = -1, which is every field the
-benchmarks and the paper's examples use (p = 3 mod 4, F_{p^2} = F_p(i)), the
-doublings and additions run bodies with i^2 = -1 written in (``_dbl_i``,
-``_madd_i``): no product by delta, and the real part of a square as one
-product (a + b)(a - b).  They return the same residues as the generic
-bodies, which any other delta takes.  ``loop_ops`` reads the loop's
-doublings and additions off the same recoding, without running it.
+returns to affine once at the end.  Its table holds +-P, +-Q and, only when
+a column of the recoding adds them, +-(P + Q) and +-(P - Q), each of which
+costs one affine ``Curve._add`` and its inversion: [2^127]Q - [|r|]psi(Q) of
+``families.determine_r`` has no such column and pays neither.  The loop
+doubles in runs: each run of doublings between two additions computes
+A*Z^4 once and carries it from one doubling to the next (``_dbl``).  When
+delta = -1, which is every field the benchmarks and the paper's examples
+use (p = 3 mod 4, F_{p^2} = F_p(i)), the doublings and additions run bodies
+with i^2 = -1 written in (``_dbl_i``, ``_madd_i``): no product by delta,
+and the real part of a square as one product (a + b)(a - b).  They return
+the same residues as the generic bodies, which any other delta takes.
+``loop_ops`` reads the loop's doublings and additions off the same
+recoding, without running it.
 
 Curve membership (``Curve.is_on``), ``Curve.lift_x`` and the discriminant
 run on the coordinates' int pairs too, not on Fp2 objects: one helper,
@@ -172,10 +176,11 @@ class Curve:
 
         A negative scalar negates its point first.  Then one left-to-right
         double-and-add walks the joint sparse form of (a, b) (``_jsf``) with
-        the affine table {O, +-P, +-Q, +-(P + Q), +-(P - Q)}; with b = 0
-        that is the NAF of a.  The recoding comes as runs: each nonzero
-        column adds its table entry, then the accumulator is doubled once
-        per column down to the next nonzero one, in one call of ``_dbl``.
+        the affine table {O, +-P, +-Q, +-(P + Q), +-(P - Q)}, whose two
+        sums are built only if a column reads them; with b = 0 that is the
+        NAF of a.  The recoding comes as runs: each nonzero column adds its
+        table entry, then the accumulator is doubled once per column down
+        to the next nonzero one, in one call of ``_dbl``.
         The accumulator is a Jacobian point (X, Y, Z) of F_{p^2} elements
         held as bare int pairs, or None for infinity; it is converted to
         affine once, with one inversion.  That exit stays on the ints: through
@@ -190,18 +195,23 @@ class Curve:
         p = ctx.p
         d = ctx.signed_delta
         A0, A1 = self.A.a, self.A.b
+        runs = _jsf(a, b)
         # Entries 5..8 are the columns (0, 1), (1, -1), (1, 0), (1, 1) of
-        # _jsf; entry 8 - i is the negative of entry i, y -> -y.
-        upper = [
-            None if T.is_infinity else (T.x.a, T.x.b, T.y.a, T.y.b)
-            for T in (Q, self._add(P, self.neg(Q)), P, self._add(P, Q))
-        ]
+        # _jsf; entry 8 - i is the negative of entry i, y -> -y.  P - Q and
+        # P + Q are built only when a column adds them or their negatives.
+        # Curve.mul (Q at infinity) still makes both calls: they return at
+        # once, and qbench counts its group operations on Curve._add.
+        cols = {i for i, _ in runs}
+        lazy = not Q.is_infinity
+        diff = INFINITY if lazy and cols.isdisjoint((2, 6)) else self._add(P, self.neg(Q))
+        total = INFINITY if lazy and cols.isdisjoint((0, 8)) else self._add(P, Q)
+        upper = [None if T.is_infinity else (T.x.a, T.x.b, T.y.a, T.y.b) for T in (Q, diff, P, total)]
         lower = [
             None if T is None else (T[0], T[1], -T[2] % p, -T[3] % p) for T in reversed(upper)
         ]
         table = (*lower, None, *upper)
         acc = None
-        for i, run in _jsf(a, b):
+        for i, run in runs:
             T = table[i]
             if T is not None:
                 acc = T + (1, 0) if acc is None else _madd(acc, T, p, d, A0, A1)

@@ -1,4 +1,5 @@
 import functools
+import time
 from collections import Counter
 
 import pytest
@@ -373,6 +374,19 @@ def count_loop_int_ops(monkeypatch) -> Counter:
     return counts
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of owner.name from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def ctx11():
     return ctx_for(11)
@@ -386,3 +400,32 @@ def ctx13():
 @pytest.fixture(scope="session")
 def big_ctx():
     return FieldCtx(MERSENNE_127, -1)
+
+
+# The CPU time of each test's setup, call and teardown, summed by test file
+# on the session's config and printed in the terminal summary.
+# time.process_time counts this process alone: neither other load on the
+# host nor a test's subprocesses (qbench runs, the CLI entry point) count.
+_CPU_BY_FILE = pytest.StashKey[Counter]()
+
+
+def _timed_phase(item):
+    start = time.process_time()
+    yield
+    cpu = item.config.stash.setdefault(_CPU_BY_FILE, Counter())
+    cpu[item.location[0]] += time.process_time() - start
+
+
+pytest_runtest_setup = pytest.hookimpl(hookwrapper=True)(_timed_phase)
+pytest_runtest_call = pytest.hookimpl(hookwrapper=True)(_timed_phase)
+pytest_runtest_teardown = pytest.hookimpl(hookwrapper=True)(_timed_phase)
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    cpu = config.stash.get(_CPU_BY_FILE, None)
+    if not cpu:
+        return
+    terminalreporter.section("CPU time per test file")
+    for path, seconds in sorted(cpu.items(), key=lambda kv: -kv[1]):
+        terminalreporter.write_line(f"{seconds:8.2f} s  {path}")
+    terminalreporter.write_line(f"{sum(cpu.values()):8.2f} s  total")

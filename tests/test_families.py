@@ -39,6 +39,7 @@ from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, orac
 from conftest import (
     MERSENNE_127,
     SMALL_CURVES,
+    count_calls,
     count_loop_int_ops,
     ctx_for,
     from_kernel,
@@ -474,15 +475,16 @@ PSI_FP2_BUILDS = 4
 # nothing, so it costs no field operation at all.
 ENDO_COUNTS = [(2, {}), (5, {})]
 # Building one twisted Endo (isogeny.quadratic_twist): nearly all of it is
-# mu^((p-1)/2) for the new constant -c * mu^((p-1)/2), 126 squarings and 126
-# products on the exponent 2^126 - 1.  The rest is the twist's coefficients
-# (mu^2, mu^3, mu^2 A, mu^3 B), the powers mu, ..., mu^n, n = deg num, and
+# mu^((p-1)/2) for the new constant -c * mu^((p-1)/2), 125 squarings and 125
+# products on the exponent 2^126 - 1, walked from its top bit.  The rest is
+# the twist's coefficients (mu^2, mu^3, mu^2 A, mu^3 B), the powers mu, ...,
+# mu^n, n = deg num, and
 # one Fp2 product per coefficient of num and den, which reads phi at x/mu:
 # 2 + 5 for d=2 and 5 + 11 for d=5; then c times the power, and conj(mu)
 # scaling num on the kernel.  It makes no inversion.
 TWISTED_ENDO_COUNTS = [
-    (2, {"sqr": 127, "mul": 137, "poly_scale": 1, "_reduced": 1}),
-    (5, {"sqr": 127, "mul": 146, "poly_scale": 1, "_reduced": 1}),
+    (2, {"sqr": 126, "mul": 136, "poly_scale": 1, "_reduced": 1}),
+    (5, {"sqr": 126, "mul": 145, "poly_scale": 1, "_reduced": 1}),
 ]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
 # s=1.  Two curves pay a discriminant check, on int pairs: the member and the
@@ -536,6 +538,17 @@ LOOP_INT_COUNTS = {
         "mul": {"mul": 10793, "mul_const": 8477, "add": 9595, "mod": 6116},
     },
 }
+# determine_r on each paper instance with its published trace: one psi(Q)
+# (its inversion is the one inversion here) and one joint loop
+# [target]Q - [|r|]psi(Q) over the joint sparse form of (2^127, |r|), which
+# lands on O, so the loop's exit makes no inversion.  No column mixes the
+# two scalars, so the table builds neither P + Q nor P - Q: no Curve._add.
+# gcd(|r|, target) = 1, so the witness test reads y(psi(Q)) without a
+# multiplication.
+DETERMINE_R_COUNTS = [
+    (2, {"dbl": 127, "runs": 22, "madd": 22, "inv": 1}),
+    (5, {"dbl": 127, "runs": 24, "madd": 24, "inv": 1}),
+]
 # pow calls in factorize on the two paper pairs (curve and twist, d=2
 # and d=5): trial division makes none, and each remainder's Baillie-PSW
 # verdict makes one, the base-2 round's; the Lucas half multiplies out its
@@ -628,6 +641,18 @@ class TestOpCounts:
             build_family_curve(d, ctx, s)
             seen.append((d, dict(counts)))
         assert seen == BUILD_COUNTS
+
+    def test_determine_r_counts(self, monkeypatch):
+        cases = list(paper_endos())
+        counts = _count_ops(monkeypatch)
+        adds = count_calls(monkeypatch, weierstrass.Curve, "_add")
+        seen = []
+        for endo, t in cases:
+            counts.clear()
+            determine_r(endo, t)
+            seen.append((endo.d, dict(counts)))
+        assert seen == DETERMINE_R_COUNTS
+        assert adds == []
 
     @staticmethod
     @functools.cache
@@ -842,19 +867,6 @@ class TestTraceData:
             eigenvalue(endo, r, abs(r) * 5)
 
 
-def _count_calls(monkeypatch, owner, name) -> list:
-    """Record the arguments of every call of owner.name from here on."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def reference_r(endo, trace):
     """The exhaustive sign rule for a correct trace: |r| from the trace,
     then each sign tested on every point of the curve (small primes only)."""
@@ -886,7 +898,7 @@ def paper_endos():
 
 
 class TestSignRule:
-    @pytest.mark.parametrize("p", [7, 11])
+    @pytest.mark.parametrize("p", [7, 11, 13])
     def test_matches_exhaustive_rule(self, p):
         for endo, t in small_endos(p):
             assert determine_r(endo, t) == reference_r(endo, t)
@@ -912,7 +924,7 @@ class TestSignRule:
         target = p + endo.eps
         assert all(curve.mul(2 * target, Q).is_infinity for Q in curve_points(curve))
         t = oracle_trace(curve)
-        enumerations = _count_calls(monkeypatch, weierstrass, "curve_points")
+        enumerations = count_calls(monkeypatch, weierstrass, "curve_points")
         assert determine_r(endo, t) == reference_r(endo, t) == 2
         assert enumerations == []
 
@@ -920,7 +932,7 @@ class TestSignRule:
         # Among the 8 hash-derived points every member with r != 0 has a
         # witness, and every r = 0 member needs none.
         cases = list(small_endos(11))
-        enumerations = _count_calls(monkeypatch, weierstrass, "curve_points")
+        enumerations = count_calls(monkeypatch, weierstrass, "curve_points")
         for endo, t in cases:
             determine_r(endo, t)
         assert enumerations == []
@@ -930,8 +942,8 @@ class TestSignRule:
         # With r = 0, [target]Q = O on every rational point, so no point is a
         # witness: each of the 8 hash-derived points is checked and nothing
         # more is tried, and [0]psi(Q) = O needs no evaluation of psi.
-        points = _count_calls(monkeypatch, qcurve.families, "random_point")
-        calls = _count_calls(monkeypatch, Endo, "__call__")
+        points = count_calls(monkeypatch, qcurve.families, "random_point")
+        calls = count_calls(monkeypatch, Endo, "__call__")
         assert determine_r(endo, t) == 0
         assert [args[1] for args in points] == list(range(8))
         assert calls == []
@@ -1000,7 +1012,7 @@ class TestSignRule:
             determine_r(endo)
 
     def test_one_psi_evaluation_per_paper_instance(self, monkeypatch):
-        calls = _count_calls(monkeypatch, Endo, "__call__")
+        calls = count_calls(monkeypatch, Endo, "__call__")
         for endo, t in paper_endos():
             calls.clear()
             determine_r(endo, t)
@@ -1011,7 +1023,7 @@ class TestSignRule:
         # FieldCtx.oracle_tables runs once per enumeration of F_{p^2}: a
         # caller's count and determine_r's trace check share one, in either
         # order, on every member of all four degrees.
-        enumerations = _count_calls(monkeypatch, FieldCtx, "oracle_tables")
+        enumerations = count_calls(monkeypatch, FieldCtx, "oracle_tables")
         ctx = ctx_for(p)
         for d in FAMILY_DEGREES:
             for fam in _members(d, ctx):

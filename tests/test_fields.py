@@ -226,6 +226,29 @@ class TestArithmetic:
     def test_unit_group_order_random(self, x):
         assert x ** (x.ctx.p ** 2 - 1) == 1
 
+    def test_power_walks_from_the_top_bit(self, monkeypatch):
+        """x ** e is the product of |e| copies of x (of its inverse for
+        e < 0), made with one square per bit below the top one and one
+        product per set bit below it: x ** 2 is a single square."""
+        x = Fp2(ctx_for(MERSENNE_127), 3, 5)
+        copies = {e: functools.reduce(operator.mul, [x] * e, x.ctx.one()) for e in range(70)}
+        counts = {"sqr": 0, "mul": 0}
+        mul = Fp2.__mul__
+
+        def counted(self, other):
+            counts["sqr" if other is self else "mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Fp2, "__mul__", counted)
+        for e in [*range(1, 70), 2**126 - 1, 2**127]:
+            counts.update(sqr=0, mul=0)
+            power = x**e
+            assert counts == {"sqr": e.bit_length() - 1, "mul": bin(e).count("1") - 1}
+            if e < 70:
+                assert power == copies[e]
+                assert x**-e == copies[e].inverse()
+        assert x**0 == 1
+
     @given(elements(nonzero=True))
     def test_inverse(self, x):
         assert x * x.inverse() == 1

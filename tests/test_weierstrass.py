@@ -26,6 +26,7 @@ from qcurve.weierstrass import (
 from conftest import (
     MERSENNE_127,
     SMALL_CURVES,
+    count_calls,
     ctx_for,
     generic_127_curve,
     ref_dbl,
@@ -134,6 +135,9 @@ P5_CURVES = [c for c in SMALL_CURVES if c.values[1] == 5]
 # Signed scalars for the pair tests: their joint sparse forms reach all nine
 # table entries of the loop (TestJsf checks this).
 SIGNED = range(-4, 4)
+# The table indices of the columns (+-1, +-1) of _jsf, which add P + Q or
+# P - Q or their negatives.
+MIXED = {0, 2, 6, 8}
 
 
 @functools.cache
@@ -257,6 +261,48 @@ class TestJacobianLoop:
                     for b in SIGNED:
                         expected = curve._add(multiples[P][a], multiples[Q][b])
                         assert multiexp2(a, b, P, Q, curve) == expected
+
+    @pytest.mark.parametrize("d,p,s,twisted", SMALL_CURVES)
+    def test_unmixed_pairs_build_no_sum(self, d, p, s, twisted, monkeypatch):
+        """Pairs whose joint sparse form has no column (+-1, +-1): [2^k]P +
+        [b]Q, [a]P + [0]Q and [0]P + [b]Q.  _mul2 reads neither P + Q nor
+        P - Q there, builds neither with a finite Q, and still returns the
+        affine chain's [a]P + [b]Q; on a spread of points P, and Q among
+        them, P and -P."""
+        curve, pts = small_curve(d, p, s, twisted)
+        n = len(pts)
+        spread = pts[1 :: max(1, n // 8)]
+        scalars = [(1 << k, b) for k in range(n.bit_length() + 1) for b in SIGNED]
+        scalars += [(a, 0) for a in SIGNED] + [(0, b) for b in SIGNED]
+        scalars = [(a, b) for a, b in scalars if MIXED.isdisjoint(ref_jsf(abs(a), abs(b)))]
+        multiples = {}
+        for P in {*spread, *map(curve.neg, spread)}:
+            chain = [INFINITY]
+            for _ in range(n):
+                chain.append(curve._add(chain[-1], P))
+            multiples[P] = chain
+        adds = count_calls(monkeypatch, Curve, "_add")
+        for P in spread:
+            for Q in {*spread, P, curve.neg(P)}:
+                for a, b in scalars:
+                    expected = curve._add(multiples[P][a % n], multiples[Q][b % n])
+                    adds.clear()
+                    assert curve._mul2(a, P, b, Q) == expected
+                    assert adds == []
+
+    @pytest.mark.parametrize("member", [(2, 28106), (5, 7930)], ids=["d2", "d5"])
+    def test_power_of_two_pair_builds_no_sum_at_127_bits(self, member, monkeypatch):
+        """[2^127]P + [b]Q for |b| < 2^64, the shape of determine_r's joint
+        loop: no column mixes the two scalars, so no Curve._add is made, and
+        the result is ref_mul2's, whose table is full."""
+        curve = paper_curve(*member)
+        P, Q = random_point(curve, 1), random_point(curve, 2)
+        rng = random.Random(42)
+        bs = [rng.randrange(-(2**64), 2**64) for _ in range(8)]
+        expected = [ref_mul2(curve, 2**127, P, b, Q) for b in bs]
+        adds = count_calls(monkeypatch, Curve, "_add")
+        assert [curve._mul2(2**127, P, b, Q) for b in bs] == expected
+        assert adds == []
 
     EXCEPTIONAL = {
         "P == Q": lambda curve, pts: [(P, P) for P in pts],
