@@ -66,6 +66,14 @@ def is_probable_prime(n: int) -> bool:
     Pomerance-Selfridge-Wagstaff, Math. Comp. 1980).  No composite is known
     to pass both; below 2^64 none does, by Feitsma-Galway's list of the
     strong base-2 pseudoprimes there.
+
+    The Lucas half reads U_k and V_k of (P, Q) = (1, (1 - D)/4) off one
+    ladder of V'_k = V_k(P', 1) with P' = Q^-1 - 2, by V_2k(P, Q) = Q^k V'_k:
+    with d = 2m + 1 and (a, b) = (V'_m, V'_(m+1)), U_d = 0 reads a = b,
+    V_d = 0 reads a + b = 0, and V_(d 2^r) = 0 for r >= 1 reads
+    V'_(d 2^(r-1)) = 0.  Q^-1 mod n exists: each odd prime dividing Q
+    divides a D that the search for D met first, and (D|n) = 0 there
+    refuses an n it divides (_strong_lucas).
     """
     if n < 2:
         return False
@@ -126,11 +134,22 @@ def _strong_lucas(n: int) -> bool:
     A perfect square is refused first: (D|n) is never -1 for it, so the
     search for D would not end.  Selfridge's method A takes the first D in
     5, -7, 9, -11, ... with (D|n) = -1, P = 1 and Q = (1 - D)/4.  With
-    n + 1 = d 2^s and d odd, n passes if U_d = 0 or V_(d 2^k) = 0 mod n for
-    some k < s.  A ladder carries (V_k, V_(k+1), Q^k) by V_2k = V_k^2 - 2 Q^k,
-    V_(2k+1) = V_k V_(k+1) - Q^k and V_(2k+2) = V_(k+1)^2 - 2 Q^(k+1).  Since
-    D U_k = 2 V_(k+1) - V_k and D is a unit mod n, U_d = 0 reads
-    2 V_(d+1) = V_d.
+    n + 1 = d 2^s and d odd, n passes if U_d = 0 or V_(d 2^r) = 0 mod n for
+    some r < s.
+
+    Q is a unit mod the odd n: each odd prime l dividing Q has
+    l <= |Q| < |D|, so l = 3 divides the 9 and l >= 5 the +-l met earlier in
+    the search for D, whose (D|n) = 0 would have refused an n with l | n.
+    So the test runs on the sequence V'_k = V_k(P', 1) with
+    P' = P^2/Q - 2 = Q^-1 - 2, by V_2k(P, Q) = Q^k V'_k, which needs no
+    power of Q.  With d = 2m + 1, one ladder gives (a, b) = (V'_m, V'_(m+1))
+    by V'_(2k+1) = V'_k V'_(k+1) - P' and V'_2k = V'_k^2 - 2: two products
+    per bit, against three for the ladder of (V_k, V_(k+1), Q^k).  Writing
+    V'_k = (alpha^2k + beta^2k)/Q^k for the roots alpha, beta of
+    x^2 - x + Q, Q^(m+1) (b - a) = D U_d and Q^(m+1) (a + b) = P V_d.  D and
+    Q are units, so U_d = 0 reads a = b, V_d = 0 reads a + b = 0, and
+    V_(d 2^r) = 0 for r >= 1 reads V'_(d 2^(r-1)) = 0, starting from
+    V'_d = ab - P'.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -139,21 +158,22 @@ def _strong_lucas(n: int) -> bool:
         if j == 0:
             return False  # n shares a factor with D
         D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
+    P1 = (pow((1 - D) // 4, -1, n) - 2) % n  # P' = Q^-1 - 2
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     d = (n + 1) >> s
-    V, W, Qk = 2, 1, 1  # V_k, V_(k+1), Q^k at k = 0
-    for bit in bin(d)[2:]:
+    a, b = 2, P1  # V'_k, V'_(k+1) at k = 0
+    for bit in bin(d >> 1)[2:]:
         if bit == "1":
-            V, W, Qk = (V * W - Qk) % n, (W * W - 2 * Qk * Q) % n, Qk * Qk * Q % n
+            a, b = (a * b - P1) % n, (b * b - 2) % n
         else:
-            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
-    if (2 * W - V) % n == 0 or V == 0:
+            a, b = (a * a - 2) % n, (a * b - P1) % n
+    if a == b or (a + b) % n == 0:
         return True
+    V = (a * b - P1) % n  # V'_d
     for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
         if V == 0:
             return True
+        V = (V * V - 2) % n
     return False
 
 

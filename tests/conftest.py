@@ -1,4 +1,5 @@
 import functools
+import math
 import time
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qcurve import weierstrass
-from qcurve.fields import FieldCtx, Fp2, legendre
+from qcurve.fields import FieldCtx, Fp2, _jacobi, legendre
 from qcurve.isogeny import poly_eval
 from qcurve.selftest import _ctx as ctx_for
 from qcurve.weierstrass import INFINITY, Curve, Point, _madd
@@ -100,6 +101,44 @@ def to_kernel(f) -> tuple[list[int], list[int]]:
 def from_kernel(f, ctx: FieldCtx) -> tuple[Fp2, ...]:
     """A kernel polynomial (re, im) as an ascending tuple of Fp2."""
     return tuple(Fp2(ctx, a, b) for a, b in zip(*f))
+
+
+# The Lucas half of Baillie-PSW on the sequences of (P, Q) themselves, with
+# Q^k carried through the ladder: the reference for the V-only ladder of
+# qcurve.fields._strong_lucas.
+
+
+def ref_strong_lucas(n: int) -> bool:
+    """The strong Lucas test on odd n > 37 with Selfridge's D, P = 1 and
+    Q = (1 - D)/4.  A ladder carries (V_k, V_(k+1), Q^k) by
+    V_2k = V_k^2 - 2 Q^k, V_(2k+1) = V_k V_(k+1) - Q^k and
+    V_(2k+2) = V_(k+1)^2 - 2 Q^(k+1), three products per bit of d, where
+    n + 1 = d 2^s.  Since D U_k = 2 V_(k+1) - V_k and D is a unit mod n,
+    U_d = 0 reads 2 V_(d+1) = V_d.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    V, W, Qk = 2, 1, 1  # V_k, V_(k+1), Q^k at k = 0
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            V, W, Qk = (V * W - Qk) % n, (W * W - 2 * Qk * Q) % n, Qk * Qk * Q % n
+        else:
+            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
+    if (2 * W - V) % n == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 # Square roots with a Legendre symbol taken before each root: the reference

@@ -39,6 +39,7 @@ from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, orac
 from conftest import (
     MERSENNE_127,
     SMALL_CURVES,
+    CountingInt,
     count_calls,
     count_loop_int_ops,
     ctx_for,
@@ -551,9 +552,22 @@ DETERMINE_R_COUNTS = [
 ]
 # pow calls in factorize on the two paper pairs (curve and twist, d=2
 # and d=5): trial division makes none, and each remainder's Baillie-PSW
-# verdict makes one, the base-2 round's; the Lucas half multiplies out its
-# own powers.
-FACTORIZE_POW_CALLS = 4
+# verdict makes two, the base-2 round's power and the Lucas half's Q^-1;
+# the Lucas ladder multiplies out its own sequence.
+FACTORIZE_POW_CALLS = 8
+# The int operations of the Lucas half on the four remainders of those
+# orders, counted (conftest.CountingInt) from P' = Q^-1 - 2 on: two
+# products of residues and two reductions per bit of m = (d - 1)/2, where
+# n + 1 = d 2^s, the first product being by V'_0 = 2; then one product
+# for V'_d and one square per further V' until the verdict.  The
+# (V, W, Q^k) ladder of conftest.ref_strong_lucas made three products per
+# bit of d, 750-759 on these remainders.
+LUCAS_COUNTS = [
+    {"mul": 499, "mul_const": 1, "add": 502, "mod": 502},
+    {"mul": 500, "mul_const": 1, "add": 503, "mod": 503},
+    {"mul": 502, "mul_const": 1, "add": 505, "mod": 505},
+    {"mul": 503, "mul_const": 1, "add": 505, "mod": 505},
+]
 # math.gcd calls for the same four orders: one per order against the
 # product of the first block, whose primes hold all of each order's small
 # factors (2 for d=2, none for d=5); each cofactor then passes Baillie-PSW
@@ -750,6 +764,17 @@ class TestOpCounts:
         assert calls["pow"] == FACTORIZE_POW_CALLS
         assert all(f.rest.bit_length() >= 253 and str(f).endswith("(probable_prime)") for f in factorizations)
 
+    def test_strong_lucas_counts(self, monkeypatch):
+        remainders = [factorize(n).rest for pair in self._paper_pairs() for n in pair]
+        monkeypatch.setattr(fields, "pow", lambda *args: CountingInt(pow(*args)), raising=False)
+        counts = CountingInt.counts
+        seen = []
+        for n in remainders:
+            counts.clear()
+            assert fields._strong_lucas(n)
+            seen.append(dict(counts))
+        assert seen == LUCAS_COUNTS
+
     def test_factorize_gcd_calls(self, monkeypatch):
         pairs = self._paper_pairs()
         factorize(pairs[0][0])  # the prime blocks, built outside the count
@@ -913,6 +938,35 @@ class TestSignRule:
             for twisted in (False, True):
                 endo = gls_endo(ctx, a0, b0, twisted=twisted)
                 assert determine_r(endo, t) == reference_r(endo, t)
+
+    @pytest.mark.parametrize(
+        "p,d,s,twisted,r",
+        [
+            pytest.param(p, d, s, twisted, r, id=f"d{d}-p{p}-s{s}{'-twist' if twisted else ''}")
+            for p, d, s, twisted, r in (
+                (17, 7, 15, False, -2),
+                (19, 3, 11, True, -4),
+                (23, 2, 10, False, -4),
+                (29, 2, 12, True, -7),
+            )
+        ],
+    )
+    def test_first_point_is_no_witness(self, p, d, s, twisted, r):
+        # On the first hashed point Q, [q]psi(Q) = [target]Q with q = |r|,
+        # and [2g]psi(Q) = O with g = gcd(q, target) > 1: [g]psi(Q) is of
+        # order 2 at p = 17, 19 and is O at p = 23, 29.  So Q satisfies both
+        # signs and is no witness, and a later point rules + out.  Read as a
+        # witness without the y([g]psi(Q)) test (p = 17, 19) or without the
+        # multiplication by g (all four), Q would give +q.
+        endo = Endo(build_family_curve(d, ctx_for(p), s), twisted=twisted)
+        curve, q = endo.curve, abs(r)
+        Q = random_point(curve, 0)
+        g = math.gcd(q, endo.target)
+        assert g > 1 and curve.mul(q, endo(Q)) == curve.mul(endo.target, Q)
+        gR = curve.mul(g, endo(Q))
+        assert gR.is_infinity == (p > 19) and curve.mul(2, gR).is_infinity
+        t = oracle_trace(endo.family.curve)
+        assert determine_r(endo, t) == reference_r(endo, t) == r
 
     @pytest.mark.parametrize("p,s", [(5, 2), (5, 3), (7, 0)])
     def test_member_without_witness(self, p, s, monkeypatch):

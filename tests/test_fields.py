@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcurve.errors import DomainError, NotInertError, NotPrimeError
 import random
 
+from qcurve import fields
 from qcurve.fields import (
     FieldCtx,
     Fp2,
@@ -23,7 +24,7 @@ from qcurve.fields import (
     sqrt_mod_prime,
 )
 
-from conftest import MERSENNE_127, ctx_for, ref_sqrt, ref_sqrt_mod_prime
+from conftest import MERSENNE_127, ctx_for, prime_factors, ref_sqrt, ref_sqrt_mod_prime, ref_strong_lucas
 
 PRIME_POOL = [5, 7, 11, 13, 17, 101, 2**31 - 1, MERSENNE_127, 2**128 - 159]
 
@@ -110,6 +111,39 @@ def _odd_composites(bound: int):
     return (n for n in range(9, bound, 2) if n not in primes)
 
 
+# The strong Lucas pseudoprimes below 2 * 10^5 (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439, 100127,
+    113573, 115639, 130139, 155819, 158399, 161027, 162133, 176399, 176471, 189419, 192509, 197801,
+]
+# The remainders that trial division leaves of the four paper orders: curve
+# and twist of d=2, s = 28106 (each order is twice its remainder) and of
+# d=5, s = 7930 (prime orders), at p = 2^127 - 1.
+PAPER_REMAINDERS = [
+    14474011154664524427946373126085988481624648090935609141670889469087334006263,
+    14474011154664524427946373126085988481352565708553593404730131925459180192267,
+    28948022309329048855892746252171976962817129484562633884747769325266000162379,
+    28948022309329048855892746252171976963137298114415771208054273463827028234681,
+]
+
+
+def _random_prime(rng: random.Random, bits: int) -> int:
+    while not is_probable_prime(n := rng.getrandbits(bits) | 1 << (bits - 1) | 1):
+        pass
+    return n
+
+
+def assert_matches_reference(ns, monkeypatch):
+    """_strong_lucas and is_probable_prime give on each n the verdicts they
+    give with the reference ladder (conftest.ref_strong_lucas) as the Lucas
+    half."""
+    verdicts = [(fields._strong_lucas(n), is_probable_prime(n)) for n in ns]
+    with monkeypatch.context() as mp:
+        mp.setattr(fields, "_strong_lucas", ref_strong_lucas)
+        reference = [(fields._strong_lucas(n), is_probable_prime(n)) for n in ns]
+    assert [n for n, got, want in zip(ns, verdicts, reference) if got != want] == []
+
+
 class TestBailliePSW:
     """is_probable_prime's Baillie-PSW test and its two halves, the strong
     base-2 round and the strong Lucas test with Selfridge's parameters."""
@@ -150,6 +184,39 @@ class TestBailliePSW:
         pseudoprimes = [n for n in _odd_composites(20000) if _strong_lucas(n)]
         assert pseudoprimes == [5459, 5777, 10877, 16109, 18971]
         assert not any(_strong_base2(n) for n in pseudoprimes)
+
+    def test_matches_reference_below_200000(self, monkeypatch):
+        ns = range(39, 200000, 2)
+        assert_matches_reference(ns, monkeypatch)
+        primes = _primes_below_2_20()
+        assert [n for n in ns if _strong_lucas(n) and n not in primes] == STRONG_LUCAS_PSEUDOPRIMES
+
+    def test_matches_reference_at_254_bits(self, monkeypatch):
+        rng = random.Random(43)
+        odd = [rng.getrandbits(254) | 1 << 253 | 1 for _ in range(500)]
+        primes = [_random_prime(rng, 127) for _ in range(40)]
+        products = [a * b for a, b in zip(primes[::2], primes[1::2])]
+        large_primes = [_random_prime(rng, 254) for _ in range(10)] + PAPER_REMAINDERS
+        assert_matches_reference(odd + products + large_primes, monkeypatch)
+        assert not any(map(is_probable_prime, products))
+        assert all(map(_strong_lucas, large_primes))
+
+    def test_selfridge_q_is_a_unit(self, monkeypatch):
+        # Each odd prime l dividing Q = (1 - D)/4 divides a D met before D in
+        # the search (9 for l = 3, +-l for l >= 5), where (D|n) = 0 refuses an
+        # n with l | n; so Q is a unit mod every odd n whose search reaches it.
+        met = []
+        D = 5
+        while abs(D) < 10000:
+            assert all(any(D0 % l == 0 for D0 in met) for l in prime_factors(abs(1 - D) // 4) - {2}), D
+            met.append(D)
+            D = -D - 2 if D > 0 else -D + 2
+        # D = 13 gives Q = -3, and D = -19 and 21 give Q = 5 and -5: odd n
+        # with such a factor, up to 2^254, are refused by both ladders.
+        rng = random.Random(13)
+        ns = [l * _random_prime(rng, bits) for l in (3, 5, 7, 11) for bits in (20, 127, 250)]
+        assert_matches_reference(ns, monkeypatch)
+        assert not any(map(_strong_lucas, ns))
 
     @pytest.mark.parametrize("q", [1093, 3511, 1048573, 2**61 - 1])
     def test_refuses_squares_of_primes(self, q):
