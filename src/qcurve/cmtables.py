@@ -197,8 +197,11 @@ def detect_cm(fam: FamilyCurve) -> Disc | None:
     At primes where two fibers collide mod p (their conditions and reduced
     j-invariants coincide) the first match in table order is reported."""
     ctx = fam.ctx
-    j = fam.curve.j_invariant()
+    j = None  # one Fp2 inversion, taken once a fiber condition holds
     for fiber in cm_fibers(fam.d):
-        if fiber_matches(fiber, ctx, fam.s) and j in cm_j_candidates(fiber.disc, ctx):
-            return fiber.disc
+        if fiber_matches(fiber, ctx, fam.s):
+            if j is None:
+                j = fam.curve.j_invariant()
+            if j in cm_j_candidates(fiber.disc, ctx):
+                return fiber.disc
     return None

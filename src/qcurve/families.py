@@ -10,6 +10,7 @@ recovers the subfield-Frobenius endomorphism on the quadratic twist.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,8 +77,7 @@ def _build_d2(ctx: FieldCtx, s: int):
     A = 2 * (C - 24)
     B = -8 * (C - 16)
     F = (ctx.elem(-4), ctx.one())
-    lam2 = -(ctx.one() / 2)
-    return A, B, C, F, lam2
+    return A, B, C, F
 
 
 def _build_d3(ctx: FieldCtx, s: int):
@@ -85,8 +85,7 @@ def _build_d3(ctx: FieldCtx, s: int):
     A = -3 * (2 * C + 1)
     B = C * C + 10 * C - 2
     F = (ctx.elem(-3), ctx.one())
-    lam2 = -(ctx.one() / 3)
-    return A, B, C, F, lam2
+    return A, B, C, F
 
 
 def _build_d5(ctx: FieldCtx, s: int):
@@ -102,9 +101,7 @@ def _build_d5(ctx: FieldCtx, s: int):
     # f0 = 1 + 2i, made monic: 1/f0 = (1 - 2i)/5 because i^2 = delta = -1,
     # which build_family_curve enforces for d = 5.
     F = (c * c + ctx.elem(1, -2) * (81 * s * u * pow(5, -1, p)) * tail * tail, -2 * c, ctx.one())
-    w = ctx.elem(1, 2)
-    lam2 = (w * w).inverse()
-    return A, B, None, F, lam2
+    return A, B, None, F
 
 
 def _build_d7(ctx: FieldCtx, s: int):
@@ -120,11 +117,25 @@ def _build_d7(ctx: FieldCtx, s: int):
     h = ctx.elem(27, s)
     k = 16 * g * g * C
     F = (-(C * C * C) + 3 * k * C - 4 * k * g * h, 3 * C * C - 3 * k, -3 * C, ctx.one())
-    lam2 = -(ctx.one() / 7)
-    return A, B, C, F, lam2
+    return A, B, C, F
 
 
 _BUILDERS = {2: _build_d2, 3: _build_d3, 5: _build_d5, 7: _build_d7}
+
+
+@functools.cache
+def _twisting_factor(p: int, delta: int, d: int) -> tuple[int, int]:
+    """lam2 of the degree-d family, the square that post_twist composes
+    with the Velu quotient, as an int pair, once per process, field and
+    degree: -1/d, or (1 + 2i)^-2 for d = 5 (where delta = -1)."""
+    ctx = FieldCtx(p, delta)
+    if d == 5:
+        w = ctx.elem(1, 2)
+        lam2 = (w * w).inverse()
+    else:
+        lam2 = -(ctx.one() / d)
+    return lam2.a, lam2.b
+
 
 _MIN_P = {2: 3, 3: 3, 5: 5, 7: 7}
 
@@ -143,11 +154,12 @@ def build_family_curve(d: int, ctx: FieldCtx, s: int) -> FamilyCurve:
         if ctx.delta != p - 1:
             raise ResidueClassError("degree-5 family requires delta = -1")
     s %= p
-    A, B, C, F, lam2 = _BUILDERS[d](ctx, s)
+    A, B, C, F = _BUILDERS[d](ctx, s)
     try:
         curve = Curve(A, B)
     except DegenerateParameterError as exc:
         raise DegenerateParameterError(f"s={s} gives a singular curve") from exc
+    lam2 = Fp2(ctx, *_twisting_factor(p, ctx.delta, d))
     phi = post_twist(velu_quotient(curve, d, F), lam2)
     if phi.codomain != curve.conjugate():
         raise DegenerateParameterError(

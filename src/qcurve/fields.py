@@ -5,12 +5,15 @@ standing for a + b*sqrt(D), where D is a fixed quadratic nonresidue mod p.
 Values are immutable and every operation returns a fresh object, so contexts
 and elements may be shared freely between threads.
 
-A context checks its modulus once.  A Mersenne modulus 2^q - 1, such as the
-paper's 2^127 - 1, is proven prime by Lucas-Lehmer (125 squarings at
+A modulus is tested once per process.  A Mersenne modulus 2^q - 1, such
+as the paper's 2^127 - 1, is proven prime by Lucas-Lehmer (125 squarings at
 q = 127); any other modulus must pass Baillie-PSW, one strong base-2
-Miller-Rabin round and one strong Lucas test.  At p = 3 (mod 4) a square
-root is one exponentiation whose square is checked, so a nonsquare needs no
-separate Legendre symbol, which is the Jacobi symbol by quadratic reciprocity.
+Miller-Rabin round and one strong Lucas test.  The verdict, and every other
+constant that depends only on the field, is cached by the field's value
+(p, delta) as int pairs, not with a context: the CLI builds a new context on
+every call.  At p = 3 (mod 4) a square root is one exponentiation whose
+square is checked, so a nonsquare needs no separate Legendre symbol, which is
+the Jacobi symbol by quadratic reciprocity.
 
 The module also holds the integer number theory that group orders need:
 factorize splits an order by trial division up to 2^20 (or past its square
@@ -343,9 +346,50 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
+@functools.cache
+def _is_prime_modulus(p: int) -> bool:
+    """is_probable_prime(p) for a field modulus, once per process and p:
+    31-35 us of Lucas-Lehmer at 2^127 - 1 (CPython 3.11) that a context
+    built again on the same field does not pay."""
+    return is_probable_prime(p)
+
+
+@functools.cache
+def _sqrt_neg_delta(p: int, delta: int) -> tuple[int, int]:
+    """(k, 1/k) mod p with k^2 = -delta, for p = 3 (mod 4), once per process
+    and field: -delta is a residue there, as -1 and delta are not.  k = 1
+    for delta = -1.  Fp2.sqrt reads a root off a failed power with it."""
+    k = pow(-delta % p, (p + 1) >> 2, p)
+    return k, pow(k, -1, p)
+
+
+@functools.cache
+def _twist_constants(p: int, delta: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The canonical nonsquare mu of F_p(sqrt(delta)) and mu^((p-1)/2), as
+    int pairs, once per process and field: FieldCtx.nonsquare returns mu,
+    and isogeny.quadratic_twist takes the power for the constant of psi',
+    125 squarings and 125 products at p = 2^127 - 1."""
+    ctx = FieldCtx(p, delta)
+    row = (Fp2(ctx, a, b) for b in range(1, p) for a in range(p))
+    mu = next(x for x in row if not x.is_square())
+    power = mu ** ((p - 1) // 2)
+    return (mu.a, mu.b), (power.a, power.b)
+
+
 @dataclass(frozen=True)
 class FieldCtx:
-    """The field F_{p^2} = F_p(sqrt(delta)): prime modulus plus nonresidue."""
+    """The field F_{p^2} = F_p(sqrt(delta)): prime modulus plus nonresidue.
+
+    Every construction checks the type and range of p, reduces delta and
+    checks that it is a nonresidue, raising the same error for the same
+    input each time; only the primality verdict of p comes from a cache
+    (_is_prime_modulus).  The constants of the field that its users need
+    more than once (the canonical nonsquare and its power for the twist,
+    sqrt(-delta) for square roots, and in isogeny and families the twisting
+    factors and their roots) are cached by the value (p, delta), so two
+    contexts of one field share them.  The point-count tables and the
+    square-root table of a small field stay with the context.
+    """
 
     p: int
     delta: int
@@ -356,7 +400,7 @@ class FieldCtx:
             raise ModulusRangeError(f"modulus must be a prime greater than 3, got {p}")
         if p.bit_length() > MAX_MODULUS_BITS:
             raise ModulusRangeError(f"modulus exceeds {MAX_MODULUS_BITS} bits")
-        if not is_probable_prime(p):
+        if not _is_prime_modulus(p):
             factor = next((q for q in _SMALL_PRIMES if p % q == 0), None)
             if factor is not None:
                 raise NotPrimeError(f"modulus {p} has the factor {factor}")
@@ -365,7 +409,6 @@ class FieldCtx:
         object.__setattr__(self, "delta", self.delta % p)
         if legendre(self.delta, p) != -1:
             raise NotInertError(f"delta={self.delta} is a square mod {p}")
-        object.__setattr__(self, "_nonsquare_cache", None)
         object.__setattr__(self, "_oracle_tables", None)
         object.__setattr__(self, "_square_roots", None)
         # delta as its least absolute residue, so that delta = -1 is the small
@@ -395,14 +438,9 @@ class FieldCtx:
 
     def nonsquare(self) -> "Fp2":
         """The canonical nonsquare of F_{p^2}: the first nonsquare in the
-        ordering (0+1i), (1+1i), (2+1i), ..., continuing through (a+bi) rows."""
-        cached = self._nonsquare_cache
-        if cached is None:
-            p = self.p
-            row = (Fp2(self, a, b) for b in range(1, p) for a in range(p))
-            cached = next(x for x in row if not x.is_square())
-            object.__setattr__(self, "_nonsquare_cache", cached)
-        return cached
+        ordering (0+1i), (1+1i), (2+1i), ..., continuing through (a+bi) rows,
+        found once per field (_twist_constants)."""
+        return Fp2(self, *_twist_constants(self.p, self.delta)[0])
 
     def oracle_tables(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
         """The tables the point-count oracle reads, as (chi, cubes, squares3):
@@ -588,11 +626,19 @@ class Fp2:
 
         Canonical means the root whose (a, b) pair is lexicographically
         smallest among the two candidates, compared as integers.
+
+        At p = 3 (mod 4) (_sqrt_3mod4) a root costs two powers when b != 0
+        (the norm's root, then one candidate for u^2) and one when b = 0; a
+        failed power r, with r^2 = -s, gives the root through the field's
+        constant k = sqrt(-delta) in place of a second power.
         """
         ctx = self.ctx
         p = ctx.p
         if not self:
             return ctx.zero()
+        if p % 4 == 3:
+            root = _sqrt_3mod4(self.a, self.b, p, ctx.delta, self.norm())
+            return None if root is None else _canonical_root(Fp2(ctx, *root))
         if self.b == 0:
             u = sqrt_mod_prime(self.a, p)
             if u is not None:
@@ -618,6 +664,35 @@ class Fp2:
 
     def __repr__(self):
         return f"Fp2({self.a}+{self.b}*i mod {self.ctx.p})"
+
+
+def _sqrt_3mod4(a: int, b: int, p: int, delta: int, norm: int) -> tuple[int, int] | None:
+    """A square root (u, v) of a + b*sqrt(delta) != 0 at p = 3 (mod 4),
+    norm = a^2 - delta*b^2 mod p, or None for a nonsquare; e = (p+1)/4.
+
+    With b = 0, r = a^e is the root if r^2 = a; else r^2 = -a, and the
+    root is (r/k)*sqrt(delta), k^2 = -delta.  With b != 0, x is a square iff
+    its norm is, say m^2, and u^2 is s = (a + m)/2 or t = (a - m)/2,
+    whichever is a residue: st = delta*b^2/4 is a nonresidue, and neither
+    is 0, since a = -+m would force delta*b^2 = 0.  If r = s^e has r^2 = s,
+    then u = r; else r^2 = -s, so t = delta*b^2/(4s) = (bk/(2r))^2 and
+    u = bk/(2r).  Either way v = b/(2u), which is r/k in the second case.
+    """
+    e = (p + 1) >> 2
+    if b == 0:
+        r = pow(a, e, p)
+        if r * r % p == a:
+            return r, 0
+        return 0, r * _sqrt_neg_delta(p, delta)[1] % p
+    m = pow(norm, e, p)
+    if m * m % p != norm:
+        return None
+    s = (a + m) * ((p + 1) >> 1) % p
+    r = pow(s, e, p)
+    if r * r % p == s:
+        return r, b * pow(2 * r, -1, p) % p
+    k, k_inv = _sqrt_neg_delta(p, delta)
+    return b * k * pow(2 * r, -1, p) % p, r * k_inv % p
 
 
 def _canonical_root(r: Fp2) -> Fp2:

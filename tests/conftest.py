@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qcurve import weierstrass
-from qcurve.fields import FieldCtx, Fp2, _jacobi, legendre
+from qcurve import families, fields, isogeny, weierstrass
+from qcurve.fields import FieldCtx, Fp2, _jacobi, legendre, sqrt_mod_prime
 from qcurve.isogeny import poly_eval
 from qcurve.selftest import _ctx as ctx_for
 from qcurve.weierstrass import INFINITY, Curve, Point, _madd
@@ -20,6 +20,18 @@ settings.register_profile(
 settings.load_profile("default")
 
 MERSENNE_127 = 2**127 - 1
+
+# The constants of qcurve that depend only on the field, each cached for the
+# process by value: p, (p, delta), (p, delta, d) or a twisting factor's
+# (p, delta, a, b).  A count that must not depend on which test ran first
+# clears them.
+FIELD_CACHES = (
+    fields._is_prime_modulus,
+    fields._sqrt_neg_delta,
+    fields._twist_constants,
+    families._twisting_factor,
+    isogeny._twisting_root,
+)
 
 
 # One member of each degree at the smallest prime where the family exists,
@@ -181,6 +193,33 @@ def ref_sqrt(x: Fp2) -> Fp2 | None:
             u2 = (x.a - m) * half % p
         u = ref_sqrt_mod_prime(u2, p)
         root = Fp2(ctx, u, x.b * pow(2 * u, -1, p))
+    neg = -root
+    return root if (root.a, root.b) <= (neg.a, neg.b) else neg
+
+
+def ref_sqrt_two_powers(x: Fp2) -> Fp2 | None:
+    """The canonical square root of x by Fp2.sqrt's routine before it read
+    a root off a failed power at p = 3 (mod 4): when (a + m)/2 is a
+    nonresidue, (a - m)/2 gets a power of its own, and with b = 0 a
+    nonresidue a is divided by delta and its quotient's root taken."""
+    ctx, p = x.ctx, x.ctx.p
+    if not x:
+        return ctx.zero()
+    if x.b == 0:
+        u = sqrt_mod_prime(x.a, p)
+        if u is not None:
+            root = Fp2(ctx, u, 0)
+        else:
+            root = Fp2(ctx, 0, sqrt_mod_prime(x.a * pow(ctx.delta, -1, p) % p, p))
+    else:
+        m = sqrt_mod_prime(x.norm(), p)
+        if m is None:
+            return None
+        half = (p + 1) // 2
+        u = sqrt_mod_prime((x.a + m) * half, p)
+        if u is None:
+            u = sqrt_mod_prime((x.a - m) * half, p)
+        root = Fp2(ctx, u, x.b * pow(2 * u % p, -1, p))
     neg = -root
     return root if (root.a, root.b) <= (neg.a, neg.b) else neg
 

@@ -15,8 +15,9 @@ from qcurve.cmtables import (
 from qcurve.errors import DomainError, UntabulatedError
 from qcurve.families import build_family_curve, gls_endo
 from qcurve.fields import is_probable_prime
+from qcurve.weierstrass import Curve
 
-from conftest import ctx_for
+from conftest import count_calls, ctx_for
 
 
 class TestTableShape:
@@ -75,6 +76,25 @@ class TestDetection:
                 continue
             expected = any(fiber_matches(f, ctx, s) for f in cm_fibers(d))
             assert (detect_cm(fam) is not None) == expected
+
+    @pytest.mark.parametrize("d,p", [(2, 13), (3, 13), (5, 11), (7, 13)])
+    def test_j_only_where_a_fiber_condition_holds(self, d, p, monkeypatch):
+        """detect_cm evaluates j, one Fp2 inversion, once for a member whose
+        parameter meets some fiber condition and not at all otherwise."""
+        ctx = ctx_for(p)
+        calls = count_calls(monkeypatch, Curve, "j_invariant")
+        seen = set()
+        for s in range(p):
+            try:
+                fam = build_family_curve(d, ctx, s)
+            except DomainError:
+                continue
+            matched = any(fiber_matches(f, ctx, s) for f in cm_fibers(d))
+            calls.clear()
+            detect_cm(fam)
+            assert len(calls) == matched
+            seen.add(matched)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_fiber_set_stable_under_negation(self, d):

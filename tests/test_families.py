@@ -37,6 +37,7 @@ from qcurve.selftest import EXAMPLE_D2, EXAMPLE_D5
 from qcurve.weierstrass import INFINITY, Point, curve_points, oracle_order, oracle_trace, random_point
 
 from conftest import (
+    FIELD_CACHES,
     MERSENNE_127,
     SMALL_CURVES,
     CountingInt,
@@ -475,17 +476,23 @@ PSI_FP2_BUILDS = 4
 # Building one untwisted Endo: it holds the family's phi and curve, copying
 # nothing, so it costs no field operation at all.
 ENDO_COUNTS = [(2, {}), (5, {})]
-# Building one twisted Endo (isogeny.quadratic_twist): nearly all of it is
-# mu^((p-1)/2) for the new constant -c * mu^((p-1)/2), 125 squarings and 125
-# products on the exponent 2^126 - 1, walked from its top bit.  The rest is
+# Building one twisted Endo (isogeny.quadratic_twist) in a field whose twist
+# constants are not yet cached: nearly all of it is mu^((p-1)/2) for the new
+# constant -c * mu^((p-1)/2), 125 squarings and 125 products on the exponent
+# 2^126 - 1, walked from its top bit (fields._twist_constants).  The rest is
 # the twist's coefficients (mu^2, mu^3, mu^2 A, mu^3 B), the powers mu, ...,
 # mu^n, n = deg num, and
 # one Fp2 product per coefficient of num and den, which reads phi at x/mu:
 # 2 + 5 for d=2 and 5 + 11 for d=5; then c times the power, and conj(mu)
-# scaling num on the kernel.  It makes no inversion.
+# scaling num on the kernel.  It makes no inversion.  A second twisted Endo
+# in the same field takes the power from the cache and pays only the rest.
 TWISTED_ENDO_COUNTS = [
     (2, {"sqr": 126, "mul": 136, "poly_scale": 1, "_reduced": 1}),
     (5, {"sqr": 126, "mul": 145, "poly_scale": 1, "_reduced": 1}),
+]
+WARM_TWISTED_ENDO_COUNTS = [
+    (2, {"sqr": 1, "mul": 11, "poly_scale": 1, "_reduced": 1}),
+    (5, {"sqr": 1, "mul": 20, "poly_scale": 1, "_reduced": 1}),
 ]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
 # s=1.  Two curves pay a discriminant check, on int pairs: the member and the
@@ -502,7 +509,13 @@ TWISTED_ENDO_COUNTS = [
 # N + F_(e-1) D, also reduced product by product; and Kohel's expansion of
 # the x-map, whose six products after F^2 are added up unreduced and reduced
 # once.  Every remainder is taken modulo the monic kernel polynomial.  d=2
-# expands nothing.
+# expands nothing.  These are the first builds of each degree in the field:
+# each also computes its twisting factor lam2 (families._twisting_factor),
+# -1/d as 1 times the inverse of d (one inversion and one product), or for
+# d=5 the inverse of (1 + 2i)^2 (one square and one inversion), and takes
+# its root, one Fp2.sqrt (isogeny._twisting_root).  A second build of the
+# same member on a new context of the field (WARM_BUILD_COUNTS) takes both
+# from the caches and makes no inversion and no square root.
 BUILD_COUNTS = [
     (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 1, "poly_scale": 1, "_reduced": 1}),
     (5, {"mul_int": 13, "sqr": 4, "mul": 11, "inv": 1, "poly_rem": 5, "_reduced": 25, "poly_mulmod": 6,
@@ -510,6 +523,15 @@ BUILD_COUNTS = [
     (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 10, "poly_rem": 3, "_reduced": 10, "poly_scale": 2, "poly_add": 1,
          "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
     (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "poly_rem": 5, "_reduced": 35, "poly_mulmod": 12,
+         "_products": 19, "poly_scale": 9, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
+]
+WARM_BUILD_COUNTS = [
+    (2, {"mul_int": 6, "mul": 7, "sqr": 1, "poly_scale": 1, "_reduced": 1}),
+    (5, {"mul_int": 13, "sqr": 3, "mul": 11, "poly_rem": 5, "_reduced": 25, "poly_mulmod": 6,
+         "_products": 13, "poly_scale": 7, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
+    (3, {"mul_int": 11, "sqr": 3, "mul": 9, "poly_rem": 3, "_reduced": 10, "poly_scale": 2, "poly_add": 1,
+         "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
+    (7, {"mul_int": 16, "mul": 18, "sqr": 3, "poly_rem": 5, "_reduced": 35, "poly_mulmod": 12,
          "_products": 19, "poly_scale": 9, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
@@ -580,6 +602,13 @@ class TestOpCounts:
     """Exact field-operation counts on the paper instances; a change to the
     arithmetic shows up here as a changed count."""
 
+    @pytest.fixture(autouse=True)
+    def cold_field_caches(self):
+        """Each count starts with the per-field constants uncomputed, so no
+        count depends on which test ran first."""
+        for cache in FIELD_CACHES:
+            cache.cache_clear()
+
     def test_psi_counts(self, monkeypatch):
         cases = []
         for endo, _ in paper_endos():
@@ -639,22 +668,30 @@ class TestOpCounts:
     def test_twisted_endo_counts(self, monkeypatch):
         families = [endo.family for endo, _ in paper_endos()]
         counts = _count_ops(monkeypatch)
-        seen = []
+        cold, warm = [], []
         for fam in families:
-            counts.clear()
-            Endo(fam, twisted=True)
-            seen.append((fam.d, dict(counts)))
-        assert seen == TWISTED_ENDO_COUNTS
+            fields._twist_constants.cache_clear()
+            for seen in (cold, warm):
+                counts.clear()
+                Endo(fam, twisted=True)
+                seen.append((fam.d, dict(counts)))
+        assert cold == TWISTED_ENDO_COUNTS
+        assert warm == WARM_TWISTED_ENDO_COUNTS
 
     def test_build_counts(self, monkeypatch):
-        ctx = FieldCtx(MERSENNE_127, -1)
         counts = _count_ops(monkeypatch)
-        seen = []
+        roots = count_calls(monkeypatch, Fp2, "sqrt")
+        cold, warm = [], []
         for d, s in ((2, 28106), (5, 7930), (3, 10400), (7, 1)):
-            counts.clear()
-            build_family_curve(d, ctx, s)
-            seen.append((d, dict(counts)))
-        assert seen == BUILD_COUNTS
+            # The second build runs on a new context of the same field.
+            for seen in (cold, warm):
+                ctx = FieldCtx(MERSENNE_127, -1)
+                counts.clear()
+                roots.clear()
+                build_family_curve(d, ctx, s)
+                seen.append((d, dict(counts), len(roots)))
+        assert cold == [(d, c, 1) for d, c in BUILD_COUNTS]
+        assert warm == [(d, c, 0) for d, c in WARM_BUILD_COUNTS]
 
     def test_determine_r_counts(self, monkeypatch):
         cases = list(paper_endos())

@@ -24,7 +24,18 @@ from qcurve.fields import (
     sqrt_mod_prime,
 )
 
-from conftest import MERSENNE_127, ctx_for, prime_factors, ref_sqrt, ref_sqrt_mod_prime, ref_strong_lucas
+from qcurve.families import Endo, build_family_curve
+
+from conftest import (
+    FIELD_CACHES,
+    MERSENNE_127,
+    ctx_for,
+    prime_factors,
+    ref_sqrt,
+    ref_sqrt_mod_prime,
+    ref_sqrt_two_powers,
+    ref_strong_lucas,
+)
 
 PRIME_POOL = [5, 7, 11, 13, 17, 101, 2**31 - 1, MERSENNE_127, 2**128 - 159]
 
@@ -82,9 +93,56 @@ class TestContext:
         (1048573 * 1048583, f"modulus {1048573 * 1048583} failed Baillie-PSW"),
     ])
     def test_composite_modulus_names_its_test(self, p, message):
-        with pytest.raises(NotPrimeError) as exc:
-            FieldCtx(p, -1)
-        assert str(exc.value) == message
+        fields._is_prime_modulus.cache_clear()
+        for _ in range(3):
+            with pytest.raises(NotPrimeError) as exc:
+                FieldCtx(p, -1)
+            assert str(exc.value) == message
+        # The verdict is taken once; the message is built on every call.
+        info = fields._is_prime_modulus.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+class TestFieldCaches:
+    """The per-field constants are cached by the field's value, so every
+    context of one field shares them and two fields never do."""
+
+    @staticmethod
+    def touch(ctx, d):
+        """Read every per-field constant of ctx: the modulus verdict, the
+        twisting factor of degree d and its root, the nonsquare and its
+        power for psi', and sqrt(-delta) for a nonresidue's root."""
+        fam = build_family_curve(d, ctx, 1)
+        Endo(fam, twisted=True)
+        assert ctx.elem(-1).sqrt() is not None
+
+    def test_contexts_of_one_field_share_entries(self):
+        for cache in FIELD_CACHES:
+            cache.cache_clear()
+        first = FieldCtx(MERSENNE_127, -1)
+        self.touch(first, 2)
+        misses = [cache.cache_info().misses for cache in FIELD_CACHES]
+        assert misses == [1] * len(FIELD_CACHES)
+        hits = [cache.cache_info().hits for cache in FIELD_CACHES]
+        second = FieldCtx(MERSENNE_127, -1)
+        assert second is not first
+        self.touch(second, 2)
+        assert [cache.cache_info().misses for cache in FIELD_CACHES] == misses
+        assert all(cache.cache_info().hits > h for cache, h in zip(FIELD_CACHES, hits))
+
+    def test_fields_of_one_modulus_do_not_share(self):
+        for cache in FIELD_CACHES:
+            cache.cache_clear()
+        minus_one, five = FieldCtx(23, -1), FieldCtx(23, 5)
+        for ctx in (minus_one, five):
+            self.touch(ctx, 2)
+        # Only the modulus verdict is keyed by p alone.
+        assert [cache.cache_info().currsize for cache in FIELD_CACHES] == [1, 2, 2, 2, 2]
+        for ctx in (minus_one, five):
+            mu = ctx.nonsquare()
+            assert mu.ctx is ctx and not mu.is_square()
+            k, k_inv = fields._sqrt_neg_delta(23, ctx.delta)
+            assert k * k % 23 == -ctx.delta % 23 and k * k_inv % 23 == 1
 
 
 # The exponents q <= 128 of the Mersenne primes 2^q - 1 (OEIS A000043).
@@ -501,6 +559,24 @@ class TestSqrt:
                 x = Fp2(ctx, a, b)
                 assert x.sqrt() == ref_sqrt(x)
 
+    @pytest.mark.parametrize("p, delta", [(7, -1), (11, -1), (19, -1), (23, -1), (43, -1), (23, 5), (43, 3)])
+    def test_exhaustive_matches_two_power_roots(self, p, delta):
+        """The root read off a failed power is the canonical root of the
+        two-power routine on every element, with delta = -1 (k = 1) and
+        with a nonresidue whose k = sqrt(-delta) is not 1."""
+        ctx = FieldCtx(p, delta)
+        kinds = set()
+        for a in range(p):
+            for b in range(p):
+                x = Fp2(ctx, a, b)
+                r = x.sqrt()
+                assert r == ref_sqrt_two_powers(x)
+                if r is not None and b:
+                    # Whether (a + m)/2 was a residue, that is u^2 itself.
+                    m = sqrt_mod_prime(x.norm(), p)
+                    kinds.add(legendre((a + m) * ((p + 1) // 2), p) == 1)
+        assert kinds == {True, False}
+
     def test_random_matches_legendre_first_roots_at_mersenne_127(self, big_ctx):
         # Random coordinates with b = 0 and b != 0, and their squares, so
         # that residues and nonresidues of F_p and squares and nonsquares of
@@ -517,7 +593,7 @@ class TestSqrt:
             for x in (Fp2(big_ctx, n, 0), Fp2(big_ctx, n, rng.randrange(1, p))):
                 for y in (x, x * x):
                     r = y.sqrt()
-                    assert r == ref_sqrt(y)
+                    assert r == ref_sqrt(y) == ref_sqrt_two_powers(y)
                     kinds.add(("b = 0" if y.b == 0 else "b != 0", r is not None))
         # Every element of F_p is a square in F_{p^2}.
         assert kinds == {(k, v) for k in ("F_p", "b != 0") for v in (True, False)} | {("b = 0", True)}
