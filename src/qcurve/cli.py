@@ -22,6 +22,7 @@ import contextlib
 import functools
 import os
 import json
+import re
 import shlex
 import sys
 import time
@@ -35,6 +36,11 @@ from .selftest import all_checks
 from .weierstrass import ORACLE_MAX_P, loop_ops
 
 
+# Any character that str.isspace() accepts: re's \s on a str pattern is the
+# same Unicode whitespace test, run in one C-level scan.
+_WHITESPACE = re.compile(r"\s")
+
+
 def _emit(record: dict, json_mode: bool, stream=None):
     stream = stream or sys.stdout
     if json_mode:
@@ -43,7 +49,7 @@ def _emit(record: dict, json_mode: bool, stream=None):
         parts = []
         for k, v in record.items():
             text = str(v)
-            if any(c.isspace() for c in text):
+            if _WHITESPACE.search(text):
                 text = shlex.quote(text)
             parts.append(f"{k}={text}")
         stream.write(" ".join(parts) + "\n")

@@ -552,11 +552,7 @@ class Fp2:
 
     def inverse(self) -> "Fp2":
         ctx = self.ctx
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in F_{p^2}")
-        ni = pow(n, -1, ctx.p)
-        return Fp2(ctx, self.a * ni, -self.b * ni)
+        return Fp2(ctx, *_inverse_pair(self.a, self.b, ctx.p, ctx.signed_delta))
 
     def __truediv__(self, other):
         oa, ob = self._pair(other)
@@ -664,6 +660,19 @@ class Fp2:
 
     def __repr__(self):
         return f"Fp2({self.a}+{self.b}*i mod {self.ctx.p})"
+
+
+def _inverse_pair(a: int, b: int, p: int, d: int) -> tuple[int, int]:
+    """(a + b*sqrt(delta))^-1 as a reduced int pair, d = delta or its least
+    absolute residue: the conjugate over the norm a^2 - d*b^2, by one
+    pow(norm, -1, p).  ZeroDivisionError for zero.  Fp2.inverse and the
+    int-pair code of weierstrass and isogeny share it, so an inversion there
+    builds no Fp2."""
+    n = (a * a - d * b * b) % p
+    if not n:
+        raise ZeroDivisionError("inverse of zero in F_{p^2}")
+    ni = pow(n, -1, p)
+    return a * ni % p, -b * ni % p
 
 
 def _sqrt_3mod4(a: int, b: int, p: int, delta: int, norm: int) -> tuple[int, int] | None:

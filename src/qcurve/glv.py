@@ -309,21 +309,23 @@ def decompose(m: int, basis: GlvBasis) -> Decomposition:
     combinations, and subtract.
 
     Requires a reduced basis; the output norm is minimal over the whole
-    coset and at most ||b2||.
+    coset and at most ||b2||.  The four candidates are scored on bare ints;
+    the first of least norm wins.
     """
     b1, b2 = basis.b1, basis.b2
     if not is_reduced(b1, b2):
         raise StructureError("decompose requires a reduced basis")
-    det = det2(b1, b2)
-    na, nb = m * b2[1], -m * b1[1]
+    (u0, u1), (v0, v1) = b1, b2
+    det = u0 * v1 - u1 * v0
+    na, nb = m * v1, -m * u1
     best = None
     for qa in (na // det, -(-na // det)):
         for qb in (nb // det, -(-nb // det)):
-            c = (qa * b1[0] + qb * b2[0], qa * b1[1] + qb * b2[1])
-            cand = (m - c[0], -c[1])
-            if best is None or infnorm(cand) < infnorm(best):
-                best = cand
-    a, b = best
+            ca = m - qa * u0 - qb * v0
+            cb = -qa * u1 - qb * v1
+            norm = max(abs(ca), abs(cb))
+            if best is None or norm < best:
+                best, a, b = norm, ca, cb
     if (a + b * basis.eigenvalue - m) % basis.order:
         raise StructureError("decomposition failed its defining congruence")
     return Decomposition(a, b)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 
 from .errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
-from .fields import FieldCtx, Fp2, _twist_constants
+from .fields import FieldCtx, Fp2, _inverse_pair, _twist_constants
 from .weierstrass import INFINITY, Curve, Point
 
 # The polynomial kernel.  A polynomial over F_{p^2} = F_p(s), s^2 = delta, is
@@ -33,8 +33,8 @@ from .weierstrass import INFINITY, Curve, Point
 # unreduced and each output coefficient is reduced once.  A polynomial is
 # evaluated by one Horner pass on int pairs (_horner), which poly_eval wraps
 # in Fp2 for its callers and Isogeny.raw_maps runs directly: an isogeny's
-# maps at a point are computed on int pairs, with one Fp2.inverse of the
-# denominator's value as the only Fp2 operation.
+# maps at a point are computed on int pairs, the one inversion of the
+# denominator's value too (fields._inverse_pair), so they build no Fp2.
 
 
 def _reduced(re, im, p):
@@ -172,6 +172,12 @@ def _kernel_poly(cs) -> tuple[list[int], list[int]]:
     return [c.a for c in cs], [c.b for c in cs]
 
 
+def _cubic_mod(curve: Curve, F):
+    """x^3 + Ax + B modulo the monic kernel polynomial F."""
+    A, B = curve.A, curve.B
+    return poly_rem(([B.a, A.a, 0, 1], [B.b, A.b, 0, 0]), F, curve.ctx)
+
+
 def division_polynomial(curve: Curve, l: int, F):
     """psi_l modulo the monic kernel polynomial F, for odd l >= 3.
 
@@ -183,6 +189,13 @@ def division_polynomial(curve: Curve, l: int, F):
     constant, such as f_1 = 1, f_2 = 2 or f_2^3 = 8, is a scaling."""
     if l < 3 or l % 2 == 0:
         raise KernelError(f"division polynomials are for odd l >= 3, not {l}")
+    return _division_mod(curve, l, F, _cubic_mod(curve, F) if l > 3 else None)
+
+
+def _division_mod(curve: Curve, l: int, F, R):
+    """division_polynomial(curve, l, F) for odd l >= 3, given
+    R = x^3 + Ax + B mod F (_cubic_mod), which l = 3 does not read:
+    velu_quotient folds the cubic once for this and for its own D = 4R."""
     ctx = curve.ctx
     d = ctx.signed_delta
     A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
@@ -206,7 +219,6 @@ def division_polynomial(curve: Curve, l: int, F):
             F,
             ctx,
         )
-        R = poly_rem(([B0, A0, 0, 1], [B1, A1, 0, 0]), F, ctx)
         R2 = poly_mulmod(R, R, F, ctx)
     half = ((ctx.p + 1) // 2, 0)
     cubes = {}
@@ -272,8 +284,7 @@ class Isogeny:
         if not (dv0 or dv1):
             return None
         nv0, nv1, dn0, dn1 = _horner(self.num, x0, x1, p, d)
-        inv = Fp2(ctx, dv0, dv1).inverse()
-        i0, i1 = inv.a, inv.b
+        i0, i1 = _inverse_pair(dv0, dv1, p, d)
         # u = N/D and du = (N' - u D')/D, then c * du.
         u0 = (nv0 * i0 + d * nv1 * i1) % p
         u1 = (nv0 * i1 + nv1 * i0) % p
@@ -324,7 +335,8 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     abscissas of one cyclic subgroup of order d (Velu 1971; Kohel 1996).
     Both checks work modulo F: psi_d mod F comes from the recurrence in
     division_polynomial, and F(N, D) from Horner's rule, reduced product by
-    product.  KernelError otherwise."""
+    product.  x^3 + Ax + B is folded modulo F once, for the recurrence's
+    y^2 and for D = 4(x^3 + Ax + B).  KernelError otherwise."""
     ctx = curve.ctx
     A, B = curve.A, curve.B
     one = ctx.one()
@@ -347,7 +359,8 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         den = Fk
     else:
         e = len(F) - 1
-        if division_polynomial(curve, d, Fk)[0]:
+        R = _cubic_mod(curve, Fk)
+        if _division_mod(curve, d, Fk, R)[0]:
             raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
         # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
         # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
@@ -356,7 +369,7 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         AA = A * A
         rhs4 = ([4 * B.a, 4 * A.a, 0, 4], [4 * B.b, 4 * A.b, 0, 0])  # 4(x^3 + Ax + B)
         N = poly_rem(([AA.a, -8 * B.a, -2 * A.a, 0, 1], [AA.b, -8 * B.b, -2 * A.b, 0, 0]), Fk, ctx)
-        D = Dk = poly_rem(rhs4, Fk, ctx)
+        D = Dk = poly_scale(R, (4, 0), ctx)
         FND = poly_add(N, poly_scale(D, (F[-2].a, F[-2].b), ctx), ctx)
         for c in F[-3::-1]:
             Dk = poly_mulmod(Dk, D, Fk, ctx)

@@ -11,7 +11,14 @@ a column of the recoding adds them, +-(P + Q) and +-(P - Q), each of which
 costs one affine ``Curve._add`` and its inversion: [2^127]Q - [|r|]psi(Q) of
 ``families.determine_r`` has no such column and pays neither.  The loop
 doubles in runs: each run of doublings between two additions computes
-A*Z^4 once and carries it from one doubling to the next (``_dbl``).  When
+A*Z^4 once and carries it from one doubling to the next (``_dbl``).  Its
+formulas are chosen for what CPython pays, where a reduction mod p costs
+more than a product and a small multiple or an addition costs half a
+product: a doubling is 4M + 4S and returns dbl-2007-bl's coordinates, and
+an addition is the 8M + 3S of Hankerson-Menezes-Vanstone (``_madd``), each
+with fewer reductions, small multiples and additions than the 3M + 5S and
+7M + 4S forms.  The recoding reads each column's digits from one table
+(``_JSF_DIGITS``), and the exit to affine inverts Z on its int pair.  When
 delta = -1, which is every field the benchmarks and the paper's examples
 use (p = 3 mod 4, F_{p^2} = F_p(i)), the doublings and additions run bodies
 with i^2 = -1 written in (``_dbl_i``, ``_madd_i``): no product by delta,
@@ -47,7 +54,7 @@ import hashlib
 from typing import NamedTuple
 
 from .errors import DegenerateParameterError, OffCurveError, OracleGuardError
-from .fields import FieldCtx, Fp2
+from .fields import FieldCtx, Fp2, _inverse_pair
 
 ORACLE_MAX_P = 64
 
@@ -183,9 +190,10 @@ class Curve:
         to the next nonzero one, in one call of ``_dbl``.
         The accumulator is a Jacobian point (X, Y, Z) of F_{p^2} elements
         held as bare int pairs, or None for infinity; it is converted to
-        affine once, with one inversion.  That exit stays on the ints: through
-        Fp2 it measured 6.5 against 3.5 us at p = 23 and 24.3 against 20.0 us
-        at 2^127 - 1 (CPython 3.11), about 2% of an oracle-sweep operation.
+        affine once, with one inversion (``fields._inverse_pair``).  That exit
+        stays on the ints: through Fp2 it measured 6.5 against 3.5 us at
+        p = 23 and 24.3 against 20.0 us at 2^127 - 1 (CPython 3.11), about 2%
+        of an oracle-sweep operation.
         """
         if a < 0:
             a, P = -a, self.neg(P)
@@ -220,8 +228,7 @@ class Curve:
         if acc is None:
             return INFINITY
         X0, X1, Y0, Y1, Z0, Z1 = acc
-        zi = Fp2(ctx, Z0, Z1).inverse()
-        i0, i1 = zi.a, zi.b
+        i0, i1 = _inverse_pair(Z0, Z1, p, d)
         s0 = (i0 * i0 + d * i1 * i1) % p
         s1 = 2 * i0 * i1 % p
         c0 = (s0 * i0 + d * s1 * i1) % p
@@ -275,7 +282,8 @@ def _jsf(a: int, b: int) -> list[tuple[int, int]]:
     the columns are nonzero, against three quarters of the plain binary
     columns; with b = 0 this is the NAF of a.  There are at most
     max(bitlength) + 1 columns.  Each stretch of zero columns is skipped in
-    one shift, so the loop runs once per nonzero column.
+    one shift, so the loop runs once per nonzero column, and each column's
+    digits are one lookup in _JSF_DIGITS.
     """
     runs = []
     while a or b:
@@ -283,21 +291,31 @@ def _jsf(a: int, b: int) -> list[tuple[int, int]]:
         shift = (low & -low).bit_length() - 1
         a >>= shift
         b >>= shift
-        a7, b7 = a & 7, b & 7
-        u0 = u1 = 0
-        if a7 & 1:
-            u0 = 2 - (a7 & 3)
-            if a7 in (3, 5) and b7 & 3 == 2:
-                u0 = -u0
-        if b7 & 1:
-            u1 = 2 - (b7 & 3)
-            if b7 in (3, 5) and a7 & 3 == 2:
-                u1 = -u1
-        runs.append((3 * u0 + u1 + 4, shift))
+        i, u0, u1 = _JSF_DIGITS[(a & 7) << 3 | b & 7]
+        runs.append((i, shift))
         a -= u0
         b -= u1
     runs.reverse()
     return runs
+
+
+def _jsf_digits(a7: int, b7: int) -> tuple[int, int, int]:
+    """(3*u0 + u1 + 4, u0, u1): the digits of the current column of the
+    joint sparse form, read off a mod 8 and b mod 8 (Solinas's rule)."""
+    u0 = u1 = 0
+    if a7 & 1:
+        u0 = 2 - (a7 & 3)
+        if a7 in (3, 5) and b7 & 3 == 2:
+            u0 = -u0
+    if b7 & 1:
+        u1 = 2 - (b7 & 3)
+        if b7 in (3, 5) and a7 & 3 == 2:
+            u1 = -u1
+    return 3 * u0 + u1 + 4, u0, u1
+
+
+# _jsf_digits for every (a mod 8, b mod 8), at index 8*(a mod 8) + (b mod 8).
+_JSF_DIGITS = tuple(_jsf_digits(a7, b7) for a7 in range(8) for b7 in range(8))
 
 
 def loop_ops(a: int, b: int) -> tuple[int, int]:
@@ -314,9 +332,17 @@ def loop_ops(a: int, b: int) -> tuple[int, int]:
 # affine (X/Z^2, Y/Z^3) and is a flat tuple (X0, X1, Y0, Y1, Z0, Z1) of
 # residues, with X = X0 + X1*sqrt(delta) and so on; Z is never zero, and
 # infinity is None.  Each F_{p^2} product is written out on the int pairs,
-# (u0 + u1 s)(v0 + v1 s) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) s with s^2 = d;
-# each product is reduced once per coordinate, and the sums and small
-# multiples that only feed a product are left unreduced.
+# (u0 + u1 s)(v0 + v1 s) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) s with s^2 = d.
+#
+# The formulas are chosen by what the interpreter pays, not by counts of
+# field operations.  At 127 bits on CPython 3.11 (timeit) a reduction % p
+# costs about 130 ns, a product of two residues about 76 ns, a product by a
+# small constant about 36 ns and an addition about 30 ns.  So a formula
+# that trades a product for a square and pays for it in reductions, small
+# multiples and additions costs time here.  Most values are reduced once,
+# as they are formed.  X^2 inside M, Y^4 (which feeds only Y3 and the carry
+# of W) and Z^3 in _madd (which feeds only R) are not: each expression they
+# feed is reduced anyway.
 #
 # When d = -1, the field is F_p(i) with i^2 = -1 (every p = 3 mod 4, the
 # paper's 2^127 - 1 among them), and _dbl and _madd hand over to _dbl_i and
@@ -329,11 +355,16 @@ def loop_ops(a: int, b: int) -> tuple[int, int]:
 
 def _dbl(P, k, p, d, A0, A1):
     """[2^k]P for k >= 1 by k doublings in modified Jacobian coordinates
-    (Cohen-Miyaji-Ono, ASIACRYPT 1998): W = A*Z^4 is computed once, in
-    2S + 1M, and carried from one doubling to the next as 16*Y^4*W, so each
-    doubling costs 3M + 5S where dbl-2007-bl costs 2M + 8S with the product
-    by A.  A point with Y = 0 has order 2, and the run ends at infinity.
-    With d = -1 the run is _dbl_i's."""
+    (Cohen-Miyaji-Ono, ASIACRYPT 1998), each giving the very coordinates
+    of dbl-2007-bl (EFD): X3 = M^2 - 2S, Y3 = M(S - X3) - 8Y^4 and
+    Z3 = 2YZ, with S = 4XY^2 and M = 3X^2 + A*Z^4.  W = A*Z^4 is computed
+    once per run, in 2S + 1M, and carried from one doubling to the next as
+    16*Y^4*W.  A doubling costs 4M + 4S: the squares Y^2, Y^4, X^2 and M^2,
+    and the products X*Y^2, Y*Z, M(S - X3) and Y^4*W, the last skipped at
+    the end of a run.  S is the one product X*Y^2, not dbl-2007-bl's
+    (X + Y^2)^2 - X^2 - Y^4, which saves a product but pays two more
+    reductions and more additions.  A point with Y = 0 has order 2, and
+    the run ends at infinity.  With d = -1 the run is _dbl_i's."""
     if d == -1:
         return _dbl_i(P, k, p, A0, A1)
     X0, X1, Y0, Y1, Z0, Z1 = P
@@ -346,20 +377,16 @@ def _dbl(P, k, p, d, A0, A1):
     while True:
         if not (Y0 or Y1):
             return None
-        XX0 = (X0 * X0 + d * X1 * X1) % p
-        XX1 = 2 * X0 * X1 % p
         YY0 = (Y0 * Y0 + d * Y1 * Y1) % p
         YY1 = 2 * Y0 * Y1 % p
-        YYYY0 = (YY0 * YY0 + d * YY1 * YY1) % p
-        YYYY1 = 2 * YY0 * YY1 % p
-        u0 = X0 + YY0
-        u1 = X1 + YY1
-        S0 = 2 * (u0 * u0 + d * u1 * u1 - XX0 - YYYY0) % p
-        S1 = 2 * (2 * u0 * u1 - XX1 - YYYY1) % p
-        M0 = 3 * XX0 + W0
-        M1 = 3 * XX1 + W1
+        YYYY0 = YY0 * YY0 + d * YY1 * YY1
+        YYYY1 = 2 * YY0 * YY1
+        S0 = 4 * (X0 * YY0 + d * X1 * YY1) % p
+        S1 = 4 * (X0 * YY1 + X1 * YY0) % p
+        M0 = (3 * (X0 * X0 + d * X1 * X1) + W0) % p
+        M1 = (6 * X0 * X1 + W1) % p
         X0 = (M0 * M0 + d * M1 * M1 - 2 * S0) % p
-        X1 = (2 * M0 * M1 - 2 * S1) % p
+        X1 = 2 * (M0 * M1 - S1) % p
         V0 = S0 - X0
         V1 = S1 - X1
         Z0, Z1 = 2 * (Y0 * Z0 + d * Y1 * Z1) % p, 2 * (Y0 * Z1 + Y1 * Z0) % p
@@ -372,9 +399,14 @@ def _dbl(P, k, p, d, A0, A1):
 
 
 def _madd(P, T, p, d, A0, A1):
-    """P + T for Jacobian P and affine T = (x0, x1, y0, y1), by madd-2007-bl
-    (EFD, Z2 = 1); T = P is handed to _dbl as a run of one and T = -P gives
-    None.  With d = -1 the addition is _madd_i's."""
+    """P + T for Jacobian P and affine T = (x0, x1, y0, y1), in the form of
+    Hankerson-Menezes-Vanstone (Guide to ECC, Alg. 3.22): with
+    H = x*Z^2 - X and R = y*Z^3 - Y, X3 = R^2 - H^3 - 2X*H^2,
+    Y3 = R(X*H^2 - X3) - Y*H^3 and Z3 = Z*H, in 8M + 3S.  madd-2007-bl
+    (EFD) takes 7M + 4S, but doubles R, forms 4H^2 and gets Z3 as
+    (Z + H)^2 - Z^2 - H^2, which costs more in reductions, small multiples
+    and additions than its square saves.  T = P is handed to _dbl as a run
+    of one and T = -P gives None.  With d = -1 the addition is _madd_i's."""
     if d == -1:
         return _madd_i(P, T, p, A0, A1)
     X0, X1, Y0, Y1, Z0, Z1 = P
@@ -383,35 +415,29 @@ def _madd(P, T, p, d, A0, A1):
     ZZ1 = 2 * Z0 * Z1 % p
     H0 = (x0 * ZZ0 + d * x1 * ZZ1 - X0) % p
     H1 = (x0 * ZZ1 + x1 * ZZ0 - X1) % p
-    ZZZ0 = (Z0 * ZZ0 + d * Z1 * ZZ1) % p
-    ZZZ1 = (Z0 * ZZ1 + Z1 * ZZ0) % p
+    ZZZ0 = Z0 * ZZ0 + d * Z1 * ZZ1
+    ZZZ1 = Z0 * ZZ1 + Z1 * ZZ0
     R0 = (y0 * ZZZ0 + d * y1 * ZZZ1 - Y0) % p
     R1 = (y0 * ZZZ1 + y1 * ZZZ0 - Y1) % p
     if not (H0 or H1):
         return None if R0 or R1 else _dbl(P, 1, p, d, A0, A1)
-    R0 *= 2
-    R1 *= 2
     HH0 = (H0 * H0 + d * H1 * H1) % p
     HH1 = 2 * H0 * H1 % p
-    I0 = 4 * HH0
-    I1 = 4 * HH1
-    J0 = (H0 * I0 + d * H1 * I1) % p
-    J1 = (H0 * I1 + H1 * I0) % p
-    V0 = (X0 * I0 + d * X1 * I1) % p
-    V1 = (X0 * I1 + X1 * I0) % p
+    J0 = (H0 * HH0 + d * H1 * HH1) % p
+    J1 = (H0 * HH1 + H1 * HH0) % p
+    V0 = (X0 * HH0 + d * X1 * HH1) % p
+    V1 = (X0 * HH1 + X1 * HH0) % p
     X30 = (R0 * R0 + d * R1 * R1 - J0 - 2 * V0) % p
     X31 = (2 * R0 * R1 - J1 - 2 * V1) % p
     U0 = V0 - X30
     U1 = V1 - X31
-    w0 = Z0 + H0
-    w1 = Z1 + H1
     return (
         X30,
         X31,
-        (R0 * U0 + d * R1 * U1 - 2 * (Y0 * J0 + d * Y1 * J1)) % p,
-        (R0 * U1 + R1 * U0 - 2 * (Y0 * J1 + Y1 * J0)) % p,
-        (w0 * w0 + d * w1 * w1 - ZZ0 - HH0) % p,
-        (2 * w0 * w1 - ZZ1 - HH1) % p,
+        (R0 * U0 + d * R1 * U1 - Y0 * J0 - d * Y1 * J1) % p,
+        (R0 * U1 + R1 * U0 - Y0 * J1 - Y1 * J0) % p,
+        (Z0 * H0 + d * Z1 * H1) % p,
+        (Z0 * H1 + Z1 * H0) % p,
     )
 
 
@@ -427,20 +453,16 @@ def _dbl_i(P, k, p, A0, A1):
     while True:
         if not (Y0 or Y1):
             return None
-        XX0 = (X0 + X1) * (X0 - X1) % p
-        XX1 = 2 * X0 * X1 % p
         YY0 = (Y0 + Y1) * (Y0 - Y1) % p
         YY1 = 2 * Y0 * Y1 % p
-        YYYY0 = (YY0 + YY1) * (YY0 - YY1) % p
-        YYYY1 = 2 * YY0 * YY1 % p
-        u0 = X0 + YY0
-        u1 = X1 + YY1
-        S0 = 2 * ((u0 + u1) * (u0 - u1) - XX0 - YYYY0) % p
-        S1 = 2 * (2 * u0 * u1 - XX1 - YYYY1) % p
-        M0 = 3 * XX0 + W0
-        M1 = 3 * XX1 + W1
+        YYYY0 = (YY0 + YY1) * (YY0 - YY1)
+        YYYY1 = 2 * YY0 * YY1
+        S0 = 4 * (X0 * YY0 - X1 * YY1) % p
+        S1 = 4 * (X0 * YY1 + X1 * YY0) % p
+        M0 = (3 * (X0 + X1) * (X0 - X1) + W0) % p
+        M1 = (6 * X0 * X1 + W1) % p
         X0 = ((M0 + M1) * (M0 - M1) - 2 * S0) % p
-        X1 = (2 * M0 * M1 - 2 * S1) % p
+        X1 = 2 * (M0 * M1 - S1) % p
         V0 = S0 - X0
         V1 = S1 - X1
         Z0, Z1 = 2 * (Y0 * Z0 - Y1 * Z1) % p, 2 * (Y0 * Z1 + Y1 * Z0) % p
@@ -461,35 +483,29 @@ def _madd_i(P, T, p, A0, A1):
     ZZ1 = 2 * Z0 * Z1 % p
     H0 = (x0 * ZZ0 - x1 * ZZ1 - X0) % p
     H1 = (x0 * ZZ1 + x1 * ZZ0 - X1) % p
-    ZZZ0 = (Z0 * ZZ0 - Z1 * ZZ1) % p
-    ZZZ1 = (Z0 * ZZ1 + Z1 * ZZ0) % p
+    ZZZ0 = Z0 * ZZ0 - Z1 * ZZ1
+    ZZZ1 = Z0 * ZZ1 + Z1 * ZZ0
     R0 = (y0 * ZZZ0 - y1 * ZZZ1 - Y0) % p
     R1 = (y0 * ZZZ1 + y1 * ZZZ0 - Y1) % p
     if not (H0 or H1):
         return None if R0 or R1 else _dbl(P, 1, p, -1, A0, A1)
-    R0 *= 2
-    R1 *= 2
     HH0 = (H0 + H1) * (H0 - H1) % p
     HH1 = 2 * H0 * H1 % p
-    I0 = 4 * HH0
-    I1 = 4 * HH1
-    J0 = (H0 * I0 - H1 * I1) % p
-    J1 = (H0 * I1 + H1 * I0) % p
-    V0 = (X0 * I0 - X1 * I1) % p
-    V1 = (X0 * I1 + X1 * I0) % p
+    J0 = (H0 * HH0 - H1 * HH1) % p
+    J1 = (H0 * HH1 + H1 * HH0) % p
+    V0 = (X0 * HH0 - X1 * HH1) % p
+    V1 = (X0 * HH1 + X1 * HH0) % p
     X30 = ((R0 + R1) * (R0 - R1) - J0 - 2 * V0) % p
     X31 = (2 * R0 * R1 - J1 - 2 * V1) % p
     U0 = V0 - X30
     U1 = V1 - X31
-    w0 = Z0 + H0
-    w1 = Z1 + H1
     return (
         X30,
         X31,
-        (R0 * U0 - R1 * U1 - 2 * (Y0 * J0 - Y1 * J1)) % p,
-        (R0 * U1 + R1 * U0 - 2 * (Y0 * J1 + Y1 * J0)) % p,
-        ((w0 + w1) * (w0 - w1) - ZZ0 - HH0) % p,
-        (2 * w0 * w1 - ZZ1 - HH1) % p,
+        (R0 * U0 - R1 * U1 - Y0 * J0 + Y1 * J1) % p,
+        (R0 * U1 + R1 * U0 - Y0 * J1 - Y1 * J0) % p,
+        (Z0 * H0 - Z1 * H1) % p,
+        (Z0 * H1 + Z1 * H0) % p,
     )
 
 

@@ -224,6 +224,18 @@ def ref_sqrt_two_powers(x: Fp2) -> Fp2 | None:
     return root if (root.a, root.b) <= (neg.a, neg.b) else neg
 
 
+def ref_inverse(x: Fp2) -> Fp2:
+    """x^-1 as Fp2.inverse made it before the int-pair helper
+    fields._inverse_pair: the conjugate a - b*sqrt(delta) times the inverse
+    of the norm a^2 - delta*b^2, on the unsigned delta, built as an Fp2."""
+    ctx, p = x.ctx, x.ctx.p
+    n = (x.a * x.a - ctx.delta * x.b * x.b) % p
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero in F_{p^2}")
+    ni = pow(n, -1, p)
+    return Fp2(ctx, x.a * ni, -x.b * ni)
+
+
 # The scalar loop before it doubled in runs: one dbl-2007-bl step per
 # column of the joint sparse form.  The reference for the run doubling
 # of qcurve.weierstrass._dbl and the run loop of Curve._mul2.

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -40,8 +41,6 @@ def run(capsys, argv):
 
 
 def parse_plain(line):
-    import shlex
-
     return dict(part.split("=", 1) for part in shlex.split(line))
 
 
@@ -574,6 +573,16 @@ SELFTEST_CHECKS = [
 
 
 class TestSelftest:
+    @pytest.fixture(scope="class")
+    def corrupted_run(self):
+        """(exit code, JSON records) of one selftest --json with a corrupted
+        TABLE1 entry, shared by the tests that read the failing battery."""
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setitem(cmtables.TABLE1, (8, 1), 20**3 + 1)
+            rc = main(["selftest", "--json"])
+        return rc, [json.loads(line) for line in out.getvalue().splitlines()]
+
     def test_green_build_passes(self, capsys):
         rc, lines = run(capsys, ["selftest"])
         assert rc == 0
@@ -582,21 +591,47 @@ class TestSelftest:
         assert {rec["status"] for rec in records[:-1]} == {"pass"}
         assert records[-1]["failures"] == "0"
 
-    def test_corrupted_table_fails_by_name(self, capsys, monkeypatch):
-        monkeypatch.setitem(cmtables.TABLE1, (8, 1), 20**3 + 1)
-        rc, lines = run(capsys, ["selftest"])
+    def test_corrupted_table_fails_by_name(self, corrupted_run):
+        """The failing records, as the text output prints them, name a CM
+        check."""
+        rc, records = corrupted_run
         assert rc == 1
-        failed = [parse_plain(line) for line in lines if "status=fail" in line]
+        text = io.StringIO()
+        for rec in records:
+            cli._emit(rec, False, text)
+        failed = [parse_plain(line) for line in text.getvalue().splitlines() if "status=fail" in line]
         assert any(rec["check"] in ("cm_tables", "cm_detection") for rec in failed)
 
-    def test_every_check_is_timed(self, capsys, monkeypatch):
-        monkeypatch.setitem(cmtables.TABLE1, (8, 1), 20**3 + 1)
-        rc, lines = run(capsys, ["selftest", "--json"])
+    def test_every_check_is_timed(self, corrupted_run):
+        rc, records = corrupted_run
         assert rc == 1
-        checks = [json.loads(line) for line in lines if '"check"' in line]
+        checks = [rec for rec in records if "check" in rec]
         assert len(checks) == 14
         assert {rec["status"] for rec in checks} == {"pass", "fail"}
         assert all(rec["elapsed_ms"] >= 0 for rec in checks)
+
+
+class TestEmit:
+    """Text records quote a value exactly when some character of it is
+    whitespace by str.isspace(), which _emit tests with one compiled search."""
+
+    def test_search_is_str_isspace_on_every_character(self):
+        every = "".join(map(chr, range(0x110000)))
+        assert cli._WHITESPACE.findall(every) == [c for c in every if c.isspace()]
+
+    # ASCII space, tab and newline, the separators \x1c-\x1f (spaces to
+    # str.isspace), NEL, no-break, em, ideographic and line-separator
+    # spaces; the zero-width space and a letter are not whitespace.
+    @pytest.mark.parametrize("char", [" ", "\t", "\n", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000", "\u2028", "\u200b", "x"])
+    def test_text_record_matches_the_per_character_rule(self, char):
+        record = {"command": "info", "value": f"a{char}b", "n": 12, "plain": "ok"}
+        out = io.StringIO()
+        cli._emit(record, False, out)
+        parts = []
+        for k, v in record.items():
+            text = str(v)
+            parts.append(f"{k}={shlex.quote(text) if any(c.isspace() for c in text) else text}")
+        assert out.getvalue() == " ".join(parts) + "\n"
 
 
 def factors_and_rest(n):

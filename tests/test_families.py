@@ -422,18 +422,16 @@ def _count_ops(monkeypatch) -> Counter:
     """Count Fp2 products (squares, products, products by an int) and
     inversions, the Jacobian doublings and additions of the scalar
     multiplication loop, and the calls into the polynomial kernel, from
-    here on.  A run _dbl(P, k, ...) counts as k doublings and one run."""
+    here on.  A run _dbl(P, k, ...) counts as k doublings and one run.  An
+    inversion is a call of fields._inverse_pair, which Fp2.inverse and the
+    int-pair code of weierstrass and isogeny share."""
     counts = Counter()
-    mul, inverse, dbl = Fp2.__mul__, Fp2.inverse, weierstrass._dbl
+    mul, dbl = Fp2.__mul__, weierstrass._dbl
 
     def counted_mul(self, other):
         kind = "mul_int" if isinstance(other, int) else "sqr" if other is self else "mul"
         counts[kind] += 1
         return mul(self, other)
-
-    def counted_inverse(self):
-        counts["inv"] += 1
-        return inverse(self)
 
     def counted(name, call):
         def wrapper(*args):
@@ -449,7 +447,9 @@ def _count_ops(monkeypatch) -> Counter:
 
     monkeypatch.setattr(Fp2, "__mul__", counted_mul)
     monkeypatch.setattr(Fp2, "__rmul__", counted_mul)
-    monkeypatch.setattr(Fp2, "inverse", counted_inverse)
+    counted_inverse = counted("inv", fields._inverse_pair)
+    for module in (fields, weierstrass, isogeny):
+        monkeypatch.setattr(module, "_inverse_pair", counted_inverse)
     monkeypatch.setattr(weierstrass, "_dbl", counted_dbl)
     monkeypatch.setattr(weierstrass, "_madd", counted("madd", weierstrass._madd))
     for name in KERNEL_CALLS:
@@ -470,9 +470,10 @@ PSI_COUNTS = [
     (5, True, {"inv": 1}),
 ]
 # Fp2 objects built by one psi / psi' evaluation, for d = 2 and 7 at p = 23
-# and on each paper instance: the denominator's value and its inverse, and
-# the two coordinates of the one Point returned.
-PSI_FP2_BUILDS = 4
+# and on each paper instance: the two coordinates of the one Point returned.
+# The denominator's value is inverted on its int pair
+# (fields._inverse_pair), which builds no Fp2.
+PSI_FP2_BUILDS = 2
 # Building one untwisted Endo: it holds the family's phi and curve, copying
 # nothing, so it costs no field operation at all.
 ENDO_COUNTS = [(2, {}), (5, {})]
@@ -508,31 +509,34 @@ WARM_TWISTED_ENDO_COUNTS = [
 # cube formed once; the closure check under doubling, by Horner's rule from
 # N + F_(e-1) D, also reduced product by product; and Kohel's expansion of
 # the x-map, whose six products after F^2 are added up unreduced and reduced
-# once.  Every remainder is taken modulo the monic kernel polynomial.  d=2
-# expands nothing.  These are the first builds of each degree in the field:
-# each also computes its twisting factor lam2 (families._twisting_factor),
-# -1/d as 1 times the inverse of d (one inversion and one product), or for
-# d=5 the inverse of (1 + 2i)^2 (one square and one inversion), and takes
-# its root, one Fp2.sqrt (isogeny._twisting_root).  A second build of the
+# once.  Every remainder is taken modulo the monic kernel polynomial, and
+# x^3 + Ax + B is folded modulo it once (one poly_rem): the recurrence reads
+# it as y^2 for d = 5, 7, and the doubling map's denominator 4(x^3 + Ax + B)
+# is its scaling by 4.  d=2 expands nothing.  These are the first builds of
+# each degree in the field: each also computes its twisting factor lam2
+# (families._twisting_factor), -1/d as 1 times the inverse of d (one
+# inversion and one product), or for d=5 the inverse of (1 + 2i)^2 (one
+# square and one inversion), and takes its root, one Fp2.sqrt
+# (isogeny._twisting_root).  A second build of the
 # same member on a new context of the field (WARM_BUILD_COUNTS) takes both
 # from the caches and makes no inversion and no square root.
 BUILD_COUNTS = [
     (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 1, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 13, "sqr": 4, "mul": 11, "inv": 1, "poly_rem": 5, "_reduced": 25, "poly_mulmod": 6,
-         "_products": 13, "poly_scale": 7, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
-    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 10, "poly_rem": 3, "_reduced": 10, "poly_scale": 2, "poly_add": 1,
+    (5, {"mul_int": 13, "sqr": 4, "mul": 11, "inv": 1, "poly_rem": 4, "_reduced": 25, "poly_mulmod": 6,
+         "_products": 13, "poly_scale": 8, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
+    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 10, "poly_rem": 3, "_reduced": 11, "poly_scale": 3, "poly_add": 1,
          "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
-    (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "poly_rem": 5, "_reduced": 35, "poly_mulmod": 12,
-         "_products": 19, "poly_scale": 9, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
+    (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "poly_rem": 4, "_reduced": 35, "poly_mulmod": 12,
+         "_products": 19, "poly_scale": 10, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
 ]
 WARM_BUILD_COUNTS = [
     (2, {"mul_int": 6, "mul": 7, "sqr": 1, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 13, "sqr": 3, "mul": 11, "poly_rem": 5, "_reduced": 25, "poly_mulmod": 6,
-         "_products": 13, "poly_scale": 7, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
-    (3, {"mul_int": 11, "sqr": 3, "mul": 9, "poly_rem": 3, "_reduced": 10, "poly_scale": 2, "poly_add": 1,
+    (5, {"mul_int": 13, "sqr": 3, "mul": 11, "poly_rem": 4, "_reduced": 25, "poly_mulmod": 6,
+         "_products": 13, "poly_scale": 8, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
+    (3, {"mul_int": 11, "sqr": 3, "mul": 9, "poly_rem": 3, "_reduced": 11, "poly_scale": 3, "poly_add": 1,
          "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
-    (7, {"mul_int": 16, "mul": 18, "sqr": 3, "poly_rem": 5, "_reduced": 35, "poly_mulmod": 12,
-         "_products": 19, "poly_scale": 9, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
+    (7, {"mul_int": 16, "mul": 18, "sqr": 3, "poly_rem": 4, "_reduced": 35, "poly_mulmod": 12,
+         "_products": 19, "poly_scale": 10, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse
@@ -550,15 +554,18 @@ MUL_COUNTS = {"dbl": 253, "runs": 87, "madd": 86, "inv": 1}
 # paper instance delta = -1, so the loop runs its F_p(i) bodies; the same
 # scalars on a curve at the same prime with delta = 3 run the generic ones.
 # Writing in i^2 = -1 drops every product by delta and turns the real part
-# of each square into one product of a sum by a difference.
+# of each square into one product of a sum by a difference.  A doubling is
+# 4M + 4S with S = 4XY^2 one product, and an addition the 8M + 3S of
+# Hankerson-Menezes-Vanstone: against 3M + 5S and madd-2007-bl, that is more
+# products of residues but fewer reductions, small products and additions.
 LOOP_INT_COUNTS = {
     -1: {
-        "multiexp2": {"mul": 5226, "mul_const": 2847, "add": 6462, "mod": 3480},
-        "mul": {"mul": 9010, "mul_const": 5333, "add": 11378, "mod": 6116},
+        "multiexp2": {"mul": 5598, "mul_const": 2037, "add": 5346, "mod": 3108},
+        "mul": {"mul": 9688, "mul_const": 3972, "add": 9344, "mod": 5438},
     },
     3: {
-        "multiexp2": {"mul": 6219, "mul_const": 4650, "add": 5469, "mod": 3480},
-        "mul": {"mul": 10793, "mul_const": 8477, "add": 9595, "mod": 6116},
+        "multiexp2": {"mul": 6405, "mul_const": 3840, "add": 4539, "mod": 3108},
+        "mul": {"mul": 11132, "mul_const": 7116, "add": 7900, "mod": 5438},
     },
 }
 # determine_r on each paper instance with its published trace: one psi(Q)

@@ -13,6 +13,7 @@ from qcurve.fields import (
     FieldCtx,
     Fp2,
     TRIAL_DIVISION_BOUND,
+    _inverse_pair,
     _lucas_lehmer,
     _strong_base2,
     _strong_lucas,
@@ -31,6 +32,7 @@ from conftest import (
     MERSENNE_127,
     ctx_for,
     prime_factors,
+    ref_inverse,
     ref_sqrt,
     ref_sqrt_mod_prime,
     ref_sqrt_two_powers,
@@ -457,6 +459,34 @@ SCHOOLBOOK_CTXS = [
     FieldCtx(MERSENNE_127, next(d for d in range(MERSENNE_127 // 2 + 1, MERSENNE_127) if legendre(d, MERSENNE_127) == -1)),
     FieldCtx(13, 2),
 ]
+
+
+class TestInversePair:
+    """fields._inverse_pair, the one inversion behind Fp2.inverse, the exit of
+    Curve._mul2 and Isogeny.raw_maps, against conftest.ref_inverse."""
+
+    @pytest.mark.parametrize("ctx", SCHOOLBOOK_CTXS + [ctx_for(23)], ids=["i127", "big127", "p13", "p23"])
+    def test_matches_the_fp2_inverse(self, ctx):
+        """On random elements, with delta as given and as its least absolute
+        residue; the product with x is 1."""
+        p = ctx.p
+        rng = random.Random(45)
+        for _ in range(500):
+            x = Fp2(ctx, rng.randrange(p), rng.randrange(p))
+            if not x:
+                continue
+            expected = ref_inverse(x)
+            for d in (ctx.delta, ctx.signed_delta):
+                assert _inverse_pair(x.a, x.b, p, d) == (expected.a, expected.b)
+            assert x.inverse() == expected
+            assert x * expected == 1
+
+    @pytest.mark.parametrize("ctx", SCHOOLBOOK_CTXS, ids=["i127", "big127", "p13"])
+    def test_zero_raises(self, ctx):
+        p = ctx.p
+        for a, b in ((0, 0), (p, 0), (0, -p)):
+            with pytest.raises(ZeroDivisionError):
+                _inverse_pair(a, b, p, ctx.signed_delta)
 
 
 class TestSchoolbook:

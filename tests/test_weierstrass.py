@@ -14,6 +14,7 @@ from qcurve.weierstrass import (
     ORACLE_MAX_P,
     Curve,
     Point,
+    _JSF_DIGITS,
     _dbl,
     _jsf,
     _madd,
@@ -470,6 +471,25 @@ class TestJsf:
                         # nonzero at the upper one and zero at the lower.
                         if row[j] and row[j + 1]:
                             assert other[j + 1] and not other[j]
+
+    def test_digit_table_is_the_branch_rule(self):
+        """Each entry of _JSF_DIGITS is the least significant column that
+        conftest.ref_jsf's branch rule gives for (a mod 8, b mod 8), as
+        (table index, u0, u1)."""
+        for a7 in range(8):
+            for b7 in range(8):
+                i = ref_jsf(a7 + 8, b7 + 8)[-1]
+                u0, u1 = divmod(i, 3)
+                assert _JSF_DIGITS[a7 << 3 | b7] == (i, u0 - 1, u1 - 1)
+
+    @pytest.mark.parametrize("bits", [127, 254])
+    def test_matches_reference_at_scalar_sizes(self, bits):
+        """1,000 seeded pairs at each size, every fourth with b = 0 as in
+        Curve.mul."""
+        rng = random.Random(bits)
+        for k in range(1000):
+            a, b = rng.getrandbits(bits), 0 if k % 4 == 0 else rng.getrandbits(bits)
+            assert jsf_columns(a, b) == ref_jsf(a, b)
 
     def test_signed_pairs_reach_every_table_entry(self):
         reached = {i for a in SIGNED for b in SIGNED for i in jsf_columns(abs(a), abs(b))}
