@@ -11,7 +11,6 @@ from .errors import (
     ModulusRangeError,
     NotInertError,
     NotPrimeError,
-    NotSquareError,
     OffCurveError,
     OracleGuardError,
     ParseError,

@@ -43,10 +43,6 @@ class KernelError(DomainError):
     """A kernel description does not define a subgroup of the stated order."""
 
 
-class NotSquareError(DomainError):
-    """A twisting factor has no square root in F_{p^2}."""
-
-
 class StructureError(DomainError):
     """The group or lattice structure is inconsistent with the requested basis
     variant, or a lattice computation got degenerate input."""

@@ -11,9 +11,10 @@ q = 127); any other modulus must pass Baillie-PSW, one strong base-2
 Miller-Rabin round and one strong Lucas test.  The verdict, and every other
 constant that depends only on the field, is cached by the field's value
 (p, delta) as int pairs, not with a context: the CLI builds a new context on
-every call.  At p = 3 (mod 4) a square root is one exponentiation whose
-square is checked, so a nonsquare needs no separate Legendre symbol, which is
-the Jacobi symbol by quadratic reciprocity.
+every call.  At p = 3 (mod 4) a square root in F_{p^2} is read off
+exponentiations whose squares are checked (_sqrt_3mod4), so a nonsquare
+needs no separate Legendre symbol; sqrt_mod_prime screens by one, the
+Jacobi symbol by quadratic reciprocity.
 
 The module also holds the integer number theory that group orders need:
 factorize splits an order by trial division up to 2^20 (or past its square
@@ -306,17 +307,16 @@ def legendre(n: int, p: int) -> int:
 def sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n mod p (odd prime), or None for a nonresidue.
 
-    Deterministic.  At p = 3 (mod 4) the root is r = n^((p+1)/4), returned
-    only if r^2 = n, so a nonresidue costs the one exponentiation.  Otherwise
-    a Legendre symbol screens n, then Tonelli-Shanks runs with the smallest
-    nonresidue as generator.
+    Deterministic: a Legendre symbol screens n, then Tonelli-Shanks runs
+    with the smallest nonresidue as generator.  With p - 1 = q 2^s, q odd,
+    it starts from one power x = n^((q-1)/2): r = n^((q+1)/2) = nx and
+    t = n^q = rx.  The generator is looked for only when t != 1, so at
+    p = 3 (mod 4), where t = 1, the root n^((p+1)/4) costs that one power;
+    Fp2.sqrt takes its own path there (_sqrt_3mod4).
     """
     n %= p
     if n == 0:
         return 0
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-        return r if r * r % p == n else None
     if legendre(n, p) != 1:
         return None
     # Tonelli-Shanks.
@@ -325,13 +325,16 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
+    x = pow(n, q >> 1, p)
+    r = n * x % p
+    t = r * x % p
+    if t == 1:
+        return r
     z = 2
     while legendre(z, p) != -1:
         z += 1
     m = s
     c = pow(z, q, p)
-    t = pow(n, q, p)
-    r = pow(n, (q + 1) // 2, p)
     while t != 1:
         t2 = t
         i = 0
@@ -385,9 +388,9 @@ class FieldCtx:
     input each time; only the primality verdict of p comes from a cache
     (_is_prime_modulus).  The constants of the field that its users need
     more than once (the canonical nonsquare and its power for the twist,
-    sqrt(-delta) for square roots, and in isogeny and families the twisting
-    factors and their roots) are cached by the value (p, delta), so two
-    contexts of one field share them.  The point-count tables and the
+    sqrt(-delta) for square roots, and in families the root l of each
+    degree's twisting isomorphism) are cached by the value (p, delta), so
+    two contexts of one field share them.  The point-count tables and the
     square-root table of a small field stay with the context.
     """
 

@@ -3,10 +3,11 @@
 The rational maps are expanded once at construction, in the standard
 form (x, y) -> (X(x), c * y * X'(x)) with X = N/D, where N and D are
 polynomials over F_{p^2} and c is one constant: a composed twisting
-isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l, and the
-quadratic twist by mu makes c' = -c * mu^((p-1)/2) (quadratic_twist).  l
-depends only on the field and l^2, and mu^((p-1)/2) only on the field, so
-each is computed once per process and cached by value.
+isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l
+(post_twist), and the quadratic twist by mu makes c' = -c * mu^((p-1)/2)
+(quadratic_twist).  This module caches nothing: the family builders own l
+(families._twisting_factor), and fields owns mu and its power
+(fields._twist_constants).
 
 A kernel is its monic polynomial, given as an ascending tuple of Fp2.  It
 is checked modulo itself: the division polynomial and the doubling map are
@@ -16,10 +17,8 @@ only ever formed modulo the kernel polynomial, by products reduced at once
 
 from __future__ import annotations
 
-import functools
-
-from .errors import DegenerateParameterError, KernelError, NotSquareError, OffCurveError
-from .fields import FieldCtx, Fp2, _inverse_pair, _twist_constants
+from .errors import DegenerateParameterError, KernelError, OffCurveError
+from .fields import Fp2, _inverse_pair, _twist_constants
 from .weierstrass import INFINITY, Curve, Point
 
 # The polynomial kernel.  A polynomial over F_{p^2} = F_p(s), s^2 = delta, is
@@ -31,10 +30,10 @@ from .weierstrass import INFINITY, Curve, Point
 # curve's coefficients.  A product of coefficients is written out on the
 # ints, with delta as its least absolute residue d; sums of products are left
 # unreduced and each output coefficient is reduced once.  A polynomial is
-# evaluated by one Horner pass on int pairs (_horner), which poly_eval wraps
-# in Fp2 for its callers and Isogeny.raw_maps runs directly: an isogeny's
-# maps at a point are computed on int pairs, the one inversion of the
-# denominator's value too (fields._inverse_pair), so they build no Fp2.
+# evaluated by one Horner pass on int pairs (_horner), which Isogeny.raw_maps
+# runs: an isogeny's maps at a point are computed on int pairs, the one
+# inversion of the denominator's value too (fields._inverse_pair), so they
+# build no Fp2.
 
 
 def _reduced(re, im, p):
@@ -158,13 +157,6 @@ def _horner(f, x0, x1, p, d):
         u0, u1 = (u0 * x0 + dx1 * u1 + v0) % p, (u0 * x1 + u1 * x0 + v1) % p
         v0, v1 = (v0 * x0 + dx1 * v1 + c0) % p, (v0 * x1 + v1 * x0 + c1) % p
     return v0, v1, u0, u1
-
-
-def poly_eval(f, x: Fp2) -> tuple[Fp2, Fp2]:
-    """(f(x), f'(x)) as Fp2, by the Horner pass of ``_horner``."""
-    ctx = x.ctx
-    v0, v1, u0, u1 = _horner(f, x.a, x.b, ctx.p, ctx.signed_delta)
-    return Fp2(ctx, v0, v1), Fp2(ctx, u0, u1)
 
 
 def _kernel_poly(cs) -> tuple[list[int], list[int]]:
@@ -407,34 +399,20 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     return Isogeny(curve, codomain, d, num, den, one)
 
 
-@functools.cache
-def _twisting_root(p: int, delta: int, a: int, b: int) -> tuple[int, int] | None:
-    """The canonical square root of the twisting factor a + b*sqrt(delta),
-    as an int pair, or None for a nonsquare: once per process, field and
-    factor.  The family builders pass post_twist one factor per degree."""
-    root = Fp2(FieldCtx(p, delta), a, b).sqrt()
-    return None if root is None else (root.a, root.b)
-
-
-def post_twist(iso: Isogeny, lam2: Fp2) -> Isogeny:
-    """Compose with the twisting isomorphism (x, y) -> (l^2 x, l^3 y) where
-    l is the canonical square root of lam2; lam2 must be a square so the
-    composite stays rational over F_{p^2}.  It scales num by l^2 and c by l.
-    l is taken once per field and lam2 (_twisting_root): a square root of
-    25 us for d = 2 and 65 us for d = 5 at p = 2^127 - 1 (CPython 3.11)
-    that a second build skips."""
+def post_twist(iso: Isogeny, lam: Fp2) -> Isogeny:
+    """Compose with the twisting isomorphism (x, y) -> (l^2 x, l^3 y),
+    l = lam, any nonzero element of F_{p^2}: it scales num by l^2 and c by
+    l, onto the codomain (l^4 A, l^6 B).  lam and -lam give the same
+    codomain and num, and opposite c."""
     ctx = iso.domain.ctx
-    lam2 = ctx.coerce(lam2)
-    if not lam2:
+    lam = ctx.coerce(lam)
+    if not lam:
         raise DegenerateParameterError("twisting factor is zero")
-    root = _twisting_root(ctx.p, ctx.delta, lam2.a, lam2.b)
-    if root is None:
-        raise NotSquareError("twisting factor is not a square in F_{p^2}")
-    lam = Fp2(ctx, *root)
-    l4 = lam2 * lam2
+    l2 = lam * lam
+    l4 = l2 * l2
     # Its discriminant is l^12 times that of the checked Velu codomain, l != 0.
-    codomain = Curve._nonsingular(l4 * iso.codomain.A, l4 * lam2 * iso.codomain.B)
-    num = poly_scale(iso.num, (lam2.a, lam2.b), lam2.ctx)
+    codomain = Curve._nonsingular(l4 * iso.codomain.A, l4 * l2 * iso.codomain.B)
+    num = poly_scale(iso.num, (l2.a, l2.b), ctx)
     return Isogeny(iso.domain, codomain, iso.degree, num, iso.den, iso.c * lam)
 
 

@@ -351,6 +351,12 @@ def loop_ops(a: int, b: int) -> tuple[int, int]:
 # u0^2 + d u1^2 is (u0 + u1)(u0 - u1).  That saves the products by d and
 # one product per square; every coordinate is the same residue as the
 # generic body's.  Any other d, p - 1 included, takes the generic body.
+# The pair is kept because it pays end to end: with the two dispatch lines
+# removed, so that d = -1 ran the generic body, the benchmark's glv-128
+# op_cost.p50 rose 5.4% (median 8.65 against 8.21, slower in 10 of 10
+# alternating 20 s pairs, whose kept-pair runs had quartiles 0.05 apart)
+# and oracle-sweep's 0.9% (1.304 against 1.293, 4 of 5 pairs), on CPython
+# 3.11.7 on a shared 2-core host.
 
 
 def _dbl(P, k, p, d, A0, A1):

@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qcurve import families, fields, isogeny, weierstrass
+from qcurve import families, fields, weierstrass
 from qcurve.fields import FieldCtx, Fp2, _jacobi, legendre, sqrt_mod_prime
-from qcurve.isogeny import poly_eval
+from qcurve.isogeny import _horner
 from qcurve.selftest import _ctx as ctx_for
 from qcurve.weierstrass import INFINITY, Curve, Point, _madd
 
@@ -22,15 +22,13 @@ settings.load_profile("default")
 MERSENNE_127 = 2**127 - 1
 
 # The constants of qcurve that depend only on the field, each cached for the
-# process by value: p, (p, delta), (p, delta, d) or a twisting factor's
-# (p, delta, a, b).  A count that must not depend on which test ran first
-# clears them.
+# process by value: p, (p, delta) or (p, delta, d).  A count that must not
+# depend on which test ran first clears them.
 FIELD_CACHES = (
     fields._is_prime_modulus,
     fields._sqrt_neg_delta,
     fields._twist_constants,
     families._twisting_factor,
-    isogeny._twisting_root,
 )
 
 
@@ -344,6 +342,14 @@ def generic_127_curve() -> Curve:
 # references for Curve.is_on, lift_x, discriminant and Isogeny.raw_maps, and
 # through them psi.  ref_raw_maps reads the polynomials through poly_eval,
 # whose values test_isogeny checks against sums of Fp2 powers.
+
+
+def poly_eval(f, x: Fp2) -> tuple[Fp2, Fp2]:
+    """(f(x), f'(x)) as Fp2 for a polynomial f of the kernel of
+    qcurve.isogeny, by its Horner pass on int pairs (isogeny._horner)."""
+    ctx = x.ctx
+    v0, v1, u0, u1 = _horner(f, x.a, x.b, ctx.p, ctx.signed_delta)
+    return Fp2(ctx, v0, v1), Fp2(ctx, u0, u1)
 
 
 def ref_cubic(curve: Curve, x: Fp2) -> Fp2:

@@ -14,7 +14,7 @@ from qcurve.cmtables import (
 )
 from qcurve.errors import DomainError, UntabulatedError
 from qcurve.families import build_family_curve, gls_endo
-from qcurve.fields import is_probable_prime
+from qcurve.fields import is_probable_prime, legendre
 from qcurve.weierstrass import Curve
 
 from conftest import count_calls, ctx_for
@@ -110,11 +110,17 @@ class TestDetection:
 
     def test_matches_exactly_at_the_fiber_parameter(self):
         # Where p divides a fiber's denominator the fiber lies at infinity
-        # mod p: no s matches and fiber_parameter is None.
+        # mod p: no s matches and fiber_parameter is None.  Elsewhere a
+        # sign-free fiber's s solves s^2 = target, and fiber_parameter must
+        # find one exactly when target is a residue.
         for p in (q for q in range(5, 400) if is_probable_prime(q)):
             ctx = ctx_for(p)
             for fiber in (f for fibers in FIBERS.values() for f in fibers if f.constructible):
                 t = fiber_parameter(fiber, ctx)
+                num, den = fiber.coeff.numerator, fiber.coeff.denominator
+                if fiber.sign_free and den % p:
+                    target = num * num * fiber.radicand * pow(den * den * ctx.delta, -1, p) % p
+                    assert (t is None) == (legendre(target, p) == -1), (p, fiber)
                 if t is None:
                     expected = set()
                 elif fiber.sign_free:

@@ -412,7 +412,6 @@ KERNEL_CALLS = (
     "poly_mul",
     "poly_rem",
     "poly_mulmod",
-    "poly_eval",
     "_products",
     "_reduced",
 )
@@ -499,8 +498,8 @@ WARM_TWISTED_ENDO_COUNTS = [
 # s=1.  Two curves pay a discriminant check, on int pairs: the member and the
 # Velu codomain.  The twisted codomain's discriminant is l^12 times the Velu
 # codomain's, the conjugate curve that phi must land on is not checked again,
-# and no isogeny stores derivatives, so post_twist only scales: num by l^2
-# on the kernel, and the constant c by l.  The Fp2 products left are the
+# and no isogeny stores derivatives, so post_twist squares l once and only
+# scales: num by l^2 on the kernel, and the constant c by l.  The Fp2 products left are the
 # member's and the codomain's coefficients and c (d=2 checks its kernel
 # abscissa on the curve's int-pair cubic); the polynomials run on the
 # kernel.  An odd kernel pays psi_d modulo the kernel polynomial, by the
@@ -513,29 +512,29 @@ WARM_TWISTED_ENDO_COUNTS = [
 # x^3 + Ax + B is folded modulo it once (one poly_rem): the recurrence reads
 # it as y^2 for d = 5, 7, and the doubling map's denominator 4(x^3 + Ax + B)
 # is its scaling by 4.  d=2 expands nothing.  These are the first builds of
-# each degree in the field: each also computes its twisting factor lam2
-# (families._twisting_factor), -1/d as 1 times the inverse of d (one
-# inversion and one product), or for d=5 the inverse of (1 + 2i)^2 (one
-# square and one inversion), and takes its root, one Fp2.sqrt
-# (isogeny._twisting_root).  A second build of the
-# same member on a new context of the field (WARM_BUILD_COUNTS) takes both
-# from the caches and makes no inversion and no square root.
+# each degree in the field: each also computes its twisting root l
+# (families._twisting_factor), the canonical root, one Fp2.sqrt, of -1/d,
+# formed as 1 times the inverse of d (one inversion and one product), or
+# for d=5 of the inverse of (1 + 2i)^2 (one square and one inversion).  A
+# second build of the same member on a new context of the field
+# (WARM_BUILD_COUNTS) takes l from the cache and makes no inversion and no
+# square root.
 BUILD_COUNTS = [
-    (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 1, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 13, "sqr": 4, "mul": 11, "inv": 1, "poly_rem": 4, "_reduced": 25, "poly_mulmod": 6,
+    (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
+    (5, {"mul_int": 13, "sqr": 5, "mul": 11, "inv": 1, "poly_rem": 4, "_reduced": 25, "poly_mulmod": 6,
          "_products": 13, "poly_scale": 8, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
-    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 10, "poly_rem": 3, "_reduced": 11, "poly_scale": 3, "poly_add": 1,
+    (3, {"mul_int": 11, "sqr": 4, "inv": 1, "mul": 10, "poly_rem": 3, "_reduced": 11, "poly_scale": 3, "poly_add": 1,
          "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
-    (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "poly_rem": 4, "_reduced": 35, "poly_mulmod": 12,
+    (7, {"mul_int": 16, "mul": 19, "sqr": 4, "inv": 1, "poly_rem": 4, "_reduced": 35, "poly_mulmod": 12,
          "_products": 19, "poly_scale": 10, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
 ]
 WARM_BUILD_COUNTS = [
-    (2, {"mul_int": 6, "mul": 7, "sqr": 1, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 13, "sqr": 3, "mul": 11, "poly_rem": 4, "_reduced": 25, "poly_mulmod": 6,
+    (2, {"mul_int": 6, "mul": 7, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
+    (5, {"mul_int": 13, "sqr": 4, "mul": 11, "poly_rem": 4, "_reduced": 25, "poly_mulmod": 6,
          "_products": 13, "poly_scale": 8, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
-    (3, {"mul_int": 11, "sqr": 3, "mul": 9, "poly_rem": 3, "_reduced": 11, "poly_scale": 3, "poly_add": 1,
+    (3, {"mul_int": 11, "sqr": 4, "mul": 9, "poly_rem": 3, "_reduced": 11, "poly_scale": 3, "poly_add": 1,
          "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
-    (7, {"mul_int": 16, "mul": 18, "sqr": 3, "poly_rem": 4, "_reduced": 35, "poly_mulmod": 12,
+    (7, {"mul_int": 16, "mul": 18, "sqr": 4, "poly_rem": 4, "_reduced": 35, "poly_mulmod": 12,
          "_products": 19, "poly_scale": 10, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit

@@ -112,8 +112,8 @@ class TestFieldCaches:
     @staticmethod
     def touch(ctx, d):
         """Read every per-field constant of ctx: the modulus verdict, the
-        twisting factor of degree d and its root, the nonsquare and its
-        power for psi', and sqrt(-delta) for a nonresidue's root."""
+        twisting root l of degree d, the nonsquare and its power for psi',
+        and sqrt(-delta) for a nonresidue's root."""
         fam = build_family_curve(d, ctx, 1)
         Endo(fam, twisted=True)
         assert ctx.elem(-1).sqrt() is not None
@@ -139,7 +139,7 @@ class TestFieldCaches:
         for ctx in (minus_one, five):
             self.touch(ctx, 2)
         # Only the modulus verdict is keyed by p alone.
-        assert [cache.cache_info().currsize for cache in FIELD_CACHES] == [1, 2, 2, 2, 2]
+        assert [cache.cache_info().currsize for cache in FIELD_CACHES] == [1, 2, 2, 2]
         for ctx in (minus_one, five):
             mu = ctx.nonsquare()
             assert mu.ctx is ctx and not mu.is_square()

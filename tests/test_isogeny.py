@@ -1,18 +1,18 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurve.errors import DegenerateParameterError, DomainError, KernelError, NotSquareError, OffCurveError
+from qcurve.errors import DegenerateParameterError, DomainError, KernelError, OffCurveError
 from qcurve.families import _BUILDERS, Endo, _twisting_factor, build_family_curve, epsilon_p, gls_endo
-from qcurve.fields import FieldCtx, Fp2
+from qcurve.fields import FieldCtx, Fp2, legendre
 from qcurve.isogeny import (
     division_polynomial,
     identity_isogeny,
     poly_add,
     poly_deriv,
-    poly_eval,
     poly_mul,
     poly_mulmod,
     poly_rem,
@@ -22,7 +22,18 @@ from qcurve.isogeny import (
 )
 from qcurve.weierstrass import INFINITY, Curve, Point, curve_points, oracle_order, random_point
 
-from conftest import MERSENNE_127, ctx_for, from_kernel, ref_add, ref_mul, ref_rem, ref_sub, ref_trim, to_kernel
+from conftest import (
+    MERSENNE_127,
+    ctx_for,
+    from_kernel,
+    poly_eval,
+    ref_add,
+    ref_mul,
+    ref_rem,
+    ref_sub,
+    ref_trim,
+    to_kernel,
+)
 
 
 def d2_family(p, s):
@@ -163,19 +174,19 @@ class TestVeluCodomain:
     @pytest.mark.parametrize("p", [5, 11, 13])
     def test_post_twist_lands_on_conjugate(self, p):
         fam, quotient = d2_family(p, 1)
-        phi = post_twist(quotient, -(fam.ctx.one() / 2))
+        phi = post_twist(quotient, (-(fam.ctx.one() / 2)).sqrt())
         assert phi.codomain == fam.curve.conjugate()
 
     def test_normalized_leading_behavior(self):
         """The Velu quotient is normalised: num and den share their leading
-        coefficient.  phi = post_twist(quotient, l^2) scales num by l^2."""
+        coefficient.  phi = post_twist(quotient, l) scales num by l^2."""
         for d, p, s in ((2, 11, 1), (3, 11, 1), (5, 11, 2), (7, 11, 1)):
             ctx = ctx_for(p)
             fam = build_family_curve(d, ctx, s)
             _, _, _, F = _BUILDERS[d](ctx, fam.s)
-            lam2 = ctx.elem(*_twisting_factor(p, ctx.delta, d))
+            lam = ctx.elem(*_twisting_factor(p, ctx.delta, d))
             quotient = velu_quotient(fam.curve, d, F)
-            for iso, lead in ((quotient, ctx.one()), (fam.phi, lam2)):
+            for iso, lead in ((quotient, ctx.one()), (fam.phi, lam * lam)):
                 num, den = (from_kernel(f, ctx) for f in (iso.num, iso.den))
                 assert len(num) - 1 == d
                 assert len(den) - 1 == d - 1
@@ -520,40 +531,44 @@ class TestPostTwist:
 
     def test_twist_then_untwist_is_plus_minus_identity(self):
         fam, quotient = d2_family(11, 2)
-        lam2 = fam.ctx.elem(3, 1)
-        if not lam2.is_square():
-            lam2 = lam2 * fam.ctx.nonsquare()
-        twisted = post_twist(quotient, lam2)
-        back = post_twist(twisted, lam2.inverse())
+        lam = fam.ctx.elem(3, 1)
+        twisted = post_twist(quotient, lam)
+        back = post_twist(twisted, lam.inverse())
         assert back.codomain == quotient.codomain
         for seed in range(3):
             P = random_point(fam.curve, seed)
             img, img2 = quotient(P), back(P)
             assert img2 in (img, quotient.codomain.neg(img))
 
-    def test_nonsquare_twist_rejected(self):
-        fam, quotient = d2_family(11, 2)
-        with pytest.raises(NotSquareError):
-            post_twist(quotient, fam.ctx.nonsquare())
-
     def test_zero_twist_rejected(self):
-        # Zero is a square, but l = 0 would send every point to (0, 0) on
-        # the singular curve y^2 = x^3.
+        # l = 0 would send every point to (0, 0) on the singular curve
+        # y^2 = x^3.
         fam, quotient = d2_family(11, 2)
         with pytest.raises(DegenerateParameterError):
             post_twist(quotient, fam.ctx.zero())
 
+    @staticmethod
+    def parts(iso):
+        A, B = iso.codomain.A, iso.codomain.B
+        return iso.num, iso.den, iso.c, (A.a, A.b, B.a, B.b)
+
+    def test_opposite_roots_differ_only_in_c(self):
+        # l and -l give one twisting isomorphism up to [-1]: the same l^2
+        # and codomain, and opposite constants.
+        for p in (11, 13, MERSENNE_127):
+            fam, quotient = d2_family(p, 2)
+            lam = fam.ctx.elem(3, 7)
+            plus, minus = post_twist(quotient, lam), post_twist(quotient, -lam)
+            assert self.parts(plus)[:2] == self.parts(minus)[:2]
+            assert self.parts(plus)[3] == self.parts(minus)[3]
+            assert minus.c == -plus.c != plus.c
+
     def test_composition_law_of_scales(self):
-        fam, quotient = d2_family(11, 2)
-        a = fam.ctx.elem(2)
-        b = fam.ctx.elem(5)
-        once = post_twist(post_twist(quotient, a), b)
-        joint = post_twist(quotient, a * b)
-        assert once.codomain == joint.codomain
-        for seed in range(3):
-            P = random_point(fam.curve, seed)
-            img, img2 = once(P), joint(P)
-            assert img2 in (img, once.codomain.neg(img))
+        for p in (11, 13, MERSENNE_127):
+            fam, quotient = d2_family(p, 2)
+            a, b = fam.ctx.elem(2, 5), fam.ctx.elem(7, 3)
+            once = post_twist(post_twist(quotient, a), b)
+            assert self.parts(once) == self.parts(post_twist(quotient, a * b))
 
 
 class TestEveryIsogeny:
@@ -586,3 +601,42 @@ class TestEveryIsogeny:
                 for seed in range(3):
                     P, Q = random_point(E, seed), random_point(E, seed + 3)
                     assert iso(E.add(P, Q)) == E2.add(iso(P), iso(Q))
+
+
+def pinned_members():
+    """Every family member at the primes up to 23, with delta = -1 and the
+    least nonresidue at p = 3 (mod 4) and the least nonresidue otherwise,
+    then one member of each degree at 2^127 - 1 (the paper instances of
+    d = 2 and 5): 489 + 4 members."""
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        least = next(x for x in range(2, p) if legendre(x, p) == -1)
+        for delta in ((p - 1, least) if p % 4 == 3 else (least,)):
+            ctx = FieldCtx(p, delta)
+            for d in (2, 3, 5, 7):
+                for s in range(p):
+                    try:
+                        yield build_family_curve(d, ctx, s)
+                    except DomainError:
+                        pass
+    ctx = ctx_for(MERSENNE_127)
+    for d, s in ((2, 28106), (3, 10400), (5, 7930), (7, 1)):
+        yield build_family_curve(d, ctx, s)
+
+
+# SHA-256 of (num, den, c, codomain A, B) of phi and of the isogeny of psi'
+# over pinned_members: a change to how either is built that alters one
+# coefficient anywhere changes it.
+ISOGENY_DIGEST = "ecbc193811b2872f365f5d73fb68960ecc517bcb5ec48f5806df67eb524b8e6e"
+
+
+def test_every_family_isogeny_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for fam in pinned_members():
+        for iso in (fam.phi, Endo(fam, twisted=True).isogeny):
+            A, B = iso.codomain.A, iso.codomain.B
+            row = (fam.d, fam.ctx.p, fam.ctx.delta, fam.s, iso.num, iso.den, iso.c.a, iso.c.b, A.a, A.b, B.a, B.b)
+            digest.update(repr(row).encode())
+        count += 1
+    assert count == 493
+    assert digest.hexdigest() == ISOGENY_DIGEST
