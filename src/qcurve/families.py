@@ -6,6 +6,13 @@ curve (d in {2, 3, 5, 7}); composing phi with coordinate conjugation gives
 an endomorphism psi of degree d*p whose square is [eps*d] times Frobenius.
 The degenerate case d = 1 (a curve defined over F_p, phi the identity)
 recovers the subfield-Frobenius endomorphism on the quadratic twist.
+
+The builders are proven once, not member by member: qcurve.generic runs
+them over Z[s, delta][sqrt(delta)] (Q[s][i] for d = 5) and shows there,
+identically in s and delta, that each kernel polynomial is the kernel of
+one cyclic subgroup of order d and that the twisted quotient is the
+conjugate curve.  So a build expands the Velu maps without the kernel
+checks that isogeny.velu_quotient runs for any other caller's kernel.
 """
 
 from __future__ import annotations
@@ -24,13 +31,7 @@ from .errors import (
     UntabulatedError,
 )
 from .fields import FieldCtx, Fp2, legendre
-from .isogeny import (
-    Isogeny,
-    identity_isogeny,
-    post_twist,
-    quadratic_twist,
-    velu_quotient,
-)
+from .isogeny import Isogeny, _velu_maps, identity_isogeny, post_twist, quadratic_twist
 from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, oracle_trace, random_point
 
 FAMILY_DEGREES = (2, 3, 5, 7)
@@ -72,71 +73,77 @@ def epsilon_p(d: int, p: int) -> int:
     return -legendre(-d % p, p)
 
 
-def _build_d2(ctx: FieldCtx, s: int):
-    C = ctx.elem(9, 9 * s)
+# The builders are written once, over a ring R: they use only R.elem, R.one(),
+# R.delta, +, -, *, int scalars and a division by an int.  build_family_curve
+# runs them on a FieldCtx with s an int; qcurve.generic runs the same
+# functions over Q[s, delta][sqrt(delta)], with s and delta indeterminates,
+# and proves their kernels and codomains there for every p.  A parameter the
+# family excludes (s = 0 or 11s = 2 for d = 5, s^2 delta = -27 for d = 7)
+# gives A = B = 0, which Curve refuses as singular.
+
+
+def _build_d2(R, s):
+    C = R.elem(9, 9 * s)
     A = 2 * (C - 24)
     B = -8 * (C - 16)
-    F = (ctx.elem(-4), ctx.one())
+    F = (R.elem(-4), R.one())
     return A, B, C, F
 
 
-def _build_d3(ctx: FieldCtx, s: int):
-    C = ctx.elem(2, 2 * s)
+def _build_d3(R, s):
+    C = R.elem(2, 2 * s)
     A = -3 * (2 * C + 1)
     B = C * C + 10 * C - 2
-    F = (ctx.elem(-3), ctx.one())
+    F = (R.elem(-3), R.one())
     return A, B, C, F
 
 
-def _build_d5(ctx: FieldCtx, s: int):
-    p = ctx.p
-    if s == 0 or (11 * s - 2) % p == 0:
-        raise DegenerateParameterError("degree-5 family excludes s in {0, 2/11}")
-    u = (11 * s - 2) % p
-    A = ctx.elem(3 * (6 * s * s + 6 * s - 1), -20 * s * (s - 1)) * (-27 * s * u)
-    B = ctx.elem(13 * s * s + 59 * s - 9, -2 * (s - 1) * (20 * s + 9)) * (54 * s * s * u * u)
-    c = ctx.elem(2, -1) * (3 * s * u)
-    tail = ctx.elem(1, s)
+def _build_d5(R, s):
+    u = 11 * s - 2
+    A = R.elem(3 * (6 * s * s + 6 * s - 1), -20 * s * (s - 1)) * (-27 * s * u)
+    B = R.elem(13 * s * s + 59 * s - 9, -2 * (s - 1) * (20 * s + 9)) * (54 * s * s * u * u)
+    c = R.elem(2, -1) * (3 * s * u)
+    tail = R.elem(1, s)
     # The kernel polynomial f0 x^2 - 2 f0 c x + f0 c^2 + 81 s u tail^2,
     # f0 = 1 + 2i, made monic: 1/f0 = (1 - 2i)/5 because i^2 = delta = -1,
     # which build_family_curve enforces for d = 5.
-    F = (c * c + ctx.elem(1, -2) * (81 * s * u * pow(5, -1, p)) * tail * tail, -2 * c, ctx.one())
+    F = (c * c + R.elem(1, -2) / 5 * (81 * s * u) * tail * tail, -2 * c, R.one())
     return A, B, None, F
 
 
-def _build_d7(ctx: FieldCtx, s: int):
-    p = ctx.p
-    w = s * s * ctx.delta % p
-    c0 = 7 * (27 + w) % p
-    if c0 == 0:
-        raise DegenerateParameterError("degree-7 family excludes s^2 = -27/delta")
-    C = ctx.elem(c0)
-    A = -3 * C * ctx.elem(85 + 15 * w, 96 * s)
-    B = 14 * C * ctx.elem(9 * (3 * w * w + 130 * w + 171), 16 * (9 * w + 163) * s)
-    g = ctx.elem(1, -s)
-    h = ctx.elem(27, s)
+def _build_d7(R, s):
+    w = s * s * R.delta
+    C = R.elem(7 * (27 + w))
+    A = -3 * C * R.elem(85 + 15 * w, 96 * s)
+    B = 14 * C * R.elem(9 * (3 * w * w + 130 * w + 171), 16 * (9 * w + 163) * s)
+    g = R.elem(1, -s)
+    h = R.elem(27, s)
     k = 16 * g * g * C
-    F = (-(C * C * C) + 3 * k * C - 4 * k * g * h, 3 * C * C - 3 * k, -3 * C, ctx.one())
+    F = (-(C * C * C) + 3 * k * C - 4 * k * g * h, 3 * C * C - 3 * k, -3 * C, R.one())
     return A, B, C, F
 
 
 _BUILDERS = {2: _build_d2, 3: _build_d3, 5: _build_d5, 7: _build_d7}
 
 
+def _twisting_square(R, d: int):
+    """l^2 of the degree-d family over the ring R: -1/d, or (1 + 2i)^-2 for
+    d = 5 (where delta = -1).  post_twist by l lands the Velu quotient on
+    the conjugate curve (proven in qcurve.generic)."""
+    if d == 5:
+        w = R.elem(1, 2)
+        return (w * w).inverse()
+    return -(R.one() / d)
+
+
 @functools.cache
 def _twisting_factor(p: int, delta: int, d: int) -> tuple[int, int]:
     """l of the degree-d family, the root that post_twist composes with the
     Velu quotient, as an int pair, once per process, field and degree: the
-    canonical square root of -1/d, or of (1 + 2i)^-2 for d = 5 (where
-    delta = -1).  The root costs 25 us for d = 2 and 65 us for d = 5 at
-    p = 2^127 - 1 (CPython 3.11), which a second build skips."""
-    ctx = FieldCtx(p, delta)
-    if d == 5:
-        w = ctx.elem(1, 2)
-        lam2 = (w * w).inverse()
-    else:
-        lam2 = -(ctx.one() / d)
-    lam = lam2.sqrt()
+    canonical square root of _twisting_square.  The root costs 25 us for
+    d = 2 and 65 us for d = 5 at p = 2^127 - 1 (CPython 3.11), which a
+    second build skips."""
+    lam = _twisting_square(FieldCtx(p, delta), d).sqrt()
     return lam.a, lam.b
 
 
@@ -145,7 +152,14 @@ _MIN_P = {2: 3, 3: 3, 5: 5, 7: 7}
 
 def build_family_curve(d: int, ctx: FieldCtx, s: int) -> FamilyCurve:
     """Construct the degree-d family member with parameter s, together with
-    its isogeny onto the conjugate curve."""
+    its isogeny onto the conjugate curve.
+
+    The kernel polynomial is the builder's, proven a kernel for every p the
+    residue rules allow (qcurve.generic), so its Velu maps are expanded
+    without velu_quotient's kernel checks (isogeny._velu_maps).  The cheap
+    checks stay: the member's and the codomain's discriminants (a singular
+    member is a root of the proof's degeneracy polynomials), the expanded
+    map's normalized degree, and phi's codomain against conj(E)."""
     if d not in FAMILY_DEGREES:
         raise UntabulatedError(f"no family of degree {d}")
     p = ctx.p
@@ -163,7 +177,7 @@ def build_family_curve(d: int, ctx: FieldCtx, s: int) -> FamilyCurve:
     except DegenerateParameterError as exc:
         raise DegenerateParameterError(f"s={s} gives a singular curve") from exc
     lam = Fp2(ctx, *_twisting_factor(p, ctx.delta, d))
-    phi = post_twist(velu_quotient(curve, d, F), lam)
+    phi = post_twist(_velu_maps(curve, d, F), lam)
     if phi.codomain != curve.conjugate():
         raise DegenerateParameterError(
             f"the twisting factor does not land the degree-{d} quotient on the conjugate curve"

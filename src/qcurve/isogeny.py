@@ -9,10 +9,13 @@ isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l
 (families._twisting_factor), and fields owns mu and its power
 (fields._twist_constants).
 
-A kernel is its monic polynomial, given as an ascending tuple of Fp2.  It
-is checked modulo itself: the division polynomial and the doubling map are
-only ever formed modulo the kernel polynomial, by products reduced at once
-(poly_mulmod).
+A kernel is its monic polynomial, given as an ascending tuple of Fp2.
+velu_quotient checks any caller's kernel modulo itself: the division
+polynomial and the doubling map are only ever formed modulo the kernel
+polynomial, by products reduced at once (poly_mulmod).  Then it expands the
+maps (_velu_maps).  The family builders' kernels are proven once, for every
+p, over Z[s, delta][sqrt(delta)] (qcurve.generic), so family builds call
+_velu_maps alone.
 """
 
 from __future__ import annotations
@@ -321,17 +324,18 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     whose monic kernel polynomial is F, an ascending tuple: x - alpha for
     d = 2, degree (d-1)/2 for d = 3, 5, 7, so len(F) == d // 2 + 1.
 
-    The kernel is checked exactly, at every p: alpha must be a root of
-    x^3 + Ax + B; an odd F must divide the d-division polynomial, and its
-    roots must be closed under the x-map of doubling, so that they are the
-    abscissas of one cyclic subgroup of order d (Velu 1971; Kohel 1996).
-    Both checks work modulo F: psi_d mod F comes from the recurrence in
-    division_polynomial, and F(N, D) from Horner's rule, reduced product by
-    product.  x^3 + Ax + B is folded modulo F once, for the recurrence's
-    y^2 and for D = 4(x^3 + Ax + B).  KernelError otherwise."""
+    Any caller's kernel is checked exactly, at every p: alpha must be a
+    root of x^3 + Ax + B; an odd F must divide the d-division polynomial,
+    and its roots must be closed under the x-map of doubling, so that they
+    are the abscissas of one cyclic subgroup of order d (Velu 1971; Kohel
+    1996).  Both checks work modulo F: psi_d mod F comes from the
+    recurrence in division_polynomial, and F(N, D) from Horner's rule,
+    reduced product by product.  x^3 + Ax + B is folded modulo F once, for
+    the recurrence's y^2 and for D = 4(x^3 + Ax + B).  KernelError
+    otherwise.  The family builders' kernels are proven to pass both checks
+    for every p (qcurve.generic), so families.build_family_curve expands
+    the maps without them (_velu_maps)."""
     ctx = curve.ctx
-    A, B = curve.A, curve.B
-    one = ctx.one()
     if d not in (2, 3, 5, 7):
         raise KernelError(f"unsupported kernel degree {d}")
     F = tuple(ctx.coerce(c) for c in F)
@@ -339,11 +343,42 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         raise KernelError(f"a degree-{d} kernel polynomial has degree {d // 2}, not {len(F) - 1}")
     if F[-1] != 1:
         raise KernelError("kernel polynomial is not monic")
+    if d == 2:
+        if any(curve._cubic(-F[0])):
+            raise KernelError("alpha is not a two-torsion x-coordinate")
+        return _velu_maps(curve, d, F)
+    Fk = _kernel_poly(F)
+    R = _cubic_mod(curve, Fk)
+    if _division_mod(curve, d, Fk, R)[0]:
+        raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
+    # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
+    # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
+    # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i),
+    # formed by Horner's rule from F_e = 1: its first step is N + F_(e-1) D.
+    A, B = curve.A, curve.B
+    AA = A * A
+    N = poly_rem(([AA.a, -8 * B.a, -2 * A.a, 0, 1], [AA.b, -8 * B.b, -2 * A.b, 0, 0]), Fk, ctx)
+    D = Dk = poly_scale(R, (4, 0), ctx)
+    FND = poly_add(N, poly_scale(D, (F[-2].a, F[-2].b), ctx), ctx)
+    for c in F[-3::-1]:
+        Dk = poly_mulmod(Dk, D, Fk, ctx)
+        FND = poly_add(poly_mulmod(N, FND, Fk, ctx), poly_scale(Dk, (c.a, c.b), ctx), ctx)
+    if FND[0]:
+        raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
+    return _velu_maps(curve, d, F)
+
+
+def _velu_maps(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
+    """velu_quotient without its kernel checks: the codomain and the x-map of
+    the quotient by a kernel F of the right length and monic, in the field
+    of curve.  Only the normalized-degree check of the expanded map, and the
+    codomain's discriminant check, remain."""
+    ctx = curve.ctx
+    A, B = curve.A, curve.B
+    one = ctx.one()
     Fk = _kernel_poly(F)
     if d == 2:
         alpha = -F[0]
-        if any(curve._cubic(alpha)):
-            raise KernelError("alpha is not a two-torsion x-coordinate")
         t = 3 * alpha * alpha + A
         a_new = -4 * A - 15 * alpha * alpha
         b_new = B - 7 * alpha * t
@@ -351,23 +386,6 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         den = Fk
     else:
         e = len(F) - 1
-        R = _cubic_mod(curve, Fk)
-        if _division_mod(curve, d, Fk, R)[0]:
-            raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
-        # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
-        # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
-        # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i),
-        # formed by Horner's rule from F_e = 1: its first step is N + F_(e-1) D.
-        AA = A * A
-        rhs4 = ([4 * B.a, 4 * A.a, 0, 4], [4 * B.b, 4 * A.b, 0, 0])  # 4(x^3 + Ax + B)
-        N = poly_rem(([AA.a, -8 * B.a, -2 * A.a, 0, 1], [AA.b, -8 * B.b, -2 * A.b, 0, 0]), Fk, ctx)
-        D = Dk = poly_scale(R, (4, 0), ctx)
-        FND = poly_add(N, poly_scale(D, (F[-2].a, F[-2].b), ctx), ctx)
-        for c in F[-3::-1]:
-            Dk = poly_mulmod(Dk, D, Fk, ctx)
-            FND = poly_add(poly_mulmod(N, FND, Fk, ctx), poly_scale(Dk, (c.a, c.b), ctx), ctx)
-        if FND[0]:
-            raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
         r1, r2, r3 = ((ctx.zero(),) * 2 + F)[-2:-5:-1]  # F_(e-1), F_(e-2), F_(e-3)
         # Kohel: A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An
         # and w = 10(s1^3 - 3 s1 s2 + 3 s3) + 6A s1 + 4Bn, n = e, and the
@@ -384,6 +402,7 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         # Its three products of d + 1 coefficients, and F''F - F'^2 in one, are
         # summed unreduced and reduced once.
         sd = ctx.signed_delta
+        rhs4 = ([4 * B.a, 4 * A.a, 0, 4], [4 * B.b, 4 * A.b, 0, 0])  # 4(x^3 + Ax + B)
         Fd = poly_deriv(Fk, ctx)
         den = poly_mul(Fk, Fk, ctx)
         (gr, gi), (hr, hi) = _products(poly_deriv(Fd, ctx), Fk, sd), _products(Fd, Fd, sd)

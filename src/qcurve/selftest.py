@@ -11,6 +11,8 @@ battery's grid.
     conjugate_composition   s=1, d=2,3,7 at 13,       every member of each
                             d=5 at 11                 degree at p <= 13
     family_identities       s in {1,2} at p=11        the same as above
+    family_proof            every degree,             tests/test_generic.py
+                            identically in s, delta   (the same proof)
     models                  the first Montgomery      every Montgomery member
                             member at p=7, every      at p=5,7, every (P, k)
                             (P, k) with k < n         with k < n
@@ -34,7 +36,7 @@ import random
 
 from . import cmtables
 from .errors import DegenerateParameterError, DomainError, MapPoleError
-from .families import Endo, build_family_curve, determine_r, epsilon_p, gls_endo, group_orders, subfield_order
+from .families import _MIN_P, Endo, build_family_curve, determine_r, epsilon_p, gls_endo, group_orders, subfield_order
 from .fields import (
     TRIAL_DIVISION_BOUND,
     FieldCtx,
@@ -47,6 +49,7 @@ from .fields import (
     is_probable_prime,
     legendre,
 )
+from .generic import prove_families
 from .glv import (
     COFACTOR2_D2,
     COFACTOR4_D2,
@@ -242,6 +245,16 @@ def check_family_identities(cases=((2, 11, (1, 2)), (3, 11, (1, 2)), (5, 11, (1,
             char = curve.add(curve.add(ppP, curve.mul(-d * r, pP)), curve.mul(d * p, P))
             _assert(char.is_infinity, f"characteristic equation d={d} s={s}")
     return "p=11, s in {1,2}"
+
+
+def check_family_proof():
+    """Each builder's kernel and codomain identities, proven over
+    Z[s, delta][sqrt(delta)] (qcurve.generic), and every prime where the
+    proof does not reduce refused by the families' guards (_MIN_P)."""
+    for d, proof in prove_families().items():
+        _assert(not proof.failed, f"degree-{d} identities fail: {', '.join(proof.failed)}")
+        _assert(max(proof.bad_primes) <= _MIN_P[d], f"degree-{d} proof does not reduce at {proof.bad_primes}")
+    return "d=2,3,5,7 identically in s and delta"
 
 
 def check_models(primes=(7,), exhaustive=False):
@@ -483,6 +496,7 @@ def all_checks():
         ("twist_counts", check_twist_counts),
         ("conjugate_composition", check_conjugate_composition),
         ("family_identities", check_family_identities),
+        ("family_proof", check_family_proof),
         ("models", check_models),
         ("decompose_minimality", check_decompose_minimality),
         ("j_count", check_j_count),

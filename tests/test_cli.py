@@ -560,6 +560,7 @@ SELFTEST_CHECKS = [
     ("twist_counts", "p in {5,7,11,13}"),
     ("conjugate_composition", "all degrees"),
     ("family_identities", "p=11, s in {1,2}"),
+    ("family_proof", "d=2,3,5,7 identically in s and delta"),
     ("models", "p=7 s=0, tripling s=0"),
     ("decompose_minimality", "all 47 scalars"),
     ("j_count", "p in {11,17,19}"),
@@ -606,7 +607,7 @@ class TestSelftest:
         rc, records = corrupted_run
         assert rc == 1
         checks = [rec for rec in records if "check" in rec]
-        assert len(checks) == 14
+        assert len(checks) == 15
         assert {rec["status"] for rec in checks} == {"pass", "fail"}
         assert all(rec["elapsed_ms"] >= 0 for rec in checks)
 

@@ -500,42 +500,38 @@ WARM_TWISTED_ENDO_COUNTS = [
 # codomain's, the conjugate curve that phi must land on is not checked again,
 # and no isogeny stores derivatives, so post_twist squares l once and only
 # scales: num by l^2 on the kernel, and the constant c by l.  The Fp2 products left are the
-# member's and the codomain's coefficients and c (d=2 checks its kernel
-# abscissa on the curve's int-pair cubic); the polynomials run on the
-# kernel.  An odd kernel pays psi_d modulo the kernel polynomial, by the
-# division polynomial recurrence with each product of two nonconstant factors
-# reduced at once, a constant factor (f_1, f_2, f_2^3) a scaling, and each
-# cube formed once; the closure check under doubling, by Horner's rule from
-# N + F_(e-1) D, also reduced product by product; and Kohel's expansion of
-# the x-map, whose six products after F^2 are added up unreduced and reduced
-# once.  Every remainder is taken modulo the monic kernel polynomial, and
-# x^3 + Ax + B is folded modulo it once (one poly_rem): the recurrence reads
-# it as y^2 for d = 5, 7, and the doubling map's denominator 4(x^3 + Ax + B)
-# is its scaling by 4.  d=2 expands nothing.  These are the first builds of
+# member's and the codomain's coefficients and c; d=5's kernel divides by 5
+# in the field, one inversion and one product.  The builders' kernels are
+# proven for every p (qcurve.generic), so a build runs no kernel check: no
+# division polynomial, no closure under doubling, no fold of
+# x^3 + Ax + B.  An odd kernel pays only Kohel's expansion of the x-map: F^2,
+# two derivatives, and six products added up unreduced and reduced once,
+# the doubling map's 4(x^3 + Ax + B) read straight from the curve.  d=2
+# expands nothing.  These are the first builds of
 # each degree in the field: each also computes its twisting root l
 # (families._twisting_factor), the canonical root, one Fp2.sqrt, of -1/d,
 # formed as 1 times the inverse of d (one inversion and one product), or
 # for d=5 of the inverse of (1 + 2i)^2 (one square and one inversion).  A
 # second build of the same member on a new context of the field
-# (WARM_BUILD_COUNTS) takes l from the cache and makes no inversion and no
-# square root.
+# (WARM_BUILD_COUNTS) takes l from the cache and makes no inversion for it
+# and no square root.
 BUILD_COUNTS = [
     (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 13, "sqr": 5, "mul": 11, "inv": 1, "poly_rem": 4, "_reduced": 25, "poly_mulmod": 6,
-         "_products": 13, "poly_scale": 8, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
-    (3, {"mul_int": 11, "sqr": 4, "inv": 1, "mul": 10, "poly_rem": 3, "_reduced": 11, "poly_scale": 3, "poly_add": 1,
-         "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
-    (7, {"mul_int": 16, "mul": 19, "sqr": 4, "inv": 1, "poly_rem": 4, "_reduced": 35, "poly_mulmod": 12,
-         "_products": 19, "poly_scale": 10, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
+    (5, {"mul_int": 13, "sqr": 4, "inv": 2, "mul": 12, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+         "poly_scale": 1}),
+    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 10, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+         "poly_scale": 1}),
+    (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+         "poly_scale": 1}),
 ]
 WARM_BUILD_COUNTS = [
     (2, {"mul_int": 6, "mul": 7, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 13, "sqr": 4, "mul": 11, "poly_rem": 4, "_reduced": 25, "poly_mulmod": 6,
-         "_products": 13, "poly_scale": 8, "poly_sub": 1, "poly_add": 2, "poly_deriv": 2, "poly_mul": 1}),
-    (3, {"mul_int": 11, "sqr": 4, "mul": 9, "poly_rem": 3, "_reduced": 11, "poly_scale": 3, "poly_add": 1,
-         "poly_deriv": 2, "poly_mul": 1, "_products": 7}),
-    (7, {"mul_int": 16, "mul": 18, "sqr": 4, "poly_rem": 4, "_reduced": 35, "poly_mulmod": 12,
-         "_products": 19, "poly_scale": 10, "poly_sub": 2, "poly_add": 3, "poly_deriv": 2, "poly_mul": 1}),
+    (5, {"mul_int": 13, "sqr": 3, "inv": 1, "mul": 12, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+         "poly_scale": 1}),
+    (3, {"mul_int": 11, "sqr": 3, "mul": 9, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+         "poly_scale": 1}),
+    (7, {"mul_int": 16, "mul": 18, "sqr": 3, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+         "poly_scale": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse

@@ -629,6 +629,19 @@ def pinned_members():
 ISOGENY_DIGEST = "ecbc193811b2872f365f5d73fb68960ecc517bcb5ec48f5806df67eb524b8e6e"
 
 
+def test_checked_path_meets_every_builder_kernel():
+    """The public velu_quotient, with both kernel checks, accepts every
+    builder kernel of pinned_members and, twisted by the family's l, gives
+    phi exactly: the build path, which skips the checks, loses nothing."""
+    for fam in pinned_members():
+        ctx, d = fam.ctx, fam.d
+        F = _BUILDERS[d](ctx, fam.s)[3]
+        lam = Fp2(ctx, *_twisting_factor(ctx.p, ctx.delta, d))
+        checked = post_twist(velu_quotient(fam.curve, d, F), lam)
+        for field in ("domain", "codomain", "degree", "num", "den", "c"):
+            assert getattr(checked, field) == getattr(fam.phi, field), (d, ctx.p, ctx.delta, fam.s, field)
+
+
 def test_every_family_isogeny_pinned():
     digest = hashlib.sha256()
     count = 0
