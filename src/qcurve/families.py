@@ -77,7 +77,9 @@ def epsilon_p(d: int, p: int) -> int:
 # R.delta, +, -, *, int scalars and a division by an int.  build_family_curve
 # runs them on a FieldCtx with s an int; qcurve.generic runs the same
 # functions over Q[s, delta][sqrt(delta)], with s and delta indeterminates,
-# and proves their kernels and codomains there for every p.  A parameter the
+# and there feeds their kernels and curves to the kernel identities of
+# qcurve.isogeny, the one copy of each that velu_quotient and _velu_maps run
+# too, so it proves their kernels and codomains for every p.  A parameter the
 # family excludes (s = 0 or 11s = 2 for d = 5, s^2 delta = -27 for d = 7)
 # gives A = B = 0, which Curve refuses as singular.
 

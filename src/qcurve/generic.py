@@ -10,12 +10,18 @@ that builds every member, not a copy of it.
 
 prove_families() returns, per degree, the verdict of each identity that
 makes a builder's kernel polynomial F a kernel and its twisted quotient
-the conjugate curve, identically in s and delta:
-  - two_torsion (d = 2): the root of F is a root of x^3 + Ax + B;
-  - divides_psi (d = 3, 5, 7): psi_d = 0 modulo F;
-  - cyclic (d = 3, 5, 7): F(N, D) = 0 modulo F, N/D the x-map of doubling;
-  - codomain: the quotient's codomain (Velu 1971, Kohel 1996), twisted by
-    the builder's l^2 (families._twisting_square), equals conj(E).
+the conjugate curve, identically in s and delta.  Each identity is the
+function of qcurve.isogeny that velu_quotient runs on Fp2 and, for the
+codomain, that every family build runs (isogeny._velu_maps); this module
+defines none of them, so the proof covers their code too:
+  - two_torsion (d = 2): the root of F is a root of x^3 + Ax + B
+    (isogeny._two_torsion);
+  - divides_psi (d = 3, 5, 7): psi_d = 0 modulo F (isogeny._division_mod);
+  - cyclic (d = 3, 5, 7): F(N, D) = 0 modulo F, N/D the x-map of doubling
+    (isogeny._doubling_closure);
+  - codomain: the quotient's codomain (Velu 1971, Kohel 1996;
+    isogeny._quotient_codomain), twisted by the builder's l^2
+    (families._twisting_square), equals conj(E).
 
 Why these are enough at every p the families allow.  F is monic, so a
 remainder modulo F takes no division, and reducing an identity mod p
@@ -26,8 +32,8 @@ is, where the two degeneracy polynomials do not both vanish mod p.  Then
 psi_d is squarefree, so F | psi_d makes F squarefree, with roots that are
 abscissas of points of order d.  2 generates (Z/d)^*/{+-1} for d = 3, 5, 7,
 so roots closed under doubling are the abscissas of one cyclic subgroup.
-velu_quotient checks both facts member by member for any other caller's
-kernel; families.build_family_curve relies on this proof instead.
+velu_quotient runs the same two functions on each kernel another caller
+gives it; families.build_family_curve relies on this proof instead.
 
 This module is not imported on the build path: selftest and the tests run
 it.
@@ -39,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import families
+from . import families, isogeny
 from .fields import factorize
 
 # s^i delta^j is the key i + j * _DELTA_KEY, so the key of a product of two
@@ -191,7 +197,8 @@ class Elem:
 
 class ProofRing:
     """Q[s, delta][t]/(t^2 - delta), or with delta = -1 written in: the
-    part of FieldCtx's interface that the builders use."""
+    part of FieldCtx's interface that the builders and the kernel identities
+    of qcurve.isogeny use."""
 
     def __init__(self, delta):
         self.delta = delta
@@ -204,79 +211,6 @@ class ProofRing:
 
     def one(self) -> Elem:
         return Elem(self, 1)
-
-
-# Polynomials in x over the ring are ascending lists of Elem.
-
-
-def _rem(f, F):
-    """f modulo the monic F."""
-    f = list(f)
-    e = len(F) - 1
-    while len(f) > e:
-        q = f.pop()
-        if q:
-            base = len(f) - e
-            for k in range(e):
-                f[base + k] = f[base + k] - q * F[k]
-    return f
-
-
-def _mulmod(f, g, F):
-    out = [f[0].ring.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return _rem(out, F)
-
-
-def _division_mod(A, B, d, F):
-    """psi_d modulo F for d = 3, 5, 7: f_3 and f_4 in closed form, then
-    f_5 = 8 R^2 f_4 - f_3^3 and f_7 = f_5 f_3^3 - 2 R^2 f_4^3, with
-    R = x^3 + Ax + B standing for y^2 (Washington, Elliptic Curves, 3.2)."""
-    ring = A.ring
-    zero = ring.zero()
-    f3 = _rem([-(A * A), 12 * B, 6 * A, zero, ring.elem(3)], F)
-    if d == 3:
-        return f3
-    f4 = _rem([-32 * B * B - 4 * A * A * A, -16 * A * B, -20 * A * A, 80 * B, 20 * A, zero, ring.elem(4)], F)
-    cubic = _rem([B, A, zero, ring.one()], F)
-    R2 = _mulmod(cubic, cubic, F)
-    f3cube = _mulmod(_mulmod(f3, f3, F), f3, F)
-    f5 = [8 * u - v for u, v in zip(_mulmod(R2, f4, F), f3cube)]
-    if d == 5:
-        return f5
-    f4cube = _mulmod(_mulmod(f4, f4, F), f4, F)
-    return [u - 2 * v for u, v in zip(_mulmod(f5, f3cube, F), _mulmod(R2, f4cube, F))]
-
-
-def _doubling_closure(A, B, F):
-    """The homogenised F(N, D) modulo F, N/D the x-map of doubling, by
-    Horner's rule from F_e = 1."""
-    ring = A.ring
-    zero = ring.zero()
-    N = _rem([A * A, -8 * B, -2 * A, zero, ring.one()], F)
-    D = Dk = _rem([4 * B, 4 * A, zero, ring.elem(4)], F)
-    FND = [n + F[-2] * x for n, x in zip(N, D)]
-    for c in F[-3::-1]:
-        Dk = _mulmod(Dk, D, F)
-        FND = [u + c * v for u, v in zip(_mulmod(N, FND, F), Dk)]
-    return FND
-
-
-def _quotient_codomain(A, B, d, F):
-    """(A', B') of the quotient by the kernel F: Velu for d = 2, Kohel's
-    symmetric functions of F's roots for odd d."""
-    if d == 2:
-        alpha = -F[0]
-        t = 3 * alpha * alpha + A
-        return A - 5 * t, B - 7 * alpha * t
-    e = len(F) - 1
-    zero = A.ring.zero()
-    r1, r2, r3 = ([zero, zero] + list(F))[-2:-5:-1]
-    a_new = (1 - 10 * e) * A - 30 * r1 * r1 + 60 * r2
-    b_new = (1 - 28 * e) * B + 42 * A * r1 + 70 * r1 * r1 * r1 - 210 * r1 * r2 + 210 * r3
-    return a_new, b_new
 
 
 @dataclass(frozen=True)
@@ -303,14 +237,13 @@ def prove_family(d: int) -> FamilyProof:
     A, B, _, F = families._BUILDERS[d](ring, _S)
     lam2 = families._twisting_square(ring, d)
     if d == 2:
-        alpha = -F[0]
-        identities = {"two_torsion": alpha * alpha * alpha + A * alpha + B == 0}
+        identities = {"two_torsion": isogeny._two_torsion(A, B, F)}
     else:
         identities = {
-            "divides_psi": not any(_division_mod(A, B, d, F)),
-            "cyclic": not any(_doubling_closure(A, B, F)),
+            "divides_psi": not isogeny._division_mod(ring, A, B, d, F),
+            "cyclic": not isogeny._doubling_closure(ring, A, B, F),
         }
-    a_new, b_new = _quotient_codomain(A, B, d, F)
+    a_new, b_new = isogeny._quotient_codomain(A, B, d, F)
     identities["codomain"] = lam2 * lam2 * a_new == A.conjugate() and lam2 * lam2 * lam2 * b_new == B.conjugate()
     denominator = math.lcm(*(x.denominator() for x in (A, B, lam2, *F)))
     disc = 4 * A * A * A + 27 * B * B

@@ -10,12 +10,15 @@ isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l
 (fields._twist_constants).
 
 A kernel is its monic polynomial, given as an ascending tuple of Fp2.
-velu_quotient checks any caller's kernel modulo itself: the division
-polynomial and the doubling map are only ever formed modulo the kernel
-polynomial, by products reduced at once (poly_mulmod).  Then it expands the
-maps (_velu_maps).  The family builders' kernels are proven once, for every
-p, over Z[s, delta][sqrt(delta)] (qcurve.generic), so family builds call
-_velu_maps alone.
+This module owns each kernel identity once, written over any ring:
+the remainder and product modulo a monic F (_rem, _mulmod), the
+division-polynomial recurrence (_division_mod), the doubling closure
+(_doubling_closure), the two-torsion root test (_two_torsion) and Velu's
+and Kohel's codomain (_quotient_codomain).  velu_quotient runs them on Fp2
+to check any caller's kernel, then expands the maps (_velu_maps), whose
+codomain is _quotient_codomain's.  qcurve.generic runs the same functions
+over Z[s, delta][sqrt(delta)] and so proves the family builders' kernels
+for every p; family builds call _velu_maps alone.
 """
 
 from __future__ import annotations
@@ -24,19 +27,19 @@ from .errors import DegenerateParameterError, KernelError, OffCurveError
 from .fields import Fp2, _inverse_pair, _twist_constants
 from .weierstrass import INFINITY, Curve, Point
 
-# The polynomial kernel.  A polynomial over F_{p^2} = F_p(s), s^2 = delta, is
-# a pair (re, im) of int lists, ascending, with the coefficient of x^i equal
-# to re[i] + im[i]*s, 0 <= re[i], im[i] < p, and trimmed: the top coefficient
-# is nonzero, and the zero polynomial is ([], []).  Every function returns
-# that form, takes the field last and changes none of its arguments; it also
-# accepts coefficients that are not reduced, as built here straight from a
-# curve's coefficients.  A product of coefficients is written out on the
-# ints, with delta as its least absolute residue d; sums of products are left
-# unreduced and each output coefficient is reduced once.  A polynomial is
-# evaluated by one Horner pass on int pairs (_horner), which Isogeny.raw_maps
-# runs: an isogeny's maps at a point are computed on int pairs, the one
-# inversion of the denominator's value too (fields._inverse_pair), so they
-# build no Fp2.
+# The polynomial kernel of the maps.  A polynomial over F_{p^2} = F_p(s),
+# s^2 = delta, is a pair (re, im) of int lists, ascending, with the
+# coefficient of x^i equal to re[i] + im[i]*s, 0 <= re[i], im[i] < p, and
+# trimmed: the top coefficient is nonzero, and the zero polynomial is
+# ([], []).  Every function returns that form, takes the field last and
+# changes none of its arguments; it also accepts coefficients that are not
+# reduced, as built here straight from a curve's coefficients.  A product of
+# coefficients is written out on the ints, with delta as its least absolute
+# residue d; sums of products are left unreduced and each output coefficient
+# is reduced once.  A polynomial is evaluated by one Horner pass on int pairs
+# (_horner), which Isogeny.raw_maps runs: an isogeny's maps at a point are
+# computed on int pairs, the one inversion of the denominator's value too
+# (fields._inverse_pair), so they build no Fp2.
 
 
 def _reduced(re, im, p):
@@ -48,22 +51,6 @@ def _reduced(re, im, p):
         re.pop()
         im.pop()
     return re, im
-
-
-def poly_add(f, g, ctx):
-    (fr, fi), (gr, gi) = f, g
-    n = min(len(fr), len(gr))
-    re = [a + b for a, b in zip(fr, gr)] + fr[n:] + gr[n:]
-    im = [a + b for a, b in zip(fi, gi)] + fi[n:] + gi[n:]
-    return _reduced(re, im, ctx.p)
-
-
-def poly_sub(f, g, ctx):
-    (fr, fi), (gr, gi) = f, g
-    n = min(len(fr), len(gr))
-    re = [a - b for a, b in zip(fr, gr)] + fr[n:] + [-b for b in gr[n:]]
-    im = [a - b for a, b in zip(fi, gi)] + fi[n:] + [-b for b in gi[n:]]
-    return _reduced(re, im, ctx.p)
 
 
 def poly_scale(f, c, ctx):
@@ -97,50 +84,10 @@ def _products(f, g, d):
     return re, im
 
 
-def _fold(re, im, m, p, d):
-    """(re, im), with unreduced coefficients, modulo the monic m.  Each top
-    coefficient is reduced once, to fold it into the ones below; the
-    remainder is reduced once at the end.  Consumes re and im."""
-    mr, mi = m
-    e = len(mr) - 1
-    low = list(zip(range(e), mr, mi))
-    while len(re) > e:
-        q0 = re.pop() % p
-        q1 = im.pop() % p
-        if q0 or q1:
-            shift = len(re) - e
-            dq1 = d * q1
-            for k, c, s in low:
-                k += shift
-                re[k] -= q0 * c + dq1 * s
-                im[k] -= q0 * s + q1 * c
-    return _reduced(re, im, p)
-
-
-def _require_monic(m):
-    if not m[0] or m[0][-1] != 1 or m[1][-1]:
-        raise ValueError("poly_rem needs a monic divisor")
-
-
 def poly_mul(f, g, ctx):
     if not f[0] or not g[0]:
         return [], []
     return _reduced(*_products(f, g, ctx.signed_delta), ctx.p)
-
-
-def poly_rem(f, m, ctx):
-    """Remainder of f modulo the monic polynomial m."""
-    _require_monic(m)
-    return _fold(list(f[0]), list(f[1]), m, ctx.p, ctx.signed_delta)
-
-
-def poly_mulmod(f, g, m, ctx):
-    """f * g modulo the monic polynomial m, reduced once per coefficient."""
-    _require_monic(m)
-    if not f[0] or not g[0]:
-        return [], []
-    d = ctx.signed_delta
-    return _fold(*_products(f, g, d), m, ctx.p, d)
 
 
 def _horner(f, x0, x1, p, d):
@@ -167,91 +114,152 @@ def _kernel_poly(cs) -> tuple[list[int], list[int]]:
     return [c.a for c in cs], [c.b for c in cs]
 
 
-def _cubic_mod(curve: Curve, F):
-    """x^3 + Ax + B modulo the monic kernel polynomial F."""
-    A, B = curve.A, curve.B
-    return poly_rem(([B.a, A.a, 0, 1], [B.b, A.b, 0, 0]), F, curve.ctx)
+# The kernel identities, each written once, over any ring whose elements have
+# +, -, *, int scalars, a division by an int, bool and == 1: FieldCtx's Fp2, on
+# which velu_quotient checks a caller's kernel and _velu_maps takes its
+# codomain, and generic.Elem, on which generic.prove_families proves the
+# family builders' kernels for every p.  A polynomial here is an ascending,
+# trimmed list of ring elements.  A function that needs the ring's constants
+# takes the ring itself as R (R.elem, R.zero(), R.one()), as the family
+# builders do.
 
 
-def division_polynomial(curve: Curve, l: int, F):
-    """psi_l modulo the monic kernel polynomial F, for odd l >= 3.
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _rem(f, F):
+    """f modulo the monic F; KernelError if F is zero or not monic."""
+    if not F or F[-1] != 1:
+        raise KernelError("the modulus must be a monic polynomial")
+    f = list(f)
+    e = len(F) - 1
+    while len(f) > e:
+        q = f.pop()
+        if q:
+            base = len(f) - e
+            for k in range(e):
+                f[base + k] = f[base + k] - q * F[k]
+    return _trim(f)
+
+
+def _mulmod(f, g, F):
+    """f * g modulo the monic F, by the schoolbook product."""
+    if not (f and g):
+        return _rem([], F)
+    out = [a * g[0] for a in f] + [f[-1] * b for b in g[1:]]
+    for i, a in enumerate(f[:-1]):
+        for j in range(1, len(g)):
+            out[i + j] = out[i + j] + a * g[j]
+    return _rem(out, F)
+
+
+def _add_scaled(f, c, g):
+    """f + c * g, for a ring element or int c."""
+    n = min(len(f), len(g))
+    return _trim([a + c * b for a, b in zip(f, g)] + f[n:] + [c * b for b in g[n:]])
+
+
+def _division_mod(R, A, B, l, F):
+    """psi_l modulo the monic F for odd l >= 3, on y^2 = x^3 + Ax + B over R.
 
     psi_l is the univariate l-division polynomial, whose roots are exactly
     the x-coordinates of the nonzero l-torsion points.  It is never expanded:
     the standard recurrence (Washington, Elliptic Curves, 3.2) runs on f_n,
     which is psi_n for odd n and psi_n / y for even n, with y^2 replaced by
-    R = x^3 + Ax + B and every product taken modulo F.  A product with a
-    constant, such as f_1 = 1, f_2 = 2 or f_2^3 = 8, is a scaling."""
-    if l < 3 or l % 2 == 0:
-        raise KernelError(f"division polynomials are for odd l >= 3, not {l}")
-    return _division_mod(curve, l, F, _cubic_mod(curve, F) if l > 3 else None)
-
-
-def _division_mod(curve: Curve, l: int, F, R):
-    """division_polynomial(curve, l, F) for odd l >= 3, given
-    R = x^3 + Ax + B mod F (_cubic_mod), which l = 3 does not read:
-    velu_quotient folds the cubic once for this and for its own D = 4R."""
-    ctx = curve.ctx
-    d = ctx.signed_delta
-    A0, A1, B0, B1 = curve.A.a, curve.A.b, curve.B.a, curve.B.b
-    AA0, AA1 = A0 * A0 + d * A1 * A1, 2 * A0 * A1
-    # The base cases are folded from unreduced coefficients.
+    x^3 + Ax + B and every product taken modulo F.  f_3 and f_4 are closed
+    forms; f_5 = 8 y^4 f_4 - f_3^3 and f_7 = f_5 f_3^3 - 2 y^4 f_4^3 are the
+    recurrence's first odd steps, and only l >= 9 halves an even one."""
+    zero = R.zero()
     f = {
-        1: ([1], [0]),
-        2: ([2], [0]),
-        3: poly_rem(([-AA0, 12 * B0, 6 * A0, 0, 3], [-AA1, 12 * B1, 6 * A1, 0, 0]), F, ctx),
+        1: [R.one()],
+        2: [R.elem(2)],
+        3: _rem([-(A * A), 12 * B, 6 * A, zero, R.elem(3)], F),
     }
     if l > 3:
         # f_4 = 4(x^6 + 5Ax^4 + 20Bx^3 - 5A^2x^2 - 4ABx - 8B^2 - A^3)
-        AAA0, AAA1 = AA0 * A0 + d * AA1 * A1, AA0 * A1 + AA1 * A0
-        AB0, AB1 = A0 * B0 + d * A1 * B1, A0 * B1 + A1 * B0
-        BB0, BB1 = B0 * B0 + d * B1 * B1, 2 * B0 * B1
-        f[4] = poly_rem(
-            (
-                [-32 * BB0 - 4 * AAA0, -16 * AB0, -20 * AA0, 80 * B0, 20 * A0, 0, 4],
-                [-32 * BB1 - 4 * AAA1, -16 * AB1, -20 * AA1, 80 * B1, 20 * A1, 0, 0],
-            ),
-            F,
-            ctx,
-        )
-        R2 = poly_mulmod(R, R, F, ctx)
-    half = ((ctx.p + 1) // 2, 0)
+        f[4] = _rem([-32 * B * B - 4 * A * A * A, -16 * A * B, -20 * A * A, 80 * B, 20 * A, zero, R.elem(4)], F)
+        y2 = _rem([B, A, zero, R.one()], F)
+        y4 = _mulmod(y2, y2, F)
     cubes = {}
-
-    def times(g, h):
-        if len(h[0]) == 1:
-            g, h = h, g
-        if len(g[0]) == 1:
-            return poly_scale(h, (g[0][0], g[1][0]), ctx)
-        return poly_mulmod(g, h, F, ctx)
 
     def cube(n):
         if n not in cubes:
-            cubes[n] = times(times(fn(n), fn(n)), fn(n))
+            cubes[n] = _mulmod(_mulmod(fn(n), fn(n), F), fn(n), F)
         return cubes[n]
 
     def fn(n):
         if n not in f:
             m = n // 2
             if n % 2:
-                # f_(2m+1) = f_(m+2) f_m^3 - f_(m-1) f_(m+1)^3, where R^2 = y^4
+                # f_(2m+1) = f_(m+2) f_m^3 - f_(m-1) f_(m+1)^3, where y^4
                 # multiplies the term whose two factors have even index.
-                lo = times(fn(m + 2), cube(m))
-                hi = times(fn(m - 1), cube(m + 1))
+                lo = _mulmod(fn(m + 2), cube(m), F)
+                hi = _mulmod(fn(m - 1), cube(m + 1), F)
                 if m % 2:
-                    hi = times(R2, hi)
+                    hi = _mulmod(y4, hi, F)
                 else:
-                    lo = times(R2, lo)
-                f[n] = poly_sub(lo, hi, ctx)
+                    lo = _mulmod(y4, lo, F)
+                f[n] = _add_scaled(lo, -1, hi)
             else:
                 # f_2m = f_m (f_(m+2) f_(m-1)^2 - f_(m-2) f_(m+1)^2) / 2.
-                left = times(fn(m + 2), times(fn(m - 1), fn(m - 1)))
-                right = times(fn(m - 2), times(fn(m + 1), fn(m + 1)))
-                f[n] = poly_scale(times(fn(m), poly_sub(left, right, ctx)), half, ctx)
+                left = _mulmod(fn(m + 2), _mulmod(fn(m - 1), fn(m - 1), F), F)
+                right = _mulmod(fn(m - 2), _mulmod(fn(m + 1), fn(m + 1), F), F)
+                f[n] = [c / 2 for c in _mulmod(fn(m), _add_scaled(left, -1, right), F)]
         return f[n]
 
     return fn(l)
 
+
+def _doubling_closure(R, A, B, F):
+    """The homogenised F(N, D) = sum of F_i N^i D^(e-i) modulo the monic F of
+    degree e >= 1, where N/D = (x^4 - 2Ax^2 - 8Bx + A^2) / (4(x^3 + Ax + B))
+    is the x-map of doubling; by Horner's rule from F_e = 1, so its first
+    step is N + F_(e-1) D.  It is zero exactly when F divides F(N, D)."""
+    zero = R.zero()
+    N = _rem([A * A, -8 * B, -2 * A, zero, R.one()], F)
+    D = Dk = _rem([4 * B, 4 * A, zero, R.elem(4)], F)
+    FND = _add_scaled(N, F[-2], D)
+    for c in F[-3::-1]:
+        Dk = _mulmod(Dk, D, F)
+        FND = _add_scaled(_mulmod(N, FND, F), c, Dk)
+    return FND
+
+
+def _two_torsion(A, B, F):
+    """Whether the root alpha of F = x - alpha is a root of x^3 + Ax + B."""
+    alpha = -F[0]
+    return not (alpha * alpha * alpha + A * alpha + B)
+
+
+def _quotient_codomain(A, B, d, F):
+    """(A', B') of the quotient of y^2 = x^3 + Ax + B by the kernel F: Velu's
+    (A - 5t, B - 7 alpha t), t = 3 alpha^2 + A, for d = 2; for odd d Kohel's
+    A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An and
+    w = 10(s1^3 - 3 s1 s2 + 3 s3) + 6A s1 + 4Bn, n = e = deg F, from the
+    symmetric functions of F's roots s1 = -r1, s2 = r2, s3 = -r3, where
+    r1, r2, r3 are F_(e-1), F_(e-2), F_(e-3)."""
+    if d == 2:
+        alpha = -F[0]
+        t = 3 * alpha * alpha + A
+        return A - 5 * t, B - 7 * alpha * t
+    e = len(F) - 1
+    r1, r2, r3 = ([0, 0] + list(F))[-2:-5:-1]  # the int 0 below F_0
+    a_new = (1 - 10 * e) * A - 30 * r1 * r1 + 60 * r2
+    b_new = (1 - 28 * e) * B + 42 * A * r1 + 70 * r1 * r1 * r1 - 210 * r1 * r2 + 210 * r3
+    return a_new, b_new
+
+
+def division_polynomial(curve: Curve, l: int, F) -> list[Fp2]:
+    """psi_l modulo the monic kernel polynomial F, an ascending sequence of
+    Fp2, for odd l >= 3, as an ascending, trimmed list of Fp2 (_division_mod).
+    KernelError for any other l, or if F is zero or not monic."""
+    if l < 3 or l % 2 == 0:
+        raise KernelError(f"division polynomials are for odd l >= 3, not {l}")
+    ctx = curve.ctx
+    return _division_mod(ctx, curve.A, curve.B, l, [ctx.coerce(c) for c in F])
 
 class Isogeny:
     """A separable isogeny between short Weierstrass curves in the standard
@@ -324,17 +332,15 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     whose monic kernel polynomial is F, an ascending tuple: x - alpha for
     d = 2, degree (d-1)/2 for d = 3, 5, 7, so len(F) == d // 2 + 1.
 
-    Any caller's kernel is checked exactly, at every p: alpha must be a
-    root of x^3 + Ax + B; an odd F must divide the d-division polynomial,
-    and its roots must be closed under the x-map of doubling, so that they
-    are the abscissas of one cyclic subgroup of order d (Velu 1971; Kohel
-    1996).  Both checks work modulo F: psi_d mod F comes from the
-    recurrence in division_polynomial, and F(N, D) from Horner's rule,
-    reduced product by product.  x^3 + Ax + B is folded modulo F once, for
-    the recurrence's y^2 and for D = 4(x^3 + Ax + B).  KernelError
-    otherwise.  The family builders' kernels are proven to pass both checks
-    for every p (qcurve.generic), so families.build_family_curve expands
-    the maps without them (_velu_maps)."""
+    Any caller's kernel is checked exactly, at every p, by the kernel
+    identities above on Fp2: alpha must be a root of x^3 + Ax + B
+    (_two_torsion); an odd F must divide the d-division polynomial
+    (_division_mod), and F(N, D) must vanish modulo F (_doubling_closure).
+    Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
+    roots of F are then the abscissas of one cyclic subgroup of order d
+    (Velu 1971; Kohel 1996).  KernelError otherwise.  The family builders'
+    kernels pass the same functions for every p (qcurve.generic), so
+    families.build_family_curve expands the maps without them (_velu_maps)."""
     ctx = curve.ctx
     if d not in (2, 3, 5, 7):
         raise KernelError(f"unsupported kernel degree {d}")
@@ -343,61 +349,36 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         raise KernelError(f"a degree-{d} kernel polynomial has degree {d // 2}, not {len(F) - 1}")
     if F[-1] != 1:
         raise KernelError("kernel polynomial is not monic")
-    if d == 2:
-        if any(curve._cubic(-F[0])):
-            raise KernelError("alpha is not a two-torsion x-coordinate")
-        return _velu_maps(curve, d, F)
-    Fk = _kernel_poly(F)
-    R = _cubic_mod(curve, Fk)
-    if _division_mod(curve, d, Fk, R)[0]:
-        raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
-    # Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
-    # (d-1)/2 roots of F are the abscissas of one cyclic subgroup exactly
-    # when F divides the homogenised F(N, D) = sum of F_i N^i D^(e-i),
-    # formed by Horner's rule from F_e = 1: its first step is N + F_(e-1) D.
     A, B = curve.A, curve.B
-    AA = A * A
-    N = poly_rem(([AA.a, -8 * B.a, -2 * A.a, 0, 1], [AA.b, -8 * B.b, -2 * A.b, 0, 0]), Fk, ctx)
-    D = Dk = poly_scale(R, (4, 0), ctx)
-    FND = poly_add(N, poly_scale(D, (F[-2].a, F[-2].b), ctx), ctx)
-    for c in F[-3::-1]:
-        Dk = poly_mulmod(Dk, D, Fk, ctx)
-        FND = poly_add(poly_mulmod(N, FND, Fk, ctx), poly_scale(Dk, (c.a, c.b), ctx), ctx)
-    if FND[0]:
+    if d == 2:
+        if not _two_torsion(A, B, F):
+            raise KernelError("alpha is not a two-torsion x-coordinate")
+    elif _division_mod(ctx, A, B, d, F):
+        raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
+    elif _doubling_closure(ctx, A, B, F):
         raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
     return _velu_maps(curve, d, F)
 
 
 def _velu_maps(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
-    """velu_quotient without its kernel checks: the codomain and the x-map of
-    the quotient by a kernel F of the right length and monic, in the field
-    of curve.  Only the normalized-degree check of the expanded map, and the
-    codomain's discriminant check, remain."""
+    """velu_quotient without its kernel checks: the codomain
+    (_quotient_codomain) and the x-map of the quotient by a kernel F of the
+    right length and monic, in the field of curve.  Only the
+    normalized-degree check of the expanded map, and the codomain's
+    discriminant check, remain."""
     ctx = curve.ctx
     A, B = curve.A, curve.B
     one = ctx.one()
     Fk = _kernel_poly(F)
+    a_new, b_new = _quotient_codomain(A, B, d, F)
     if d == 2:
+        # X = x + t/(x - alpha), t = 3 alpha^2 + A.
         alpha = -F[0]
-        t = 3 * alpha * alpha + A
-        a_new = -4 * A - 15 * alpha * alpha
-        b_new = B - 7 * alpha * t
-        num = _kernel_poly((t, -alpha, one))
+        num = _kernel_poly((3 * alpha * alpha + A, -alpha, one))
         den = Fk
     else:
         e = len(F) - 1
-        r1, r2, r3 = ((ctx.zero(),) * 2 + F)[-2:-5:-1]  # F_(e-1), F_(e-2), F_(e-3)
-        # Kohel: A' = A - 5t and B' = B - 7w, with t = 6(s1^2 - 2 s2) + 2An
-        # and w = 10(s1^3 - 3 s1 s2 + 3 s3) + 6A s1 + 4Bn, n = e, and the
-        # symmetric functions of F's roots s1 = -r1, s2 = r2, s3 = -r3.
-        a_new = (1 - 10 * e) * A - 30 * r1 * r1 + 60 * r2
-        b_new = (
-            (1 - 28 * e) * B
-            + 42 * A * r1
-            + 70 * r1 * r1 * r1
-            - 210 * r1 * r2
-            + 210 * r3
-        )
+        r1 = F[-2]
         # The x-map N/F^2 = (2e + 1)x + 2 r1 - 2(3x^2 + A) F'/F - 4(x^3 + Ax + B)(F'/F)'.
         # Its three products of d + 1 coefficients, and F''F - F'^2 in one, are
         # summed unreduced and reduced once.

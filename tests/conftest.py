@@ -57,9 +57,11 @@ def prime_factors(n: int) -> set[int]:
     return out
 
 
-# An independent schoolbook reference for the polynomial kernel of
-# qcurve.isogeny: polynomials here are ascending tuples of Fp2 with no zero
-# top coefficient, and every operation is plain Fp2 arithmetic.
+# An independent schoolbook reference for the polynomial code of
+# qcurve.isogeny, the int-pair kernel of the maps and the ring-generic
+# remainder and product modulo a kernel (_rem, _mulmod): polynomials here
+# are ascending tuples of Fp2 with no zero top coefficient, every operation
+# is plain Fp2 arithmetic, and ref_rem divides by any nonzero modulus.
 
 
 def ref_trim(cs) -> tuple[Fp2, ...]:

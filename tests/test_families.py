@@ -400,20 +400,20 @@ class TestIntPairPsi:
             self._check(endo, [x], [] if P is None else [P])
 
 
-# The calls into the bare-int polynomial kernel of qcurve.isogeny, each
-# counted under its own name, with its private helpers for the products
-# (_products) and the reductions (_reduced), which velu_quotient also calls
-# directly; a kernel function's own calls to them count too.
+# The calls into the polynomial code of qcurve.isogeny, each counted under
+# its own name: the bare-int kernel of the maps, with its private helpers for
+# the products (_products) and the reductions (_reduced), which _velu_maps
+# also calls directly, and the remainder and product modulo a kernel
+# (_rem, _mulmod) that every kernel check runs; a function's own calls to
+# them count too.
 KERNEL_CALLS = (
-    "poly_add",
-    "poly_sub",
     "poly_scale",
     "poly_deriv",
     "poly_mul",
-    "poly_rem",
-    "poly_mulmod",
     "_products",
     "_reduced",
+    "_rem",
+    "_mulmod",
 )
 
 
@@ -499,16 +499,21 @@ WARM_TWISTED_ENDO_COUNTS = [
 # Velu codomain.  The twisted codomain's discriminant is l^12 times the Velu
 # codomain's, the conjugate curve that phi must land on is not checked again,
 # and no isogeny stores derivatives, so post_twist squares l once and only
-# scales: num by l^2 on the kernel, and the constant c by l.  The Fp2 products left are the
-# member's and the codomain's coefficients and c; d=5's kernel divides by 5
-# in the field, one inversion and one product.  The builders' kernels are
-# proven for every p (qcurve.generic), so a build runs no kernel check: no
-# division polynomial, no closure under doubling, no fold of
-# x^3 + Ax + B.  An odd kernel pays only Kohel's expansion of the x-map: F^2,
-# two derivatives, and six products added up unreduced and reduced once,
-# the doubling map's 4(x^3 + Ax + B) read straight from the curve.  d=2
-# expands nothing.  These are the first builds of
-# each degree in the field: each also computes its twisting root l
+# scales: num by l^2 on the kernel, and the constant c by l.  The Fp2
+# products left are the member's and the codomain's coefficients and c;
+# d=5's kernel divides by 5 in the field, one inversion and one product.
+# The codomain is isogeny._quotient_codomain's.  For d=2 it is
+# (A - 5t, B - 7 alpha t), and the x-map's numerator x^2 - alpha x + t forms
+# t once more.  Kohel's sums read the coefficients F_(e-2) and F_(e-3) that
+# a short kernel lacks (both for d=3, F_(e-3) for d=5) as the int 0, which
+# costs no product.  The
+# builders' kernels are proven for every p (qcurve.generic), so a build runs
+# no kernel check: no division polynomial, no closure under doubling, no
+# remainder or product modulo F (_rem, _mulmod).  An odd kernel pays only
+# Kohel's expansion of the x-map: F^2, two derivatives, and six products
+# added up unreduced and reduced once, the doubling map's 4(x^3 + Ax + B)
+# read straight from the curve.  d=2 expands nothing.  These are the first
+# builds of each degree in the field: each also computes its twisting root l
 # (families._twisting_factor), the canonical root, one Fp2.sqrt, of -1/d,
 # formed as 1 times the inverse of d (one inversion and one product), or
 # for d=5 of the inverse of (1 + 2i)^2 (one square and one inversion).  A
@@ -517,18 +522,18 @@ WARM_TWISTED_ENDO_COUNTS = [
 # and no square root.
 BUILD_COUNTS = [
     (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 13, "sqr": 4, "inv": 2, "mul": 12, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+    (5, {"mul_int": 12, "sqr": 4, "inv": 2, "mul": 12, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
          "poly_scale": 1}),
-    (3, {"mul_int": 11, "sqr": 3, "inv": 1, "mul": 10, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+    (3, {"mul_int": 10, "sqr": 3, "inv": 1, "mul": 9, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
          "poly_scale": 1}),
     (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
          "poly_scale": 1}),
 ]
 WARM_BUILD_COUNTS = [
     (2, {"mul_int": 6, "mul": 7, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 13, "sqr": 3, "inv": 1, "mul": 12, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+    (5, {"mul_int": 12, "sqr": 3, "inv": 1, "mul": 12, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
          "poly_scale": 1}),
-    (3, {"mul_int": 11, "sqr": 3, "mul": 9, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
+    (3, {"mul_int": 10, "sqr": 3, "mul": 8, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
          "poly_scale": 1}),
     (7, {"mul_int": 16, "mul": 18, "sqr": 3, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
          "poly_scale": 1}),

@@ -1,7 +1,8 @@
 """The family proof of qcurve.generic: every identity holds over the exact
-ring, one changed builder constant breaks the identity it feeds, and the
-exclusions of build_family_curve are the roots mod p of the degeneracy
-polynomials that the proof returns."""
+ring, one changed builder constant, or one changed kernel identity of
+qcurve.isogeny, breaks the identity it feeds, and the exclusions of
+build_family_curve are the roots mod p of the degeneracy polynomials that
+the proof returns."""
 
 import os
 import subprocess
@@ -12,11 +13,15 @@ from pathlib import Path
 import pytest
 
 import qcurve
-from qcurve import families
-from qcurve.errors import DegenerateParameterError, ResidueClassError
+from qcurve import families, isogeny
+from qcurve.errors import DegenerateParameterError, DomainError, KernelError, ResidueClassError
 from qcurve.families import _MIN_P, FAMILY_DEGREES, build_family_curve
 from qcurve.fields import FieldCtx, legendre
 from qcurve.generic import prove_families, prove_family
+from qcurve.isogeny import velu_quotient
+from qcurve.weierstrass import Curve
+
+from conftest import SMALL_MEMBERS, ctx_for
 
 IDENTITIES = {
     2: ["two_torsion", "codomain"],
@@ -45,23 +50,85 @@ def test_every_identity_holds(proofs):
         assert proof.bad_primes == proofs[d].bad_primes
 
 
-# One changed constant per degree, and the identities that must then fail:
-# d=2's A, d=3's kernel root, d=5's kernel constant term and d=7's B.  A
-# changed curve or kernel moves the quotient's codomain too.  Each wraps the
-# real builder, so the proof runs the changed output of the code that runs.
+def _builder(change):
+    """Wrap the real degree-d builder in change, so the proof runs the changed
+    output of the code that runs."""
+
+    def patch(monkeypatch, d):
+        real = families._BUILDERS[d]
+        monkeypatch.setitem(families._BUILDERS, d, lambda R, s: change(*real(R, s)))
+
+    return patch
+
+
+def _codomain_plus_one(monkeypatch, d):
+    real = isogeny._quotient_codomain
+
+    def shifted(A, B, d, F):
+        a_new, b_new = real(A, B, d, F)
+        return a_new, b_new + 1
+
+    monkeypatch.setattr(isogeny, "_quotient_codomain", shifted)
+
+
+def _closure_without_last_step(monkeypatch, d):
+    def closure(R, A, B, F):
+        """isogeny._doubling_closure with its last Horner step left out."""
+        zero = R.zero()
+        N = isogeny._rem([A * A, -8 * B, -2 * A, zero, R.one()], F)
+        D = Dk = isogeny._rem([4 * B, 4 * A, zero, R.elem(4)], F)
+        FND = isogeny._add_scaled(N, F[-2], D)
+        for c in F[-3:0:-1]:
+            Dk = isogeny._mulmod(Dk, D, F)
+            FND = isogeny._add_scaled(isogeny._mulmod(N, FND, F), c, Dk)
+        return FND
+
+    monkeypatch.setattr(isogeny, "_doubling_closure", closure)
+
+
+# One change per row, the identities that must then fail, and what the
+# degree's smallest member (conftest.SMALL_MEMBERS) then raises through the
+# checked velu_quotient and through build_family_curve.  First one changed
+# builder constant per degree: d=2's A, d=3's kernel root, d=5's kernel
+# constant term and d=7's B; a changed curve or kernel moves the quotient's
+# codomain too.  Then a change to a kernel identity of qcurve.isogeny, the
+# one copy that the proof and the build path share: Kohel's B' moved by 1
+# breaks the codomain, in the proof and in every build; a doubling closure
+# that drops its last Horner step breaks "cyclic" where there is one to drop
+# (d = 5, 7), in the proof and in velu_quotient, and no build runs it.
 MUTATIONS = [
-    (2, lambda A, B, C, F: (A + 1, B, C, F), ["two_torsion", "codomain"]),
-    (3, lambda A, B, C, F: (A, B, C, (F[0] + 1,) + F[1:]), ["divides_psi", "cyclic", "codomain"]),
-    (5, lambda A, B, C, F: (A, B, C, (F[0] + 1,) + F[1:]), ["divides_psi", "cyclic", "codomain"]),
-    (7, lambda A, B, C, F: (A, B + 1, C, F), ["divides_psi", "cyclic", "codomain"]),
+    pytest.param(2, _builder(lambda A, B, C, F: (A + 1, B, C, F)), ["two_torsion", "codomain"],
+                 KernelError, DegenerateParameterError, id="d2"),
+    pytest.param(3, _builder(lambda A, B, C, F: (A, B, C, (F[0] + 1,) + F[1:])), ["divides_psi", "cyclic", "codomain"],
+                 KernelError, DegenerateParameterError, id="d3"),
+    pytest.param(5, _builder(lambda A, B, C, F: (A, B, C, (F[0] + 1,) + F[1:])), ["divides_psi", "cyclic", "codomain"],
+                 KernelError, DegenerateParameterError, id="d5"),
+    pytest.param(7, _builder(lambda A, B, C, F: (A, B + 1, C, F)), ["divides_psi", "cyclic", "codomain"],
+                 KernelError, DegenerateParameterError, id="d7"),
+    *(pytest.param(d, _codomain_plus_one, ["codomain"], None, DegenerateParameterError, id=f"d{d}-codomain")
+      for d in FAMILY_DEGREES),
+    *(pytest.param(d, _closure_without_last_step, ["cyclic"], KernelError, None, id=f"d{d}-closure")
+      for d in (5, 7)),
 ]
 
 
-@pytest.mark.parametrize("d,change,broken", MUTATIONS, ids=[f"d{d}" for d, _, _ in MUTATIONS])
-def test_changed_builder_constant_fails(monkeypatch, d, change, broken):
-    real = families._BUILDERS[d]
-    monkeypatch.setitem(families._BUILDERS, d, lambda R, s: change(*real(R, s)))
+def _raised(call):
+    try:
+        call()
+    except DomainError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("d,change,broken,velu_error,build_error", MUTATIONS)
+def test_changed_builder_constant_fails(monkeypatch, d, change, broken, velu_error, build_error):
+    change(monkeypatch, d)
     assert prove_family(d).failed == broken
+    _, p, s = next(member for member in SMALL_MEMBERS if member[0] == d)
+    ctx = ctx_for(p)
+    A, B, _, F = families._BUILDERS[d](ctx, s)
+    assert _raised(lambda: velu_quotient(Curve(A, B), d, F)) == velu_error
+    assert _raised(lambda: build_family_curve(d, ctx, s)) == build_error
 
 
 @pytest.mark.parametrize("d", FAMILY_DEGREES)
