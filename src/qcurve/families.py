@@ -256,8 +256,16 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     8 hash-derived points. Each of them must satisfy [q]psi(Q) =
     +-[target]Q. The first witness, a Q with [target]Q != -[target]Q,
     decides the sign: both signs holding would give [2*target]Q = O. With
-    no witness among them the positive root is returned. With q = 0, psi
-    is not evaluated: each point must have [target]Q = O.
+    no witness among them the positive root is returned.
+
+    q = 0 means t = -2*eps*p, so (pi + eps*p)^2 = pi^2 - t*pi + p^2 = 0.
+    End(E) has no zero divisors, so pi = [-eps*p] and E(F_{p^2}) =
+    ker(pi - 1) = E[p + eps] (Waterhouse 1969; Schoof 1987).  The twist
+    has trace 2*eps*p and target p - eps: the same with -eps.  So with the
+    oracle's trace, at p <= ORACLE_MAX_P, [target]Q = O on every rational
+    point is proven and 0 is returned with no point drawn.  Above, the
+    supplied trace is only a claim: psi is not evaluated, and each of the
+    8 points must have [target]Q = O.
 
     Each point costs one joint loop D = [target]Q - [q]psi(Q)
     (Curve._mul2): 127 doublings on the paper instances at p = 2^127 - 1,
@@ -286,6 +294,8 @@ def determine_r(endo: Endo, trace: int | None = None) -> int:
     q = math.isqrt(v // d)
     if d * q * q != v:
         raise TraceError("trace inconsistent with family: (2p + eps*t)/d is not a square")
+    if not q and p <= ORACLE_MAX_P:
+        return 0
     target = endo.target
     curve = endo.curve
     g = math.gcd(q, target)

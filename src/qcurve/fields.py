@@ -426,9 +426,13 @@ class FieldCtx:
         return Fp2(self, a, b)
 
     def coerce(self, x: "Fp2") -> "Fp2":
-        if x.ctx is self or (x.ctx.p == self.p and x.ctx.delta == self.delta):
-            return x
-        raise FieldMismatchError("element belongs to a different field")
+        """x itself if it is an Fp2 of this field; FieldMismatchError for an
+        Fp2 of another field and for anything that is not an Fp2."""
+        if x.__class__ is Fp2:
+            if x.ctx is self or (x.ctx.p == self.p and x.ctx.delta == self.delta):
+                return x
+            raise FieldMismatchError("element belongs to a different field")
+        raise FieldMismatchError(f"expected an element of F_{self.p}^2, got {type(x).__name__}")
 
     def zero(self) -> "Fp2":
         return Fp2(self, 0, 0)

@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 from typing import NamedTuple
 
-from .errors import DegenerateParameterError, OffCurveError, OracleGuardError
+from .errors import DegenerateParameterError, FieldMismatchError, OffCurveError, OracleGuardError
 from .fields import FieldCtx, Fp2, _inverse_pair
 
 ORACLE_MAX_P = 64
@@ -85,6 +85,8 @@ class Curve:
     __slots__ = ("A", "B", "ctx", "_order")
 
     def __init__(self, A: Fp2, B: Fp2):
+        if A.__class__ is not Fp2:
+            raise FieldMismatchError(f"expected an element of F_p^2, got {type(A).__name__}")
         ctx = A.ctx
         self.A = A
         self.B = ctx.coerce(B)

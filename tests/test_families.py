@@ -1047,9 +1047,16 @@ class TestSignRule:
         assert calls == []
 
     def test_r_zero_tries_only_the_hashed_points(self, monkeypatch):
+        # At p <= ORACLE_MAX_P the trace is the oracle's, and t = -2*eps*p
+        # proves E(F_{p^2}) = E[target] (test_r_zero_groups_are_target_torsion
+        # checks it on every point): no point is drawn and psi is not run.
         endo = Endo(build_family_curve(5, ctx_for(11), 1))
         t = oracle_trace(endo.family.curve)
-        self.assert_r_zero_checks_only_the_hashed_points(endo, t, monkeypatch)
+        points = count_calls(monkeypatch, qcurve.families, "random_point")
+        calls = count_calls(monkeypatch, Endo, "__call__")
+        assert determine_r(endo, t) == 0
+        assert points == []
+        assert calls == []
 
     def test_r_zero_at_127_bits(self, monkeypatch):
         # The d=5 member s = 1 at 2^127 - 1 is supersingular: t = -2p, so
@@ -1057,6 +1064,30 @@ class TestSignRule:
         endo = Endo(build_family_curve(5, ctx_for(MERSENNE_127), 1))
         assert endo.target == MERSENNE_127 + 1
         self.assert_r_zero_checks_only_the_hashed_points(endo, -2 * MERSENNE_127, monkeypatch)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+    def test_r_zero_groups_are_target_torsion(self, p):
+        # r = 0 exactly when the member's trace is t = -2*eps*p (the twist's
+        # is then 2*eps*p), and determine_r returns 0 from that count alone:
+        # pi = [-eps*p] (eps*p on the twist), so E(F_{p^2}) = E[target].
+        # Checked here on every point of every r = 0 member and twist, at
+        # delta = -1 where p = 3 (mod 4) and at the least nonresidue: 156
+        # curves, 48,120 points.
+        cases = 0
+        for ctx in {FieldCtx(p, _least_nonresidue(p)), ctx_for(p)}:
+            for d in FAMILY_DEGREES:
+                for fam in _members(d, ctx):
+                    t = oracle_trace(fam.curve)
+                    for twisted in (False, True):
+                        endo = Endo(fam, twisted)
+                        if t != -2 * endo.eps * p:
+                            continue
+                        cases += 1
+                        curve, target = endo.curve, endo.target
+                        assert determine_r(endo, t) == 0
+                        assert oracle_order(curve) == target**2
+                        assert all(curve.mul(target, Q).is_infinity for Q in curve_points(curve))
+        assert cases == {5: 4, 7: 16, 11: 16, 13: 20, 17: 24, 19: 32, 23: 44}[p]
 
     def test_trace_checks_without_oracle(self):
         # Above ORACLE_MAX_P the supplied trace meets the three checks alone.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcurve.errors import DomainError, NotInertError, NotPrimeError
+from qcurve.errors import DomainError, FieldMismatchError, NotInertError, NotPrimeError
 import random
 
 from qcurve import fields
@@ -82,6 +82,18 @@ class TestContext:
     def test_delta_normalised(self):
         ctx = FieldCtx(MERSENNE_127, -1)
         assert ctx.delta == MERSENNE_127 - 1
+
+    def test_coerce_takes_only_elements_of_the_field(self):
+        ctx = FieldCtx(11, -1)
+        x = ctx.elem(3, 4)
+        assert ctx.coerce(x) is x
+        y = FieldCtx(11, -1).elem(3, 4)
+        assert ctx.coerce(y) is y
+        with pytest.raises(FieldMismatchError, match="different field"):
+            ctx.coerce(FieldCtx(11, 7).elem(3, 4))
+        for other in (5, 5.0, None, (3, 4), ctx):
+            with pytest.raises(FieldMismatchError, match="expected an element"):
+                ctx.coerce(other)
 
     def test_pool_moduli_are_prime(self):
         for p in PRIME_POOL:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurve.errors import DegenerateParameterError, DomainError, KernelError, OffCurveError
+from qcurve.errors import DegenerateParameterError, DomainError, FieldMismatchError, KernelError, OffCurveError
 from qcurve.families import _BUILDERS, Endo, _twisting_factor, build_family_curve, epsilon_p, gls_endo
 from qcurve.fields import FieldCtx, Fp2, legendre
 from qcurve.isogeny import (
@@ -149,6 +149,11 @@ class TestDivisionPolynomial:
         with pytest.raises(KernelError, match="odd l >= 3"):
             division_polynomial(curve, l, (curve.ctx.one(),))
 
+    def test_rejects_int_coefficient(self):
+        curve = build_family_curve(3, ctx_for(11), 3).curve
+        with pytest.raises(FieldMismatchError, match="got int"):
+            division_polynomial(curve, 3, (5, 1))
+
 
 class TestVeluCodomain:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -256,6 +261,11 @@ class TestKernelValidation:
         ctx = fam.ctx
         with pytest.raises(KernelError):
             velu_quotient(fam.curve, 3, (ctx.elem(-5), ctx.one()))
+
+    def test_rejects_int_coefficient(self):
+        fam, _ = d3_family(11, 3)
+        with pytest.raises(FieldMismatchError, match="got int"):
+            velu_quotient(fam.curve, 3, (5, 1))
 
     def test_rejects_non_monic_polynomial(self):
         # 2x - 6 has the genuine kernel root 3; scaling is still rejected,
@@ -540,6 +550,11 @@ class TestPostTwist:
         fam, quotient = d2_family(11, 2)
         with pytest.raises(DegenerateParameterError):
             post_twist(quotient, fam.ctx.zero())
+
+    def test_int_twist_rejected(self):
+        fam, quotient = d2_family(11, 2)
+        with pytest.raises(FieldMismatchError, match="got int"):
+            post_twist(quotient, 3)
 
     @staticmethod
     def parts(iso):

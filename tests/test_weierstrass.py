@@ -429,6 +429,12 @@ class TestIntPairFormulas:
         assert not curve.discriminant() and not ref_discriminant(curve)
 
 
+    def test_non_element_coefficients_rejected(self):
+        curve = sample_curve(11)
+        for A, B in ((curve.A, 5), (5, curve.B), (curve.A, curve), (None, curve.B)):
+            with pytest.raises(FieldMismatchError, match="expected an element"):
+                Curve(A, B)
+
     def test_foreign_field_rejected(self):
         curve = sample_curve(13)
         other = ctx_for(11)
