@@ -507,7 +507,12 @@ class Fp2:
     """An element a + b*sqrt(delta) of F_{p^2}, with 0 <= a, b < p.
 
     Every operation builds its result from plain integer expressions and
-    reduces each output coordinate exactly once, here in the constructor.
+    reduces each output coordinate exactly once: +, -, * and unary - store
+    the reduced coordinates in a new object themselves (_new), and every
+    other result goes through the constructor, which reduces them.  The
+    operators take an Fp2 of the same field, on any context, or an int;
+    an Fp2 of another field raises FieldMismatchError, and any other
+    operand gets NotImplemented.
     """
 
     __slots__ = ("a", "b", "ctx")
@@ -517,43 +522,69 @@ class Fp2:
         self.a = a % ctx.p
         self.b = b % ctx.p
 
-    def _pair(self, other) -> tuple[int, int]:
-        if isinstance(other, Fp2):
-            if other.ctx is not self.ctx:
-                self.ctx.coerce(other)
-            return other.a, other.b
-        if isinstance(other, int):
-            return other, 0
-        return NotImplemented, None
-
     def __add__(self, other):
-        oa, ob = self._pair(other)
-        if oa is NotImplemented:
+        ctx = self.ctx
+        if other.__class__ is Fp2:
+            if other.ctx is not ctx:
+                ctx.coerce(other)
+            a, b = self.a + other.a, self.b + other.b
+        elif isinstance(other, int):
+            a, b = self.a + other, self.b
+        else:
             return NotImplemented
-        return Fp2(self.ctx, self.a + oa, self.b + ob)
+        p = ctx.p
+        r = _new(Fp2)
+        r.ctx, r.a, r.b = ctx, a % p, b % p
+        return r
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        oa, ob = self._pair(other)
-        if oa is NotImplemented:
+        ctx = self.ctx
+        if other.__class__ is Fp2:
+            if other.ctx is not ctx:
+                ctx.coerce(other)
+            a, b = self.a - other.a, self.b - other.b
+        elif isinstance(other, int):
+            a, b = self.a - other, self.b
+        else:
             return NotImplemented
-        return Fp2(self.ctx, self.a - oa, self.b - ob)
+        p = ctx.p
+        r = _new(Fp2)
+        r.ctx, r.a, r.b = ctx, a % p, b % p
+        return r
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        if not isinstance(other, int):
+            return NotImplemented
+        ctx = self.ctx
+        p = ctx.p
+        r = _new(Fp2)
+        r.ctx, r.a, r.b = ctx, (other - self.a) % p, -self.b % p
+        return r
 
     def __neg__(self):
-        return Fp2(self.ctx, -self.a, -self.b)
+        ctx = self.ctx
+        p = ctx.p
+        r = _new(Fp2)
+        r.ctx, r.a, r.b = ctx, -self.a % p, -self.b % p
+        return r
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Fp2(self.ctx, self.a * other, self.b * other)
-        oa, ob = self._pair(other)
-        if oa is NotImplemented:
+        ctx = self.ctx
+        if other.__class__ is Fp2:
+            if other.ctx is not ctx:
+                ctx.coerce(other)
+            a, b, c, d = self.a, self.b, other.a, other.b
+            a, b = a * c + ctx.signed_delta * b * d, a * d + b * c
+        elif isinstance(other, int):
+            a, b = self.a * other, self.b * other
+        else:
             return NotImplemented
-        a, b = self.a, self.b
-        return Fp2(self.ctx, a * oa + self.ctx.signed_delta * b * ob, a * ob + b * oa)
+        p = ctx.p
+        r = _new(Fp2)
+        r.ctx, r.a, r.b = ctx, a % p, b % p
+        return r
 
     __rmul__ = __mul__
 
@@ -562,10 +593,11 @@ class Fp2:
         return Fp2(ctx, *_inverse_pair(self.a, self.b, ctx.p, ctx.signed_delta))
 
     def __truediv__(self, other):
-        oa, ob = self._pair(other)
-        if oa is NotImplemented:
-            return NotImplemented
-        return self * Fp2(self.ctx, oa, ob).inverse()
+        if other.__class__ is Fp2:
+            return self * self.ctx.coerce(other).inverse()
+        if isinstance(other, int):
+            return self * Fp2(self.ctx, other).inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -667,6 +699,11 @@ class Fp2:
 
     def __repr__(self):
         return f"Fp2({self.a}+{self.b}*i mod {self.ctx.p})"
+
+
+# An Fp2 without the constructor's pass: the arithmetic operators set the
+# coordinates they have just reduced themselves.
+_new = object.__new__
 
 
 def _inverse_pair(a: int, b: int, p: int, d: int) -> tuple[int, int]:

@@ -31,15 +31,16 @@ from .weierstrass import INFINITY, Curve, Point
 # s^2 = delta, is a pair (re, im) of int lists, ascending, with the
 # coefficient of x^i equal to re[i] + im[i]*s, 0 <= re[i], im[i] < p, and
 # trimmed: the top coefficient is nonzero, and the zero polynomial is
-# ([], []).  Every function returns that form, takes the field last and
-# changes none of its arguments; it also accepts coefficients that are not
-# reduced, as built here straight from a curve's coefficients.  A product of
-# coefficients is written out on the ints, with delta as its least absolute
-# residue d; sums of products are left unreduced and each output coefficient
-# is reduced once.  A polynomial is evaluated by one Horner pass on int pairs
-# (_horner), which Isogeny.raw_maps runs: an isogeny's maps at a point are
-# computed on int pairs, the one inversion of the denominator's value too
-# (fields._inverse_pair), so they build no Fp2.
+# ([], []).  Every function returns that form and changes none of its
+# arguments.  A product of coefficients is written out on the ints, with
+# delta as its least absolute residue d; sums of products are left unreduced
+# and each output coefficient is reduced once (_reduced).  The kernel is
+# small: poly_scale scales by a constant; Kohel's x-map (_kohel_map) forms
+# its two squares (_square) and each coefficient of its numerator directly,
+# with no general product of polynomials; and a polynomial is evaluated by
+# one Horner pass on int pairs (_horner), which Isogeny.raw_maps runs: an
+# isogeny's maps at a point are computed on int pairs, the one inversion of
+# the denominator's value too (fields._inverse_pair), so they build no Fp2.
 
 
 def _reduced(re, im, p):
@@ -61,33 +62,64 @@ def poly_scale(f, c, ctx):
     return _reduced([a * c0 + dc1 * b for a, b in zip(fr, fi)], [a * c1 + b * c0 for a, b in zip(fr, fi)], ctx.p)
 
 
-def poly_deriv(f, ctx):
-    fr, fi = f
-    return _reduced([i * c for i, c in enumerate(fr)][1:], [i * c for i, c in enumerate(fi)][1:], ctx.p)
-
-
-def _products(f, g, d):
-    """The coefficients of f * g as int pairs, each a sum of unreduced products."""
-    (fr, fi), (gr, gi) = f, g
-    n = len(fr) + len(gr) - 1
-    re, im = [0] * n, [0] * n
-    row = list(zip(gr, gi))
-    i = 0
-    for a, b in zip(fr, fi):
-        db = d * b
-        k = i
-        for c, e in row:
-            re[k] += a * c + db * e
-            im[k] += a * e + b * c
-            k += 1
-        i += 1
+def _square(lead, fr, fi, d):
+    """(lead * x^m + f)^2 for an int lead and f = (fr, fi) of length m, as
+    unreduced int lists of length 2m + 1: f's products, each pair once, and
+    lead times each coefficient of f, with no product by the zero and int
+    coefficients of lead * x^m."""
+    m = len(fr)
+    re, im = [0] * (2 * m + 1), [0] * (2 * m + 1)
+    re[-1] = lead * lead
+    for i in range(m):
+        a, b = fr[i], fi[i]
+        re[i + m] += 2 * lead * a
+        im[i + m] += 2 * lead * b
+        re[2 * i] += a * a + d * b * b
+        im[2 * i] += 2 * a * b
+        for j in range(i + 1, m):
+            c, g = fr[j], fi[j]
+            re[i + j] += 2 * (a * c + d * b * g)
+            im[i + j] += 2 * (a * g + b * c)
     return re, im
 
 
-def poly_mul(f, g, ctx):
-    if not f[0] or not g[0]:
-        return [], []
-    return _reduced(*_products(f, g, ctx.signed_delta), ctx.p)
+def _kohel_map(F, A, B, ctx):
+    """(num, den) = (N, F^2) of Kohel's x-map N/F^2 for an odd kernel: F is
+    monic of degree e >= 1, an ascending tuple of Fp2, on y^2 = x^3 + Ax + B.
+
+    N = ((2e + 1)x + 2 r1) S - 2(3x^2 + A) G - 4(x^3 + Ax + B) H, with
+    r1 = F_(e-1), S = F^2, G = F'F and H = F''F - F'^2 (Kohel 1996).  It is
+    written in S and T = F'^2 alone, since S' = 2G and S'' = 2(F''F + T):
+      N = ((2e + 1)x + 2 r1) S - (3x^2 + A) S'
+          - 2(x^3 + Ax + B) S'' + 8(x^3 + Ax + B) T.
+    Collecting the terms by r1, A and B, the x^k coefficient is
+      N_k = (2e + 1 - (k - 1)(2k - 1)) S_(k-1) + 8 T_(k-3) + 2 r1 S_k
+            + A (8 T_(k-1) - (k + 1)(2k + 1) S_(k+1))
+            + B (8 T_k - 2(k + 1)(k + 2) S_(k+2)),
+    three products of int pairs, summed unreduced and reduced once.  S is
+    reduced once, as den; T is left unreduced.  Both are squares of
+    lead * x^m + f with an int lead (_square): F = x^e + f and
+    F' = e x^(e-1) + f'."""
+    p, d = ctx.p, ctx.signed_delta
+    e = len(F) - 1
+    fr, fi = [c.a for c in F[:-1]], [c.b for c in F[:-1]]
+    den = _reduced(*_square(1, fr, fi, d), p)
+    tr, ti = _square(e, [j * c for j, c in enumerate(fr)][1:], [j * c for j, c in enumerate(fi)][1:], d)
+    # S_j is Sr[j + 1] and T_j is Tr[j + 3], zero outside their degrees.
+    Sr, Si = [0, *den[0], 0, 0, 0], [0, *den[1], 0, 0, 0]
+    Tr, Ti = [0, 0, 0, *tr, 0, 0, 0], [0, 0, 0, *ti, 0, 0, 0]
+    r0, r1 = 2 * F[-2].a, 2 * F[-2].b
+    A0, A1, B0, B1 = A.a, A.b, B.a, B.b
+    re, im = [], []
+    for k in range(2 * e + 2):
+        c = 2 * e + 1 - (k - 1) * (2 * k - 1)
+        cu, cv = (k + 1) * (2 * k + 1), 2 * (k + 1) * (k + 2)
+        s0, s1 = Sr[k + 1], Si[k + 1]
+        u0, u1 = 8 * Tr[k + 2] - cu * Sr[k + 2], 8 * Ti[k + 2] - cu * Si[k + 2]
+        v0, v1 = 8 * Tr[k + 3] - cv * Sr[k + 3], 8 * Ti[k + 3] - cv * Si[k + 3]
+        re.append(c * Sr[k] + 8 * Tr[k] + r0 * s0 + A0 * u0 + B0 * v0 + d * (r1 * s1 + A1 * u1 + B1 * v1))
+        im.append(c * Si[k] + 8 * Ti[k] + r0 * s1 + r1 * s0 + A0 * u1 + A1 * u0 + B0 * v1 + B1 * v0)
+    return _reduced(re, im, p), den
 
 
 def _horner(f, x0, x1, p, d):
@@ -368,35 +400,19 @@ def _velu_maps(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     discriminant check, remain."""
     ctx = curve.ctx
     A, B = curve.A, curve.B
-    one = ctx.one()
-    Fk = _kernel_poly(F)
     a_new, b_new = _quotient_codomain(A, B, d, F)
     if d == 2:
         # X = x + t/(x - alpha), t = 3 alpha^2 + A.
         alpha = -F[0]
-        num = _kernel_poly((3 * alpha * alpha + A, -alpha, one))
-        den = Fk
+        num = _kernel_poly((3 * alpha * alpha + A, -alpha, ctx.one()))
+        den = _kernel_poly(F)
     else:
-        e = len(F) - 1
-        r1 = F[-2]
-        # The x-map N/F^2 = (2e + 1)x + 2 r1 - 2(3x^2 + A) F'/F - 4(x^3 + Ax + B)(F'/F)'.
-        # Its three products of d + 1 coefficients, and F''F - F'^2 in one, are
-        # summed unreduced and reduced once.
-        sd = ctx.signed_delta
-        rhs4 = ([4 * B.a, 4 * A.a, 0, 4], [4 * B.b, 4 * A.b, 0, 0])  # 4(x^3 + Ax + B)
-        Fd = poly_deriv(Fk, ctx)
-        den = poly_mul(Fk, Fk, ctx)
-        (gr, gi), (hr, hi) = _products(poly_deriv(Fd, ctx), Fk, sd), _products(Fd, Fd, sd)
-        wronskian = [g - h for g, h in zip(gr, hr)], [g - h for g, h in zip(gi, hi)]
-        lin = _products(([2 * r1.a, 2 * e + 1], [2 * r1.b, 0]), den, sd)
-        quad = _products(([2 * A.a, 0, 6], [2 * A.b, 0, 0]), _products(Fd, Fk, sd), sd)
-        (ar, ai), (br, bi), (cr, ci) = lin, _products(rhs4, wronskian, sd), quad
-        num = _reduced([a - b - c for a, b, c in zip(ar, br, cr)], [a - b - c for a, b, c in zip(ai, bi, ci)], ctx.p)
+        num, den = _kohel_map(F, A, B, ctx)
     codomain = Curve(a_new, b_new)
     (nr, ni), (dr, di) = num, den
     if len(nr) - 1 != d or (nr[-1], ni[-1]) != (dr[-1], di[-1]):
         raise KernelError("expanded map is not a normalized degree-d quotient")
-    return Isogeny(curve, codomain, d, num, den, one)
+    return Isogeny(curve, codomain, d, num, den, ctx.one())
 
 
 def post_twist(iso: Isogeny, lam: Fp2) -> Isogeny:

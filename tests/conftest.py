@@ -91,6 +91,11 @@ def ref_mul(f, g):
     )
 
 
+def ref_deriv(f):
+    """The derivative: the x^(i-1) coefficient is i f_i."""
+    return ref_trim(i * c for i, c in enumerate(f) if i)
+
+
 def ref_rem(f, m):
     """f modulo any nonzero m, by long division with m's leading coefficient
     inverted."""

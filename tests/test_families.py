@@ -402,15 +402,12 @@ class TestIntPairPsi:
 
 # The calls into the polynomial code of qcurve.isogeny, each counted under
 # its own name: the bare-int kernel of the maps, with its private helpers for
-# the products (_products) and the reductions (_reduced), which _velu_maps
-# also calls directly, and the remainder and product modulo a kernel
-# (_rem, _mulmod) that every kernel check runs; a function's own calls to
-# them count too.
+# the squares of Kohel's x-map (_square) and the reductions (_reduced), and
+# the remainder and product modulo a kernel (_rem, _mulmod) that every
+# kernel check runs; a function's own calls to them count too.
 KERNEL_CALLS = (
     "poly_scale",
-    "poly_deriv",
-    "poly_mul",
-    "_products",
+    "_square",
     "_reduced",
     "_rem",
     "_mulmod",
@@ -506,37 +503,31 @@ WARM_TWISTED_ENDO_COUNTS = [
 # (A - 5t, B - 7 alpha t), and the x-map's numerator x^2 - alpha x + t forms
 # t once more.  Kohel's sums read the coefficients F_(e-2) and F_(e-3) that
 # a short kernel lacks (both for d=3, F_(e-3) for d=5) as the int 0, which
-# costs no product.  The
-# builders' kernels are proven for every p (qcurve.generic), so a build runs
-# no kernel check: no division polynomial, no closure under doubling, no
-# remainder or product modulo F (_rem, _mulmod).  An odd kernel pays only
-# Kohel's expansion of the x-map: F^2, two derivatives, and six products
-# added up unreduced and reduced once, the doubling map's 4(x^3 + Ax + B)
-# read straight from the curve.  d=2 expands nothing.  These are the first
-# builds of each degree in the field: each also computes its twisting root l
+# costs no product.  The builders' kernels are proven for every p
+# (qcurve.generic), so a build runs no kernel check: no division polynomial,
+# no closure under doubling, no remainder or product modulo F (_rem,
+# _mulmod).  An odd kernel pays only Kohel's expansion of the x-map
+# (isogeny._kohel_map), on int pairs: two squares, F^2 reduced as den and
+# F'^2 left unreduced (_square), then each coefficient of num as one sum
+# reduced once.  d=2 expands nothing.  These are the first builds of each
+# degree in the field: each also computes its twisting root l
 # (families._twisting_factor), the canonical root, one Fp2.sqrt, of -1/d,
-# formed as 1 times the inverse of d (one inversion and one product), or
-# for d=5 of the inverse of (1 + 2i)^2 (one square and one inversion).  A
-# second build of the same member on a new context of the field
+# formed as 1 times the inverse of d (one inversion and one product), or for
+# d=5 of the inverse of (1 + 2i)^2 (one square and one inversion).  A second
+# build of the same member on a new context of the field
 # (WARM_BUILD_COUNTS) takes l from the cache and makes no inversion for it
 # and no square root.
 BUILD_COUNTS = [
     (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 12, "sqr": 4, "inv": 2, "mul": 12, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
-         "poly_scale": 1}),
-    (3, {"mul_int": 10, "sqr": 3, "inv": 1, "mul": 9, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
-         "poly_scale": 1}),
-    (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
-         "poly_scale": 1}),
+    (5, {"mul_int": 12, "sqr": 4, "inv": 2, "mul": 12, "_square": 2, "_reduced": 3, "poly_scale": 1}),
+    (3, {"mul_int": 10, "sqr": 3, "inv": 1, "mul": 9, "_square": 2, "_reduced": 3, "poly_scale": 1}),
+    (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "_square": 2, "_reduced": 3, "poly_scale": 1}),
 ]
 WARM_BUILD_COUNTS = [
     (2, {"mul_int": 6, "mul": 7, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 12, "sqr": 3, "inv": 1, "mul": 12, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
-         "poly_scale": 1}),
-    (3, {"mul_int": 10, "sqr": 3, "mul": 8, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
-         "poly_scale": 1}),
-    (7, {"mul_int": 16, "mul": 18, "sqr": 3, "poly_deriv": 2, "_reduced": 5, "poly_mul": 1, "_products": 7,
-         "poly_scale": 1}),
+    (5, {"mul_int": 12, "sqr": 3, "inv": 1, "mul": 12, "_square": 2, "_reduced": 3, "poly_scale": 1}),
+    (3, {"mul_int": 10, "sqr": 3, "mul": 8, "_square": 2, "_reduced": 3, "poly_scale": 1}),
+    (7, {"mul_int": 16, "mul": 18, "sqr": 3, "_square": 2, "_reduced": 3, "poly_scale": 1}),
 ]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse
@@ -639,19 +630,16 @@ class TestOpCounts:
             for twisted in (False, True):
                 e = Endo(fam, twisted=twisted)
                 cases.append((e, random_point(e.curve, 1)))
-        builds = Counter()
-        init = Fp2.__init__
-
-        def counted_init(self, *args):
-            builds["Fp2"] += 1
-            init(self, *args)
-
-        monkeypatch.setattr(Fp2, "__init__", counted_init)
+        # An Fp2 is built by its constructor or, for the result of an
+        # arithmetic operator, by fields._new.
+        built = count_calls(monkeypatch, Fp2, "__init__")
+        made = count_calls(monkeypatch, fields, "_new")
         seen = []
         for e, P in cases:
-            builds.clear()
+            built.clear()
+            made.clear()
             assert not e(P).is_infinity
-            seen.append(builds["Fp2"])
+            seen.append(len(built) + len(made))
         assert seen == [PSI_FP2_BUILDS] * len(cases)
 
     def test_endo_counts(self, monkeypatch):

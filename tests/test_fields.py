@@ -2,7 +2,7 @@ import functools
 import operator
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qcurve.errors import DomainError, FieldMismatchError, NotInertError, NotPrimeError
@@ -426,6 +426,14 @@ class TestArithmetic:
     def test_cross_field_operands_rejected(self):
         with pytest.raises(DomainError):
             ctx_for(5).one() + ctx_for(7).one()
+        # Another modulus, and the same modulus with another nonresidue.
+        for ctx, other in ((ctx_for(5), ctx_for(7)), (FieldCtx(13, 2), FieldCtx(13, 5))):
+            x, y = ctx.elem(2, 3), other.elem(2, 3)
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(FieldMismatchError):
+                    op(x, y)
+                with pytest.raises(FieldMismatchError):
+                    op(y, x)
 
     @pytest.mark.parametrize("other", [1.5, "x", None])
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
@@ -437,19 +445,41 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             op(other, x)
 
-    @given(element_pairs(), st.data())
-    def test_exact_outputs_match_int_formulas(self, pair, data):
+    # The largest coordinates at p = 11 (delta = -1), at p = 13 with
+    # delta = 2 and at 2^127 - 1, with an int on either side of [0, p).
+    @given(element_pairs(), st.one_of(st.integers(), st.integers(min_value=2**128)))
+    @example(tuple(Fp2(ctx_for(11), 10, b) for b in (10, 1)), -1)
+    @example(tuple(Fp2(FieldCtx(13, 2), 12, b) for b in (12, 1)), 27)
+    @example(tuple(Fp2(ctx_for(MERSENNE_127), MERSENNE_127 - 1, b) for b in (MERSENNE_127 - 1, 1)), -(2**130))
+    def test_exact_outputs_match_int_formulas(self, pair, k):
         # The pool holds the Mersenne primes 7, 2^31 - 1 and 2^127 - 1 next
-        # to generic ones; every output pair must be the reduced int formula.
+        # to generic ones; every output pair must be the reduced int formula,
+        # for an operand on the same context or on another context of the
+        # same field, and the result is on the left operand's context.
         x, y = pair
-        p, delta = x.ctx.p, x.ctx.delta
+        ctx = x.ctx
+        p, delta = ctx.p, ctx.delta
         a, b, c, d = x.a, x.b, y.a, y.b
-        k = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=p + 1)))
-        assert ((x * y).a, (x * y).b) == ((a * c + delta * b * d) % p, (a * d + b * c) % p)
-        assert ((x + y).a, (x + y).b) == ((a + c) % p, (b + d) % p)
-        assert ((x - y).a, (x - y).b) == ((a - c) % p, (b - d) % p)
-        for kx in (k * x, x * k):
-            assert (kx.a, kx.b) == (k * a % p, k * b % p)
+        twin = Fp2(FieldCtx(p, delta), c, d)
+        assert twin.ctx is not ctx
+        cases = [
+            (-x, (-a, -b)),
+            (k * x, (k * a, k * b)),
+            (x * k, (k * a, k * b)),
+            (x + k, (a + k, b)),
+            (k + x, (a + k, b)),
+            (x - k, (a - k, b)),
+            (k - x, (k - a, -b)),
+        ]
+        for other in (y, twin):
+            cases += [
+                (x * other, (a * c + delta * b * d, a * d + b * c)),
+                (x + other, (a + c, b + d)),
+                (x - other, (a - c, b - d)),
+            ]
+        for result, (u, v) in cases:
+            assert result.ctx is ctx
+            assert (result.a, result.b) == (u % p, v % p)
         if x:
             inv = x.inverse()
             u, v = inv.a, inv.b

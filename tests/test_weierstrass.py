@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcurve.errors import DomainError, FieldMismatchError, OffCurveError, OracleGuardError
+from qcurve import fields
 from qcurve.families import build_family_curve
 from qcurve.fields import FieldCtx, Fp2, is_probable_prime, legendre
 from qcurve.glv import multiexp2
@@ -704,16 +705,12 @@ class TestCharacterTable:
         first, second = Curve(ctx.elem(1), ctx.elem(4, 1)), Curve(ctx.elem(2, 3), ctx.elem(5, 7))
         expected = reference_order(second)
         oracle_order(first)
-        built = []
-        init = Fp2.__init__
-
-        def counting_init(self, *args):
-            built.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(Fp2, "__init__", counting_init)
+        # An Fp2 is built by its constructor or, for the result of an
+        # arithmetic operator, by fields._new.
+        built = count_calls(monkeypatch, Fp2, "__init__")
+        made = count_calls(monkeypatch, fields, "_new")
         assert oracle_order(second) == expected
-        assert built == []
+        assert built == made == []
 
     def test_roots_built_once_per_field_on_first_use(self):
         """curve_points builds the roots table on the first curve of a
