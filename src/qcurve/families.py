@@ -8,21 +8,26 @@ The degenerate case d = 1 (a curve defined over F_p, phi the identity)
 recovers the subfield-Frobenius endomorphism on the quadratic twist.
 
 The builders are proven once, not member by member: qcurve.generic runs
-them over Z[s, delta][sqrt(delta)] (Q[s][i] for d = 5) and shows there,
+them over Q[s, delta][sqrt(delta)] (Q[s][i] for d = 5) and shows there,
 identically in s and delta, that each kernel polynomial is the kernel of
 one cyclic subgroup of order d and that the twisted quotient is the
-conjugate curve.  So a build expands the Velu maps without the kernel
-checks that isogeny.velu_quotient runs for any other caller's kernel.
+conjugate curve.  The same ring gives each degree's curve and x-map as
+polynomials in s (generic.family_maps), so a build reduces those once per
+field and evaluates them at s: it runs no builder, kernel check or map
+expansion, which isogeny.velu_quotient runs for any other caller's kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
+from . import generic
 from .errors import (
     DegenerateParameterError,
+    KernelError,
     OracleGuardError,
     ResidueClassError,
     StructureError,
@@ -31,7 +36,7 @@ from .errors import (
     UntabulatedError,
 )
 from .fields import FieldCtx, Fp2, legendre
-from .isogeny import Isogeny, _velu_maps, identity_isogeny, post_twist, quadratic_twist
+from .isogeny import Isogeny, identity_isogeny, quadratic_twist
 from .weierstrass import INFINITY, ORACLE_MAX_P, Curve, Point, oracle_trace, random_point
 
 FAMILY_DEGREES = (2, 3, 5, 7)
@@ -74,14 +79,10 @@ def epsilon_p(d: int, p: int) -> int:
 
 
 # The builders are written once, over a ring R: they use only R.elem, R.one(),
-# R.delta, +, -, *, int scalars and a division by an int.  build_family_curve
-# runs them on a FieldCtx with s an int; qcurve.generic runs the same
-# functions over Q[s, delta][sqrt(delta)], with s and delta indeterminates,
-# and there feeds their kernels and curves to the kernel identities of
-# qcurve.isogeny, the one copy of each that velu_quotient and _velu_maps run
-# too, so it proves their kernels and codomains for every p.  A parameter the
-# family excludes (s = 0 or 11s = 2 for d = 5, s^2 delta = -27 for d = 7)
-# gives A = B = 0, which Curve refuses as singular.
+# R.delta, +, -, *, int scalars and a division by an int, so qcurve.generic
+# runs them with s and delta indeterminates.  A parameter the family excludes
+# (s = 0 or 11s = 2 for d = 5, s^2 delta = -27 for d = 7) gives A = B = 0,
+# which Curve refuses as singular.
 
 
 def _build_d2(R, s):
@@ -130,8 +131,8 @@ _BUILDERS = {2: _build_d2, 3: _build_d3, 5: _build_d5, 7: _build_d7}
 
 def _twisting_square(R, d: int):
     """l^2 of the degree-d family over the ring R: -1/d, or (1 + 2i)^-2 for
-    d = 5 (where delta = -1).  post_twist by l lands the Velu quotient on
-    the conjugate curve (proven in qcurve.generic)."""
+    d = 5 (delta = -1).  (x, y) -> (l^2 x, l^3 y) after the Velu quotient
+    lands on the conjugate curve (proven in qcurve.generic)."""
     if d == 5:
         w = R.elem(1, 2)
         return (w * w).inverse()
@@ -140,13 +141,36 @@ def _twisting_square(R, d: int):
 
 @functools.cache
 def _twisting_factor(p: int, delta: int, d: int) -> tuple[int, int]:
-    """l of the degree-d family, the root that post_twist composes with the
-    Velu quotient, as an int pair, once per process, field and degree: the
-    canonical square root of _twisting_square.  The root costs 25 us for
-    d = 2 and 65 us for d = 5 at p = 2^127 - 1 (CPython 3.11), which a
-    second build skips."""
+    """l of the degree-d family, phi's constant c, as an int pair, once per
+    process, field and degree: the canonical square root of
+    _twisting_square.  The root costs 25 us for d = 2 and 65 us for d = 5 at
+    p = 2^127 - 1 (CPython 3.11), which a second build skips."""
     lam = _twisting_square(FieldCtx(p, delta), d).sqrt()
     return lam.a, lam.b
+
+
+# Each degree's curve and maps over the proof ring, once per process (0.2-2.5 ms).
+_proven_maps = functools.cache(generic.family_maps)
+
+
+@functools.cache
+def _member_tables(p: int, delta: int, d: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(rows, m, k): the degree-d family's proven polynomials mod p at delta,
+    once per process, field and degree; p > d divides no denominator.  Each
+    row holds the coefficients in s of one int of a member: the halves of A,
+    B, C if the family has one (k = 3, else 2), then of num and den.  m is
+    the longest row.  A degree whose twisted codomain is not conj(E), or
+    whose x-map is not normalized, is refused as a member would be."""
+    maps = _proven_maps(d)
+    if not maps.identities["codomain"]:
+        raise DegenerateParameterError(
+            f"the twisting factor does not land the degree-{d} quotient on the conjugate curve"
+        )
+    if not maps.identities["normalized"]:
+        raise KernelError("expanded map is not a normalized degree-d quotient")
+    elems = [maps.A, maps.B, *([] if maps.C is None else [maps.C]), *maps.num, *maps.den]
+    rows = tuple(tuple(half.mod(p, delta)) for x in elems for half in (x.a, x.b))
+    return rows, max(map(len, rows)), 2 if maps.C is None else 3
 
 
 _MIN_P = {2: 3, 3: 3, 5: 5, 7: 7}
@@ -156,12 +180,11 @@ def build_family_curve(d: int, ctx: FieldCtx, s: int) -> FamilyCurve:
     """Construct the degree-d family member with parameter s, together with
     its isogeny onto the conjugate curve.
 
-    The kernel polynomial is the builder's, proven a kernel for every p the
-    residue rules allow (qcurve.generic), so its Velu maps are expanded
-    without velu_quotient's kernel checks (isogeny._velu_maps).  The cheap
-    checks stay: the member's and the codomain's discriminants (a singular
-    member is a root of the proof's degeneracy polynomials), the expanded
-    map's normalized degree, and phi's codomain against conj(E)."""
+    A, B, C and phi's x-map l^2 N / den are the proof ring's polynomials in
+    s (generic.family_maps), read from their tables mod p at one vector of
+    powers of s.  phi's constant is l and its codomain conj(E), as proven
+    for every p the residue rules allow; the one check left is the member's
+    discriminant (a root of the proof's degeneracy polynomials)."""
     if d not in FAMILY_DEGREES:
         raise UntabulatedError(f"no family of degree {d}")
     p = ctx.p
@@ -173,18 +196,23 @@ def build_family_curve(d: int, ctx: FieldCtx, s: int) -> FamilyCurve:
         if ctx.delta != p - 1:
             raise ResidueClassError("degree-5 family requires delta = -1")
     s %= p
-    A, B, C, F = _BUILDERS[d](ctx, s)
+    rows, m, k = _member_tables(p, ctx.delta, d)
+    powers = [1]
+    for _ in range(1, m):
+        powers.append(powers[-1] * s % p)
+    values = [sum(map(operator.mul, row, powers)) % p for row in rows]
+    re, im = values[0::2], values[1::2]
     try:
-        curve = Curve(A, B)
+        curve = Curve(Fp2(ctx, re[0], im[0]), Fp2(ctx, re[1], im[1]))
     except DegenerateParameterError as exc:
         raise DegenerateParameterError(f"s={s} gives a singular curve") from exc
+    C = Fp2(ctx, re[2], im[2]) if k == 3 else None
+    # num has degree d and a leading coefficient l^2, den one of 1: both
+    # stay trimmed mod p.
+    n = k + d + 1
+    num, den = (re[k:n], im[k:n]), (re[n:], im[n:])
     lam = Fp2(ctx, *_twisting_factor(p, ctx.delta, d))
-    phi = post_twist(_velu_maps(curve, d, F), lam)
-    if phi.codomain != curve.conjugate():
-        raise DegenerateParameterError(
-            f"the twisting factor does not land the degree-{d} quotient on the conjugate curve"
-        )
-    return FamilyCurve(d, s, curve, C, phi)
+    return FamilyCurve(d, s, curve, C, Isogeny(curve, curve.conjugate(), d, num, den, lam))
 
 
 def gls_endo(ctx: FieldCtx, a0: int, b0: int, twisted: bool = False) -> "Endo":

@@ -1,6 +1,6 @@
 """Quotient isogenies for kernels of order 2, 3, 5, and 7.
 
-The rational maps are expanded once at construction, in the standard
+An isogeny holds its rational maps in the standard
 form (x, y) -> (X(x), c * y * X'(x)) with X = N/D, where N and D are
 polynomials over F_{p^2} and c is one constant: a composed twisting
 isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l
@@ -10,15 +10,11 @@ isomorphism (x, y) -> (l^2 x, l^3 y) scales N by l^2 and c by l
 (fields._twist_constants).
 
 A kernel is its monic polynomial, given as an ascending tuple of Fp2.
-This module owns each kernel identity once, written over any ring:
-the remainder and product modulo a monic F (_rem, _mulmod), the
-division-polynomial recurrence (_division_mod), the doubling closure
-(_doubling_closure), the two-torsion root test (_two_torsion) and Velu's
-and Kohel's codomain (_quotient_codomain).  velu_quotient runs them on Fp2
-to check any caller's kernel, then expands the maps (_velu_maps), whose
-codomain is _quotient_codomain's.  qcurve.generic runs the same functions
-over Z[s, delta][sqrt(delta)] and so proves the family builders' kernels
-for every p; family builds call _velu_maps alone.
+Each kernel identity and the quotient's x-map are written once, over any
+ring (below): velu_quotient runs them on Fp2 to check any caller's kernel
+and expand its maps, and qcurve.generic runs them over Q[s, delta][t] to
+prove the family builders' kernels for every p and to form the maps, as
+polynomials in s, that family builds evaluate.
 """
 
 from __future__ import annotations
@@ -31,95 +27,23 @@ from .weierstrass import INFINITY, Curve, Point
 # s^2 = delta, is a pair (re, im) of int lists, ascending, with the
 # coefficient of x^i equal to re[i] + im[i]*s, 0 <= re[i], im[i] < p, and
 # trimmed: the top coefficient is nonzero, and the zero polynomial is
-# ([], []).  Every function returns that form and changes none of its
-# arguments.  A product of coefficients is written out on the ints, with
-# delta as its least absolute residue d; sums of products are left unreduced
-# and each output coefficient is reduced once (_reduced).  The kernel is
-# small: poly_scale scales by a constant; Kohel's x-map (_kohel_map) forms
-# its two squares (_square) and each coefficient of its numerator directly,
-# with no general product of polynomials; and a polynomial is evaluated by
-# one Horner pass on int pairs (_horner), which Isogeny.raw_maps runs: an
-# isogeny's maps at a point are computed on int pairs, the one inversion of
-# the denominator's value too (fields._inverse_pair), so they build no Fp2.
-
-
-def _reduced(re, im, p):
-    """Reduce the new lists re and im in place, and trim them."""
-    for k in range(len(re)):
-        re[k] %= p
-        im[k] %= p
-    while re and not (re[-1] or im[-1]):
-        re.pop()
-        im.pop()
-    return re, im
+# ([], []).  poly_scale scales by a constant, reducing each coefficient
+# once, and _horner evaluates, which Isogeny.raw_maps runs: an isogeny's
+# maps at a point are computed on int pairs, with delta as its least
+# absolute residue d and the one inversion of the denominator's value too
+# (fields._inverse_pair), so they build no Fp2.
 
 
 def poly_scale(f, c, ctx):
     """f times the constant c, an int pair (c0, c1) for c0 + c1*s."""
     c0, c1 = c
-    dc1 = ctx.signed_delta * c1
-    fr, fi = f
-    return _reduced([a * c0 + dc1 * b for a, b in zip(fr, fi)], [a * c1 + b * c0 for a, b in zip(fr, fi)], ctx.p)
-
-
-def _square(lead, fr, fi, d):
-    """(lead * x^m + f)^2 for an int lead and f = (fr, fi) of length m, as
-    unreduced int lists of length 2m + 1: f's products, each pair once, and
-    lead times each coefficient of f, with no product by the zero and int
-    coefficients of lead * x^m."""
-    m = len(fr)
-    re, im = [0] * (2 * m + 1), [0] * (2 * m + 1)
-    re[-1] = lead * lead
-    for i in range(m):
-        a, b = fr[i], fi[i]
-        re[i + m] += 2 * lead * a
-        im[i + m] += 2 * lead * b
-        re[2 * i] += a * a + d * b * b
-        im[2 * i] += 2 * a * b
-        for j in range(i + 1, m):
-            c, g = fr[j], fi[j]
-            re[i + j] += 2 * (a * c + d * b * g)
-            im[i + j] += 2 * (a * g + b * c)
+    p, dc1 = ctx.p, ctx.signed_delta * c1
+    re = [(a * c0 + dc1 * b) % p for a, b in zip(*f)]
+    im = [(a * c1 + b * c0) % p for a, b in zip(*f)]
+    while re and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
     return re, im
-
-
-def _kohel_map(F, A, B, ctx):
-    """(num, den) = (N, F^2) of Kohel's x-map N/F^2 for an odd kernel: F is
-    monic of degree e >= 1, an ascending tuple of Fp2, on y^2 = x^3 + Ax + B.
-
-    N = ((2e + 1)x + 2 r1) S - 2(3x^2 + A) G - 4(x^3 + Ax + B) H, with
-    r1 = F_(e-1), S = F^2, G = F'F and H = F''F - F'^2 (Kohel 1996).  It is
-    written in S and T = F'^2 alone, since S' = 2G and S'' = 2(F''F + T):
-      N = ((2e + 1)x + 2 r1) S - (3x^2 + A) S'
-          - 2(x^3 + Ax + B) S'' + 8(x^3 + Ax + B) T.
-    Collecting the terms by r1, A and B, the x^k coefficient is
-      N_k = (2e + 1 - (k - 1)(2k - 1)) S_(k-1) + 8 T_(k-3) + 2 r1 S_k
-            + A (8 T_(k-1) - (k + 1)(2k + 1) S_(k+1))
-            + B (8 T_k - 2(k + 1)(k + 2) S_(k+2)),
-    three products of int pairs, summed unreduced and reduced once.  S is
-    reduced once, as den; T is left unreduced.  Both are squares of
-    lead * x^m + f with an int lead (_square): F = x^e + f and
-    F' = e x^(e-1) + f'."""
-    p, d = ctx.p, ctx.signed_delta
-    e = len(F) - 1
-    fr, fi = [c.a for c in F[:-1]], [c.b for c in F[:-1]]
-    den = _reduced(*_square(1, fr, fi, d), p)
-    tr, ti = _square(e, [j * c for j, c in enumerate(fr)][1:], [j * c for j, c in enumerate(fi)][1:], d)
-    # S_j is Sr[j + 1] and T_j is Tr[j + 3], zero outside their degrees.
-    Sr, Si = [0, *den[0], 0, 0, 0], [0, *den[1], 0, 0, 0]
-    Tr, Ti = [0, 0, 0, *tr, 0, 0, 0], [0, 0, 0, *ti, 0, 0, 0]
-    r0, r1 = 2 * F[-2].a, 2 * F[-2].b
-    A0, A1, B0, B1 = A.a, A.b, B.a, B.b
-    re, im = [], []
-    for k in range(2 * e + 2):
-        c = 2 * e + 1 - (k - 1) * (2 * k - 1)
-        cu, cv = (k + 1) * (2 * k + 1), 2 * (k + 1) * (k + 2)
-        s0, s1 = Sr[k + 1], Si[k + 1]
-        u0, u1 = 8 * Tr[k + 2] - cu * Sr[k + 2], 8 * Ti[k + 2] - cu * Si[k + 2]
-        v0, v1 = 8 * Tr[k + 3] - cv * Sr[k + 3], 8 * Ti[k + 3] - cv * Si[k + 3]
-        re.append(c * Sr[k] + 8 * Tr[k] + r0 * s0 + A0 * u0 + B0 * v0 + d * (r1 * s1 + A1 * u1 + B1 * v1))
-        im.append(c * Si[k] + 8 * Ti[k] + r0 * s1 + r1 * s0 + A0 * u1 + A1 * u0 + B0 * v1 + B1 * v0)
-    return _reduced(re, im, p), den
 
 
 def _horner(f, x0, x1, p, d):
@@ -146,14 +70,14 @@ def _kernel_poly(cs) -> tuple[list[int], list[int]]:
     return [c.a for c in cs], [c.b for c in cs]
 
 
-# The kernel identities, each written once, over any ring whose elements have
-# +, -, *, int scalars, a division by an int, bool and == 1: FieldCtx's Fp2, on
-# which velu_quotient checks a caller's kernel and _velu_maps takes its
-# codomain, and generic.Elem, on which generic.prove_families proves the
-# family builders' kernels for every p.  A polynomial here is an ascending,
-# trimmed list of ring elements.  A function that needs the ring's constants
-# takes the ring itself as R (R.elem, R.zero(), R.one()), as the family
-# builders do.
+# The kernel identities and the quotient's maps, each written once, over any
+# ring whose elements have +, -, *, int scalars, a division by an int, bool
+# and == 1: FieldCtx's Fp2, on which velu_quotient checks a caller's kernel
+# and expands its maps, and generic.Elem, on which qcurve.generic proves the
+# family builders' kernels for every p and forms the maps that every family
+# build evaluates.  A polynomial here is an ascending, trimmed list of ring
+# elements.  A function that needs the ring's constants takes the ring
+# itself as R (R.elem, R.zero(), R.one()), as the family builders do.
 
 
 def _trim(f):
@@ -177,15 +101,20 @@ def _rem(f, F):
     return _trim(f)
 
 
-def _mulmod(f, g, F):
-    """f * g modulo the monic F, by the schoolbook product."""
+def _mul(f, g):
+    """f * g, by the schoolbook product."""
     if not (f and g):
-        return _rem([], F)
+        return []
     out = [a * g[0] for a in f] + [f[-1] * b for b in g[1:]]
     for i, a in enumerate(f[:-1]):
         for j in range(1, len(g)):
             out[i + j] = out[i + j] + a * g[j]
-    return _rem(out, F)
+    return _trim(out)
+
+
+def _mulmod(f, g, F):
+    """f * g modulo the monic F."""
+    return _rem(_mul(f, g), F)
 
 
 def _add_scaled(f, c, g):
@@ -284,6 +213,28 @@ def _quotient_codomain(A, B, d, F):
     return a_new, b_new
 
 
+def _quotient_maps(R, A, B, d, F):
+    """(num, den) of the x-map of the quotient of y^2 = x^3 + Ax + B by the
+    kernel F: Velu's (x^2 - alpha x + t)/(x - alpha), t = 3 alpha^2 + A, for
+    d = 2; for odd d Kohel's N/F^2, e = deg F (Kohel 1996):
+      N = ((2e + 1)x + 2 F_(e-1)) F^2 - 2(3x^2 + A) F'F - 4(x^3 + Ax + B) H,
+    H = F''F - F'^2.  N is monic of degree d: its x^d coefficient is
+    (2e + 1) - 6e + 4e."""
+    F = list(F)
+    if d == 2:
+        alpha = -F[0]
+        return [3 * alpha * alpha + A, -alpha, R.one()], F
+    e = len(F) - 1
+    zero = R.zero()
+    dF = [k * c for k, c in enumerate(F)][1:]
+    ddF = [k * c for k, c in enumerate(dF)][1:]
+    S = _mul(F, F)
+    H = _add_scaled(_mul(ddF, F), -1, _mul(dF, dF))
+    N = _mul([2 * F[-2], R.elem(2 * e + 1)], S)
+    N = _add_scaled(N, -2, _mul([A, zero, R.elem(3)], _mul(dF, F)))
+    return _add_scaled(N, -4, _mul([B, A, zero, R.one()], H)), S
+
+
 def division_polynomial(curve: Curve, l: int, F) -> list[Fp2]:
     """psi_l modulo the monic kernel polynomial F, an ascending sequence of
     Fp2, for odd l >= 3, as an ascending, trimmed list of Fp2 (_division_mod).
@@ -292,6 +243,7 @@ def division_polynomial(curve: Curve, l: int, F) -> list[Fp2]:
         raise KernelError(f"division polynomials are for odd l >= 3, not {l}")
     ctx = curve.ctx
     return _division_mod(ctx, curve.A, curve.B, l, [ctx.coerce(c) for c in F])
+
 
 class Isogeny:
     """A separable isogeny between short Weierstrass curves in the standard
@@ -370,9 +322,9 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
     (_division_mod), and F(N, D) must vanish modulo F (_doubling_closure).
     Doubling maps x to N(x)/D(x), and 2 generates (Z/d)^*/{+-1}, so the
     roots of F are then the abscissas of one cyclic subgroup of order d
-    (Velu 1971; Kohel 1996).  KernelError otherwise.  The family builders'
-    kernels pass the same functions for every p (qcurve.generic), so
-    families.build_family_curve expands the maps without them (_velu_maps)."""
+    (Velu 1971; Kohel 1996).  KernelError otherwise.  Then the codomain
+    (_quotient_codomain) and the x-map (_quotient_maps) are expanded on Fp2,
+    with c = 1; post_twist composes the result with a twisting isomorphism."""
     ctx = curve.ctx
     if d not in (2, 3, 5, 7):
         raise KernelError(f"unsupported kernel degree {d}")
@@ -389,30 +341,9 @@ def velu_quotient(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
         raise KernelError(f"kernel polynomial does not divide the {d}-division polynomial")
     elif _doubling_closure(ctx, A, B, F):
         raise KernelError("kernel polynomial's roots are not one cyclic subgroup")
-    return _velu_maps(curve, d, F)
-
-
-def _velu_maps(curve: Curve, d: int, F: tuple[Fp2, ...]) -> Isogeny:
-    """velu_quotient without its kernel checks: the codomain
-    (_quotient_codomain) and the x-map of the quotient by a kernel F of the
-    right length and monic, in the field of curve.  Only the
-    normalized-degree check of the expanded map, and the codomain's
-    discriminant check, remain."""
-    ctx = curve.ctx
-    A, B = curve.A, curve.B
-    a_new, b_new = _quotient_codomain(A, B, d, F)
-    if d == 2:
-        # X = x + t/(x - alpha), t = 3 alpha^2 + A.
-        alpha = -F[0]
-        num = _kernel_poly((3 * alpha * alpha + A, -alpha, ctx.one()))
-        den = _kernel_poly(F)
-    else:
-        num, den = _kohel_map(F, A, B, ctx)
-    codomain = Curve(a_new, b_new)
-    (nr, ni), (dr, di) = num, den
-    if len(nr) - 1 != d or (nr[-1], ni[-1]) != (dr[-1], di[-1]):
-        raise KernelError("expanded map is not a normalized degree-d quotient")
-    return Isogeny(curve, codomain, d, num, den, ctx.one())
+    num, den = _quotient_maps(ctx, A, B, d, F)
+    codomain = Curve(*_quotient_codomain(A, B, d, F))
+    return Isogeny(curve, codomain, d, _kernel_poly(num), _kernel_poly(den), ctx.one())
 
 
 def post_twist(iso: Isogeny, lam: Fp2) -> Isogeny:

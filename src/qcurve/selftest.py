@@ -248,8 +248,8 @@ def check_family_identities(cases=((2, 11, (1, 2)), (3, 11, (1, 2)), (5, 11, (1,
 
 
 def check_family_proof():
-    """Each builder's kernel and codomain identities, proven over
-    Z[s, delta][sqrt(delta)] (qcurve.generic), and every prime where the
+    """Each builder's kernel, codomain and map identities, proven over
+    Q[s, delta][sqrt(delta)] (qcurve.generic), and every prime where the
     proof does not reduce refused by the families' guards (_MIN_P)."""
     for d, proof in prove_families().items():
         _assert(not proof.failed, f"degree-{d} identities fail: {', '.join(proof.failed)}")

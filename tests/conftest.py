@@ -29,6 +29,7 @@ FIELD_CACHES = (
     fields._sqrt_neg_delta,
     fields._twist_constants,
     families._twisting_factor,
+    families._member_tables,
 )
 
 

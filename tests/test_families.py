@@ -401,14 +401,11 @@ class TestIntPairPsi:
 
 
 # The calls into the polynomial code of qcurve.isogeny, each counted under
-# its own name: the bare-int kernel of the maps, with its private helpers for
-# the squares of Kohel's x-map (_square) and the reductions (_reduced), and
-# the remainder and product modulo a kernel (_rem, _mulmod) that every
-# kernel check runs; a function's own calls to them count too.
+# its own name: the bare-int kernel of the maps, and the remainder and
+# product modulo a kernel (_rem, _mulmod) that every kernel check runs; a
+# function's own calls to them count too.
 KERNEL_CALLS = (
     "poly_scale",
-    "_square",
-    "_reduced",
     "_rem",
     "_mulmod",
 )
@@ -484,51 +481,36 @@ ENDO_COUNTS = [(2, {}), (5, {})]
 # scaling num on the kernel.  It makes no inversion.  A second twisted Endo
 # in the same field takes the power from the cache and pays only the rest.
 TWISTED_ENDO_COUNTS = [
-    (2, {"sqr": 126, "mul": 136, "poly_scale": 1, "_reduced": 1}),
-    (5, {"sqr": 126, "mul": 145, "poly_scale": 1, "_reduced": 1}),
+    (2, {"sqr": 126, "mul": 136, "poly_scale": 1}),
+    (5, {"sqr": 126, "mul": 145, "poly_scale": 1}),
 ]
 WARM_TWISTED_ENDO_COUNTS = [
-    (2, {"sqr": 1, "mul": 11, "poly_scale": 1, "_reduced": 1}),
-    (5, {"sqr": 1, "mul": 20, "poly_scale": 1, "_reduced": 1}),
+    (2, {"sqr": 1, "mul": 11, "poly_scale": 1}),
+    (5, {"sqr": 1, "mul": 20, "poly_scale": 1}),
 ]
 # build_family_curve on each paper instance, then on d=3, s=10400 and d=7,
-# s=1.  Two curves pay a discriminant check, on int pairs: the member and the
-# Velu codomain.  The twisted codomain's discriminant is l^12 times the Velu
-# codomain's, the conjugate curve that phi must land on is not checked again,
-# and no isogeny stores derivatives, so post_twist squares l once and only
-# scales: num by l^2 on the kernel, and the constant c by l.  The Fp2
-# products left are the member's and the codomain's coefficients and c;
-# d=5's kernel divides by 5 in the field, one inversion and one product.
-# The codomain is isogeny._quotient_codomain's.  For d=2 it is
-# (A - 5t, B - 7 alpha t), and the x-map's numerator x^2 - alpha x + t forms
-# t once more.  Kohel's sums read the coefficients F_(e-2) and F_(e-3) that
-# a short kernel lacks (both for d=3, F_(e-3) for d=5) as the int 0, which
-# costs no product.  The builders' kernels are proven for every p
-# (qcurve.generic), so a build runs no kernel check: no division polynomial,
-# no closure under doubling, no remainder or product modulo F (_rem,
-# _mulmod).  An odd kernel pays only Kohel's expansion of the x-map
-# (isogeny._kohel_map), on int pairs: two squares, F^2 reduced as den and
-# F'^2 left unreduced (_square), then each coefficient of num as one sum
-# reduced once.  d=2 expands nothing.  These are the first builds of each
-# degree in the field: each also computes its twisting root l
-# (families._twisting_factor), the canonical root, one Fp2.sqrt, of -1/d,
-# formed as 1 times the inverse of d (one inversion and one product), or for
-# d=5 of the inverse of (1 + 2i)^2 (one square and one inversion).  A second
-# build of the same member on a new context of the field
-# (WARM_BUILD_COUNTS) takes l from the cache and makes no inversion for it
-# and no square root.
+# s=1.  A build makes no Fp2 operation and no call into the polynomial
+# kernel for the member itself: its A, B, C and phi's x-map are the proof
+# ring's polynomials in s (qcurve.generic.family_maps, read once per process
+# and degree on the ring, which counts nothing here), reduced mod p into int
+# tables once per field and degree and evaluated at one vector of powers of
+# s on the ints.  The member's discriminant check runs on int pairs, and
+# phi's codomain is the conjugate curve, which needs none.  So it runs no
+# builder, no kernel check, no map expansion and no post_twist.  These are
+# the first builds of each degree in the field: each also computes its
+# twisting root l (families._twisting_factor), phi's constant, the
+# canonical root, one Fp2.sqrt, of -1/d, formed as 1 times the inverse of d
+# (one inversion and one product), or for d=5 of the inverse of (1 + 2i)^2
+# (one square and one inversion).  A second build of the same member on a
+# new context of the field (WARM_BUILD_COUNTS) takes l and the tables from
+# their caches and counts nothing at all.
 BUILD_COUNTS = [
-    (2, {"mul_int": 6, "inv": 1, "mul": 8, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 12, "sqr": 4, "inv": 2, "mul": 12, "_square": 2, "_reduced": 3, "poly_scale": 1}),
-    (3, {"mul_int": 10, "sqr": 3, "inv": 1, "mul": 9, "_square": 2, "_reduced": 3, "poly_scale": 1}),
-    (7, {"mul_int": 16, "mul": 19, "sqr": 3, "inv": 1, "_square": 2, "_reduced": 3, "poly_scale": 1}),
+    (2, {"inv": 1, "mul": 1}),
+    (5, {"sqr": 1, "inv": 1}),
+    (3, {"inv": 1, "mul": 1}),
+    (7, {"inv": 1, "mul": 1}),
 ]
-WARM_BUILD_COUNTS = [
-    (2, {"mul_int": 6, "mul": 7, "sqr": 2, "poly_scale": 1, "_reduced": 1}),
-    (5, {"mul_int": 12, "sqr": 3, "inv": 1, "mul": 12, "_square": 2, "_reduced": 3, "poly_scale": 1}),
-    (3, {"mul_int": 10, "sqr": 3, "mul": 8, "_square": 2, "_reduced": 3, "poly_scale": 1}),
-    (7, {"mul_int": 16, "mul": 18, "sqr": 3, "_square": 2, "_reduced": 3, "poly_scale": 1}),
-]
+WARM_BUILD_COUNTS = [(2, {}), (5, {}), (3, {}), (7, {})]
 # One multiexp2 on a 127-bit scalar pair and one Curve.mul on a 253-bit
 # scalar: the Jacobian doublings and mixed additions over the joint sparse
 # form (the NAF for Curve.mul), the runs of doublings between nonzero

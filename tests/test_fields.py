@@ -151,7 +151,7 @@ class TestFieldCaches:
         for ctx in (minus_one, five):
             self.touch(ctx, 2)
         # Only the modulus verdict is keyed by p alone.
-        assert [cache.cache_info().currsize for cache in FIELD_CACHES] == [1, 2, 2, 2]
+        assert [cache.cache_info().currsize for cache in FIELD_CACHES] == [1, 2, 2, 2, 2]
         for ctx in (minus_one, five):
             mu = ctx.nonsquare()
             assert mu.ctx is ctx and not mu.is_square()

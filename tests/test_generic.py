@@ -1,6 +1,6 @@
 """The family proof of qcurve.generic: every identity holds over the exact
-ring, one changed builder constant, or one changed kernel identity of
-qcurve.isogeny, breaks the identity it feeds, and the exclusions of
+ring, one changed builder constant, or one changed kernel identity or map
+of qcurve.isogeny, breaks the identity it feeds, and the exclusions of
 build_family_curve are the roots mod p of the degeneracy polynomials that
 the proof returns."""
 
@@ -24,16 +24,31 @@ from qcurve.weierstrass import Curve
 from conftest import SMALL_MEMBERS, ctx_for
 
 IDENTITIES = {
-    2: ["two_torsion", "codomain"],
-    3: ["divides_psi", "cyclic", "codomain"],
-    5: ["divides_psi", "cyclic", "codomain"],
-    7: ["divides_psi", "cyclic", "codomain"],
+    2: ["two_torsion", "codomain", "normalized"],
+    3: ["divides_psi", "cyclic", "codomain", "normalized"],
+    5: ["divides_psi", "cyclic", "codomain", "normalized"],
+    7: ["divides_psi", "cyclic", "codomain", "normalized"],
 }
 
 
 @pytest.fixture(scope="module")
 def proofs():
     return prove_families()
+
+
+@pytest.fixture
+def fresh_maps():
+    """Builds read each degree's maps from the proof ring once per process,
+    and reduce them once per field: a test that changes a builder, the
+    twisting factor or an identity of qcurve.isogeny forgets them before
+    and after, so its builds run the changed code and no later build
+    reads it."""
+    caches = (families._proven_maps, families._member_tables)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_every_identity_holds(proofs):
@@ -86,6 +101,16 @@ def _closure_without_last_step(monkeypatch, d):
     monkeypatch.setattr(isogeny, "_doubling_closure", closure)
 
 
+def _maps_lead_doubled(monkeypatch, d):
+    real = isogeny._quotient_maps
+
+    def doubled(R, A, B, d, F):
+        num, den = real(R, A, B, d, F)
+        return num[:-1] + [2 * num[-1]], den
+
+    monkeypatch.setattr(isogeny, "_quotient_maps", doubled)
+
+
 # One change per row, the identities that must then fail, and what the
 # degree's smallest member (conftest.SMALL_MEMBERS) then raises through the
 # checked velu_quotient and through build_family_curve.  First one changed
@@ -95,7 +120,10 @@ def _closure_without_last_step(monkeypatch, d):
 # one copy that the proof and the build path share: Kohel's B' moved by 1
 # breaks the codomain, in the proof and in every build; a doubling closure
 # that drops its last Horner step breaks "cyclic" where there is one to drop
-# (d = 5, 7), in the proof and in velu_quotient, and no build runs it.
+# (d = 5, 7), in the proof and in velu_quotient, and no build runs it; the
+# quotient's x-map with its leading coefficient doubled is not normalized, in
+# the proof and in every build, and velu_quotient, which checks the kernel
+# and not the map it expands, returns it.
 MUTATIONS = [
     pytest.param(2, _builder(lambda A, B, C, F: (A + 1, B, C, F)), ["two_torsion", "codomain"],
                  KernelError, DegenerateParameterError, id="d2"),
@@ -109,6 +137,8 @@ MUTATIONS = [
       for d in FAMILY_DEGREES),
     *(pytest.param(d, _closure_without_last_step, ["cyclic"], KernelError, None, id=f"d{d}-closure")
       for d in (5, 7)),
+    *(pytest.param(d, _maps_lead_doubled, ["normalized"], None, KernelError, id=f"d{d}-maps")
+      for d in FAMILY_DEGREES),
 ]
 
 
@@ -121,7 +151,7 @@ def _raised(call):
 
 
 @pytest.mark.parametrize("d,change,broken,velu_error,build_error", MUTATIONS)
-def test_changed_builder_constant_fails(monkeypatch, d, change, broken, velu_error, build_error):
+def test_changed_builder_constant_fails(monkeypatch, fresh_maps, d, change, broken, velu_error, build_error):
     change(monkeypatch, d)
     assert prove_family(d).failed == broken
     _, p, s = next(member for member in SMALL_MEMBERS if member[0] == d)
@@ -132,7 +162,7 @@ def test_changed_builder_constant_fails(monkeypatch, d, change, broken, velu_err
 
 
 @pytest.mark.parametrize("d", FAMILY_DEGREES)
-def test_wrong_twisting_factor_fails_the_codomain(monkeypatch, d):
+def test_wrong_twisting_factor_fails_the_codomain(monkeypatch, fresh_maps, d):
     real = families._twisting_square
     monkeypatch.setattr(families, "_twisting_square", lambda R, k: 2 * real(R, k))
     assert prove_family(d).failed == ["codomain"]
@@ -146,6 +176,11 @@ def _fields(p):
 
 
 PRIMES = [p for p in range(5, 65) if all(p % q for q in range(2, p))]
+
+
+def _value(coefficients, s, p):
+    """The polynomial in s with the given ascending coefficients, at s mod p."""
+    return sum(c * s**i for i, c in enumerate(coefficients)) % p
 
 
 def test_exclusions_are_the_degeneracy_roots(proofs):
@@ -166,7 +201,8 @@ def test_exclusions_are_the_degeneracy_roots(proofs):
                 if refused:
                     continue
                 assert p not in proofs[d].bad_primes
-                roots = {s for s in range(p) if not a.at(s, ctx.delta, p) and not b.at(s, ctx.delta, p)}
+                a, b = a.mod(p, ctx.delta), b.mod(p, ctx.delta)
+                roots = {s for s in range(p) if not (_value(a, s, p) or _value(b, s, p))}
                 assert raised == roots, (d, p, ctx.delta)
                 excluded += len(raised)
     assert excluded
@@ -182,8 +218,27 @@ def test_bad_primes_are_refused(proofs):
                         build_family_curve(d, ctx, 1)
 
 
-def test_not_imported_by_the_build_path():
-    code = "import sys, qcurve.families, qcurve.isogeny; print('qcurve.generic' in sys.modules)"
+# qcurve.families reads its maps from qcurve.generic, which runs the
+# builders of qcurve.families: importing either module first, in a fresh
+# interpreter, must build members of every odd degree that reads Kohel's map.
+BUILD_BOTH_WAYS = """
+import sys
+import qcurve.{first}
+from qcurve.families import build_family_curve
+from qcurve.fields import FieldCtx
+ctx = FieldCtx(2**127 - 1, -1)
+print(build_family_curve(5, ctx, 7930).phi.num[0][-1], build_family_curve(7, ctx, 1).phi.num[0][-1])
+"""
+
+
+def test_builds_whichever_module_is_imported_first():
     env = dict(os.environ, PYTHONPATH=str(Path(qcurve.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.stdout.strip() == "False", proc.stderr
+    outputs = []
+    for first in ("families", "generic"):
+        code = BUILD_BOTH_WAYS.format(first=first)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    ctx = FieldCtx(2**127 - 1, -1)
+    here = build_family_curve(5, ctx, 7930).phi.num[0][-1], build_family_curve(7, ctx, 1).phi.num[0][-1]
+    assert outputs == [f"{here[0]} {here[1]}\n"] * 2
